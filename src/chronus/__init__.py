@@ -24,4 +24,4 @@ from .training import (FeedbackCorpus, FeedbackEntry, LoopReport, align_win,
                        brute_force_align, run_training_loop)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -15,8 +15,8 @@ from .dialog import DialogState, merge_context
 from .errors import ChronusError
 from . import gen as genmod
 from .lexicon import SuperwordLexicon
-from .model import (SegmentedSentence, apply_synonym_smoothing, load_model,
-                    save_model, train_mle)
+from .model import (SegmentedSentence, apply_synonym_smoothing,
+                    full_vocabulary, load_model, save_model, train_mle)
 from .pipeline import Artifacts, data_path, run_turn
 from .query import score_answer
 from .template import generate_template, matched_fraction, should_reject
@@ -65,13 +65,6 @@ def _load_synonyms(path):
 # ---------------------------------------------------------------------------
 # train
 
-def _full_vocabulary(lexicon, sentences):
-    """Every symbol the lexicon can emit, plus anything seen in training."""
-    syms = set(lexicon.superwords)
-    syms.update(w.sym for s in sentences for w in s.words)
-    return sorted(syms)
-
-
 def cmd_train(args, out) -> int:
     dictionary = ConceptDictionary.load(
         args.concepts if args.concepts else data_path("concepts.txt"))
@@ -82,7 +75,7 @@ def cmd_train(args, out) -> int:
         corpus.extend(FeedbackCorpus.load(path).seed_segmentations())
     if not corpus:
         raise ChronusError("training corpus has no gold segmentations")
-    vocab = _full_vocabulary(lexicon, corpus)
+    vocab = full_vocabulary(lexicon, corpus)
     model = train_mle(corpus, dictionary, vocab, args.k)
     if args.synonyms:
         model = apply_synonym_smoothing(model, _load_synonyms(args.synonyms))
@@ -279,7 +272,7 @@ def cmd_loop(args, out) -> int:
         model = load_model(args.model)
     else:
         seed = corpus.seed_segmentations()
-        vocab = _full_vocabulary(artifacts.lexicon, seed)
+        vocab = full_vocabulary(artifacts.lexicon, seed)
         model = train_mle(seed, artifacts.dictionary, vocab, args.k)
     model, report = run_training_loop(corpus, model, artifacts,
                                       max_iters=args.max_iters,

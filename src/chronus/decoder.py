@@ -4,23 +4,30 @@ Sequence decoding maximizes P(W, C) over labelings; lattice decoding
 jointly maximizes over lattice paths and labelings.  Because the word
 bigram context of an arc is the superword of the incoming arc, the
 dynamic program is indexed by (arc, concept) rather than (position,
-concept).
+concept).  It runs on integer ids: arcs by their position in the sorted
+``lattice.arcs``, concepts by dictionary index, scores from the model's
+concept-indexed log tables, one list of per-concept scores per arc.
+
+A new segment's first word is emitted from the begin-marker row whatever
+the previous concept was, so that emission is looked up once per (arc,
+concept); only staying in the same concept reads the predecessor's row.
 
 Tie-breaking is fully deterministic: at every cell, candidates are
 examined in order of (concept index, incoming-arc key) and only strictly
-better scores replace the incumbent.  The brute-force oracle reproduces
-the same rule globally, so the two decoders agree bit-for-bit even on
-degenerate all-impossible inputs.
+better scores replace the incumbent, i.e. the first maximum in that
+order wins; each score is summed as ``cell + transition + emission``.
+The brute-force oracle reproduces the same rule globally, so the two
+decoders agree bit-for-bit even on degenerate all-impossible inputs.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ChronusError
 from .lexicon import Arc, Lattice, Superword, enumerate_path_arcs
-from .model import BEGIN, NEG_INF, ConceptHmm, SegmentedSentence
+from .model import NEG_INF, ConceptHmm, SegmentedSentence, path_score
 
 
 class DecodeSizeError(ChronusError):
@@ -52,85 +59,77 @@ def viterbi_decode(model: ConceptHmm, words) -> DecodeResult:
     return viterbi_decode_lattice(model, _chain_lattice(words))
 
 
+def _interleave(rows):
+    """Per-arc lists indexed by concept, flattened concept-major: the order
+    in which the search examines (concept, arc) candidates."""
+    return [x for per_concept in zip(*rows) for x in per_concept]
+
+
 def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
     """Joint MAP over lattice paths and concept labelings."""
-    names = model.dictionary.names
-    arcs = sorted(lattice.arcs, key=Arc.key)  # start-major: predecessors first
-    incoming = {}
-    for a in arcs:
-        incoming.setdefault(a.end, []).append(a)
+    n_concepts = len(model.dictionary)
+    arcs = lattice.arcs  # sorted by Arc.key: start-major, predecessors first
+    incoming = {}        # end position -> ids of arcs ending there
+    for i, a in enumerate(arcs):
+        incoming.setdefault(a.end, []).append(i)
 
-    delta = {}  # (arc, concept) -> score
-    back = {}   # (arc, concept) -> (prev_arc, prev_concept) or None
+    delta = [None] * len(arcs)  # arc id -> score per concept; None: unreachable
+    back = [None] * len(arcs)   # arc id -> (prev arc id, prev concept) per concept
     relax = 0
 
-    for a in arcs:
-        preds = incoming.get(a.start, [])
-        for c in names:
-            best = None
-            best_bp = None
-            if a.start == 0:
-                relax += 1
-                score = (model.log_initial(c)
-                         + model.log_emit(c, BEGIN, a.sym))
-                best, best_bp = score, None
-            for cp in names:
-                trans = model.log_transition(cp, c)
-                for b in preds:
-                    cell = delta.get((b, cp))
-                    if cell is None:
-                        continue
-                    relax += 1
-                    ctx = BEGIN if c != cp else b.sym
-                    score = cell + trans + model.log_emit(c, ctx, a.sym)
-                    if best is None or score > best:
-                        best, best_bp = score, (b, cp)
-            if best is not None:
-                delta[(a, c)] = best
-                back[(a, c)] = best_bp
+    for i, a in enumerate(arcs):
+        begin = [row.get(a.sym, NEG_INF) for row in model.begin_rows]
+        if a.start == 0:
+            relax += n_concepts
+            delta[i] = [s + e for s, e in zip(model.init_vec, begin)]
+            back[i] = [(None, None)] * n_concepts
+            continue
+        live = [j for j in incoming.get(a.start, ()) if delta[j] is not None]
+        if not live:
+            continue
+        m = len(live)
+        relax += n_concepts * n_concepts * m
+        # candidate d = cp * m + k extends live[k] from previous concept cp
+        prev = _interleave([delta[j] for j in live])
+        cols = model.trans_into if m == 1 else [
+            [t for t in col for _ in live] for col in model.trans_into]
+        # staying in concept c continues the segment, so the bigram context
+        # is the predecessor's symbol instead of the begin marker
+        stay = [[table.get(arcs[j].sym, {}).get(a.sym, NEG_INF) for j in live]
+                for table in model.bigram_tables]
+        cells, bps = [], []
+        for c, trans in enumerate(cols):
+            emit = begin[c]
+            scores = [s + t + emit for s, t in zip(prev, trans)]
+            d = c * m
+            for e in stay[c]:
+                scores[d] = prev[d] + trans[d] + e
+                d += 1
+            best = max(scores)  # first maximum = strict-improvement winner
+            cp, k = divmod(scores.index(best), m)
+            cells.append(best)
+            bps.append((live[k], cp))
+        delta[i], back[i] = cells, bps
 
-    final_best = None
-    final_cell = None
-    for c in names:
-        for a in incoming.get(lattice.n_positions, []):
-            cell = delta.get((a, c))
-            if cell is None:
-                continue
-            relax += 1
-            score = cell + model.log_final(c)
-            if final_best is None or score > final_best:
-                final_best, final_cell = score, (a, c)
-
-    if final_cell is None:
+    ends = [j for j in incoming.get(lattice.n_positions, ())
+            if delta[j] is not None]
+    if not ends:
         raise ChronusError("lattice has no decodable complete path")
+    relax += n_concepts * len(ends)
+    scores = _interleave([[s + f for s, f in zip(delta[j], model.final_vec)]
+                          for j in ends])
+    log_prob = max(scores)
+    c, k = divmod(scores.index(log_prob), len(ends))
 
-    rev_arcs, rev_labels = [], []
-    cell = final_cell
-    while cell is not None:
-        rev_arcs.append(cell[0])
-        rev_labels.append(cell[1])
-        cell = back[cell]
-    words = tuple(a.superword for a in reversed(rev_arcs))
-    labels = tuple(reversed(rev_labels))
-    return DecodeResult(labels=labels, words=words, log_prob=final_best,
-                        degenerate=(final_best == NEG_INF), relaxations=relax)
-
-
-def path_score(model: ConceptHmm, path_arcs, labels) -> float:
-    """Joint log probability of one lattice path with one labeling."""
-    logp = 0.0
-    prev_label = None
-    prev_sym = BEGIN
-    for a, c in zip(path_arcs, labels):
-        if prev_label is None:
-            logp += model.log_initial(c)
-            ctx = BEGIN
-        else:
-            logp += model.log_transition(prev_label, c)
-            ctx = BEGIN if c != prev_label else prev_sym
-        logp += model.log_emit(c, ctx, a.sym)
-        prev_label, prev_sym = c, a.sym
-    return logp + model.log_final(prev_label)
+    names = model.dictionary.names
+    path = []
+    j = ends[k]
+    while j is not None:
+        path.append((arcs[j].superword, names[c]))
+        j, c = back[j][c]
+    words, labels = zip(*reversed(path))
+    return DecodeResult(labels=labels, words=words, log_prob=log_prob,
+                        degenerate=(log_prob == NEG_INF), relaxations=relax)
 
 
 MAX_ORACLE_CONCEPTS = 6

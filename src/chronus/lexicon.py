@@ -86,7 +86,8 @@ class Arc:
 
 
 class Lattice:
-    """DAG of superword arcs over token positions 0..n_positions."""
+    """DAG of superword arcs over token positions 0..n_positions, with
+    ``arcs`` sorted by ``Arc.key`` (start-major)."""
 
     def __init__(self, n_positions: int, arcs):
         arcs = tuple(sorted(arcs, key=Arc.key))
@@ -102,11 +103,6 @@ class Lattice:
             seen.add(dup)
         self.n_positions = n_positions
         self.arcs = arcs
-        self._from = {p: [] for p in range(n_positions + 1)}
-        self._into = {p: [] for p in range(n_positions + 1)}
-        for a in arcs:
-            self._from[a.start].append(a)
-            self._into[a.end].append(a)
         if not self._complete():
             raise LatticeError("no complete path from position 0 to the end")
 
@@ -116,16 +112,6 @@ class Lattice:
             if a.start in reach:
                 reach.add(a.end)
         return self.n_positions in reach
-
-    def arcs_from(self, pos):
-        return self._from[pos]
-
-    def arcs_into(self, pos):
-        return self._into[pos]
-
-    def to_text(self) -> str:
-        lines = [f"{a.start}\t{a.end}\t{a.superword.render()}" for a in self.arcs]
-        return "\n".join(lines) + "\n"
 
     def __eq__(self, other):
         return (isinstance(other, Lattice)

@@ -101,7 +101,9 @@ class ConceptHmm:
 
     Probabilities are held in linear space rounded to 12 significant digits
     (the on-disk canonical form); log caches with a minus-infinity sentinel
-    for impossible events are built at construction.
+    for impossible events are built at construction, keyed by name and,
+    for the decoder, indexed by concept (``init_vec``, ``trans_into``,
+    ``final_vec``, ``bigram_tables``, ``begin_rows``).
     """
 
     def __init__(self, dictionary: ConceptDictionary, vocab, k: float,
@@ -120,6 +122,13 @@ class ConceptHmm:
         self._log_bigram = {g: {r: {w: _safe_log(p) for w, p in row.items()}
                                 for r, row in table.items()}
                             for g, table in bigram.items()}
+        names = dictionary.names
+        self.init_vec = [self.log_initial(c) for c in names]
+        self.trans_into = [[self.log_transition(r, c) for r in names]
+                           for c in names]  # next concept -> previous -> log p
+        self.final_vec = [self.log_final(c) for c in names]
+        self.bigram_tables = [self._log_bigram.get(c, {}) for c in names]
+        self.begin_rows = [t.get(BEGIN, {}) for t in self.bigram_tables]
 
     # log accessors; absent entries are impossible events
     def log_initial(self, concept) -> float:
@@ -174,6 +183,13 @@ def _smooth_row(counts_row, columns, k):
         if p > 0.0:
             row[col] = _round12(p)
     return row
+
+
+def full_vocabulary(lexicon, sentences):
+    """Every symbol the lexicon can emit, plus anything seen in training."""
+    syms = set(lexicon.superwords)
+    syms.update(w.sym for s in sentences for w in s.words)
+    return sorted(syms)
 
 
 def train_mle(corpus, dictionary: ConceptDictionary, vocabulary, k: float) -> ConceptHmm:
@@ -303,12 +319,13 @@ def _share_columns(table, members):
                 row.pop(w, None)
 
 
-def sequence_log_prob(model: ConceptHmm, sentence: SegmentedSentence) -> float:
-    """log P(W, C) under the first-order model; -inf for impossible events."""
+def path_score(model: ConceptHmm, arcs_or_superwords, labels) -> float:
+    """log P(W, C) of one symbol sequence (arcs or superwords) under one
+    labeling; -inf for impossible events."""
     logp = 0.0
     prev_label = None
     prev_sym = BEGIN
-    for word, label in zip(sentence.words, sentence.labels):
+    for word, label in zip(arcs_or_superwords, labels):
         if label not in model.dictionary:
             raise UnknownLabelError(label)
         if prev_label is None:
@@ -319,8 +336,12 @@ def sequence_log_prob(model: ConceptHmm, sentence: SegmentedSentence) -> float:
             ctx = BEGIN if label != prev_label else prev_sym
         logp += model.log_emit(label, ctx, word.sym)
         prev_label, prev_sym = label, word.sym
-    logp += model.log_final(prev_label)
-    return logp
+    return logp + model.log_final(prev_label)
+
+
+def sequence_log_prob(model: ConceptHmm, sentence: SegmentedSentence) -> float:
+    """path_score of a segmented sentence's words and labels."""
+    return path_score(model, sentence.words, sentence.labels)
 
 
 # ---------------------------------------------------------------------------

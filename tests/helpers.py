@@ -2,16 +2,9 @@
 
 from pathlib import Path
 
-from chronus.model import train_mle
+from chronus.model import full_vocabulary, train_mle
 
 TESTS_DATA = Path(__file__).parent / "data"
-
-
-def full_vocabulary(lexicon, sentences):
-    """Every symbol the lexicon can emit, plus anything seen in training."""
-    syms = set(lexicon.superwords)
-    syms.update(w.sym for s in sentences for w in s.words)
-    return sorted(syms)
 
 
 def train_full(sentences, artifacts, k=0.001):

@@ -64,6 +64,18 @@ def test_log_prob_is_path_score_of_returned_labeling():
             path_score(model, path, result.labels), abs=1e-12)
 
 
+def test_log_prob_is_exactly_path_score_on_long_demo_sentences(
+        demo_model, artifacts, demo_corpus, semi_corpus):
+    texts = [e.text for e in demo_corpus.entries + semi_corpus.entries]
+    rng = random.Random(2718)
+    for _ in range(50):
+        text = " ".join(rng.choice(texts) for _ in range(rng.randint(3, 15)))
+        result = viterbi_decode_lattice(demo_model,
+                                        lex_parse(text, artifacts.lexicon))
+        assert result.log_prob == path_score(demo_model, result.words,
+                                             result.labels)
+
+
 # ---------------------------------------------------------------------------
 # Oracle agreement
 
@@ -127,6 +139,50 @@ def test_chain_relaxation_count_is_quadratic_in_concepts():
         # once per concept pair, plus the final transition sweep
         expected = n_concepts + (n - 1) * n_concepts ** 2 + n_concepts
         assert result.relaxations == expected
+
+
+def _expected_lattice_relaxations(lattice, n_concepts):
+    """|C| per arc leaving 0, |C|^2 per live predecessor of every arc, and
+    |C| per live arc into the last position; live = reachable from 0."""
+    reach = {0}
+    live_preds = 0
+    for a in lattice.arcs:  # sorted by start
+        if a.start in reach:
+            live_preds += sum(1 for b in lattice.arcs
+                              if b.end == a.start and b.start in reach)
+            reach.add(a.end)
+    starts = sum(1 for a in lattice.arcs if a.start == 0)
+    ends = sum(1 for a in lattice.arcs
+               if a.end == lattice.n_positions and a.start in reach)
+    return (n_concepts * starts + n_concepts ** 2 * live_preds
+            + n_concepts * ends)
+
+
+def test_lattice_relaxation_count_sums_live_predecessors():
+    model = random_trained_model(random.Random(11), k=0.001)
+    n_concepts = len(model.dictionary.names)
+    # nothing ends at position 1, so the two arcs leaving it are dead; the
+    # two arcs over 2..4 are parallel grammar matches
+    lattice = Lattice(4, [
+        Arc(0, 2, "w0"), Arc(0, 2, "w2"),
+        Arc(1, 2, "w1"), Arc(1, 3, "w2"),
+        Arc(2, 3, "w1"), Arc(2, 4, "((number))", "7"),
+        Arc(2, 4, "((city))", "BOSTON"), Arc(3, 4, "w2")])
+    result = viterbi_decode_lattice(model, lattice)
+    # live predecessors: 2 for each arc leaving 2, 1 for (3, 4, w2)
+    expected = n_concepts * 2 + n_concepts ** 2 * 7 + n_concepts * 3
+    assert _expected_lattice_relaxations(lattice, n_concepts) == expected
+    assert result.relaxations == expected
+    assert result.log_prob == path_score(model, result.words, result.labels)
+
+
+def test_demo_lattice_relaxation_count(demo_model, artifacts):
+    lattice = lex_parse("SHOW ME THE FLIGHTS FROM SAN FRANCISCO TO BOSTON "
+                        "ON FLIGHT THIRTY SEVEN", artifacts.lexicon)
+    assert len(lattice.arcs) > lattice.n_positions  # parallel grammar arcs
+    result = viterbi_decode_lattice(demo_model, lattice)
+    assert result.relaxations == _expected_lattice_relaxations(
+        lattice, len(demo_model.dictionary.names))
 
 
 # ---------------------------------------------------------------------------

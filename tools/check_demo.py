@@ -7,8 +7,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from chronus.cli import _full_vocabulary, render_segments
-from chronus.model import train_mle
+from chronus.cli import render_segments
+from chronus.model import full_vocabulary, train_mle
 from chronus.pipeline import Artifacts, data_path, run_turn
 from chronus.query import score_answer
 from chronus.training import FeedbackCorpus
@@ -17,7 +17,7 @@ artifacts = Artifacts.load_bundled()
 demo = FeedbackCorpus.load(data_path("demo_corpus.txt"))
 seed = FeedbackCorpus.load(data_path("seed_corpus.txt"))
 golds = demo.seed_segmentations() + seed.seed_segmentations()
-vocab = _full_vocabulary(artifacts.lexicon, golds)
+vocab = full_vocabulary(artifacts.lexicon, golds)
 model = train_mle(golds, artifacts.dictionary, vocab, 0.001)
 
 bad = 0
