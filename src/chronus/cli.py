@@ -8,18 +8,16 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 
 from .concepts import ConceptDictionary
 from .dialog import DialogState, merge_context
 from .errors import ChronusError
 from . import gen as genmod
 from .lexicon import SuperwordLexicon
-from .model import (SegmentedSentence, apply_synonym_smoothing,
-                    full_vocabulary, load_model, save_model, train_mle)
-from .pipeline import Artifacts, data_path, run_turn
-from .query import score_answer
-from .template import generate_template, matched_fraction, should_reject
+from .model import (apply_synonym_smoothing, full_vocabulary, load_model,
+                    render_segments, save_model, train_mle)
+from .pipeline import Artifacts, data_path, evaluate_corpus, run_turn
+from .template import matched_fraction
 from .training import FeedbackCorpus, run_training_loop
 
 
@@ -93,14 +91,6 @@ def cmd_train(args, out) -> int:
 # ---------------------------------------------------------------------------
 # decode
 
-def render_segments(segmentation: SegmentedSentence) -> str:
-    parts = []
-    for label, start, end in segmentation.segments():
-        words = " ".join(w.render() for w in segmentation.words[start:end])
-        parts.append(f"{label}:[{words}]")
-    return " ".join(parts)
-
-
 def cmd_decode(args, out) -> int:
     artifacts = _load_artifacts(args)
     model = load_model(args.model)
@@ -128,84 +118,6 @@ def cmd_decode(args, out) -> int:
 
 # ---------------------------------------------------------------------------
 # eval
-
-@dataclass
-class EvalReport:
-    concept_accuracy: float
-    sentence_accuracy: float
-    answers_correct: float
-    answers_wrong: float
-    answers_rejected: float
-    errors: dict
-
-    def render(self) -> str:
-        lines = [
-            f"concept_accuracy\t{self.concept_accuracy:.1f}",
-            f"sentence_accuracy\t{self.sentence_accuracy:.1f}",
-            f"answers_correct\t{self.answers_correct:.1f}",
-            f"answers_wrong\t{self.answers_wrong:.1f}",
-            f"answers_rejected\t{self.answers_rejected:.1f}",
-        ]
-        for cat in ("decoding", "template", "dialog", "translator"):
-            lines.append(f"errors_{cat}\t{self.errors.get(cat, 0)}")
-        return "\n".join(lines)
-
-
-def evaluate_corpus(corpus: FeedbackCorpus, model, artifacts,
-                    threshold=None) -> EvalReport:
-    gold_segments = hyp_segments = 0
-    gold_sentences = correct_sentences = 0
-    answered = correct = wrong = rejected = 0
-    errors = {"decoding": 0, "template": 0, "dialog": 0, "translator": 0}
-    for entry in corpus.entries:
-        turn = run_turn(entry.text, model, artifacts, threshold=threshold)
-        seg = turn.decode.segmentation()
-        seg_match = None
-        if entry.gold is not None:
-            gold_sentences += 1
-            gold = set(entry.gold.segments())
-            hyp = set(seg.segments())
-            gold_segments += len(gold)
-            hyp_segments += len(gold & hyp)
-            seg_match = gold == hyp
-            if seg_match:
-                correct_sentences += 1
-        if not entry.has_references:
-            continue
-        answered += 1
-        if turn.rejected:
-            rejected += 1
-            continue
-        if turn.answer is not None and score_answer(
-                turn.answer, entry.refmin, entry.refmax) == "correct":
-            correct += 1
-            continue
-        wrong += 1
-        # classify by the first stage that diverges from gold artifacts
-        if seg_match is False:
-            errors["decoding"] += 1
-        elif entry.gold is not None:
-            gold_template = generate_template(entry.gold, artifacts.tables,
-                                              artifacts.dictionary)
-            if gold_template.render() != turn.template.render():
-                errors["template"] += 1
-            else:
-                errors["translator"] += 1
-        else:
-            errors["translator"] += 1
-
-    def pct(a, b):
-        return 100.0 * a / b if b else 0.0
-
-    return EvalReport(
-        concept_accuracy=pct(hyp_segments, gold_segments),
-        sentence_accuracy=pct(correct_sentences, gold_sentences),
-        answers_correct=pct(correct, answered),
-        answers_wrong=pct(wrong, answered),
-        answers_rejected=pct(rejected, answered) if answered else 100.0,
-        errors=errors,
-    )
-
 
 def cmd_eval(args, out) -> int:
     artifacts = _load_artifacts(args)

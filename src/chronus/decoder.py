@@ -18,6 +18,10 @@ better scores replace the incumbent, i.e. the first maximum in that
 order wins; each score is summed as ``cell + transition + emission``.
 The brute-force oracle reproduces the same rule globally, so the two
 decoders agree bit-for-bit even on degenerate all-impossible inputs.
+Its enumerator, ``exhaustive_search``, also backs the alignment oracle
+``training.brute_force_align``; constrained alignment itself
+(``training.align_win``) reads the same tables with the same
+first-maximum rule.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ class DecodeResult:
         return SegmentedSentence(self.words, self.labels)
 
 
-def _chain_lattice(words) -> Lattice:
+def chain_lattice(words) -> Lattice:
     arcs = [Arc(i, i + 1, w.sym, w.value) for i, w in enumerate(words)]
     return Lattice(len(words), arcs)
 
@@ -56,7 +60,7 @@ def viterbi_decode(model: ConceptHmm, words) -> DecodeResult:
     words = tuple(w if isinstance(w, Superword) else Superword(w) for w in words)
     if not words:
         raise ChronusError("cannot decode an empty sequence")
-    return viterbi_decode_lattice(model, _chain_lattice(words))
+    return viterbi_decode_lattice(model, chain_lattice(words))
 
 
 def _interleave(rows):
@@ -136,13 +140,16 @@ MAX_ORACLE_CONCEPTS = 6
 MAX_ORACLE_PATH_LEN = 8
 
 
-def brute_force_decode(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
-    """Exhaustive maximization over paths x labelings; verification oracle.
+def exhaustive_search(model: ConceptHmm, lattice: Lattice, admit=None):
+    """Best (score, path, labels) over every path x labeling; the one
+    enumerator behind both brute-force oracles, independent of the DP.
 
-    Guarded against blowup: at most 6 concepts and path length 8.
-    Tie-breaking matches viterbi_decode_lattice exactly: among equal
-    scores, the candidate minimizing the back-to-front sequence of
-    (concept index, arc key) pairs wins.
+    Guarded against blowup: at most 6 concepts and path length 8.  Only
+    labelings for which ``admit(labels)`` holds compete (all when
+    ``admit`` is None); returns None when none does.  Tie-breaking matches
+    viterbi_decode_lattice exactly: among equal scores, the candidate
+    minimizing the back-to-front sequence of (concept index, arc key)
+    pairs wins.
     """
     names = model.dictionary.names
     if len(names) > MAX_ORACLE_CONCEPTS:
@@ -152,19 +159,24 @@ def brute_force_decode(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
         if len(p) > MAX_ORACLE_PATH_LEN:
             raise DecodeSizeError(f"path longer than {MAX_ORACLE_PATH_LEN}")
 
-    best_score = None
-    best_key = None
-    best = None
+    best = best_key = None
     for path in paths:
         for labels in itertools.product(names, repeat=len(path)):
+            if admit is not None and not admit(labels):
+                continue
             score = path_score(model, path, labels)
+            if best is not None and score < best[0]:
+                continue
             key = tuple((model.dictionary.index(c), a.key())
                         for a, c in zip(reversed(path), reversed(labels)))
-            if (best_score is None or score > best_score
-                    or (score == best_score and key < best_key)):
-                best_score, best_key, best = score, key, (path, labels)
+            if best is None or score > best[0] or key < best_key:
+                best, best_key = (score, path, labels), key
+    return best
 
-    path, labels = best
+
+def brute_force_decode(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
+    """Exhaustive maximization over paths x labelings; verification oracle."""
+    score, path, labels = exhaustive_search(model, lattice)
     words = tuple(a.superword for a in path)
-    return DecodeResult(labels=tuple(labels), words=words, log_prob=best_score,
-                        degenerate=(best_score == NEG_INF))
+    return DecodeResult(labels=tuple(labels), words=words, log_prob=score,
+                        degenerate=(score == NEG_INF))

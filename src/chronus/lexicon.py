@@ -398,36 +398,9 @@ def lex_parse(sentence: str, lexicon: SuperwordLexicon) -> Lattice:
     return Lattice(len(kept), arcs)
 
 
-def enumerate_paths(lattice: Lattice, limit: int):
-    """Up to `limit` complete paths, lexicographic by (start, superword).
-
-    Returns a list of tuples of Superword.
-    """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    order = sorted(lattice.arcs, key=lambda a: (a.start, a.sym, a.end, a.value or ""))
-    by_start = {}
-    for a in order:
-        by_start.setdefault(a.start, []).append(a)
-    paths = []
-
-    def walk(pos, prefix):
-        if len(paths) >= limit:
-            return
-        if pos == lattice.n_positions:
-            paths.append(tuple(a.superword for a in prefix))
-            return
-        for a in by_start.get(pos, ()):
-            walk(a.end, prefix + [a])
-            if len(paths) >= limit:
-                return
-
-    walk(0, [])
-    return paths
-
-
 def enumerate_path_arcs(lattice: Lattice):
-    """All complete paths as arc tuples, in enumerate_paths order."""
+    """All complete paths as arc tuples, lexicographic by (start, symbol,
+    end, value) of their arcs."""
     order = sorted(lattice.arcs, key=lambda a: (a.start, a.sym, a.end, a.value or ""))
     by_start = {}
     for a in order:

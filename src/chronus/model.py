@@ -80,6 +80,14 @@ class SegmentedSentence:
         return cls(tuple(words), tuple(labels))
 
 
+def render_segments(segmentation: SegmentedSentence) -> str:
+    parts = []
+    for label, start, end in segmentation.segments():
+        words = " ".join(w.render() for w in segmentation.words[start:end])
+        parts.append(f"{label}:[{words}]")
+    return " ".join(parts)
+
+
 @dataclass
 class TrainingCounts:
     """Raw event counts kept alongside a trained model (not serialized)."""
@@ -100,10 +108,12 @@ class ConceptHmm:
     """First-order concept HMM with concept-conditional word bigrams.
 
     Probabilities are held in linear space rounded to 12 significant digits
-    (the on-disk canonical form); log caches with a minus-infinity sentinel
-    for impossible events are built at construction, keyed by name and,
-    for the decoder, indexed by concept (``init_vec``, ``trans_into``,
-    ``final_vec``, ``bigram_tables``, ``begin_rows``).
+    (the on-disk canonical form).  Construction compiles them into log
+    tables indexed by concept, with a minus-infinity sentinel for impossible
+    events; every scorer reads these: ``init_vec``, ``trans_into``
+    (``[next][previous]``), ``final_vec``, and per concept its bigram table
+    (context -> symbol -> log p) in ``bigram_tables`` and that table's
+    begin-marker row in ``begin_rows``.
     """
 
     def __init__(self, dictionary: ConceptDictionary, vocab, k: float,
@@ -116,32 +126,16 @@ class ConceptHmm:
         self.transition = transition  # row concept -> col (concept or FINAL) -> prob
         self.bigram = bigram          # concept -> prev (word or BEGIN) -> word -> prob
         self.counts = counts
-        self._log_initial = {c: _safe_log(p) for c, p in initial.items()}
-        self._log_trans = {r: {c: _safe_log(p) for c, p in row.items()}
-                           for r, row in transition.items()}
-        self._log_bigram = {g: {r: {w: _safe_log(p) for w, p in row.items()}
-                                for r, row in table.items()}
-                            for g, table in bigram.items()}
         names = dictionary.names
-        self.init_vec = [self.log_initial(c) for c in names]
-        self.trans_into = [[self.log_transition(r, c) for r in names]
+        rows = [transition.get(r, {}) for r in names]
+        self.init_vec = [_safe_log(initial.get(c, 0.0)) for c in names]
+        self.trans_into = [[_safe_log(row.get(c, 0.0)) for row in rows]
                            for c in names]  # next concept -> previous -> log p
-        self.final_vec = [self.log_final(c) for c in names]
-        self.bigram_tables = [self._log_bigram.get(c, {}) for c in names]
+        self.final_vec = [_safe_log(row.get(FINAL, 0.0)) for row in rows]
+        self.bigram_tables = [
+            {r: {w: _safe_log(p) for w, p in row.items()}
+             for r, row in bigram.get(c, {}).items()} for c in names]
         self.begin_rows = [t.get(BEGIN, {}) for t in self.bigram_tables]
-
-    # log accessors; absent entries are impossible events
-    def log_initial(self, concept) -> float:
-        return self._log_initial.get(concept, NEG_INF)
-
-    def log_transition(self, prev, nxt) -> float:
-        return self._log_trans.get(prev, {}).get(nxt, NEG_INF)
-
-    def log_final(self, concept) -> float:
-        return self.log_transition(concept, FINAL)
-
-    def log_emit(self, concept, prev_sym, sym) -> float:
-        return self._log_bigram.get(concept, {}).get(prev_sym, {}).get(sym, NEG_INF)
 
     def in_vocab(self, sym) -> bool:
         return sym in self._vocab_set
@@ -323,20 +317,21 @@ def path_score(model: ConceptHmm, arcs_or_superwords, labels) -> float:
     """log P(W, C) of one symbol sequence (arcs or superwords) under one
     labeling; -inf for impossible events."""
     logp = 0.0
-    prev_label = None
+    prev = None
     prev_sym = BEGIN
     for word, label in zip(arcs_or_superwords, labels):
         if label not in model.dictionary:
             raise UnknownLabelError(label)
-        if prev_label is None:
-            logp += model.log_initial(label)
-            ctx = BEGIN
+        c = model.dictionary.index(label)
+        if prev is None:
+            logp += model.init_vec[c]
         else:
-            logp += model.log_transition(prev_label, label)
-            ctx = BEGIN if label != prev_label else prev_sym
-        logp += model.log_emit(label, ctx, word.sym)
-        prev_label, prev_sym = label, word.sym
-    return logp + model.log_final(prev_label)
+            logp += model.trans_into[c][prev]
+        row = (model.bigram_tables[c].get(prev_sym, {}) if c == prev
+               else model.begin_rows[c])
+        logp += row.get(word.sym, NEG_INF)
+        prev, prev_sym = c, word.sym
+    return logp + (NEG_INF if prev is None else model.final_vec[prev])
 
 
 def sequence_log_prob(model: ConceptHmm, sentence: SegmentedSentence) -> float:

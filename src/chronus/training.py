@@ -5,21 +5,28 @@ The training loop decodes every feedback sentence end to end, keeps the
 segmentations of the sentences whose answers score correct against their
 min/max references, retrains from the hand-labeled seed plus the kept
 segmentations, and repeats until the correct set stops changing.
+
+Constrained alignment is a Viterbi search over (concept, count vector)
+states that reads the model's concept-indexed tables, like the lattice
+decoder, and keeps its first-maximum tie rule; its brute-force oracle runs
+the decoder oracle's enumerator on the sentence's chain lattice.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .concepts import ConceptDictionary
+from .decoder import chain_lattice, exhaustive_search
 from .errors import ChronusError, DataFormatError
-from .model import (BEGIN, NEG_INF, ConceptHmm, SegmentedSentence,
-                    model_to_text, train_mle)
+from .model import (NEG_INF, ConceptHmm, SegmentedSentence, model_to_text,
+                    train_mle)
 from .pipeline import Artifacts, run_turn
 from .query import Answer, score_answer
-from .template import Template
 
 
 class AlignmentInfeasibleError(ChronusError):
@@ -216,24 +223,18 @@ def run_training_loop(corpus: FeedbackCorpus, seed_model: ConceptHmm,
 # ---------------------------------------------------------------------------
 # Constrained alignment
 
-def required_concepts(win_tokens, dictionary: ConceptDictionary):
-    """Multiset of folded concept keywords a labeling must realize.
-
-    Accepts a Template or any iterable of keyword strings; token order is
-    deliberately ignored.
-    """
-    if isinstance(win_tokens, Template):
-        keywords = [t.keyword for t in win_tokens.tokens]
-    else:
-        keywords = list(win_tokens)
+def required_concepts(win_tokens: Iterable[str], dictionary: ConceptDictionary):
+    """Multiset of folded concept keywords a labeling must realize; token
+    order is deliberately ignored."""
+    keywords = list(win_tokens)
     for k in keywords:
         if k not in dictionary:
             raise ChronusError(f"win keyword {k!r} is not a concept")
     return Counter(keywords)
 
 
-def align_win(sentence, win_tokens: Template, model: ConceptHmm,
-              dictionary: ConceptDictionary | None = None) -> SegmentedSentence:
+def align_win(sentence, win_tokens: Iterable[str],
+              model: ConceptHmm) -> SegmentedSentence:
     """Viterbi decoding constrained to emit exactly the win concept multiset.
 
     Segment concepts (after attribute folding) must match the required
@@ -241,131 +242,99 @@ def align_win(sentence, win_tokens: Template, model: ConceptHmm,
     of win tokens is irrelevant: the constraint is the reordering device.
     Raises AlignmentInfeasibleError when no finite-probability labeling
     satisfies the constraint.
+
+    The search runs over the reachable (concept id, count vector) states,
+    where the counts say how many segments of each required keyword have
+    begun so far, and scores from the same concept-indexed tables as the
+    lattice decoder.  Predecessors are examined in (concept id,
+    counts) order and the first strict maximum wins, also in the final
+    sweep, so ties resolve as in brute_force_align.
     """
-    if dictionary is None:
-        dictionary = model.dictionary
+    dictionary = model.dictionary
     words = tuple(sentence)
     if not words:
         raise ChronusError("cannot align an empty sequence")
     required = required_concepts(win_tokens, dictionary)
-    req_keys = sorted(required)
-    req_vec = tuple(required[k] for k in req_keys)
-    key_index = {k: i for i, k in enumerate(req_keys)}
-
+    keys = sorted(required)
+    need = tuple(required[k] for k in keys)
+    # allowed concept ids with the count slot a new segment of each fills
+    # (None: special, unconstrained)
     allowed = []
-    for c in dictionary.names:
-        if dictionary.is_special(c) or dictionary.fold(c) in required:
-            allowed.append(c)
+    for c, name in enumerate(dictionary.names):
+        if dictionary.is_special(name):
+            allowed.append((c, None))
+        elif dictionary.fold(name) in required:
+            allowed.append((c, keys.index(dictionary.fold(name))))
 
-    def open_segment(counts, concept):
-        """Counts after opening a segment of `concept`; None if infeasible."""
-        if dictionary.is_special(concept):
-            return counts
-        idx = key_index[dictionary.fold(concept)]
-        if counts[idx] + 1 > req_vec[idx]:
-            return None
-        return counts[:idx] + (counts[idx] + 1,) + counts[idx + 1:]
+    sym = words[0].sym
+    cells = {}  # (concept id, counts) -> best score of a prefix ending there
+    for c, slot in allowed:
+        counts = tuple(int(i == slot) for i in range(len(keys)))
+        score = model.init_vec[c] + model.begin_rows[c].get(sym, NEG_INF)
+        if score > NEG_INF:
+            cells[(c, counts)] = score
+    back = []   # per later word: state -> predecessor state
+    for i in range(1, len(words)):
+        prev_sym, sym = sym, words[i].sym
+        begin = [model.begin_rows[c].get(sym, NEG_INF) for c, _ in allowed]
+        stay = [model.bigram_tables[c].get(prev_sym, {}).get(sym, NEG_INF)
+                for c, _ in allowed]
+        nxt, bp = {}, {}
+        for state in sorted(cells):
+            cp, counts_p = state
+            score_p = cells[state]
+            for a, (c, slot) in enumerate(allowed):
+                if c == cp:
+                    counts, emit = counts_p, stay[a]
+                elif slot is None:
+                    counts, emit = counts_p, begin[a]
+                elif counts_p[slot] < need[slot]:
+                    counts = (counts_p[:slot] + (counts_p[slot] + 1,)
+                              + counts_p[slot + 1:])
+                    emit = begin[a]
+                else:
+                    continue
+                score = score_p + model.trans_into[c][cp] + emit
+                if score > nxt.get((c, counts), NEG_INF):
+                    nxt[(c, counts)] = score
+                    bp[(c, counts)] = state
+        cells = nxt
+        back.append(bp)
 
-    zero = tuple(0 for _ in req_keys)
-    labels = _traceback(words, model, dictionary, allowed, open_segment,
-                        req_vec, zero)
-    return SegmentedSentence(words, labels)
+    best, state = NEG_INF, None
+    for c, counts in sorted(cells):
+        score = cells[(c, counts)] + model.final_vec[c]
+        if counts == need and score > best:
+            best, state = score, (c, counts)
+    if state is None:
+        raise AlignmentInfeasibleError(
+            "no labeling satisfies the win concept multiset")
+    path = [state[0]]
+    for bp in reversed(back):
+        state = bp[state]
+        path.append(state[0])
+    names = dictionary.names
+    return SegmentedSentence(words, tuple(names[c] for c in reversed(path)))
 
 
-MAX_ALIGN_ORACLE_CONCEPTS = 6
-MAX_ALIGN_ORACLE_LEN = 8
-
-
-def brute_force_align(sentence, win_tokens, model: ConceptHmm) -> SegmentedSentence:
+def brute_force_align(sentence, win_tokens: Iterable[str],
+                      model: ConceptHmm) -> SegmentedSentence:
     """Exhaustive reference for align_win at small sizes.
 
-    Enumerates every labeling, keeps those whose folded non-special segment
-    concepts equal the required multiset, and picks the best finite score
-    with the decoder's tie order (reversed position-wise concept index).
+    Runs the decoder oracle's enumerator on the sentence's chain lattice,
+    admitting only labelings whose folded non-special segment concepts
+    equal the required multiset; the best must have a finite score.
     """
-    from itertools import product
-
-    from .model import sequence_log_prob
-
     dictionary = model.dictionary
     words = tuple(sentence)
-    if len(dictionary.names) > MAX_ALIGN_ORACLE_CONCEPTS:
-        raise ChronusError("too many concepts for the alignment oracle")
-    if len(words) > MAX_ALIGN_ORACLE_LEN:
-        raise ChronusError("sequence too long for the alignment oracle")
     required = required_concepts(win_tokens, dictionary)
-    best = None
-    best_key = None
-    best_labels = None
-    for labels in product(dictionary.names, repeat=len(words)):
-        sent = SegmentedSentence(words, labels)
-        realized = Counter(dictionary.fold(c) for c, _, _ in sent.segments()
-                           if not dictionary.is_special(c))
-        if realized != required:
-            continue
-        score = sequence_log_prob(model, sent)
-        if score == NEG_INF:
-            continue
-        key = tuple(dictionary.index(c) for c in reversed(labels))
-        if best is None or score > best or (score == best and key < best_key):
-            best, best_key, best_labels = score, key, labels
-    if best_labels is None:
+
+    def admit(labels):
+        return required == Counter(dictionary.fold(c) for c, _ in groupby(labels)
+                                   if not dictionary.is_special(c))
+
+    best = exhaustive_search(model, chain_lattice(words), admit)
+    if best is None or best[0] == NEG_INF:
         raise AlignmentInfeasibleError(
             "no labeling satisfies the win concept multiset")
-    return SegmentedSentence(words, best_labels)
-
-
-def _traceback(words, model, dictionary, allowed, open_segment, req_vec, zero):
-    layers = []
-    cells = {}
-    for c in allowed:
-        counts = open_segment(zero, c)
-        if counts is None:
-            continue
-        score = model.log_initial(c) + model.log_emit(c, BEGIN, words[0].sym)
-        if score == NEG_INF:
-            continue
-        cells[(c, counts)] = (score, None)
-    layers.append(cells)
-    for i in range(1, len(words)):
-        nxt = {}
-        for (cp, counts_p) in sorted(cells, key=lambda s: (dictionary.index(s[0]), s[1])):
-            score_p = cells[(cp, counts_p)][0]
-            for c in allowed:
-                if c == cp:
-                    counts, ctx = counts_p, words[i - 1].sym
-                else:
-                    counts, ctx = open_segment(counts_p, c), BEGIN
-                if counts is None:
-                    continue
-                score = (score_p + model.log_transition(cp, c)
-                         + model.log_emit(c, ctx, words[i].sym))
-                if score == NEG_INF:
-                    continue
-                state = (c, counts)
-                if state not in nxt or score > nxt[state][0]:
-                    nxt[state] = (score, (cp, counts_p))
-        cells = nxt
-        layers.append(cells)
-
-    best = None
-    best_state = None
-    for (c, counts) in sorted(cells, key=lambda s: (dictionary.index(s[0]), s[1])):
-        if counts != req_vec:
-            continue
-        score = cells[(c, counts)][0] + model.log_final(c)
-        if score == NEG_INF:
-            continue
-        if best is None or score > best:
-            best, best_state = score, (c, counts)
-    if best_state is None:
-        raise AlignmentInfeasibleError(
-            "no labeling satisfies the win concept multiset")
-    labels = []
-    state = best_state
-    for layer in reversed(layers):
-        labels.append(state[0])
-        state = layer[state][1]
-        if state is None:
-            break
-    return tuple(reversed(labels))
+    return SegmentedSentence(words, best[2])

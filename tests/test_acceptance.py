@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from chronus.cli import evaluate_corpus, main
+from chronus.cli import main
 from chronus.decoder import brute_force_decode, viterbi_decode, \
     viterbi_decode_lattice
 from chronus.gen import (_GEN_CITIES, alignment_corpus, expand_labels,
@@ -19,7 +19,7 @@ from chronus.gen import (_GEN_CITIES, alignment_corpus, expand_labels,
                          superword_effect_corpus, unigram_baseline)
 from chronus.model import (SegmentedSentence, apply_synonym_smoothing,
                            load_model, model_to_text, train_mle)
-from chronus.pipeline import run_turn
+from chronus.pipeline import evaluate_corpus, run_turn
 from chronus.training import run_training_loop
 
 from helpers import TESTS_DATA, per_word_accuracy, train_full

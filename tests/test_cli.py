@@ -1,10 +1,12 @@
 import io
+from dataclasses import replace
 
 import pytest
 
-from chronus.cli import evaluate_corpus, main, render_segments
-from chronus.model import load_model, model_to_text
-from chronus.pipeline import data_path, run_turn
+from chronus import pipeline
+from chronus.cli import main
+from chronus.model import load_model, model_to_text, render_segments
+from chronus.pipeline import data_path, evaluate_corpus, run_turn
 from chronus.training import FeedbackCorpus, FeedbackEntry
 
 from helpers import TESTS_DATA, train_full
@@ -256,6 +258,30 @@ def test_gen_alignment_files(tmp_path):
     lines = (tmp_path / "alignment.txt").read_text().splitlines()
     assert len(lines) == 7
     assert all("\t" in l for l in lines)
+
+
+# ---------------------------------------------------------------------------
+# pipeline errors
+
+def test_plan_error_is_reported_on_the_turn(demo_model, artifacts):
+    turn = run_turn("SHOW ME THE FLIGHTS TO BOSTON", demo_model, artifacts)
+    tokens = [replace(t, value="ATLANTIS") if t.keyword == "destin" else t
+              for t in turn.template.tokens]
+    bad = replace(turn.template, tokens=tokens)
+    turn = run_turn("SHOW ME THE FLIGHTS TO BOSTON", demo_model, artifacts,
+                    context_template=bad)
+    assert turn.answer is None
+    assert turn.error == "unknown city 'ATLANTIS'"
+
+
+def test_programming_error_in_execute_propagates(demo_model, artifacts,
+                                                 monkeypatch):
+    def broken(plan, db):
+        raise KeyError("column")
+
+    monkeypatch.setattr(pipeline, "execute", broken)
+    with pytest.raises(KeyError):
+        run_turn("SHOW ME THE FLIGHTS TO BOSTON", demo_model, artifacts)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from chronus.lexicon import (Arc, EmptyAfterDeletionError, FsaGrammar, Lattice,
                              LatticeError, LexiconError, Superword,
                              SuperwordLexicon, compound_number_value,
-                             enumerate_path_arcs, enumerate_paths, lex_parse,
+                             enumerate_path_arcs, lex_parse,
                              parse_superword, tokenize)
 
 
@@ -108,8 +108,8 @@ def test_overlapping_grammars_contribute_independent_arcs(artifacts):
     lattice = lex_parse("D C TEN", artifacts.lexicon)
     assert Arc(0, 3, "((aircraft))", "DC10") in lattice.arcs
     assert Arc(2, 3, "((number))", "10") in lattice.arcs
-    paths = enumerate_paths(lattice, limit=10)
-    rendered = {" ".join(w.render() for w in p) for p in paths}
+    paths = enumerate_path_arcs(lattice)
+    rendered = {" ".join(a.superword.render() for a in p) for p in paths}
     assert rendered == {
         "((aircraft)DC10)",
         "<UNK> <UNK> ((number)10)",
@@ -140,16 +140,12 @@ def test_lattice_requires_positions():
         Lattice(0, [])
 
 
-def test_enumerate_paths_limit_and_order():
+def test_enumerate_path_arcs_order():
     lattice = Lattice(2, [Arc(0, 1, "A"), Arc(0, 1, "B"),
                           Arc(1, 2, "C"), Arc(0, 2, "D")])
-    all_paths = enumerate_paths(lattice, limit=10)
-    assert len(all_paths) == 3
-    assert enumerate_paths(lattice, limit=1) == all_paths[:1]
-    with pytest.raises(ValueError):
-        enumerate_paths(lattice, limit=0)
     arc_paths = enumerate_path_arcs(lattice)
-    assert [tuple(a.superword for a in p) for p in arc_paths] == all_paths
+    assert [[a.sym for a in p] for p in arc_paths] == \
+        [["A", "C"], ["B", "C"], ["D"]]
 
 
 # ---------------------------------------------------------------------------

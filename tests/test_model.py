@@ -69,10 +69,13 @@ def test_unsmoothed_absent_rows_are_impossible(artifacts):
                 artifacts.dictionary, ["SHOW", "ME"], k=0.0)
     # no counts under context ME: the row is absent, not uniform
     assert "ME" not in model.bigram["question"]
-    assert model.log_emit("question", "ME", "SHOW") == NEG_INF
-    assert model.log_initial("subject") == NEG_INF
+    assert "ME" not in model.bigram_tables[artifacts.dictionary.index("question")]
+    assert model.init_vec[artifacts.dictionary.index("subject")] == NEG_INF
     bad = make_sentence(["ME", "SHOW"], ["question", "question"])
     assert sequence_log_prob(model, bad) == NEG_INF
+    # SHOW after ME continues the segment from the absent ME row
+    unseen = make_sentence(["SHOW", "ME", "SHOW"], ["question"] * 3)
+    assert sequence_log_prob(model, unseen) == NEG_INF
 
 
 def test_add_k_smoothing_values(artifacts):

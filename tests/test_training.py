@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from chronus.decoder import brute_force_decode
 from chronus.errors import ChronusError
 from chronus.gen import alignment_corpus, make_recovery_model, random_trained_model
-from chronus.lexicon import parse_superword
+from chronus.lexicon import Arc, Lattice, parse_superword
 from chronus.model import SegmentedSentence, sequence_log_prob, train_mle
 from chronus.query import Answer
 from chronus.training import (AlignmentInfeasibleError, FeedbackCorpus,
@@ -201,6 +202,49 @@ def test_alignment_score_optimal_against_brute_force():
             assert sequence_log_prob(model, fast) == pytest.approx(
                 sequence_log_prob(model, slow), abs=1e-9)
             checked += 1
+
+
+def test_alignment_infeasibility_matches_brute_force():
+    rng = random.Random(2024)
+    infeasible = 0
+    for i in range(100):
+        model = random_trained_model(rng, k=(0.0, 0.001)[i % 2])
+        concepts = [c for c in model.dictionary.names
+                    if not model.dictionary.is_special(c)]
+        words = tuple(parse_superword(rng.choice(model.vocab))
+                      for _ in range(rng.randint(1, 5)))
+        win = [rng.choice(concepts) for _ in range(rng.randint(1, 4))]
+        try:
+            slow = sequence_log_prob(model, brute_force_align(words, win, model))
+        except AlignmentInfeasibleError:
+            infeasible += 1
+            with pytest.raises(AlignmentInfeasibleError):
+                align_win(words, win, model)
+            continue
+        fast = sequence_log_prob(model, align_win(words, win, model))
+        assert fast == pytest.approx(slow, abs=1e-9)
+    assert 0 < infeasible < 100
+
+
+def test_alignment_oracle_breaks_ties_like_decode_oracle():
+    rng = random.Random(99)
+    checked = 0
+    while checked < 30:
+        model = random_trained_model(rng, k=rng.choice([0.0, 0.001]))
+        words = tuple(parse_superword(rng.choice(model.vocab))
+                      for _ in range(rng.randint(1, 5)))
+        chain = Lattice(len(words), [Arc(i, i + 1, w.sym)
+                                     for i, w in enumerate(words)])
+        decoded = brute_force_decode(model, chain)
+        if decoded.degenerate:
+            continue
+        dictionary = model.dictionary
+        win = [dictionary.fold(c) for c, _, _ in
+               decoded.segmentation().segments()
+               if not dictionary.is_special(c)]
+        aligned = brute_force_align(words, win, model)
+        assert aligned.labels == decoded.labels
+        checked += 1
 
 
 def test_infeasible_constraint_raises():

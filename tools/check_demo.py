@@ -7,8 +7,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from chronus.cli import render_segments
-from chronus.model import full_vocabulary, train_mle
+from chronus.model import full_vocabulary, render_segments, train_mle
 from chronus.pipeline import Artifacts, data_path, run_turn
 from chronus.query import score_answer
 from chronus.training import FeedbackCorpus
