@@ -15,7 +15,8 @@ from .lexicon import (Arc, Lattice, Superword, SuperwordLexicon, lex_parse,
                       parse_superword, tokenize)
 from .model import (ConceptHmm, SegmentedSentence, apply_synonym_smoothing,
                     load_model, save_model, sequence_log_prob, train_mle)
-from .pipeline import Artifacts, TurnResult, run_turn
+from .pipeline import (Artifacts, TurnResult, answer, run_turn, understand,
+                       verdict)
 from .query import (Answer, Conventions, MiniDb, QueryPlan, execute,
                     plan_query, score_answer)
 from .template import (Template, ValueTable, generate_template,

@@ -16,7 +16,8 @@ from . import gen as genmod
 from .lexicon import SuperwordLexicon
 from .model import (apply_synonym_smoothing, full_vocabulary, load_model,
                     render_segments, save_model, train_mle)
-from .pipeline import Artifacts, data_path, evaluate_corpus, run_turn
+from .pipeline import (Artifacts, answer, data_path, evaluate_corpus,
+                       run_turn, understand)
 from .template import matched_fraction
 from .training import FeedbackCorpus, run_training_loop
 
@@ -28,6 +29,17 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _threshold(text: str) -> float:
+    """Rejection threshold argument: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
+    return value
 
 
 def _add_artifact_args(p):
@@ -155,20 +167,15 @@ def cmd_repl(args, out) -> int:
             print("context cleared", file=out)
             continue
         try:
-            turn = run_turn(text, model, artifacts, threshold=args.threshold)
+            turn = understand(text, model, artifacts, threshold=args.threshold)
             if turn.rejected:
                 print(f"REJECT {matched_fraction(turn.template):.3f}", file=out)
                 continue
             state, merged = merge_context(state, turn.template,
                                           artifacts.dictionary)
-            turn = run_turn(text, model, artifacts, context_template=merged,
-                            threshold=args.threshold)
             print(merged.render(), file=out)
-            if turn.error is not None:
-                print(f"ERROR {turn.error}", file=out)
-            elif turn.answer is not None:
-                for ans_line in turn.answer.render_lines():
-                    print(ans_line, file=out)
+            for ans_line in answer(merged, artifacts).render_lines():
+                print(ans_line, file=out)
         except ChronusError as exc:
             print(f"ERROR {exc}", file=out)
     return 0
@@ -257,7 +264,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("decode", help="decode one sentence")
     p.add_argument("--model", required=True)
     _add_artifact_args(p)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=_threshold, default=None)
     p.add_argument("--segments", action="store_true")
     p.add_argument("--template", action="store_true")
     p.add_argument("--answer", action="store_true")
@@ -267,13 +274,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score a corpus with gold and references")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=_threshold, default=None)
     _add_artifact_args(p)
 
     p = sub.add_parser("repl", help="interactive multi-turn dialog")
     p.add_argument("--model", required=True)
     p.add_argument("--script", default=None)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=_threshold, default=None)
     _add_artifact_args(p)
 
     p = sub.add_parser("loop", help="semi-supervised training from answers")
@@ -282,7 +289,7 @@ def build_parser() -> _Parser:
                    help="seed model (default: train from corpus golds)")
     p.add_argument("--k", type=float, default=0.001)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=20)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=_threshold, default=None)
     p.add_argument("--out", default=None)
     _add_artifact_args(p)
 

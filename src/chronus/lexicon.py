@@ -382,19 +382,17 @@ def lex_parse(sentence: str, lexicon: SuperwordLexicon) -> Lattice:
 
     arcs = [Arc(i, i + 1, lexicon.word_sym(tok)) for i, tok in enumerate(kept)]
     for grammar in lexicon.grammars:
-        matches = []
-        for start in range(len(kept)):
-            for end in grammar.match_ends(kept, start):
-                matches.append((start, end))
-        # keep only maximal matches: not strictly contained in another
-        # match of the same grammar
-        for (s, e) in matches:
-            contained = any((s2 <= s and e <= e2 and (s2, e2) != (s, e))
-                            for (s2, e2) in matches)
-            if contained:
-                continue
-            arcs.append(Arc(s, e, f"(({grammar.gid}))",
-                            grammar.normalize(kept[s:e])))
+        # keep only maximal matches (not strictly contained in another match
+        # of the same grammar).  In (start, -end) order a match is contained
+        # exactly when an earlier one reaches at least its end; match_ends
+        # ascends, so at each start only the longest match can be maximal.
+        reach = 0
+        for s in range(len(kept)):
+            ends = grammar.match_ends(kept, s)
+            if ends and ends[-1] > reach:
+                e = reach = ends[-1]
+                arcs.append(Arc(s, e, f"(({grammar.gid}))",
+                                grammar.normalize(kept[s:e])))
     return Lattice(len(kept), arcs)
 
 

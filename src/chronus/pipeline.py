@@ -1,8 +1,10 @@
 """End-to-end composition of the understanding pipeline.
 
-One place that chains lexical parsing, lattice decoding, template
-generation, rejection and query evaluation, shared by the CLI, the
-evaluation harness and the training loop.
+``understand`` lexes, decodes, templates and rejects one sentence, and
+``answer`` plans and executes a template.  ``run_turn`` chains the two for
+the CLI, the evaluation harness and the training loop; the REPL merges the
+dialog context in between.  ``verdict`` judges a turn's answer against a
+corpus entry's references for all of them.
 """
 
 from __future__ import annotations
@@ -57,19 +59,14 @@ class TurnResult:
     decode: DecodeResult
     template: Template
     rejected: bool
-    merged: Template | None = None
     answer: Answer | None = None
     error: str | None = None   # query planning failure, if any
 
 
-def run_turn(text: str, model: ConceptHmm, artifacts: Artifacts,
-             context_template: Template | None = None,
-             threshold: float | None = None) -> TurnResult:
-    """Decode one sentence and, unless rejected, answer it.
-
-    ``context_template`` (from the dialog manager) is what actually gets
-    planned when provided; the caller owns merging.
-    """
+def understand(text: str, model: ConceptHmm, artifacts: Artifacts,
+               threshold: float | None = None) -> TurnResult:
+    """Lex, decode and template one sentence, and decide whether to reject
+    it; the result carries no answer yet."""
     if threshold is None:
         threshold = artifacts.db.conventions.reject_threshold
     lattice = lex_parse(text, artifacts.lexicon)
@@ -77,17 +74,38 @@ def run_turn(text: str, model: ConceptHmm, artifacts: Artifacts,
     template = generate_template(decode.segmentation(), artifacts.tables,
                                  artifacts.dictionary)
     rejected = should_reject(template, threshold) or decode.degenerate
-    result = TurnResult(decode=decode, template=template, rejected=rejected)
-    if rejected:
-        return result
-    basis = context_template if context_template is not None else template
-    result.merged = basis
-    try:
-        plan = plan_query(basis, artifacts.db)
-        result.answer = execute(plan, artifacts.db)
-    except ChronusError as exc:  # planning errors are data, not crashes
-        result.error = str(exc)
-    return result
+    return TurnResult(decode=decode, template=template, rejected=rejected)
+
+
+def answer(template: Template, artifacts: Artifacts) -> Answer:
+    """Plan a template and execute it against the database; raises
+    ChronusError when no plan rule applies."""
+    return execute(plan_query(template, artifacts.db), artifacts.db)
+
+
+def run_turn(text: str, model: ConceptHmm, artifacts: Artifacts,
+             threshold: float | None = None) -> TurnResult:
+    """Understand one sentence and, unless rejected, answer it on its own
+    (no dialog context); a planning error is stored in ``error``."""
+    turn = understand(text, model, artifacts, threshold)
+    if not turn.rejected:
+        try:
+            turn.answer = answer(turn.template, artifacts)
+        except ChronusError as exc:  # planning errors are data, not crashes
+            turn.error = str(exc)
+    return turn
+
+
+def verdict(turn: TurnResult | None, entry) -> str:
+    """How a turn fared on a corpus entry with references: 'correct',
+    'wrong' or 'rejected'.  ``turn`` is None for a sentence that could not
+    be understood at all (e.g. only stop words), which counts as rejected."""
+    if turn is None or turn.rejected:
+        return "rejected"
+    if turn.answer is not None and score_answer(
+            turn.answer, entry.refmin, entry.refmax) == "correct":
+        return "correct"
+    return "wrong"
 
 
 @dataclass
@@ -116,19 +134,21 @@ def evaluate_corpus(corpus, model: ConceptHmm, artifacts: Artifacts,
                     threshold=None) -> EvalReport:
     """Score a feedback corpus: segment accuracy against its golds, answer
     accuracy against its references, and wrong answers by first divergent
-    stage."""
+    stage.  A sentence that cannot be understood at all counts as rejected."""
     gold_segments = hyp_segments = 0
     gold_sentences = correct_sentences = 0
-    answered = correct = wrong = rejected = 0
+    tally = dict.fromkeys(("correct", "wrong", "rejected"), 0)
     errors = {"decoding": 0, "template": 0, "dialog": 0, "translator": 0}
     for entry in corpus.entries:
-        turn = run_turn(entry.text, model, artifacts, threshold=threshold)
-        seg = turn.decode.segmentation()
+        try:
+            turn = run_turn(entry.text, model, artifacts, threshold=threshold)
+        except ChronusError:
+            turn = None
         seg_match = None
         if entry.gold is not None:
             gold_sentences += 1
             gold = set(entry.gold.segments())
-            hyp = set(seg.segments())
+            hyp = set(turn.decode.segmentation().segments()) if turn else set()
             gold_segments += len(gold)
             hyp_segments += len(gold & hyp)
             seg_match = gold == hyp
@@ -136,15 +156,10 @@ def evaluate_corpus(corpus, model: ConceptHmm, artifacts: Artifacts,
                 correct_sentences += 1
         if not entry.has_references:
             continue
-        answered += 1
-        if turn.rejected:
-            rejected += 1
+        outcome = verdict(turn, entry)
+        tally[outcome] += 1
+        if outcome != "wrong":
             continue
-        if turn.answer is not None and score_answer(
-                turn.answer, entry.refmin, entry.refmax) == "correct":
-            correct += 1
-            continue
-        wrong += 1
         # classify by the first stage that diverges from gold artifacts
         if seg_match is False:
             errors["decoding"] += 1
@@ -161,12 +176,13 @@ def evaluate_corpus(corpus, model: ConceptHmm, artifacts: Artifacts,
     def pct(a, b):
         return 100.0 * a / b if b else 0.0
 
+    answered = sum(tally.values())
     return EvalReport(
         concept_accuracy=pct(hyp_segments, gold_segments),
         sentence_accuracy=pct(correct_sentences, gold_sentences),
-        answers_correct=pct(correct, answered),
-        answers_wrong=pct(wrong, answered),
-        answers_rejected=pct(rejected, answered) if answered else 100.0,
+        answers_correct=pct(tally["correct"], answered),
+        answers_wrong=pct(tally["wrong"], answered),
+        answers_rejected=pct(tally["rejected"], answered) if answered else 100.0,
         errors=errors,
     )
 

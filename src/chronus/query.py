@@ -30,6 +30,18 @@ class PlanError(ChronusError):
     """Template token with no compilation rule (translator-class error)."""
 
 
+def _bounded(kind, text, lo, hi, what, path, line):
+    """``kind(text)`` checked to lie in [lo, hi], else a DataFormatError."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise DataFormatError(f"{what} {text!r} is not a number", path, line)
+    if not lo <= value <= hi:
+        raise DataFormatError(f"{what} {text} is not in [{lo}, {hi}]",
+                              path, line)
+    return value
+
+
 class Conventions:
     """Explicit data conventions: time-word intervals and defaults."""
 
@@ -55,12 +67,21 @@ class Conventions:
                     continue
                 parts = line.split("\t")
                 if section == "time" and len(parts) == 3:
-                    time_ranges[parts[0]] = (int(parts[1]), int(parts[2]))
+                    lo = _bounded(int, parts[1], 0, 1440, "time bound",
+                                  path, ln)
+                    hi = _bounded(int, parts[2], 0, 1440, "time bound",
+                                  path, ln)
+                    if lo >= hi:
+                        raise DataFormatError(
+                            f"time range {parts[0]} is empty", path, ln)
+                    time_ranges[parts[0]] = (lo, hi)
                 elif section == "defaults" and len(parts) == 2:
                     if parts[0] == "subject":
                         default_subject = parts[1]
                     elif parts[0] == "reject-threshold":
-                        reject_threshold = float(parts[1])
+                        reject_threshold = _bounded(
+                            float, parts[1], 0.0, 1.0, "reject-threshold",
+                            path, ln)
                 else:
                     raise DataFormatError("bad conventions line", path, ln)
         return cls(time_ranges, default_subject, reject_threshold)

@@ -25,8 +25,8 @@ from .decoder import chain_lattice, exhaustive_search
 from .errors import ChronusError, DataFormatError
 from .model import (NEG_INF, ConceptHmm, SegmentedSentence, model_to_text,
                     train_mle)
-from .pipeline import Artifacts, run_turn
-from .query import Answer, score_answer
+from .pipeline import Artifacts, run_turn, verdict
+from .query import Answer
 
 
 class AlignmentInfeasibleError(ChronusError):
@@ -199,11 +199,8 @@ def run_training_loop(corpus: FeedbackCorpus, seed_model: ConceptHmm,
             try:
                 turn = run_turn(entry.text, model, artifacts, threshold=threshold)
             except ChronusError:
-                continue  # unparseable sentence: problem sentence
-            if turn.rejected or turn.answer is None:
-                continue
-            verdict = score_answer(turn.answer, entry.refmin, entry.refmax)
-            if verdict == "correct":
+                turn = None  # unparseable sentence: problem sentence
+            if verdict(turn, entry) == "correct":
                 correct_ids.add(entry.ident)
                 kept[entry.ident] = turn.decode.segmentation()
         report.rows.append(IterationRow(
@@ -225,11 +222,17 @@ def run_training_loop(corpus: FeedbackCorpus, seed_model: ConceptHmm,
 
 def required_concepts(win_tokens: Iterable[str], dictionary: ConceptDictionary):
     """Multiset of folded concept keywords a labeling must realize; token
-    order is deliberately ignored."""
+    order is deliberately ignored.  Segments are compared after folding
+    and special segments are unconstrained, so a special or attribute
+    keyword could never be realized and is refused up front."""
     keywords = list(win_tokens)
     for k in keywords:
         if k not in dictionary:
             raise ChronusError(f"win keyword {k!r} is not a concept")
+        role = dictionary[k].role
+        if role in ("special", "attribute"):
+            raise ChronusError(f"win keyword {k!r} names a {role} concept; "
+                               "a win lists folded, non-special concepts")
     return Counter(keywords)
 
 

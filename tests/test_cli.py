@@ -5,8 +5,10 @@ import pytest
 
 from chronus import pipeline
 from chronus.cli import main
+from chronus.errors import ChronusError
 from chronus.model import load_model, model_to_text, render_segments
-from chronus.pipeline import data_path, evaluate_corpus, run_turn
+from chronus.pipeline import answer, data_path, evaluate_corpus, run_turn
+from chronus.query import Answer, PlanError
 from chronus.training import FeedbackCorpus, FeedbackEntry
 
 from helpers import TESTS_DATA, train_full
@@ -123,6 +125,20 @@ def test_usage_errors_exit_1():
     assert main(["frobnicate"], out=io.StringIO()) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["decode", "--model", "m.txt", "SHOW ME"],
+    ["eval", "--model", "m.txt", "--corpus", "c.txt"],
+    ["repl", "--model", "m.txt"],
+    ["loop", "--corpus", "c.txt"],
+])
+@pytest.mark.parametrize("value", ["1.5", "-0.1", "nan", "high"])
+def test_threshold_outside_unit_interval_is_usage_error(command, value,
+                                                        capsys):
+    argv = command[:1] + ["--threshold", value] + command[1:]
+    assert main(argv, out=io.StringIO()) == 1
+    assert capsys.readouterr().err.startswith("usage error: argument --threshold")
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -149,6 +165,19 @@ def test_eval_breakdown_sums_to_hundred(demo_model, demo_corpus, artifacts):
     total = (report.answers_correct + report.answers_wrong
              + report.answers_rejected)
     assert total == pytest.approx(100.0, abs=0.1)
+
+
+def test_eval_counts_stop_word_only_sentence_as_rejected(demo_model,
+                                                        artifacts):
+    refs = Answer(kind="rows", rows=[])
+    entries = [FeedbackEntry(ident="s", text="THE A AN", refmin=refs,
+                             refmax=refs),
+               FeedbackEntry(ident="d", text="SHOW ME THE FLIGHTS TO BOSTON",
+                             refmin=refs, refmax=refs)]
+    report = evaluate_corpus(FeedbackCorpus(entries), demo_model, artifacts)
+    assert report.answers_rejected == 50.0
+    assert report.answers_wrong == 50.0
+    assert report.answers_correct == 0.0
 
 
 def test_eval_accuracy_arithmetic_for_one_flipped_label(demo_model, artifacts):
@@ -189,6 +218,53 @@ def test_repl_matches_golden_transcript(demo_model_path, script, golden):
                         "--script", str(TESTS_DATA / script)])
     assert rc == 0
     assert text == (TESTS_DATA / golden).read_text()
+
+
+def test_repl_decodes_each_sentence_once(demo_model_path, monkeypatch):
+    calls = []
+    decode = pipeline.viterbi_decode_lattice
+
+    def counted(model, lattice):
+        calls.append(lattice.n_positions)
+        return decode(model, lattice)
+
+    monkeypatch.setattr(pipeline, "viterbi_decode_lattice", counted)
+    script = TESTS_DATA / "repl_script1.txt"
+    rc, text = run_cli(["repl", "--model", demo_model_path,
+                        "--script", str(script)])
+    assert rc == 0
+    assert text == (TESTS_DATA / "repl_golden1.txt").read_text()
+    sentences = [l for l in script.read_text().splitlines()
+                 if l.strip() and not l.startswith(":")]
+    assert len(calls) == len(sentences) == 4
+
+
+def test_repl_reports_plan_error_after_merged_template(demo_model_path,
+                                                       tmp_path, monkeypatch):
+    plan = pipeline.plan_query
+    failures = ["no rule for this test"]
+
+    def fails_once(template, db):
+        if failures:
+            raise PlanError(failures.pop())
+        return plan(template, db)
+
+    monkeypatch.setattr(pipeline, "plan_query", fails_once)
+    script = tmp_path / "script.txt"
+    script.write_text("SHOW ME THE FLIGHTS FROM BOSTON\n"
+                      "SHOW ME THE FLIGHTS FROM DENVER\n:quit\n")
+    rc, text = run_cli(["repl", "--model", demo_model_path,
+                        "--script", str(script)])
+    assert rc == 0
+    assert text.splitlines() == [
+        "> SHOW ME THE FLIGHTS FROM BOSTON",
+        "(question,display) (subject,flight) (origin,BBOS)",
+        "ERROR no rule for this test",
+        "> SHOW ME THE FLIGHTS FROM DENVER",
+        "(question,display) (subject,flight) (origin,DDEN)",
+        "UA\t202\tDDEN\tSSFO\t1140\t1380",
+        "> :quit",
+    ]
 
 
 def test_repl_recovers_from_errors(demo_model_path, tmp_path):
@@ -263,13 +339,17 @@ def test_gen_alignment_files(tmp_path):
 # ---------------------------------------------------------------------------
 # pipeline errors
 
-def test_plan_error_is_reported_on_the_turn(demo_model, artifacts):
+def test_plan_error_is_reported_on_the_turn(demo_model, artifacts,
+                                            monkeypatch):
     turn = run_turn("SHOW ME THE FLIGHTS TO BOSTON", demo_model, artifacts)
     tokens = [replace(t, value="ATLANTIS") if t.keyword == "destin" else t
               for t in turn.template.tokens]
     bad = replace(turn.template, tokens=tokens)
-    turn = run_turn("SHOW ME THE FLIGHTS TO BOSTON", demo_model, artifacts,
-                    context_template=bad)
+    with pytest.raises(ChronusError) as info:
+        answer(bad, artifacts)
+    assert str(info.value) == "unknown city 'ATLANTIS'"
+    monkeypatch.setattr(pipeline, "generate_template", lambda *args: bad)
+    turn = run_turn("SHOW ME THE FLIGHTS TO BOSTON", demo_model, artifacts)
     assert turn.answer is None
     assert turn.error == "unknown city 'ATLANTIS'"
 

@@ -1,11 +1,17 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chronus.lexicon import (Arc, EmptyAfterDeletionError, FsaGrammar, Lattice,
                              LatticeError, LexiconError, Superword,
                              SuperwordLexicon, compound_number_value,
                              enumerate_path_arcs, lex_parse,
                              parse_superword, tokenize)
+from chronus.pipeline import data_path
+
+BUNDLED = SuperwordLexicon.load(data_path("lexicon.txt"))
+GRAMMAR_WORDS = sorted(set().union(*(g.words for g in BUNDLED.grammars)))
+ANY_WORD = sorted(BUNDLED.words | set(BUNDLED.inflect) | BUNDLED.stop
+                  | set(GRAMMAR_WORDS) | {"XYZZY"})
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +121,32 @@ def test_overlapping_grammars_contribute_independent_arcs(artifacts):
         "<UNK> <UNK> ((number)10)",
         "<UNK> <UNK> <UNK>",
     }
+
+
+def _arcs_by_all_pairs(kept, lexicon):
+    """Word arcs plus every grammar match not strictly contained in another
+    match of the same grammar, by comparing all pairs of matches."""
+    arcs = [Arc(i, i + 1, lexicon.word_sym(t)) for i, t in enumerate(kept)]
+    for g in lexicon.grammars:
+        matches = [(s, e) for s in range(len(kept))
+                   for e in g.match_ends(kept, s)]
+        for s, e in matches:
+            if not any(s2 <= s and e <= e2 and (s2, e2) != (s, e)
+                       for s2, e2 in matches):
+                arcs.append(Arc(s, e, f"(({g.gid}))",
+                                g.normalize(kept[s:e])))
+    return tuple(sorted(arcs, key=Arc.key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(GRAMMAR_WORDS),
+                          st.sampled_from(ANY_WORD)),
+                min_size=1, max_size=14))
+def test_maximal_match_sweep_equals_all_pairs_definition(tokens):
+    kept = [t for t in tokens if t not in BUNDLED.stop]
+    assume(kept)
+    lattice = lex_parse(" ".join(tokens), BUNDLED)
+    assert lattice.arcs == _arcs_by_all_pairs(kept, BUNDLED)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from chronus.errors import ChronusError
+from chronus.errors import ChronusError, DataFormatError
 from chronus.query import (Answer, Conventions, MiniDb, PlanError, execute,
                            plan_query, score_answer)
 from chronus.template import Template, TemplateToken
@@ -146,6 +146,31 @@ def test_restriction_filters_rows(artifacts):
 def test_no_match_yields_empty_rows(artifacts):
     answer = _run(artifacts.db, ("origin", "OOAK"), ("destin", "BBOS"))
     assert answer.kind == "rows" and answer.rows == []
+
+
+@pytest.mark.parametrize("line,message", [
+    ("reject-threshold\thigh", "reject-threshold 'high' is not a number"),
+    ("reject-threshold\t1.5", "reject-threshold 1.5 is not in [0.0, 1.0]"),
+])
+def test_conventions_reject_bad_threshold(tmp_path, line, message):
+    path = tmp_path / "conventions.txt"
+    path.write_text(f"[time]\nmorning\t0\t720\n[defaults]\n{line}\n")
+    with pytest.raises(DataFormatError) as info:
+        Conventions.load(path)
+    assert str(info.value) == f"{path}:4: {message}"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("morning\t0\tnoon", "time bound 'noon' is not a number"),
+    ("morning\t0\t1500", "time bound 1500 is not in [0, 1440]"),
+    ("morning\t720\t720", "time range morning is empty"),
+])
+def test_conventions_reject_bad_time_bound(tmp_path, line, message):
+    path = tmp_path / "conventions.txt"
+    path.write_text(f"# header\n[time]\n{line}\n")
+    with pytest.raises(DataFormatError) as info:
+        Conventions.load(path)
+    assert str(info.value) == f"{path}:3: {message}"
 
 
 def test_minimum_fare_query(artifacts):

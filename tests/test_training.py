@@ -264,6 +264,28 @@ def test_infeasible_under_sparse_model(artifacts):
         align_win(words, ["origin"], model)
 
 
+@pytest.mark.parametrize("align", [align_win, brute_force_align])
+@pytest.mark.parametrize("win,keyword", [
+    (["dummy"], "dummy"),
+    (["c0", "and"], "and"),
+])
+def test_special_win_keyword_is_refused_not_infeasible(align, win, keyword):
+    # the small random model keeps the brute-force oracle within its bounds
+    model = random_trained_model(random.Random(5))
+    words = tuple(parse_superword(w) for w in ["w0", "w1"])
+    with pytest.raises(ChronusError, match=repr(keyword)) as info:
+        align(words, win, model)
+    assert not isinstance(info.value, AlignmentInfeasibleError)
+
+
+@pytest.mark.parametrize("align", [align_win, brute_force_align])
+def test_attribute_win_keyword_is_refused_not_infeasible(align, demo_model):
+    words = tuple(parse_superword(w) for w in ["FARE(S)", "FROM"])
+    with pytest.raises(ChronusError, match="'a_fare'") as info:
+        align(words, ["a_fare"], demo_model)
+    assert not isinstance(info.value, AlignmentInfeasibleError)
+
+
 def test_alignment_rejects_empty_sentence():
     model = make_recovery_model()
     with pytest.raises(ChronusError):

@@ -13,8 +13,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from chronus.lexicon import parse_superword
 from chronus.model import SegmentedSentence
-from chronus.pipeline import Artifacts
-from chronus.query import Answer, execute, plan_query
+from chronus.pipeline import Artifacts, answer
+from chronus.query import Answer
 from chronus.template import generate_template
 from chronus.training import FeedbackCorpus, FeedbackEntry
 
@@ -198,20 +198,13 @@ SEMI_FEEDBACK = [
 ]
 
 
-def answer_for(gold_sent, artifacts):
-    template = generate_template(gold_sent, artifacts.tables,
-                                 artifacts.dictionary)
-    plan = plan_query(template, artifacts.db)
-    return execute(plan, artifacts.db)
-
-
 def ref_entry(ident, text, gold_sent, artifacts, keep_gold=True):
     entry = FeedbackEntry(ident=ident, text=text,
                           gold=gold_sent if keep_gold else None)
     if gold_sent is not None:
-        ans = answer_for(gold_sent, artifacts)
-        entry.refmin = ans
-        entry.refmax = ans
+        template = generate_template(gold_sent, artifacts.tables,
+                                     artifacts.dictionary)
+        entry.refmin = entry.refmax = answer(template, artifacts)
     return entry
 
 

@@ -8,8 +8,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from chronus.model import full_vocabulary, render_segments, train_mle
-from chronus.pipeline import Artifacts, data_path, run_turn
-from chronus.query import score_answer
+from chronus.pipeline import Artifacts, data_path, run_turn, verdict
 from chronus.training import FeedbackCorpus
 
 artifacts = Artifacts.load_bundled()
@@ -24,19 +23,13 @@ for entry in demo.entries:
     turn = run_turn(entry.text, model, artifacts)
     seg = turn.decode.segmentation()
     seg_ok = set(seg.segments()) == set(entry.gold.segments())
-    verdict = None
-    if turn.rejected:
-        verdict = "REJECTED"
-    elif turn.error is not None:
-        verdict = f"ERROR {turn.error}"
-    else:
-        verdict = score_answer(turn.answer, entry.refmin, entry.refmax)
-    if not seg_ok or verdict != "correct":
+    outcome = verdict(turn, entry)
+    if not seg_ok or outcome != "correct":
         bad += 1
-        print(f"{entry.ident}: seg_ok={seg_ok} verdict={verdict}")
+        print(f"{entry.ident}: seg_ok={seg_ok} verdict={outcome} "
+              f"error={turn.error}")
         print(f"  text: {entry.text}")
         print(f"  gold: {render_segments(entry.gold)}")
         print(f"  hyp:  {render_segments(seg)}")
-        if turn.template is not None:
-            print(f"  tmpl: {turn.template.render()}")
+        print(f"  tmpl: {turn.template.render()}")
 print(f"{len(demo.entries) - bad}/{len(demo.entries)} fully correct")
