@@ -15,9 +15,10 @@ from .errors import ChronusError
 from . import gen as genmod
 from .lexicon import SuperwordLexicon
 from .model import (apply_synonym_smoothing, full_vocabulary, load_model,
-                    render_segments, save_model, train_mle)
+                    load_synonyms, render_segments, save_model, train_mle)
 from .pipeline import (Artifacts, answer, data_path, evaluate_corpus,
                        run_turn, understand)
+from .query import plan_query
 from .template import matched_fraction
 from .training import FeedbackCorpus, run_training_loop
 
@@ -56,22 +57,6 @@ def _load_artifacts(args) -> Artifacts:
                           pick("db"), pick("conventions"))
 
 
-def _load_synonyms(path):
-    """One group per line: concept<TAB>word<TAB>word..."""
-    groups = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) < 3:
-                raise ChronusError(
-                    f"synonym line needs a concept and two or more words: {line!r}")
-            groups.setdefault(fields[0], []).append(fields[1:])
-    return groups
-
-
 # ---------------------------------------------------------------------------
 # train
 
@@ -88,7 +73,7 @@ def cmd_train(args, out) -> int:
     vocab = full_vocabulary(lexicon, corpus)
     model = train_mle(corpus, dictionary, vocab, args.k)
     if args.synonyms:
-        model = apply_synonym_smoothing(model, _load_synonyms(args.synonyms))
+        model = apply_synonym_smoothing(model, load_synonyms(args.synonyms))
         for name, row in model.rows():
             if abs(sum(row.values()) - 1.0) > 1e-9:
                 raise ChronusError(f"row {name} is no longer normalized")
@@ -116,15 +101,14 @@ def cmd_decode(args, out) -> int:
         return 0
     if args.template:
         print(result.template.render(), file=out)
+    if result.error is not None and (args.emit_sql or args.answer):
+        print(f"ERROR {result.error}", file=out)
+        return 0
     if args.emit_sql:
-        from .query import plan_query
         print(plan_query(result.template, artifacts.db).render_sql(), file=out)
     if args.answer:
-        if result.error is not None:
-            print(f"ERROR {result.error}", file=out)
-        else:
-            for line in result.answer.render_lines():
-                print(line, file=out)
+        for line in result.answer.render_lines():
+            print(line, file=out)
     return 0
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ChronusError, DataFormatError
+from .textfile import number, records
 
 ROLES = ("question", "subject", "restriction", "attribute", "special")
 
@@ -18,6 +20,16 @@ class Concept:
     role: str
     rank: int = 9                   # dialog hierarchy; smaller = higher
     counterpart: str | None = None  # for attributes: the concept they fold into
+
+
+def parse_concept(line, path=None, ln=None) -> Concept:
+    """One ``name<TAB>role<TAB>rank[<TAB>counterpart]`` line."""
+    parts = line.split("\t")
+    if len(parts) not in (3, 4):
+        raise DataFormatError("expected name<TAB>role<TAB>rank[<TAB>counterpart]",
+                              path, ln)
+    rank = number(int, parts[2], "rank", path, ln, 0, math.inf)
+    return Concept(parts[0], parts[1], rank, parts[3] if len(parts) == 4 else None)
 
 
 class ConceptDictionary:
@@ -89,23 +101,10 @@ class ConceptDictionary:
     @classmethod
     def from_lines(cls, lines, path=None):
         concepts = []
-        for ln, raw in enumerate(lines, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (3, 4):
-                raise DataFormatError("expected name<TAB>role<TAB>rank[<TAB>counterpart]",
-                                      path=path, line=ln)
-            name, role, rank = parts[0], parts[1], parts[2]
-            try:
-                rank_i = int(rank)
-            except ValueError:
-                raise DataFormatError(f"bad rank {rank!r}", path=path, line=ln)
-            if rank_i < 0:
-                raise DataFormatError("rank must be non-negative", path=path, line=ln)
-            counterpart = parts[3] if len(parts) == 4 else None
-            concepts.append(Concept(name, role, rank_i, counterpart))
+        for ln, section, line in records(lines, path):
+            if line is None:
+                raise DataFormatError(f"unknown section [{section}]", path, ln)
+            concepts.append(parse_concept(line, path, ln))
         return cls(concepts)
 
     @classmethod

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ChronusError, DataFormatError
+from .textfile import records
 
 UNKNOWN = "<UNK>"
 
@@ -306,39 +307,19 @@ class SuperwordLexicon:
     @classmethod
     def from_lines(cls, lines, path=None):
         words, inflect, stop = set(), {}, set()
-        grammars = []
-        section = None
-        gid = None
-        g_trans, g_accept, g_norm = {}, set(), "identity"
-
-        def flush_grammar():
-            if gid is not None:
-                grammars.append(FsaGrammar(gid, g_trans, g_accept, g_norm))
-
-        for ln, raw in enumerate(lines, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if line.startswith("["):
-                if not line.endswith("]"):
-                    raise DataFormatError("unterminated section header", path, ln)
-                header = line[1:-1].strip()
-                if header.startswith("grammar"):
-                    flush_grammar()
-                    parts = header.split()
-                    if len(parts) != 2:
-                        raise DataFormatError("expected [grammar <id>]", path, ln)
-                    gid = parts[1]
-                    g_trans, g_accept, g_norm = {}, set(), "identity"
-                    section = "grammar"
-                elif header in ("words", "inflect", "stop"):
-                    flush_grammar()
-                    gid = None
-                    section = header
-                else:
-                    raise DataFormatError(f"unknown section [{header}]", path, ln)
-                continue
-            if section == "words":
+        grammars = []   # FsaGrammar arguments, one dict per [grammar] section
+        for ln, section, line in records(lines, path):
+            if line is None:
+                if section in ("words", "inflect", "stop"):
+                    continue
+                if not section.startswith("grammar"):
+                    raise DataFormatError(f"unknown section [{section}]", path, ln)
+                parts = section.split()
+                if len(parts) != 2:
+                    raise DataFormatError("expected [grammar <id>]", path, ln)
+                grammars.append({"gid": parts[1], "transitions": {},
+                                 "accepting": set(), "normalizer": "identity"})
+            elif section == "words":
                 words.update(line.split())
             elif section == "inflect":
                 parts = line.split("\t")
@@ -349,20 +330,21 @@ class SuperwordLexicon:
                 inflect[parts[0]] = parts[1]
             elif section == "stop":
                 stop.update(line.split())
-            elif section == "grammar":
+            elif section is not None:
+                grammar = grammars[-1]
                 parts = line.split("\t")
                 if parts[0] == "accept" and len(parts) == 2:
-                    g_accept.add(parts[1])
+                    grammar["accepting"].add(parts[1])
                 elif parts[0] == "normalize" and len(parts) == 2:
-                    g_norm = parts[1]
+                    grammar["normalizer"] = parts[1]
                 elif len(parts) == 3:
-                    g_trans.setdefault((parts[0], parts[1]), set()).add(parts[2])
+                    grammar["transitions"].setdefault(
+                        (parts[0], parts[1]), set()).add(parts[2])
                 else:
                     raise DataFormatError("bad grammar line", path, ln)
             else:
                 raise DataFormatError("content before first section header", path, ln)
-        flush_grammar()
-        return cls(words, inflect, stop, grammars)
+        return cls(words, inflect, stop, [FsaGrammar(**g) for g in grammars])
 
 
 def lex_parse(sentence: str, lexicon: SuperwordLexicon) -> Lattice:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .concepts import ConceptDictionary
+from .concepts import ConceptDictionary, parse_concept
 from .errors import ChronusError, DataFormatError
 from .lexicon import Superword, parse_superword
+from .textfile import number, records
 
 BEGIN = "<s>"    # begin-of-segment marker / initial-state row
 FINAL = "</s>"   # final-state column
@@ -274,6 +275,23 @@ def apply_synonym_smoothing(model: ConceptHmm, groups) -> ConceptHmm:
                       model.initial, model.transition, bigram, model.counts)
 
 
+def load_synonyms(path):
+    """Synonym groups for ``apply_synonym_smoothing`` from a file of
+    ``concept<TAB>word<TAB>word...`` lines, one group per line."""
+    groups = {}
+    with open(path, encoding="utf-8") as fh:
+        for ln, section, line in records(fh, path):
+            if line is None:
+                raise DataFormatError(f"unknown section [{section}]", path, ln)
+            fields = line.split("\t")
+            if len(fields) < 3:
+                raise DataFormatError(
+                    "synonym line needs a concept and two or more words",
+                    path, ln)
+            groups.setdefault(fields[0], []).append(fields[1:])
+    return groups
+
+
 def _average_rows(table, members, model, concept):
     rows = [table.get(w, {}) for w in members]
     if all(r == rows[0] for r in rows):
@@ -371,62 +389,65 @@ def save_model(model: ConceptHmm, path):
 
 
 def model_from_text(text: str, path=None) -> ConceptHmm:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "chronus-model v1":
-        raise DataFormatError("missing chronus-model v1 header", path, 1)
+    """Parse a ``chronus-model v1`` text.  Transitions may name only concepts
+    of ``[concepts]`` (and ``</s>``), bigrams only symbols of ``[vocab]``
+    (and ``<s>``, ``</s>``); both sections must come first."""
     k = 0.0
-    concept_lines = []
-    vocab = []
-    initial = {}
-    transition = {}
-    bigram = {}
-    section = None
-    bigram_concept = None
-    for ln, line in enumerate(lines[1:], 2):
-        if not line.strip() or line.lstrip().startswith("#"):
+    concepts, vocab = [], []
+    names, symbols = set(), {BEGIN, FINAL}
+    initial, transition, bigram = {}, {}, {}
+    table = row_name = None    # the current [bigram <concept>] table and row
+    for ln, section, line in records(text.splitlines(), path, "chronus-model v1"):
+        if line is None:
+            table = row_name = None
+            if section.startswith("bigram "):
+                concept = section.split(None, 1)[1]
+                if concept not in names:
+                    raise DataFormatError(f"unknown concept {concept!r}", path, ln)
+                table = bigram.setdefault(concept, {})
+            elif section not in ("concepts", "vocab", "initial", "transition"):
+                raise DataFormatError(f"unknown section [{section}]", path, ln)
             continue
-        if line.startswith("["):
-            header = line[1:-1].strip()
-            if header == "concepts":
-                section = "concepts"
-            elif header == "vocab":
-                section = "vocab"
-            elif header == "initial":
-                section = "initial"
-            elif header == "transition":
-                section = "transition"
-            elif header.startswith("bigram "):
-                section = "bigram"
-                bigram_concept = header.split(None, 1)[1]
-                bigram.setdefault(bigram_concept, {})
-            else:
-                raise DataFormatError(f"unknown section [{header}]", path, ln)
-            continue
-        if section is None:
-            parts = line.split("\t")
-            if parts[0] == "k" and len(parts) == 2:
-                k = float(parts[1])
-            elif parts[0] == "floor" and len(parts) == 2:
-                pass  # floor is implicit: absent entries are impossible
-            else:
-                raise DataFormatError("unexpected header line", path, ln)
-        elif section == "concepts":
-            concept_lines.append(line)
-        elif section == "vocab":
-            vocab.append(line.strip())
-        else:
-            parts = line.split("\t")
+        parts = line.split("\t")
+        if table is not None:   # the bulk of a model: rows come grouped
             if len(parts) != 3:
                 raise DataFormatError("expected ROW<TAB>COL<TAB>PROB", path, ln)
-            row, col, prob = parts[0], parts[1], float(parts[2])
+            row, col, prob = parts
+            if row != row_name:
+                if row not in symbols:
+                    raise DataFormatError(f"symbol {row!r} is not in [vocab]",
+                                          path, ln)
+                row_name, probs = row, table.setdefault(row, {})
+            if col not in symbols:
+                raise DataFormatError(f"symbol {col!r} is not in [vocab]", path, ln)
+            probs[col] = number(float, prob, "probability", path, ln, 0.0, 1.0)
+        elif section is None:
+            if parts[0] == "k" and len(parts) == 2:
+                k = number(float, parts[1], "k", path, ln, 0.0, math.inf)
+            elif parts[0] != "floor" or len(parts) != 2:  # floor: ignored
+                raise DataFormatError("unexpected header line", path, ln)
+        elif section == "concepts":
+            concepts.append(parse_concept(line, path, ln))
+            names.add(concepts[-1].name)
+        elif section == "vocab":
+            vocab.append(line.strip())
+            symbols.add(vocab[-1])
+        else:
+            if len(parts) != 3:
+                raise DataFormatError("expected ROW<TAB>COL<TAB>PROB", path, ln)
+            row, col, prob = parts
+            known = row == BEGIN if section == "initial" else row in names
+            if not known:
+                raise DataFormatError(f"unknown {section} row {row!r}", path, ln)
+            if col not in names and col != FINAL:
+                raise DataFormatError(f"unknown concept {col!r}", path, ln)
+            prob = number(float, prob, "probability", path, ln, 0.0, 1.0)
             if section == "initial":
                 initial[col] = prob
-            elif section == "transition":
-                transition.setdefault(row, {})[col] = prob
             else:
-                bigram[bigram_concept].setdefault(row, {})[col] = prob
-    dictionary = ConceptDictionary.from_lines(concept_lines, path=path)
-    return ConceptHmm(dictionary, vocab, k, initial, transition, bigram)
+                transition.setdefault(row, {})[col] = prob
+    return ConceptHmm(ConceptDictionary(concepts), vocab, k, initial, transition,
+                      bigram)
 
 
 def load_model(path) -> ConceptHmm:

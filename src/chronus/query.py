@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import ChronusError, DataFormatError
 from .template import Template
+from .textfile import number, records, section_name
 
 SCHEMAS = {
     "flight": ("flight_id", "airline", "number", "from_city", "to_city",
@@ -30,18 +31,6 @@ class PlanError(ChronusError):
     """Template token with no compilation rule (translator-class error)."""
 
 
-def _bounded(kind, text, lo, hi, what, path, line):
-    """``kind(text)`` checked to lie in [lo, hi], else a DataFormatError."""
-    try:
-        value = kind(text)
-    except ValueError:
-        raise DataFormatError(f"{what} {text!r} is not a number", path, line)
-    if not lo <= value <= hi:
-        raise DataFormatError(f"{what} {text} is not in [{lo}, {hi}]",
-                              path, line)
-    return value
-
-
 class Conventions:
     """Explicit data conventions: time-word intervals and defaults."""
 
@@ -56,21 +45,14 @@ class Conventions:
         time_ranges = {}
         default_subject = "flight"
         reject_threshold = 0.75
-        section = None
         with open(path, encoding="utf-8") as fh:
-            for ln, raw in enumerate(fh, 1):
-                line = raw.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                if line.startswith("["):
-                    section = line[1:-1].strip()
+            for ln, section, line in records(fh, path):
+                if line is None:
                     continue
                 parts = line.split("\t")
                 if section == "time" and len(parts) == 3:
-                    lo = _bounded(int, parts[1], 0, 1440, "time bound",
-                                  path, ln)
-                    hi = _bounded(int, parts[2], 0, 1440, "time bound",
-                                  path, ln)
+                    lo = number(int, parts[1], "time bound", path, ln, 0, 1440)
+                    hi = number(int, parts[2], "time bound", path, ln, 0, 1440)
                     if lo >= hi:
                         raise DataFormatError(
                             f"time range {parts[0]} is empty", path, ln)
@@ -79,9 +61,12 @@ class Conventions:
                     if parts[0] == "subject":
                         default_subject = parts[1]
                     elif parts[0] == "reject-threshold":
-                        reject_threshold = _bounded(
-                            float, parts[1], 0.0, 1.0, "reject-threshold",
-                            path, ln)
+                        reject_threshold = number(
+                            float, parts[1], "reject-threshold", path, ln,
+                            0.0, 1.0)
+                    else:
+                        raise DataFormatError(
+                            f"unknown default {parts[0]!r}", path, ln)
                 else:
                     raise DataFormatError("bad conventions line", path, ln)
         return cls(time_ranges, default_subject, reject_threshold)
@@ -129,33 +114,25 @@ class MiniDb:
     @classmethod
     def load(cls, path, conventions: Conventions):
         tables = {name: [] for name in SCHEMAS}
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        if not lines or lines[0].strip() != "chronus-db v1":
-            raise DataFormatError("missing chronus-db v1 header", path, 1)
         table = None
-        for ln, line in enumerate(lines[1:], 2):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            if line.startswith("["):
-                header = line[1:-1].strip()
-                if not header.startswith("table "):
-                    raise DataFormatError("expected [table <name>]", path, ln)
-                table = header.split(None, 1)[1]
-                if table not in SCHEMAS:
-                    raise DataFormatError(f"unknown table {table!r}", path, ln)
-                continue
-            if table is None:
-                raise DataFormatError("row before any [table] header", path, ln)
-            schema = SCHEMAS[table]
-            parts = line.split("\t")
-            if len(parts) != len(schema):
-                raise DataFormatError(
-                    f"expected {len(schema)} columns in {table}", path, ln)
-            row = {}
-            for col, cell in zip(schema, parts):
-                row[col] = int(cell) if col in INT_COLUMNS else cell
-            tables[table].append(row)
+        with open(path, encoding="utf-8") as fh:
+            for ln, section, line in records(fh, path, "chronus-db v1"):
+                if line is None:
+                    table = section_name(section, "table", path, ln)
+                    if table not in SCHEMAS:
+                        raise DataFormatError(f"unknown table {table!r}", path, ln)
+                    continue
+                if table is None:
+                    raise DataFormatError("row before any [table] header", path, ln)
+                schema = SCHEMAS[table]
+                parts = line.split("\t")
+                if len(parts) != len(schema):
+                    raise DataFormatError(
+                        f"expected {len(schema)} columns in {table}", path, ln)
+                tables[table].append({
+                    col: number(int, cell, f"{table}.{col}", path, ln)
+                    if col in INT_COLUMNS else cell
+                    for col, cell in zip(schema, parts)})
         return cls(tables, conventions)
 
 

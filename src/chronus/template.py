@@ -16,6 +16,7 @@ from .concepts import ConceptDictionary
 from .errors import ChronusError, DataFormatError
 from .lexicon import parse_superword
 from .model import SegmentedSentence
+from .textfile import records, section_name
 
 CATEGORIES = ("item", "attribute", "logic", "operator")
 TAKE_VALUE = "*"
@@ -107,19 +108,13 @@ class ValueTable:
     @classmethod
     def from_lines(cls, lines, path=None):
         tables = {}
-        concept = None
-        for ln, raw in enumerate(lines, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
+        patterns = None
+        for ln, section, line in records(lines, path):
+            if line is None:
+                patterns = tables.setdefault(
+                    section_name(section, "concept", path, ln), [])
                 continue
-            if line.startswith("["):
-                header = line[1:-1].strip()
-                if not header.startswith("concept "):
-                    raise DataFormatError("expected [concept <name>]", path, ln)
-                concept = header.split(None, 1)[1]
-                tables.setdefault(concept, [])
-                continue
-            if concept is None:
+            if patterns is None:
                 raise DataFormatError("pattern before any [concept] header", path, ln)
             parts = line.split("\t")
             if len(parts) != 3:
@@ -129,7 +124,7 @@ class ValueTable:
             if category not in CATEGORIES:
                 raise DataFormatError(f"unknown category {category!r}", path, ln)
             tokens = tuple(parse_superword(w) for w in words.split())
-            tables[concept].append(Pattern(tokens, value, category))
+            patterns.append(Pattern(tokens, value, category))
         return cls(tables)
 
 

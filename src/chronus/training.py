@@ -27,6 +27,7 @@ from .model import (NEG_INF, ConceptHmm, SegmentedSentence, model_to_text,
                     train_mle)
 from .pipeline import Artifacts, run_turn, verdict
 from .query import Answer
+from .textfile import records, section_name
 
 
 class AlignmentInfeasibleError(ChronusError):
@@ -74,56 +75,40 @@ class FeedbackCorpus:
     @classmethod
     def from_lines(cls, lines, path=None):
         entries = []
-        current = None
-        minrows, maxrows = [], []
-        refkind = None          # set by a `refs` line; None = no references
-        refvalue = None
-
-        def flush():
-            if current is None:
-                return
-            if refkind == "rows":
-                current.refmin = Answer(kind="rows", rows=list(minrows))
-                current.refmax = Answer(kind="rows", rows=list(maxrows))
-            elif refkind in ("number", "boolean"):
-                val = refvalue if refkind == "number" else refvalue == "YES"
-                current.refmin = Answer(kind=refkind, value=val)
-                current.refmax = Answer(kind=refkind, value=val)
-            entries.append(current)
-
-        for ln, raw in enumerate(lines, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
+        for ln, section, line in records(lines, path):
+            if line is None:
+                entries.append(FeedbackEntry(
+                    section_name(section, "sentence", path, ln), text=""))
                 continue
-            if line.startswith("[sentence "):
-                flush()
-                current = FeedbackEntry(ident=line[10:-1].strip(), text="")
-                minrows, maxrows = [], []
-                refkind, refvalue = None, None
-                continue
-            if current is None:
+            if not entries:
                 raise DataFormatError("line before any [sentence] header", path, ln)
+            entry = entries[-1]
+            kind = entry.refmin.kind if entry.refmin is not None else None
             key, _, rest = line.partition("\t")
             if key == "text":
-                current.text = rest
+                entry.text = rest
             elif key == "win":
-                current.win = rest
+                entry.win = rest
             elif key == "gold":
-                current.gold = SegmentedSentence.parse(rest)
+                try:
+                    entry.gold = SegmentedSentence.parse(rest)
+                except ChronusError as exc:
+                    raise DataFormatError(str(exc), path, ln) from None
             elif key == "refs":
                 if rest not in ("rows", "number", "boolean"):
                     raise DataFormatError(f"unknown reference kind {rest!r}",
                                           path, ln)
-                refkind = rest
-            elif key == "refmin":
-                minrows.append(tuple(rest.split("\t")))
-            elif key == "refmax":
-                maxrows.append(tuple(rest.split("\t")))
-            elif key == "refvalue":
-                refvalue = rest
+                entry.refmin, entry.refmax = Answer(kind=rest), Answer(kind=rest)
+            elif key in ("refmin", "refmax") and kind == "rows":
+                getattr(entry, key).rows.append(tuple(rest.split("\t")))
+            elif key == "refvalue" and kind in ("number", "boolean"):
+                value = rest if kind == "number" else rest == "YES"
+                entry.refmin.value = entry.refmax.value = value
+            elif key in ("refmin", "refmax", "refvalue"):
+                raise DataFormatError(f"{key} needs a matching refs line before it",
+                                      path, ln)
             else:
                 raise DataFormatError(f"unknown record key {key!r}", path, ln)
-        flush()
         return cls(entries)
 
     def to_text(self) -> str:

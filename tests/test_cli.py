@@ -103,6 +103,20 @@ def test_decode_emit_sql_is_rendering_only(demo_model_path):
     assert text.startswith("SELECT ") and "to_city" in text
 
 
+@pytest.mark.parametrize("flags", [["--emit-sql"], ["--answer"],
+                                   ["--emit-sql", "--answer"]])
+def test_decode_reports_plan_error_once_for_sql_and_answer(
+        demo_model_path, tmp_path, flags):
+    conventions = tmp_path / "conventions.txt"
+    conventions.write_text("[time]\nmorning\t0\t720\n[defaults]\n"
+                           "subject\tflight\n")
+    rc, text = run_cli(["decode", "--model", demo_model_path, "--conventions",
+                        str(conventions)] + flags
+                       + ["SHOW ME THE FLIGHTS FROM BOSTON IN THE EVENING"])
+    assert rc == 0
+    assert text == "ERROR no time convention for 'evening'\n"
+
+
 def test_decode_rejects_contentless_sentence(demo_model_path):
     rc, text = run_cli(["decode", "--model", demo_model_path,
                         "CONCERNING INFORMATION PLEASE"])

@@ -11,7 +11,6 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from chronus.lexicon import parse_superword
 from chronus.model import SegmentedSentence
 from chronus.pipeline import Artifacts, answer
 from chronus.query import Answer
@@ -22,12 +21,7 @@ DATA = os.path.join(os.path.dirname(__file__), "..", "src", "chronus", "data")
 
 
 def gold(spec: str) -> SegmentedSentence:
-    words, labels = [], []
-    for pair in spec.split():
-        token, _, label = pair.rpartition(":")
-        words.append(parse_superword(token))
-        labels.append(label)
-    return SegmentedSentence(tuple(words), tuple(labels))
+    return SegmentedSentence.parse("\t".join(spec.split()))
 
 
 # (id, text, gold spec); gold tokens are post-lexical (stop words removed,
