@@ -6,7 +6,8 @@ bigram context of an arc is the superword of the incoming arc, the
 dynamic program is indexed by (arc, concept) rather than (position,
 concept).  It runs on integer ids: arcs by their position in the sorted
 ``lattice.arcs``, concepts by dictionary index, scores from the model's
-concept-indexed log tables, one list of per-concept scores per arc.
+concept-indexed log tables (a bigram row is its log exceptions plus a log
+default), one list of per-concept scores per arc.
 
 A new segment's first word is emitted from the begin-marker row whatever
 the previous concept was, so that emission is looked up once per (arc,
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import ChronusError
 from .lexicon import Arc, Lattice, Superword, enumerate_path_arcs
-from .model import NEG_INF, ConceptHmm, SegmentedSentence, path_score
+from .model import NEG_INF, NO_ROW, ConceptHmm, SegmentedSentence, path_score
 
 
 class DecodeSizeError(ChronusError):
@@ -82,7 +83,9 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
     relax = 0
 
     for i, a in enumerate(arcs):
-        begin = [row.get(a.sym, NEG_INF) for row in model.begin_rows]
+        known = a.sym in model.vocab_set  # else no row gives the symbol mass
+        begin = ([e.get(a.sym, d) for e, d in model.begin_rows] if known
+                 else [NEG_INF] * n_concepts)
         if a.start == 0:
             relax += n_concepts
             delta[i] = [s + e for s, e in zip(model.init_vec, begin)]
@@ -99,7 +102,8 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
             [t for t in col for _ in live] for col in model.trans_into]
         # staying in concept c continues the segment, so the bigram context
         # is the predecessor's symbol instead of the begin marker
-        stay = [[table.get(arcs[j].sym, {}).get(a.sym, NEG_INF) for j in live]
+        stay = [[e.get(a.sym, d) if known else NEG_INF
+                 for j in live for e, d in [table.get(arcs[j].sym, NO_ROW)]]
                 for table in model.bigram_tables]
         cells, bps = [], []
         for c, trans in enumerate(cols):

@@ -12,7 +12,8 @@ from collections import Counter
 from .concepts import Concept, ConceptDictionary
 from .errors import ChronusError
 from .lexicon import Arc, Lattice, Superword
-from .model import ConceptHmm, SegmentedSentence, _round12, train_mle
+from .model import (ConceptHmm, SegmentedSentence, _round12, _smooth_row,
+                    canonical_row, train_mle)
 
 
 # ---------------------------------------------------------------------------
@@ -130,31 +131,28 @@ def make_recovery_model(k: float = 0.001) -> ConceptHmm:
     dictionary = _synthetic_dictionary(names)
     vocab = [f"w{i:02d}" for i in range(RECOVERY_WORDS)]
 
-    initial = {c: _round12(1.0 / RECOVERY_CONCEPTS) for c in names}
+    trans_cols = dict.fromkeys(dictionary.names + ["</s>"])
+    vocab_cols = dict.fromkeys(vocab)
+    initial = canonical_row({c: _round12(1.0 / RECOVERY_CONCEPTS) for c in names},
+                            0.0, trans_cols)
     transition = {}
     for c in names:
         row = {d: _round12(0.15 / (RECOVERY_CONCEPTS - 1))
                for d in names if d != c}
         row[c] = _round12(0.80)
         row["</s>"] = _round12(0.05)
-        transition[c] = row
+        transition[c] = canonical_row(row, 0.0, trans_cols)
 
     per = RECOVERY_WORDS // RECOVERY_CONCEPTS
     bigram = {}
     for i, c in enumerate(names):
-        preferred = set(range(i * per, (i + 1) * per))
-        begin = {}
+        preferred = {w: _round12(0.8 / per) for w in vocab[i * per:(i + 1) * per]}
+        table = {"<s>": canonical_row(
+            preferred, _round12(0.2 / (RECOVERY_WORDS - per)), vocab_cols)}
         for j, w in enumerate(vocab):
-            p = 0.8 / per if j in preferred else 0.2 / (RECOVERY_WORDS - per)
-            begin[w] = _round12(p)
-        table = {"<s>": begin}
-        for j, w in enumerate(vocab):
-            succ = (j + 7 * i + 1) % RECOVERY_WORDS
-            row = {}
-            for m, w2 in enumerate(vocab):
-                p = 0.95 if m == succ else 0.05 / (RECOVERY_WORDS - 1)
-                row[w2] = _round12(p)
-            table[w] = row
+            succ = vocab[(j + 7 * i + 1) % RECOVERY_WORDS]
+            table[w] = canonical_row({succ: _round12(0.95)}, _round12(
+                0.05 / (RECOVERY_WORDS - 1)), vocab_cols)
         bigram[c] = table
     return ConceptHmm(dictionary, vocab, k, initial, transition, bigram)
 
@@ -163,10 +161,7 @@ def unigram_baseline(corpus, dictionary, vocabulary, k: float) -> ConceptHmm:
     """Context-free emission baseline: the same trained transition
     structure, but every bigram context row is the concept's unigram
     word distribution."""
-    from .model import _smooth_row
-
     model = train_mle(corpus, dictionary, vocabulary, k)
-    vocab = list(model.vocab)
     unigram_counts = {}
     for sent in corpus:
         for word, label in zip(sent.words, sent.labels):
@@ -174,20 +169,12 @@ def unigram_baseline(corpus, dictionary, vocabulary, k: float) -> ConceptHmm:
             row[word.sym] += 1
     bigram = {}
     for c in dictionary.names:
-        row = _smooth_row(unigram_counts.get(c, Counter()), vocab, k)
-        if row is None:
-            bigram[c] = {}
-        else:
-            bigram[c] = {ctx: dict(row) for ctx in ["<s>"] + vocab}
+        row = _smooth_row(unigram_counts.get(c, Counter()),
+                          dict.fromkeys(model.vocab), k)
+        bigram[c] = {} if row is None else dict.fromkeys(
+            ("<s>",) + model.vocab, row)
     return ConceptHmm(dictionary, model.vocab, k, model.initial,
                       model.transition, bigram)
-
-
-def segment_accuracy(gold: SegmentedSentence, hypothesis_labels) -> tuple:
-    """(matched, total) exact span+label segment matches against gold."""
-    hyp = SegmentedSentence(gold.words, tuple(hypothesis_labels))
-    gold_segs = set(gold.segments())
-    return sum(1 for s in hyp.segments() if s in gold_segs), len(gold_segs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,17 @@ supervised synonym smoothing.
 Segmentations are encoded one label per word, so a segment boundary is
 simply a label change and self-transitions are real, estimated events.
 Segment-initial words are conditioned on a per-concept begin marker.
+
+Add-k smoothing gives every unseen event of a row one shared value, so a
+row is held exactly as its exceptions plus one default, from estimation
+through synonym smoothing and the model file to the decoder's tables.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .concepts import ConceptDictionary, parse_concept
@@ -91,7 +97,7 @@ def render_segments(segmentation: SegmentedSentence) -> str:
 
 @dataclass
 class TrainingCounts:
-    """Raw event counts kept alongside a trained model (not serialized)."""
+    """Raw event counts kept alongside a trained model and saved with it."""
 
     transition: dict = field(default_factory=dict)   # row -> col -> count
     bigram: dict = field(default_factory=dict)       # concept -> prev -> word -> count
@@ -105,44 +111,104 @@ class TrainingCounts:
                    for row in table.values())
 
 
+class Row(Mapping):
+    """A probability row over a known column space: the columns in ``exc``
+    have their own value, every other one of ``columns`` has ``default``.
+    As a mapping it is the full row without its zero entries, computed on
+    access.  Rows come from ``canonical_row`` and are never changed."""
+
+    __slots__ = ("exc", "default", "columns")
+
+    def __init__(self, exc, default, columns):
+        self.exc, self.default, self.columns = exc, default, columns
+
+    def prob(self, col):
+        return self.exc.get(col, self.default)
+
+    def total(self):
+        """The row's probability mass, without visiting every column."""
+        return (sum(self.exc.values())
+                + self.default * (len(self.columns) - len(self.exc)))
+
+    def __getitem__(self, col):
+        if col in self.columns and self.prob(col) > 0.0:
+            return self.prob(col)
+        raise KeyError(col)
+
+    def __iter__(self):
+        return (col for col in self.columns if self.prob(col) > 0.0)
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+
+EMPTY_ROW = Row({}, 0.0, {})   # a missing row: no mass anywhere
+
+
+def canonical_row(values, default, columns) -> Row:
+    """The row whose columns in ``values`` have those values and whose other
+    columns have ``default``, in canonical form: the default is the most
+    common value over the whole column space, the smaller one on a tie, so
+    equal rows have equal forms and equal text."""
+    if 2 * len(values) >= len(columns):   # else ``default`` is the mode
+        tally = Counter(values.values())
+        tally[default] += len(columns) - len(values)
+        mode = min(tally, key=lambda p: (-tally[p], p))
+        if mode != default:
+            values = {**dict.fromkeys(columns, default), **values}
+            default = mode
+    return Row({c: p for c, p in values.items() if p != default}, default,
+               columns)
+
+
+NO_ROW = ({}, NEG_INF)   # the compiled form of a missing row
+
+
 class ConceptHmm:
     """First-order concept HMM with concept-conditional word bigrams.
 
-    Probabilities are held in linear space rounded to 12 significant digits
-    (the on-disk canonical form).  Construction compiles them into log
-    tables indexed by concept, with a minus-infinity sentinel for impossible
-    events; every scorer reads these: ``init_vec``, ``trans_into``
-    (``[next][previous]``), ``final_vec``, and per concept its bigram table
-    (context -> symbol -> log p) in ``bigram_tables`` and that table's
-    begin-marker row in ``begin_rows``.
+    Probabilities are ``Row``s in linear space rounded to 12 significant
+    digits (the on-disk canonical form).  Construction compiles them into
+    log tables indexed by concept, with a minus-infinity sentinel for
+    impossible events; every scorer reads these: ``init_vec``,
+    ``trans_into`` (``[next][previous]``), ``final_vec``, and per concept
+    its bigram table (context -> (log exceptions, log default); a missing
+    context reads as ``NO_ROW``) in ``bigram_tables`` and that table's
+    begin-marker row in ``begin_rows``.  A symbol outside ``vocab_set`` has
+    no mass in any row.
     """
 
     def __init__(self, dictionary: ConceptDictionary, vocab, k: float,
                  initial, transition, bigram, counts: TrainingCounts | None = None):
         self.dictionary = dictionary
         self.vocab = tuple(sorted(vocab))
-        self._vocab_set = frozenset(self.vocab)
+        self.vocab_set = frozenset(self.vocab)
         self.k = k
-        self.initial = initial        # col (concept or FINAL) -> prob
-        self.transition = transition  # row concept -> col (concept or FINAL) -> prob
-        self.bigram = bigram          # concept -> prev (word or BEGIN) -> word -> prob
+        self.initial = initial        # Row over concepts + FINAL
+        self.transition = transition  # row concept -> Row over concepts + FINAL
+        self.bigram = bigram          # concept -> prev (word or BEGIN) -> Row
         self.counts = counts
         names = dictionary.names
-        rows = [transition.get(r, {}) for r in names]
-        self.init_vec = [_safe_log(initial.get(c, 0.0)) for c in names]
-        self.trans_into = [[_safe_log(row.get(c, 0.0)) for row in rows]
+        rows = [transition.get(r, EMPTY_ROW) for r in names]
+        self.init_vec = [_safe_log(initial.prob(c)) for c in names]
+        self.trans_into = [[_safe_log(row.prob(c)) for row in rows]
                            for c in names]  # next concept -> previous -> log p
-        self.final_vec = [_safe_log(row.get(FINAL, 0.0)) for row in rows]
+        self.final_vec = [_safe_log(row.prob(FINAL)) for row in rows]
         self.bigram_tables = [
-            {r: {w: _safe_log(p) for w, p in row.items()}
+            {r: ({w: _safe_log(p) for w, p in row.exc.items()},
+                 _safe_log(row.default))
              for r, row in bigram.get(c, {}).items()} for c in names]
-        self.begin_rows = [t.get(BEGIN, {}) for t in self.bigram_tables]
+        self.begin_rows = [t.get(BEGIN, NO_ROW) for t in self.bigram_tables]
 
-    def in_vocab(self, sym) -> bool:
-        return sym in self._vocab_set
+    def emission(self, c, ctx, sym) -> float:
+        """log P(sym | concept id c, bigram context ctx)."""
+        if sym not in self.vocab_set:
+            return NEG_INF
+        exc, default = self.bigram_tables[c].get(ctx, NO_ROW)
+        return exc.get(sym, default)
 
     def rows(self):
-        """All (name, row-dict) probability rows, for normalization checks."""
+        """All (name, row) probability rows, for normalization checks."""
         yield ("initial", self.initial)
         for r, row in self.transition.items():
             yield (f"transition[{r}]", row)
@@ -152,10 +218,10 @@ class ConceptHmm:
 
     def parameter_counts(self):
         """(probability rows, count-backed bigram entries)."""
-        nrows = sum(1 for _ in self.rows())
+        tables = self.bigram.values()
+        nrows = 1 + len(self.transition) + sum(len(t) for t in tables)
         nonzero = self.counts.nonzero_bigrams() if self.counts else sum(
-            len(row) for _, _, row in
-            ((g, r, row) for g, t in self.bigram.items() for r, row in t.items()))
+            len(row) for t in tables for row in t.values())
         return nrows, nonzero
 
 
@@ -164,7 +230,8 @@ def _safe_log(p):
 
 
 def _smooth_row(counts_row, columns, k):
-    """Add-k relative frequencies over the full column space, 12-digit canonical.
+    """Add-k relative frequencies over the column space, 12-digit canonical:
+    every unseen column shares the one value k / total.
 
     Returns None when the row has no support and k == 0 (no distribution is
     estimable; downstream lookups see the minus-infinity sentinel).
@@ -172,12 +239,9 @@ def _smooth_row(counts_row, columns, k):
     total = sum(counts_row.values()) + k * len(columns)
     if total <= 0.0:
         return None
-    row = {}
-    for col in columns:
-        p = (counts_row.get(col, 0) + k) / total
-        if p > 0.0:
-            row[col] = _round12(p)
-    return row
+    return canonical_row(
+        {col: _round12((n + k) / total) for col, n in counts_row.items()},
+        _round12(k / total), columns)
 
 
 def full_vocabulary(lexicon, sentences):
@@ -197,7 +261,7 @@ def train_mle(corpus, dictionary: ConceptDictionary, vocabulary, k: float) -> Co
     if not corpus:
         raise TrainingError("training corpus is empty")
     vocab = sorted(set(vocabulary))
-    vocab_set = set(vocab)
+    vocab_cols = dict.fromkeys(vocab)
     names = dictionary.names
 
     trans_counts = {r: {} for r in [BEGIN] + names}
@@ -208,7 +272,7 @@ def train_mle(corpus, dictionary: ConceptDictionary, vocabulary, k: float) -> Co
         for word, label in zip(sent.words, sent.labels):
             if label not in dictionary:
                 raise UnknownLabelError(label)
-            if word.sym not in vocab_set:
+            if word.sym not in vocab_cols:
                 raise UnknownWordError(word.sym)
             row = trans_counts[prev_label]
             row[label] = row.get(label, 0) + 1
@@ -219,19 +283,21 @@ def train_mle(corpus, dictionary: ConceptDictionary, vocabulary, k: float) -> Co
         row = trans_counts[prev_label]
         row[FINAL] = row.get(FINAL, 0) + 1
 
-    trans_cols = names + [FINAL]
-    initial = _smooth_row(trans_counts[BEGIN], trans_cols, k) or {}
+    trans_cols = dict.fromkeys(names + [FINAL])
+    initial = _smooth_row(trans_counts[BEGIN], trans_cols, k)
     transition = {}
     for c in names:
         row = _smooth_row(trans_counts[c], trans_cols, k)
         if row is not None:
             transition[c] = row
+    unseen = _smooth_row({}, vocab_cols, k)   # any context never seen
     bigram = {}
     for c in names:
         table = {}
         ctx_rows = bigram_counts.get(c, {})
         for ctx in [BEGIN] + vocab:
-            row = _smooth_row(ctx_rows.get(ctx, {}), vocab, k)
+            row = (_smooth_row(ctx_rows[ctx], vocab_cols, k) if ctx in ctx_rows
+                   else unseen)
             if row is not None:
                 table[ctx] = row
         bigram[c] = table
@@ -250,15 +316,15 @@ def apply_synonym_smoothing(model: ConceptHmm, groups) -> ConceptHmm:
     """
     if not groups:
         return model
-    bigram = {g: {r: dict(row) for r, row in table.items()}
-              for g, table in model.bigram.items()}
+    columns = dict.fromkeys(model.vocab)
+    bigram = {g: dict(table) for g, table in model.bigram.items()}
     for concept, concept_groups in groups.items():
         if concept not in model.dictionary:
             raise UnknownLabelError(concept)
         seen = set()
         for group in concept_groups:
             for w in group:
-                if not model.in_vocab(w):
+                if w not in columns:
                     raise UnknownWordError(w)
                 if w in seen:
                     raise TrainingError(
@@ -269,7 +335,7 @@ def apply_synonym_smoothing(model: ConceptHmm, groups) -> ConceptHmm:
             if len(group) < 2:
                 continue
             members = list(group)
-            _average_rows(table, members, model, concept)
+            _average_rows(table, members, model, concept, columns)
             _share_columns(table, members)
     return ConceptHmm(model.dictionary, model.vocab, model.k,
                       model.initial, model.transition, bigram, model.counts)
@@ -292,9 +358,9 @@ def load_synonyms(path):
     return groups
 
 
-def _average_rows(table, members, model, concept):
-    rows = [table.get(w, {}) for w in members]
-    if all(r == rows[0] for r in rows):
+def _average_rows(table, members, model, concept, columns):
+    rows = [table.get(w, EMPTY_ROW) for w in members]
+    if all((r.exc, r.default) == (rows[0].exc, rows[0].default) for r in rows):
         return  # already tied; keep exact values (idempotence)
     if model.counts is not None:
         weights = [model.counts.bigram_row_total(concept, w) for w in members]
@@ -303,32 +369,29 @@ def _average_rows(table, members, model, concept):
     if sum(weights) == 0:
         weights = [1] * len(members)
     total_w = sum(weights)
-    cols = set()
-    for r in rows:
-        cols.update(r)
-    avg = {}
-    for col in sorted(cols):
-        p = sum(w * r.get(col, 0.0) for w, r in zip(weights, rows)) / total_w
-        if p > 0.0:
-            avg[col] = _round12(p)
+
+    def mean(values):
+        return sum(w * p for w, p in zip(weights, values)) / total_w
+
+    cols = set().union(*(r.exc for r in rows))
+    avg = canonical_row(
+        {col: _round12(mean([r.prob(col) for r in rows])) for col in cols},
+        _round12(mean([r.default for r in rows])), columns)
     for w in members:
         if avg:
-            table[w] = dict(avg)
+            table[w] = avg
         else:
             table.pop(w, None)
 
 
 def _share_columns(table, members):
-    for row in table.values():
-        vals = [row.get(w, 0.0) for w in members]
+    for ctx, row in table.items():
+        vals = [row.prob(w) for w in members]
         if all(v == vals[0] for v in vals):
             continue
-        share = sum(vals) / len(members)
-        for w in members:
-            if share > 0.0:
-                row[w] = _round12(share)
-            else:
-                row.pop(w, None)
+        share = _round12(sum(vals) / len(members))
+        table[ctx] = canonical_row({**row.exc, **dict.fromkeys(members, share)},
+                                   row.default, row.columns)
 
 
 def path_score(model: ConceptHmm, arcs_or_superwords, labels) -> float:
@@ -345,9 +408,7 @@ def path_score(model: ConceptHmm, arcs_or_superwords, labels) -> float:
             logp += model.init_vec[c]
         else:
             logp += model.trans_into[c][prev]
-        row = (model.bigram_tables[c].get(prev_sym, {}) if c == prev
-               else model.begin_rows[c])
-        logp += row.get(word.sym, NEG_INF)
+        logp += model.emission(c, prev_sym if c == prev else BEGIN, word.sym)
         prev, prev_sym = c, word.sym
     return logp + (NEG_INF if prev is None else model.final_vec[prev])
 
@@ -358,29 +419,45 @@ def sequence_log_prob(model: ConceptHmm, sentence: SegmentedSentence) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: line-oriented `chronus-model v1` format
+# Serialization: line-oriented `chronus-model v2` format
+
+MAGIC = "chronus-model v2"
+
 
 def model_to_text(model: ConceptHmm) -> str:
-    out = ["chronus-model v1", f"k\t{model.k!r}", "floor\t0"]
-    out.append("[concepts]")
-    out.extend(model.dictionary.to_lines())
-    out.append("[vocab]")
-    out.extend(model.vocab)
-    out.append("[initial]")
-    for col in sorted(model.initial):
-        out.append(f"{BEGIN}\t{col}\t{model.initial[col]:.11e}")
-    out.append("[transition]")
-    for row in model.dictionary.names:
-        cols = model.transition.get(row, {})
-        for col in sorted(cols):
-            out.append(f"{row}\t{col}\t{cols[col]:.11e}")
-    for concept in model.dictionary.names:
-        out.append(f"[bigram {concept}]")
-        table = model.bigram.get(concept, {})
-        for row in sorted(table):
-            for col in sorted(table[row]):
-                out.append(f"{row}\t{col}\t{table[row][col]:.11e}")
+    """``chronus-model v2`` text: ``k``, the name sections, every row as its
+    default line ``ROW<TAB>PROB`` and exception lines ``ROW<TAB>COL<TAB>PROB``,
+    then the training counts, if any, as ``ROW<TAB>COL<TAB>COUNT`` lines.
+    Rows and columns are sorted, so equal models give equal text."""
+    names = model.dictionary.names
+    out = [MAGIC, f"k\t{model.k!r}", "[concepts]",
+           *model.dictionary.to_lines(), "[vocab]", *model.vocab]
+    for header, table in _tables(model.initial, model.transition,
+                                 model.bigram, names):
+        out.append(f"[{header}]")
+        for name in sorted(table):
+            row = table[name]
+            out.append(f"{name}\t{row.default:.11e}")
+            out.extend(f"{name}\t{col}\t{p:.11e}"
+                       for col, p in sorted(row.exc.items()))
+    counts = model.counts
+    if counts is not None:
+        for header, table in _tables(counts.transition.get(BEGIN, {}),
+                                     counts.transition, counts.bigram, names):
+            out.append(f"[counts {header}]")
+            for name in sorted(table):
+                out.extend(f"{name}\t{col}\t{n}"
+                           for col, n in sorted(table[name].items()))
     return "\n".join(out) + "\n"
+
+
+def _tables(initial, transition, bigram, names):
+    """(section header, row name -> row) of a model's tables, in file order."""
+    yield "initial", {BEGIN: initial}
+    yield "transition", {r: transition[r] for r in names if r in transition}
+    for c in names:
+        if c in bigram:
+            yield f"bigram {c}", bigram[c]
 
 
 def save_model(model: ConceptHmm, path):
@@ -389,65 +466,86 @@ def save_model(model: ConceptHmm, path):
 
 
 def model_from_text(text: str, path=None) -> ConceptHmm:
-    """Parse a ``chronus-model v1`` text.  Transitions may name only concepts
-    of ``[concepts]`` (and ``</s>``), bigrams only symbols of ``[vocab]``
-    (and ``<s>``, ``</s>``); both sections must come first."""
+    """Parse a ``chronus-model`` text, v2 or v1.  Transitions may name only
+    concepts of ``[concepts]`` (and ``</s>``), bigrams only symbols of
+    ``[vocab]`` (and ``<s>``, ``</s>``); both sections must come first.  A
+    row without a default line, as every v1 row, has default 0; each row is
+    brought to canonical form, so a v1 text reads as the same model."""
+    lines = text.splitlines()
+    magic = lines[0].strip() if lines else ""
+    if magic not in (MAGIC, "chronus-model v1"):
+        raise DataFormatError(f"missing {MAGIC} header", path, 1)
     k = 0.0
     concepts, vocab = [], []
     names, symbols = set(), {BEGIN, FINAL}
-    initial, transition, bigram = {}, {}, {}
-    table = row_name = None    # the current [bigram <concept>] table and row
-    for ln, section, line in records(text.splitlines(), path, "chronus-model v1"):
+    transition, bigram, counts = {}, {}, None   # rows: [values, default]
+    table = row_name = None    # the current table and row
+    for ln, section, line in records(lines, path, magic):
         if line is None:
             table = row_name = None
-            if section.startswith("bigram "):
-                concept = section.split(None, 1)[1]
+            counting = section.startswith("counts ")
+            if counting and counts is None:
+                counts = TrainingCounts()
+            kind, _, concept = section.removeprefix("counts ").partition(" ")
+            if kind == "bigram":
                 if concept not in names:
                     raise DataFormatError(f"unknown concept {concept!r}", path, ln)
-                table = bigram.setdefault(concept, {})
-            elif section not in ("concepts", "vocab", "initial", "transition"):
+                rows_ok = cols_ok = symbols
+                row_msg = col_msg = "symbol {!r} is not in [vocab]"
+                table = (counts.bigram if counting else bigram).setdefault(
+                    concept, {})
+            elif kind in ("initial", "transition") and not concept:
+                rows_ok = {BEGIN} if kind == "initial" else names
+                cols_ok = names | {FINAL}
+                row_msg = f"unknown {kind} row {{!r}}"
+                col_msg = "unknown concept {!r}"
+                table = counts.transition if counting else transition
+            elif section not in ("concepts", "vocab"):
                 raise DataFormatError(f"unknown section [{section}]", path, ln)
             continue
         parts = line.split("\t")
         if table is not None:   # the bulk of a model: rows come grouped
-            if len(parts) != 3:
-                raise DataFormatError("expected ROW<TAB>COL<TAB>PROB", path, ln)
-            row, col, prob = parts
-            if row != row_name:
-                if row not in symbols:
-                    raise DataFormatError(f"symbol {row!r} is not in [vocab]",
-                                          path, ln)
-                row_name, probs = row, table.setdefault(row, {})
-            if col not in symbols:
-                raise DataFormatError(f"symbol {col!r} is not in [vocab]", path, ln)
-            probs[col] = number(float, prob, "probability", path, ln, 0.0, 1.0)
+            if parts[0] != row_name:
+                if parts[0] not in rows_ok:
+                    raise DataFormatError(row_msg.format(parts[0]), path, ln)
+                row_name = parts[0]
+                row = table.setdefault(row_name, {} if counting else [{}, 0.0])
+            if len(parts) == 2 and not counting:
+                row[1] = number(float, parts[1], "probability", path, ln, 0.0, 1.0)
+            elif len(parts) != 3:
+                raise DataFormatError("expected ROW<TAB>COL<TAB>"
+                                      + ("COUNT" if counting else "PROB"), path, ln)
+            elif parts[1] not in cols_ok:
+                raise DataFormatError(col_msg.format(parts[1]), path, ln)
+            elif counting:
+                row[parts[1]] = number(int, parts[2], "count", path, ln, 1, math.inf)
+            else:
+                row[0][parts[1]] = number(float, parts[2], "probability",
+                                          path, ln, 0.0, 1.0)
         elif section is None:
             if parts[0] == "k" and len(parts) == 2:
                 k = number(float, parts[1], "k", path, ln, 0.0, math.inf)
-            elif parts[0] != "floor" or len(parts) != 2:  # floor: ignored
+            elif parts[0] != "floor" or len(parts) != 2:  # v1 floor: ignored
                 raise DataFormatError("unexpected header line", path, ln)
         elif section == "concepts":
             concepts.append(parse_concept(line, path, ln))
             names.add(concepts[-1].name)
-        elif section == "vocab":
+        else:
             vocab.append(line.strip())
             symbols.add(vocab[-1])
-        else:
-            if len(parts) != 3:
-                raise DataFormatError("expected ROW<TAB>COL<TAB>PROB", path, ln)
-            row, col, prob = parts
-            known = row == BEGIN if section == "initial" else row in names
-            if not known:
-                raise DataFormatError(f"unknown {section} row {row!r}", path, ln)
-            if col not in names and col != FINAL:
-                raise DataFormatError(f"unknown concept {col!r}", path, ln)
-            prob = number(float, prob, "probability", path, ln, 0.0, 1.0)
-            if section == "initial":
-                initial[col] = prob
-            else:
-                transition.setdefault(row, {})[col] = prob
-    return ConceptHmm(ConceptDictionary(concepts), vocab, k, initial, transition,
-                      bigram)
+
+    dictionary = ConceptDictionary(concepts)
+    trans_cols = dict.fromkeys(dictionary.names + [FINAL])
+    vocab_cols = dict.fromkeys(sorted(vocab))
+
+    def canonical(rows, columns):
+        return {r: canonical_row(values, default, columns)
+                for r, (values, default) in rows.items()}
+
+    transition = canonical(transition, trans_cols)
+    initial = transition.pop(BEGIN, EMPTY_ROW)   # the [initial] row
+    bigram = {c: canonical(rows, vocab_cols) for c, rows in bigram.items()}
+    return ConceptHmm(dictionary, vocab, k, initial, transition, bigram, counts)
 
 
 def load_model(path) -> ConceptHmm:

@@ -59,6 +59,10 @@ class Conventions:
                     time_ranges[parts[0]] = (lo, hi)
                 elif section == "defaults" and len(parts) == 2:
                     if parts[0] == "subject":
+                        if parts[1] not in _SUBJECTS:
+                            raise DataFormatError(
+                                f"no table rule for subject {parts[1]!r}",
+                                path, ln)
                         default_subject = parts[1]
                     elif parts[0] == "reject-threshold":
                         reject_threshold = number(

@@ -23,8 +23,8 @@ from itertools import groupby
 from .concepts import ConceptDictionary
 from .decoder import chain_lattice, exhaustive_search
 from .errors import ChronusError, DataFormatError
-from .model import (NEG_INF, ConceptHmm, SegmentedSentence, model_to_text,
-                    train_mle)
+from .model import (BEGIN, NEG_INF, ConceptHmm, SegmentedSentence,
+                    model_to_text, train_mle)
 from .pipeline import Artifacts, run_turn, verdict
 from .query import Answer
 from .textfile import records, section_name
@@ -160,7 +160,9 @@ class LoopReport:
 
 
 def _snapshot_id(model: ConceptHmm) -> str:
-    return hashlib.sha256(model_to_text(model).encode()).hexdigest()[:12]
+    """Hash of the model's probabilities: its text up to the counts."""
+    probs = model_to_text(model).partition("\n[counts ")[0]
+    return hashlib.sha256(probs.encode()).hexdigest()[:12]
 
 
 def run_training_loop(corpus: FeedbackCorpus, seed_model: ConceptHmm,
@@ -258,15 +260,14 @@ def align_win(sentence, win_tokens: Iterable[str],
     cells = {}  # (concept id, counts) -> best score of a prefix ending there
     for c, slot in allowed:
         counts = tuple(int(i == slot) for i in range(len(keys)))
-        score = model.init_vec[c] + model.begin_rows[c].get(sym, NEG_INF)
+        score = model.init_vec[c] + model.emission(c, BEGIN, sym)
         if score > NEG_INF:
             cells[(c, counts)] = score
     back = []   # per later word: state -> predecessor state
     for i in range(1, len(words)):
         prev_sym, sym = sym, words[i].sym
-        begin = [model.begin_rows[c].get(sym, NEG_INF) for c, _ in allowed]
-        stay = [model.bigram_tables[c].get(prev_sym, {}).get(sym, NEG_INF)
-                for c, _ in allowed]
+        begin = [model.emission(c, BEGIN, sym) for c, _ in allowed]
+        stay = [model.emission(c, prev_sym, sym) for c, _ in allowed]
         nxt, bp = {}, {}
         for state in sorted(cells):
             cp, counts_p = state

@@ -4,10 +4,12 @@ import pytest
 
 from chronus.model import (NEG_INF, SegmentedSentence, UnknownLabelError,
                            UnknownWordError, apply_synonym_smoothing,
-                           make_sentence, model_from_text, model_to_text,
+                           canonical_row, load_model, load_synonyms, make_sentence,
+                           model_from_text, model_to_text, save_model,
                            sequence_log_prob, train_mle, _round12)
+from chronus.pipeline import data_path
 
-from helpers import assert_rows_normalized
+from helpers import TESTS_DATA, assert_rows_normalized
 
 
 def _mk(corpus_specs, dictionary, vocab, k):
@@ -218,3 +220,47 @@ def test_synonym_smoothing_input_validation(artifacts):
     with pytest.raises(Exception):
         apply_synonym_smoothing(
             model, {"origin": [["FROM", "((city))"], ["FROM", "DEPART(S)"]]})
+
+
+def test_synonym_smoothing_survives_a_save_load_round_trip(demo_model,
+                                                           tmp_path):
+    # the saved counts keep the count-weighted row averages
+    groups = load_synonyms(data_path("synonyms.txt"))
+    save_model(demo_model, tmp_path / "model.txt")
+    reloaded = load_model(tmp_path / "model.txt")
+    assert model_to_text(apply_synonym_smoothing(reloaded, groups)) \
+        == model_to_text(apply_synonym_smoothing(demo_model, groups))
+
+
+def test_canonical_row_default_is_the_most_common_value():
+    cols = dict.fromkeys("abcd")
+    # 0.4 twice, 0.2 once, the absent column 0 once
+    row = canonical_row({"a": 0.4, "b": 0.4, "c": 0.2}, 0.0, cols)
+    assert (row.exc, row.default) == ({"c": 0.2, "d": 0.0}, 0.4)
+    assert row == {"a": 0.4, "b": 0.4, "c": 0.2}
+    assert len(row) == 3 and row.total() == pytest.approx(1.0)
+    # a tie goes to the smaller value, however the row was written
+    tie = canonical_row({"a": 0.3, "b": 0.3}, 0.2, cols)
+    same = canonical_row({"c": 0.2, "d": 0.2}, 0.3, cols)
+    assert (tie.exc, tie.default) == (same.exc, same.default) \
+        == ({"a": 0.3, "b": 0.3}, 0.2)
+
+
+# ---------------------------------------------------------------------------
+# Model files written in the v1 format
+
+def test_v1_model_collapses_to_the_trained_v2_model(artifacts):
+    # model_v1_small.txt is _synonym_model(k=0.001) as the v1 writer wrote
+    # it: every column of every row, and no counts
+    trained = _synonym_model(artifacts)
+    trained.counts = None
+    v1 = load_model(TESTS_DATA / "model_v1_small.txt")
+    assert model_to_text(v1) == model_to_text(trained)
+
+
+def test_v2_model_text_is_a_fixed_point(artifacts):
+    smoothed = apply_synonym_smoothing(_synonym_model(artifacts),
+                                       {"origin": [["DEPART(S)", "LEAVE(S)"]]})
+    text = model_to_text(smoothed)
+    assert text.startswith("chronus-model v2\n")
+    assert model_to_text(model_from_text(text)) == text

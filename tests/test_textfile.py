@@ -15,6 +15,8 @@ from chronus.query import Answer
 from chronus.textfile import records
 from chronus.training import FeedbackCorpus, FeedbackEntry
 
+from helpers import TESTS_DATA
+
 
 def test_records_skips_comments_and_numbers_lines():
     lines = ["# note", "", "top", "[a b]", "  # indented note", "x\ty", "[c]"]
@@ -54,13 +56,17 @@ MALFORMED = [
     ("model-probability", "--model",
      _model("[initial]", "<s>\t</s>\tabc"), "probability 'abc' is not a number"),
     ("model-k", "--model",
-     _model("chronus-model v1", "k\tsmall"), "k 'small' is not a number"),
+     _model("chronus-model v2", "k\tsmall"), "k 'small' is not a number"),
     ("model-bigram-concept", "--model",
      _model("[initial]", "[bigram zzz]"), "unknown concept 'zzz'"),
     ("model-transition-row", "--model",
      _model("[transition]", "zzz\t</s>\t0.5"), "unknown transition row 'zzz'"),
     ("model-bigram-symbol", "--model",
      _model(FIRST_BIGRAM, "<s>\tZZZ\t0.5"), "symbol 'ZZZ' is not in [vocab]"),
+    ("model-v1-probability", "--model",
+     _with_line((TESTS_DATA / "model_v1_small.txt").read_text(encoding="utf-8"),
+                "[initial]", "<s>\tsubject\t1.5"),
+     "probability 1.5 is not in [0.0, 1.0]"),
     ("db-cell", "--db",
      _bundled("db.txt", "[table flight]",
               "f99\tAA\tabc\tBBOS\tDDFW\t480\t720\tDC10\tNONE"),
@@ -71,6 +77,9 @@ MALFORMED = [
     ("conventions-key", "--conventions",
      _bundled("conventions.txt", "[defaults]", "reject-treshold\t0.2"),
      "unknown default 'reject-treshold'"),
+    ("conventions-subject", "--conventions",
+     _bundled("conventions.txt", "[defaults]", "subject\tflgiht"),
+     "no table rule for subject 'flgiht'"),
     ("corpus-header", "--corpus",
      (CORPUS + "[sentence d01\n", 4), "unterminated section header"),
     ("corpus-gold", "--corpus",
