@@ -151,12 +151,9 @@ def canonical_row(values, default, columns) -> Row:
     common value over the whole column space, the smaller one on a tie, so
     equal rows have equal forms and equal text."""
     if 2 * len(values) >= len(columns):   # else ``default`` is the mode
+        values = {**dict.fromkeys(columns, default), **values}
         tally = Counter(values.values())
-        tally[default] += len(columns) - len(values)
-        mode = min(tally, key=lambda p: (-tally[p], p))
-        if mode != default:
-            values = {**dict.fromkeys(columns, default), **values}
-            default = mode
+        default = min(tally, key=lambda p: (-tally[p], p))
     return Row({c: p for c, p in values.items() if p != default}, default,
                columns)
 
