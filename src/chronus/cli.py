@@ -14,8 +14,9 @@ from .dialog import DialogState, merge_context
 from .errors import ChronusError
 from . import gen as genmod
 from .lexicon import SuperwordLexicon
-from .model import (apply_synonym_smoothing, full_vocabulary, load_model,
-                    load_synonyms, render_segments, save_model, train_mle)
+from .model import (ConceptHmm, apply_synonym_smoothing, full_vocabulary,
+                    load_model, load_synonyms, render_segments, save_model,
+                    train_mle)
 from .pipeline import (Artifacts, answer, data_path, evaluate_corpus,
                        run_turn, understand)
 from .query import plan_query
@@ -57,6 +58,17 @@ def _load_artifacts(args) -> Artifacts:
                           pick("db"), pick("conventions"))
 
 
+def _load_model(path, artifacts: Artifacts) -> ConceptHmm:
+    """The model at ``path``, which must score every symbol that the
+    artifacts' lexicon can emit: any other symbol would decode at -inf."""
+    model = load_model(path)
+    missing = artifacts.lexicon.superwords - model.vocab_set
+    if missing:
+        raise ChronusError(f"{path}: lexicon symbol {min(missing)!r} "
+                           "is not in the model's [vocab]")
+    return model
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -90,7 +102,7 @@ def cmd_train(args, out) -> int:
 
 def cmd_decode(args, out) -> int:
     artifacts = _load_artifacts(args)
-    model = load_model(args.model)
+    model = _load_model(args.model, artifacts)
     result = run_turn(args.sentence, model, artifacts, threshold=args.threshold)
     if not (args.segments or args.template or args.answer or args.emit_sql):
         args.template = True
@@ -117,7 +129,7 @@ def cmd_decode(args, out) -> int:
 
 def cmd_eval(args, out) -> int:
     artifacts = _load_artifacts(args)
-    model = load_model(args.model)
+    model = _load_model(args.model, artifacts)
     corpus = FeedbackCorpus.load(args.corpus)
     report = evaluate_corpus(corpus, model, artifacts, threshold=args.threshold)
     print(report.render(), file=out)
@@ -129,7 +141,7 @@ def cmd_eval(args, out) -> int:
 
 def cmd_repl(args, out) -> int:
     artifacts = _load_artifacts(args)
-    model = load_model(args.model)
+    model = _load_model(args.model, artifacts)
     state = DialogState()
     if args.script:
         with open(args.script, encoding="utf-8") as fh:
@@ -172,7 +184,7 @@ def cmd_loop(args, out) -> int:
     artifacts = _load_artifacts(args)
     corpus = FeedbackCorpus.load(args.corpus)
     if args.model:
-        model = load_model(args.model)
+        model = _load_model(args.model, artifacts)
     else:
         seed = corpus.seed_segmentations()
         vocab = full_vocabulary(artifacts.lexicon, seed)

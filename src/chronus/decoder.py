@@ -13,12 +13,24 @@ A new segment's first word is emitted from the begin-marker row whatever
 the previous concept was, so that emission is looked up once per (arc,
 concept); only staying in the same concept reads the predecessor's row.
 
-Tie-breaking is fully deterministic: at every cell, candidates are
-examined in order of (concept index, incoming-arc key) and only strictly
-better scores replace the incumbent, i.e. the first maximum in that
-order wins; each score is summed as ``cell + transition + emission``.
-The brute-force oracle reproduces the same rule globally, so the two
-decoders agree bit-for-bit even on degenerate all-impossible inputs.
+Each cell maximizes over the candidates (previous concept, live incoming
+arc), each scored as ``cell + transition + emission``, without scoring
+them all.  It scores the candidates that stay in its concept first, then
+walks those that change concept from the highest predecessor cell down
+(a stable sort, so equal cells keep index order), and stops at the first
+one whose bound ``cell + trans_max + begin emission`` is strictly below
+the best score so far; ``trans_max`` is the model's largest transition
+into the concept.  The result is exact: IEEE round-to-nearest addition is
+monotone in each operand, so no candidate after the stop can reach or tie
+the best score.  While the best score is -inf the bound never fires, so
+a degenerate cell scores every candidate.
+
+Tie-breaking is fully deterministic: among the candidates that score the
+best, the one first in order of (concept index, incoming-arc key) wins,
+as if every candidate were examined in that order and only strictly
+better scores replaced the incumbent.  The brute-force oracle reproduces
+the same rule globally, so the two decoders agree bit-for-bit even on
+degenerate all-impossible inputs.
 Its enumerator, ``exhaustive_search``, also backs the alignment oracle
 ``training.brute_force_align``; constrained alignment itself
 (``training.align_win``) reads the same tables with the same
@@ -29,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ChronusError
 from .lexicon import Arc, Lattice, Superword, enumerate_path_arcs
@@ -45,7 +58,10 @@ class DecodeResult:
     words: tuple              # chosen path's superwords
     log_prob: float
     degenerate: bool = False  # no labeling had nonzero probability
-    relaxations: int = 0      # DP candidate evaluations (complexity contract)
+    # candidates the maximization covers, scored or excluded by the bound:
+    # |C| per arc leaving 0 or entering the end, |C|^2 per live predecessor
+    # of every other arc (complexity contract)
+    relaxations: int = 0
 
     def segmentation(self) -> SegmentedSentence:
         return SegmentedSentence(self.words, self.labels)
@@ -64,9 +80,12 @@ def viterbi_decode(model: ConceptHmm, words) -> DecodeResult:
     return viterbi_decode_lattice(model, chain_lattice(words))
 
 
+_cell = itemgetter(0)   # a ranked candidate's predecessor cell score
+
+
 def _interleave(rows):
-    """Per-arc lists indexed by concept, flattened concept-major: the order
-    in which the search examines (concept, arc) candidates."""
+    """Per-arc lists indexed by concept, flattened concept-major: the
+    (concept, arc) candidate order in which ties are broken."""
     return [x for per_concept in zip(*rows) for x in per_concept]
 
 
@@ -81,6 +100,8 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
     delta = [None] * len(arcs)  # arc id -> score per concept; None: unreachable
     back = [None] * len(arcs)   # arc id -> (prev arc id, prev concept) per concept
     relax = 0
+    trans_into, trans_max = model.trans_into, model.trans_max
+    bigram_tables = model.bigram_tables
 
     for i, a in enumerate(arcs):
         known = a.sym in model.vocab_set  # else no row gives the symbol mass
@@ -96,25 +117,36 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
             continue
         m = len(live)
         relax += n_concepts * n_concepts * m
-        # candidate d = cp * m + k extends live[k] from previous concept cp
-        prev = _interleave([delta[j] for j in live])
-        cols = model.trans_into if m == 1 else [
-            [t for t in col for _ in live] for col in model.trans_into]
-        # staying in concept c continues the segment, so the bigram context
-        # is the predecessor's symbol instead of the begin marker
-        stay = [[e.get(a.sym, d) if known else NEG_INF
-                 for j in live for e, d in [table.get(arcs[j].sym, NO_ROW)]]
-                for table in model.bigram_tables]
+        # candidate d = cp * m + k extends live[k] from previous concept cp;
+        # ranked by predecessor cell, highest first, ties in index order
+        ranked = sorted([(delta[j][cp], cp, cp * m + k)
+                         for cp in range(n_concepts)
+                         for k, j in enumerate(live)], key=_cell, reverse=True)
+        contexts = [arcs[j].sym for j in live]
         cells, bps = [], []
-        for c, trans in enumerate(cols):
-            emit = begin[c]
-            scores = [s + t + emit for s, t in zip(prev, trans)]
-            d = c * m
-            for e in stay[c]:
-                scores[d] = prev[d] + trans[d] + e
-                d += 1
-            best = max(scores)  # first maximum = strict-improvement winner
-            cp, k = divmod(scores.index(best), m)
+        for c, trans in enumerate(trans_into):
+            # staying in concept c continues the segment, so the bigram
+            # context is the predecessor's symbol instead of the begin marker
+            table, stay = bigram_tables[c], trans[c]
+            best = d = None
+            for k, j in enumerate(live):
+                exc, default = table.get(contexts[k], NO_ROW)
+                s = delta[j][c] + stay + (exc.get(a.sym, default) if known
+                                          else NEG_INF)
+                if d is None or s > best:
+                    best, d = s, c * m + k
+            # changing concept: once the bound is strictly below best, no
+            # later candidate in the ranking can reach or tie it
+            emit, bound = begin[c], trans_max[c]
+            for cell, cp, e in ranked:
+                if cp == c:
+                    continue
+                if cell + bound + emit < best:
+                    break
+                s = cell + trans[cp] + emit
+                if s > best or (s == best and e < d):
+                    best, d = s, e
+            cp, k = divmod(d, m)
             cells.append(best)
             bps.append((live[k], cp))
         delta[i], back[i] = cells, bps

@@ -168,7 +168,8 @@ class ConceptHmm:
     digits (the on-disk canonical form).  Construction compiles them into
     log tables indexed by concept, with a minus-infinity sentinel for
     impossible events; every scorer reads these: ``init_vec``,
-    ``trans_into`` (``[next][previous]``), ``final_vec``, and per concept
+    ``trans_into`` (``[next][previous]``) and its per-row maximum
+    ``trans_max`` (the decoder's bound), ``final_vec``, and per concept
     its bigram table (context -> (log exceptions, log default); a missing
     context reads as ``NO_ROW``) in ``bigram_tables`` and that table's
     begin-marker row in ``begin_rows``.  A symbol outside ``vocab_set`` has
@@ -190,6 +191,7 @@ class ConceptHmm:
         self.init_vec = [_safe_log(initial.prob(c)) for c in names]
         self.trans_into = [[_safe_log(row.prob(c)) for row in rows]
                            for c in names]  # next concept -> previous -> log p
+        self.trans_max = [max(col) for col in self.trans_into]
         self.final_vec = [_safe_log(row.prob(FINAL)) for row in rows]
         self.bigram_tables = [
             {r: ({w: _safe_log(p) for w, p in row.exc.items()},
@@ -410,11 +412,6 @@ def path_score(model: ConceptHmm, arcs_or_superwords, labels) -> float:
     return logp + (NEG_INF if prev is None else model.final_vec[prev])
 
 
-def sequence_log_prob(model: ConceptHmm, sentence: SegmentedSentence) -> float:
-    """path_score of a segmented sentence's words and labels."""
-    return path_score(model, sentence.words, sentence.labels)
-
-
 # ---------------------------------------------------------------------------
 # Serialization: line-oriented `chronus-model v2` format
 
@@ -506,19 +503,27 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
                 if parts[0] not in rows_ok:
                     raise DataFormatError(row_msg.format(parts[0]), path, ln)
                 row_name = parts[0]
-                row = table.setdefault(row_name, {} if counting else [{}, 0.0])
+                row = table.setdefault(row_name,
+                                       {} if counting else [{}, None])
+                entries = row if counting else row[0]
             if len(parts) == 2 and not counting:
+                if row[1] is not None:
+                    raise DataFormatError(
+                        f"row {row_name!r} has a second default line", path, ln)
                 row[1] = number(float, parts[1], "probability", path, ln, 0.0, 1.0)
             elif len(parts) != 3:
                 raise DataFormatError("expected ROW<TAB>COL<TAB>"
                                       + ("COUNT" if counting else "PROB"), path, ln)
             elif parts[1] not in cols_ok:
                 raise DataFormatError(col_msg.format(parts[1]), path, ln)
-            elif counting:
-                row[parts[1]] = number(int, parts[2], "count", path, ln, 1, math.inf)
+            elif parts[1] in entries:
+                raise DataFormatError(
+                    f"row {row_name!r} repeats column {parts[1]!r}", path, ln)
             else:
-                row[0][parts[1]] = number(float, parts[2], "probability",
-                                          path, ln, 0.0, 1.0)
+                entries[parts[1]] = (
+                    number(int, parts[2], "count", path, ln, 1, math.inf)
+                    if counting else
+                    number(float, parts[2], "probability", path, ln, 0.0, 1.0))
         elif section is None:
             if parts[0] == "k" and len(parts) == 2:
                 k = number(float, parts[1], "k", path, ln, 0.0, math.inf)
@@ -535,8 +540,8 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
     trans_cols = dict.fromkeys(dictionary.names + [FINAL])
     vocab_cols = dict.fromkeys(sorted(vocab))
 
-    def canonical(rows, columns):
-        return {r: canonical_row(values, default, columns)
+    def canonical(rows, columns):   # a row without a default line: 0
+        return {r: canonical_row(values, default or 0.0, columns)
                 for r, (values, default) in rows.items()}
 
     transition = canonical(transition, trans_cols)

@@ -149,7 +149,7 @@ def test_criterion_6_win_alignment():
     model = make_recovery_model()
     triples = alignment_corpus(model, random.Random(1), 200, max_len=8)
     from chronus.training import align_win, brute_force_align
-    from chronus.model import sequence_log_prob
+    from chronus.model import path_score
 
     exact = 0
     for words, win, gold in triples:
@@ -162,9 +162,11 @@ def test_criterion_6_win_alignment():
     while checked < 40:
         small = random_trained_model(rng, k=0.001)
         for words, win, _gold in alignment_corpus(small, rng, 2, max_len=6):
-            fast = sequence_log_prob(small, align_win(words, win, small))
-            slow = sequence_log_prob(small, brute_force_align(words, win, small))
-            oracle_ok = oracle_ok and abs(fast - slow) <= 1e-9
+            fast = align_win(words, win, small)
+            slow = brute_force_align(words, win, small)
+            oracle_ok = oracle_ok and abs(
+                path_score(small, fast.words, fast.labels)
+                - path_score(small, slow.words, slow.labels)) <= 1e-9
             checked += 1
     _verdict(6, "constrained alignment",
              exact / len(triples) >= 0.90 and oracle_ok)

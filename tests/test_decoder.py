@@ -8,8 +8,7 @@ from chronus.decoder import (DecodeSizeError, brute_force_decode, path_score,
 from chronus.errors import ChronusError
 from chronus.gen import random_lattice, random_trained_model
 from chronus.lexicon import Arc, Lattice, Superword, lex_parse
-from chronus.model import (NEG_INF, make_sentence, sequence_log_prob,
-                           train_mle)
+from chronus.model import NEG_INF, make_sentence, train_mle
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +25,7 @@ def test_recovers_training_labels_exactly(artifacts):
                              "destin", "destin")
     assert not result.degenerate
     assert result.log_prob == pytest.approx(
-        sequence_log_prob(model, result.segmentation()), abs=1e-12)
+        path_score(model, result.words, result.labels), abs=1e-12)
 
 
 def test_chain_decode_equals_single_path_lattice():

@@ -5,8 +5,8 @@ import pytest
 from chronus.model import (NEG_INF, SegmentedSentence, UnknownLabelError,
                            UnknownWordError, apply_synonym_smoothing,
                            canonical_row, load_model, load_synonyms, make_sentence,
-                           model_from_text, model_to_text, save_model,
-                           sequence_log_prob, train_mle, _round12)
+                           model_from_text, model_to_text, path_score,
+                           save_model, train_mle, _round12)
 from chronus.pipeline import data_path
 
 from helpers import TESTS_DATA, assert_rows_normalized
@@ -57,7 +57,8 @@ def test_unsmoothed_counts_give_exact_ratios(artifacts):
     assert model.bigram["question"]["<s>"] == {"SHOW": 1.0}
     assert model.bigram["question"]["SHOW"] == {"ME": 1.0}
     sent = make_sentence(["SHOW", "ME"], ["question", "question"])
-    assert sequence_log_prob(model, sent) == pytest.approx(math.log(0.25))
+    assert path_score(model, sent.words, sent.labels) == pytest.approx(
+        math.log(0.25))
 
 
 def test_unsmoothed_initial_splits_between_first_concepts(artifacts):
@@ -74,10 +75,10 @@ def test_unsmoothed_absent_rows_are_impossible(artifacts):
     assert "ME" not in model.bigram_tables[artifacts.dictionary.index("question")]
     assert model.init_vec[artifacts.dictionary.index("subject")] == NEG_INF
     bad = make_sentence(["ME", "SHOW"], ["question", "question"])
-    assert sequence_log_prob(model, bad) == NEG_INF
+    assert path_score(model, bad.words, bad.labels) == NEG_INF
     # SHOW after ME continues the segment from the absent ME row
     unseen = make_sentence(["SHOW", "ME", "SHOW"], ["question"] * 3)
-    assert sequence_log_prob(model, unseen) == NEG_INF
+    assert path_score(model, unseen.words, unseen.labels) == NEG_INF
 
 
 def test_add_k_smoothing_values(artifacts):
@@ -131,7 +132,8 @@ def test_sequence_log_prob_matches_hand_product(artifacts):
     # (the question row saw ->subject, ->question and ->final once each),
     # emit FLIGHT(S)|<s> under subject=1 (segment change resets context),
     # final(subject)=1
-    assert sequence_log_prob(model, sent) == pytest.approx(math.log(1 / 3))
+    assert path_score(model, sent.words, sent.labels) == pytest.approx(
+        math.log(1 / 3))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +147,8 @@ def test_model_text_round_trip(demo_model):
     assert again.vocab == demo_model.vocab
     sent = SegmentedSentence.parse(
         "SHOW:question\tME:question\tFLIGHT(S):subject")
-    assert sequence_log_prob(again, sent) == sequence_log_prob(demo_model, sent)
+    assert (path_score(again, sent.words, sent.labels)
+            == path_score(demo_model, sent.words, sent.labels))
 
 
 def test_model_text_header_required():

@@ -6,7 +6,7 @@ from chronus.decoder import brute_force_decode
 from chronus.errors import ChronusError
 from chronus.gen import alignment_corpus, make_recovery_model, random_trained_model
 from chronus.lexicon import Arc, Lattice, parse_superword
-from chronus.model import SegmentedSentence, sequence_log_prob, train_mle
+from chronus.model import SegmentedSentence, path_score, train_mle
 from chronus.query import Answer
 from chronus.training import (AlignmentInfeasibleError, FeedbackCorpus,
                               FeedbackEntry, align_win, brute_force_align,
@@ -103,7 +103,7 @@ def test_loop_improves_and_converges_on_bundled_corpus(artifacts, semi_corpus):
     assert model.counts.bigram["depart-time"]["IN"]["MORNING"] > 0
     # the seed knowledge is not forgotten
     for gold in semi_corpus.seed_segmentations():
-        assert sequence_log_prob(model, gold) > float("-inf")
+        assert path_score(model, gold.words, gold.labels) > float("-inf")
 
 
 def test_loop_report_rendering(artifacts, semi_corpus):
@@ -199,8 +199,8 @@ def test_alignment_score_optimal_against_brute_force():
         for words, win, _gold in alignment_corpus(model, rng, 2, max_len=6):
             fast = align_win(words, win, model)
             slow = brute_force_align(words, win, model)
-            assert sequence_log_prob(model, fast) == pytest.approx(
-                sequence_log_prob(model, slow), abs=1e-9)
+            assert path_score(model, fast.words, fast.labels) == pytest.approx(
+                path_score(model, slow.words, slow.labels), abs=1e-9)
             checked += 1
 
 
@@ -215,14 +215,15 @@ def test_alignment_infeasibility_matches_brute_force():
                       for _ in range(rng.randint(1, 5)))
         win = [rng.choice(concepts) for _ in range(rng.randint(1, 4))]
         try:
-            slow = sequence_log_prob(model, brute_force_align(words, win, model))
+            slow = brute_force_align(words, win, model)
         except AlignmentInfeasibleError:
             infeasible += 1
             with pytest.raises(AlignmentInfeasibleError):
                 align_win(words, win, model)
             continue
-        fast = sequence_log_prob(model, align_win(words, win, model))
-        assert fast == pytest.approx(slow, abs=1e-9)
+        fast = align_win(words, win, model)
+        assert path_score(model, fast.words, fast.labels) == pytest.approx(
+            path_score(model, slow.words, slow.labels), abs=1e-9)
     assert 0 < infeasible < 100
 
 
