@@ -29,12 +29,14 @@ Tie-breaking is fully deterministic: among the candidates that score the
 best, the one first in order of (concept index, incoming-arc key) wins,
 as if every candidate were examined in that order and only strictly
 better scores replaced the incumbent.  The brute-force oracle reproduces
-the same rule globally, so the two decoders agree bit-for-bit even on
-degenerate all-impossible inputs.
-Its enumerator, ``exhaustive_search``, also backs the alignment oracle
-``training.brute_force_align``; constrained alignment itself
-(``training.align_win``) reads the same tables with the same
-first-maximum rule.
+the same rule globally, so the two decoders agree bit-for-bit whenever the
+best score is finite.  On a degenerate input, where every labeling scores
+-inf, both report -inf but may pick different labelings: each cell keeps
+its own best predecessor, while the oracle takes the first labeling in
+its global order.  The oracle's enumerator, ``exhaustive_search``, also
+backs the alignment oracle ``training.brute_force_align``; constrained
+alignment itself (``training.align_win``) reads the same tables with the
+same first-maximum rule.
 """
 
 from __future__ import annotations

@@ -134,6 +134,26 @@ def test_missing_model_file_is_data_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["decode", "SHOW ME GIZMO FLIGHTS FROM BOSTON TO DALLAS"],
+    ["eval", "--corpus", str(data_path("demo_corpus.txt"))],
+    ["repl", "--script", str(TESTS_DATA / "repl_script1.txt")],
+    ["loop", "--corpus", str(data_path("semi_corpus.txt"))],
+], ids=["decode", "eval", "repl", "loop"])
+def test_model_missing_a_lexicon_symbol_is_data_error(
+        command, demo_model_path, tmp_path, capsys):
+    bundled = data_path("lexicon.txt").read_text(encoding="utf-8")
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text(bundled.replace("[words]\n", "[words]\nGIZMO\n", 1),
+                       encoding="utf-8")
+    argv = command[:1] + ["--model", demo_model_path,
+                          "--lexicon", str(lexicon)] + command[1:]
+    assert main(argv, out=io.StringIO()) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {demo_model_path}: lexicon symbol 'GIZMO' "
+        "is not in the model's [vocab]\n")
+
+
 def test_usage_errors_exit_1():
     assert main(["decode"], out=io.StringIO()) == 1
     assert main(["frobnicate"], out=io.StringIO()) == 1

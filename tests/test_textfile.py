@@ -44,6 +44,14 @@ def _model(anchor, line):
     return _with_line(model_to_text(make_recovery_model()), anchor, line)
 
 
+def _repeated(text, section, offset):
+    """``text`` with the line ``offset`` lines below ``section`` given twice,
+    and the second copy's line number."""
+    lines = text.splitlines()
+    line = lines[lines.index(section) + offset]
+    return _with_line(text, line, line)
+
+
 def _bundled(name, anchor, line):
     return _with_line(data_path(name).read_text(encoding="utf-8"), anchor, line)
 
@@ -63,6 +71,16 @@ MALFORMED = [
      _model("[transition]", "zzz\t</s>\t0.5"), "unknown transition row 'zzz'"),
     ("model-bigram-symbol", "--model",
      _model(FIRST_BIGRAM, "<s>\tZZZ\t0.5"), "symbol 'ZZZ' is not in [vocab]"),
+    ("model-repeated-default", "--model",
+     _repeated(model_to_text(make_recovery_model()), "[initial]", 1),
+     "row '<s>' has a second default line"),
+    ("model-repeated-exception", "--model",
+     _repeated(model_to_text(make_recovery_model()), "[initial]", 2),
+     "row '<s>' repeats column '</s>'"),
+    ("model-repeated-count", "--model",
+     _repeated(model_to_text(random_trained_model(random.Random(1))),
+               "[counts initial]", 1),
+     "row '<s>' repeats column 'and'"),
     ("model-v1-probability", "--model",
      _with_line((TESTS_DATA / "model_v1_small.txt").read_text(encoding="utf-8"),
                 "[initial]", "<s>\tsubject\t1.5"),
