@@ -40,8 +40,11 @@ def _with_line(text, anchor, line):
     return "\n".join(lines) + "\n", at + 1
 
 
+RECOVERY_TEXT = model_to_text(make_recovery_model())
+
+
 def _model(anchor, line):
-    return _with_line(model_to_text(make_recovery_model()), anchor, line)
+    return _with_line(RECOVERY_TEXT, anchor, line)
 
 
 def _repeated(text, section, offset):
@@ -72,10 +75,10 @@ MALFORMED = [
     ("model-bigram-symbol", "--model",
      _model(FIRST_BIGRAM, "<s>\tZZZ\t0.5"), "symbol 'ZZZ' is not in [vocab]"),
     ("model-repeated-default", "--model",
-     _repeated(model_to_text(make_recovery_model()), "[initial]", 1),
+     _repeated(RECOVERY_TEXT, "[initial]", 1),
      "row '<s>' has a second default line"),
     ("model-repeated-exception", "--model",
-     _repeated(model_to_text(make_recovery_model()), "[initial]", 2),
+     _repeated(RECOVERY_TEXT, "[initial]", 2),
      "row '<s>' repeats column '</s>'"),
     ("model-repeated-count", "--model",
      _repeated(model_to_text(random_trained_model(random.Random(1))),
