@@ -470,7 +470,7 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
     if magic not in (MAGIC, "chronus-model v1"):
         raise DataFormatError(f"missing {MAGIC} header", path, 1)
     k = 0.0
-    concepts, vocab = [], []
+    concepts, vocab = [], {}   # vocab: the [vocab] symbols in file order
     names, symbols = set(), {BEGIN, FINAL}
     transition, bigram, counts = {}, {}, None   # rows: [values, default]
     table = row_name = None    # the current table and row
@@ -531,10 +531,17 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
                 raise DataFormatError("unexpected header line", path, ln)
         elif section == "concepts":
             concepts.append(parse_concept(line, path, ln))
+            if concepts[-1].name in names:
+                raise DataFormatError(
+                    f"repeated concept {concepts[-1].name!r}", path, ln)
             names.add(concepts[-1].name)
         else:
-            vocab.append(line.strip())
-            symbols.add(vocab[-1])
+            sym = line.strip()
+            if sym in vocab:
+                raise DataFormatError(f"repeated [vocab] symbol {sym!r}",
+                                      path, ln)
+            vocab[sym] = None
+            symbols.add(sym)
 
     dictionary = ConceptDictionary(concepts)
     trans_cols = dict.fromkeys(dictionary.names + [FINAL])

@@ -6,10 +6,12 @@ segmentations of the sentences whose answers score correct against their
 min/max references, retrains from the hand-labeled seed plus the kept
 segmentations, and repeats until the correct set stops changing.
 
-Constrained alignment is a Viterbi search over (concept, count vector)
-states that reads the model's concept-indexed tables, like the lattice
-decoder, and keeps its first-maximum tie rule; its brute-force oracle runs
-the decoder oracle's enumerator on the sentence's chain lattice.
+Constrained alignment is a Viterbi search over dense integer states, a
+concept and a code for how many segments of each required keyword have
+begun, held in flat lists.  It reads the model's concept-indexed tables,
+like the lattice decoder, and keeps its first-maximum tie rule; its
+brute-force oracle runs the decoder oracle's enumerator on the sentence's
+chain lattice.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import groupby
 from .concepts import ConceptDictionary
 from .decoder import chain_lattice, exhaustive_search
 from .errors import ChronusError, DataFormatError
-from .model import (BEGIN, NEG_INF, ConceptHmm, SegmentedSentence,
+from .model import (NEG_INF, NO_ROW, ConceptHmm, SegmentedSentence,
                     model_to_text, train_mle)
 from .pipeline import Artifacts, run_turn, verdict
 from .query import Answer
@@ -233,75 +235,114 @@ def align_win(sentence, win_tokens: Iterable[str],
     Raises AlignmentInfeasibleError when no finite-probability labeling
     satisfies the constraint.
 
-    The search runs over the reachable (concept id, count vector) states,
-    where the counts say how many segments of each required keyword have
-    begun so far, and scores from the same concept-indexed tables as the
-    lattice decoder.  Predecessors are examined in (concept id,
-    counts) order and the first strict maximum wins, also in the final
-    sweep, so ties resolve as in brute_force_align.
+    The search runs over dense integer states.  A state's counts say how
+    many segments of each required keyword have begun so far; they are one
+    mixed-radix code whose most significant digit is the first keyword in
+    sorted order, so code order is count tuple order.  State ``allowed
+    index * n_codes + code`` indexes flat lists, and index order is
+    (concept id, counts) order.  Concepts that no labeling can enter (-inf
+    initial and transition log probabilities) are left out.  Scores come
+    from the same concept-indexed tables as the lattice decoder, each
+    candidate summed as ``cell + transition + emission``.  A state's
+    candidates are examined in predecessor state order and the first
+    strict maximum wins, also in the final sweep over the states whose
+    counts are complete.
+
+    The result is the labeling brute_force_align returns unless adding the
+    final transition creates a tie: two prefix scores an ulp apart can
+    round to one final score, and then this search keeps the strictly
+    better prefix while the oracle takes the first labeling in its global
+    order.
     """
     dictionary = model.dictionary
     words = tuple(sentence)
     if not words:
         raise ChronusError("cannot align an empty sequence")
     required = required_concepts(win_tokens, dictionary)
-    keys = sorted(required)
-    need = tuple(required[k] for k in keys)
-    # allowed concept ids with the count slot a new segment of each fills
-    # (None: special, unconstrained)
-    allowed = []
+    place, n_codes = {}, 1   # keyword -> digit weight; number of codes
+    for key in sorted(required, reverse=True):
+        place[key] = n_codes
+        n_codes *= required[key] + 1
+    full = sum(n * place[key] for key, n in required.items())
+    # allowed concept ids; per allowed concept, the (code, state) moves
+    # that begin a segment of it and those that continue one
+    allowed, enter, keep = [], [], []
     for c, name in enumerate(dictionary.names):
-        if dictionary.is_special(name):
-            allowed.append((c, None))
-        elif dictionary.fold(name) in required:
-            allowed.append((c, keys.index(dictionary.fold(name))))
+        if model.init_vec[c] == NEG_INF and model.trans_max[c] == NEG_INF:
+            continue   # no labeling can enter c
+        first = len(allowed) * n_codes
+        same = [(code, first + code) for code in range(n_codes)]
+        if dictionary.is_special(name):   # its segments keep the counts
+            enter.append(same)
+        elif (key := dictionary.fold(name)) in required:
+            step, need = place[key], required[key]
+            enter.append([(code, first + code + step) for code in range(n_codes)
+                          if code // step % (need + 1) < need])
+        else:
+            continue
+        allowed.append(c)
+        keep.append(same)
+    n_states = len(allowed) * n_codes
+    # per predecessor: (allowed index, transition, moves) of every
+    # concept it can go on to
+    moves = [[(a, model.trans_into[c][cp], keep[a] if a == a_p else enter[a])
+              for a, c in enumerate(allowed)
+              if model.trans_into[c][cp] > NEG_INF]
+             for a_p, cp in enumerate(allowed)]
+    begin_rows = [model.begin_rows[c] for c in allowed]
+    tables = [model.bigram_tables[c] for c in allowed]
+    vocab_set = model.vocab_set
 
     sym = words[0].sym
-    cells = {}  # (concept id, counts) -> best score of a prefix ending there
-    for c, slot in allowed:
-        counts = tuple(int(i == slot) for i in range(len(keys)))
-        score = model.init_vec[c] + model.emission(c, BEGIN, sym)
-        if score > NEG_INF:
-            cells[(c, counts)] = score
+    cells = [NEG_INF] * n_states   # best score of a prefix ending there
+    if sym in vocab_set:
+        for a, c in enumerate(allowed):
+            exc, default = begin_rows[a]
+            _, state = enter[a][0]   # code 0: no segment begun yet
+            cells[state] = model.init_vec[c] + exc.get(sym, default)
     back = []   # per later word: state -> predecessor state
     for i in range(1, len(words)):
         prev_sym, sym = sym, words[i].sym
-        begin = [model.emission(c, BEGIN, sym) for c, _ in allowed]
-        stay = [model.emission(c, prev_sym, sym) for c, _ in allowed]
-        nxt, bp = {}, {}
-        for state in sorted(cells):
-            cp, counts_p = state
-            score_p = cells[state]
-            for a, (c, slot) in enumerate(allowed):
-                if c == cp:
-                    counts, emit = counts_p, stay[a]
-                elif slot is None:
-                    counts, emit = counts_p, begin[a]
-                elif counts_p[slot] < need[slot]:
-                    counts = (counts_p[:slot] + (counts_p[slot] + 1,)
-                              + counts_p[slot + 1:])
-                    emit = begin[a]
-                else:
-                    continue
-                score = score_p + model.trans_into[c][cp] + emit
-                if score > nxt.get((c, counts), NEG_INF):
-                    nxt[(c, counts)] = score
-                    bp[(c, counts)] = state
-        cells = nxt
+        nxt, bp = [NEG_INF] * n_states, [0] * n_states
         back.append(bp)
+        if sym not in vocab_set:
+            cells = nxt
+            continue
+        begin = [exc.get(sym, default) for exc, default in begin_rows]
+        stay = []
+        for table in tables:
+            exc, default = table.get(prev_sym, NO_ROW)
+            stay.append(exc.get(sym, default))
+        # a state gets at most one candidate per predecessor concept, so
+        # predecessor concept order is predecessor state order
+        for a_p, to in enumerate(moves):
+            src = a_p * n_codes
+            row = cells[src:src + n_codes]
+            if max(row) == NEG_INF:
+                continue
+            for a, trans, pairs in to:
+                emit = stay[a] if a == a_p else begin[a]
+                if emit == NEG_INF:
+                    continue
+                for code_p, state in pairs:
+                    score = row[code_p] + trans + emit
+                    if score > nxt[state]:
+                        nxt[state] = score
+                        bp[state] = src + code_p
+        cells = nxt
 
     best, state = NEG_INF, None
-    for c, counts in sorted(cells):
-        score = cells[(c, counts)] + model.final_vec[c]
-        if counts == need and score > best:
-            best, state = score, (c, counts)
+    for a, c in enumerate(allowed):
+        score = cells[a * n_codes + full] + model.final_vec[c]
+        if score > best:
+            best, state = score, a * n_codes + full
     if state is None:
         raise AlignmentInfeasibleError(
             "no labeling satisfies the win concept multiset")
-    path = [state[0]]
+    path = [allowed[state // n_codes]]
     for bp in reversed(back):
         state = bp[state]
-        path.append(state[0])
+        path.append(allowed[state // n_codes])
     names = dictionary.names
     return SegmentedSentence(words, tuple(names[c] for c in reversed(path)))
 

@@ -84,6 +84,10 @@ MALFORMED = [
      _repeated(model_to_text(random_trained_model(random.Random(1))),
                "[counts initial]", 1),
      "row '<s>' repeats column 'and'"),
+    ("model-repeated-vocab", "--model",
+     _repeated(RECOVERY_TEXT, "[vocab]", 1), "repeated [vocab] symbol 'w00'"),
+    ("model-repeated-concept", "--model",
+     _repeated(RECOVERY_TEXT, "[concepts]", 1), "repeated concept 'c0'"),
     ("model-v1-probability", "--model",
      _with_line((TESTS_DATA / "model_v1_small.txt").read_text(encoding="utf-8"),
                 "[initial]", "<s>\tsubject\t1.5"),
