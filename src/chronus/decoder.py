@@ -33,10 +33,15 @@ the same rule globally, so the two decoders agree bit-for-bit whenever the
 best score is finite.  On a degenerate input, where every labeling scores
 -inf, both report -inf but may pick different labelings: each cell keeps
 its own best predecessor, while the oracle takes the first labeling in
-its global order.  The oracle's enumerator, ``exhaustive_search``, also
-backs the alignment oracle ``training.brute_force_align``; constrained
-alignment itself (``training.align_win``) reads the same tables with the
-same first-maximum rule.
+its global order.  Rounding could split them the same way: two prefixes
+that meet in one cell an ulp apart may add up to one total, and the
+decoder keeps the strictly better prefix where the oracle takes its
+global first.  Constrained alignment shows this; for the decoder it is
+possible but has not been observed.  The oracle's enumerator,
+``exhaustive_search``, also backs the alignment oracle
+``training.brute_force_align``; constrained alignment itself
+(``training.align_win``) reads the same tables with the same
+first-maximum rule, over dense integer (concept, count code) states.
 """
 
 from __future__ import annotations

@@ -36,6 +36,9 @@ class AlignmentInfeasibleError(ChronusError):
     """No labeling satisfies the required concept multiset."""
 
 
+INFEASIBLE = "no labeling satisfies the win concept multiset"
+
+
 # ---------------------------------------------------------------------------
 # Feedback corpus
 
@@ -248,17 +251,20 @@ def align_win(sentence, win_tokens: Iterable[str],
     strict maximum wins, also in the final sweep over the states whose
     counts are complete.
 
-    The result is the labeling brute_force_align returns unless adding the
-    final transition creates a tie: two prefix scores an ulp apart can
-    round to one final score, and then this search keeps the strictly
-    better prefix while the oracle takes the first labeling in its global
-    order.
+    The result is the labeling brute_force_align returns unless rounding
+    creates a tie: two prefixes that meet in one state can differ by an
+    ulp and still reach one total once the later terms, at the latest the
+    final transition, are added.  This search then keeps the strictly
+    better prefix, while the oracle takes the first labeling in its
+    global order.
     """
     dictionary = model.dictionary
     words = tuple(sentence)
     if not words:
         raise ChronusError("cannot align an empty sequence")
     required = required_concepts(win_tokens, dictionary)
+    if not model.vocab_set.issuperset(w.sym for w in words):
+        raise AlignmentInfeasibleError(INFEASIBLE)   # a word has no mass
     place, n_codes = {}, 1   # keyword -> digit weight; number of codes
     for key in sorted(required, reverse=True):
         place[key] = n_codes
@@ -291,23 +297,18 @@ def align_win(sentence, win_tokens: Iterable[str],
              for a_p, cp in enumerate(allowed)]
     begin_rows = [model.begin_rows[c] for c in allowed]
     tables = [model.bigram_tables[c] for c in allowed]
-    vocab_set = model.vocab_set
 
     sym = words[0].sym
     cells = [NEG_INF] * n_states   # best score of a prefix ending there
-    if sym in vocab_set:
-        for a, c in enumerate(allowed):
-            exc, default = begin_rows[a]
-            _, state = enter[a][0]   # code 0: no segment begun yet
-            cells[state] = model.init_vec[c] + exc.get(sym, default)
+    for a, c in enumerate(allowed):
+        exc, default = begin_rows[a]
+        _, state = enter[a][0]   # code 0: no segment begun yet
+        cells[state] = model.init_vec[c] + exc.get(sym, default)
     back = []   # per later word: state -> predecessor state
     for i in range(1, len(words)):
         prev_sym, sym = sym, words[i].sym
         nxt, bp = [NEG_INF] * n_states, [0] * n_states
         back.append(bp)
-        if sym not in vocab_set:
-            cells = nxt
-            continue
         begin = [exc.get(sym, default) for exc, default in begin_rows]
         stay = []
         for table in tables:
@@ -318,12 +319,8 @@ def align_win(sentence, win_tokens: Iterable[str],
         for a_p, to in enumerate(moves):
             src = a_p * n_codes
             row = cells[src:src + n_codes]
-            if max(row) == NEG_INF:
-                continue
             for a, trans, pairs in to:
                 emit = stay[a] if a == a_p else begin[a]
-                if emit == NEG_INF:
-                    continue
                 for code_p, state in pairs:
                     score = row[code_p] + trans + emit
                     if score > nxt[state]:
@@ -337,8 +334,7 @@ def align_win(sentence, win_tokens: Iterable[str],
         if score > best:
             best, state = score, a * n_codes + full
     if state is None:
-        raise AlignmentInfeasibleError(
-            "no labeling satisfies the win concept multiset")
+        raise AlignmentInfeasibleError(INFEASIBLE)
     path = [allowed[state // n_codes]]
     for bp in reversed(back):
         state = bp[state]
@@ -365,6 +361,5 @@ def brute_force_align(sentence, win_tokens: Iterable[str],
 
     best = exhaustive_search(model, chain_lattice(words), admit)
     if best is None or best[0] == NEG_INF:
-        raise AlignmentInfeasibleError(
-            "no labeling satisfies the win concept multiset")
+        raise AlignmentInfeasibleError(INFEASIBLE)
     return SegmentedSentence(words, best[2])

@@ -8,8 +8,9 @@ from chronus.decoder import (DecodeSizeError, brute_force_decode, path_score,
 from chronus.errors import ChronusError
 from chronus.gen import random_lattice, random_trained_model
 from chronus.lexicon import Arc, Lattice, Superword, lex_parse
-from chronus.model import (NEG_INF, ConceptHmm, _round12, canonical_row,
-                           make_sentence, train_mle)
+from chronus.model import NEG_INF, make_sentence, train_mle
+
+from helpers import tie_heavy_model, uniform_rows_model
 
 
 # ---------------------------------------------------------------------------
@@ -92,46 +93,6 @@ def test_viterbi_matches_brute_force_on_random_instances():
         assert fast.degenerate == slow.degenerate
 
 
-def _uniform_rows_model(n_concepts, vocab, initial, transition, bigram):
-    """Concepts c0.. (plus the two specials) whose rows are uniform over
-    the columns given: ``initial`` and ``transition[row]`` list concepts
-    or "</s>", ``bigram[concept][context]`` lists words."""
-    names = [f"c{i}" for i in range(n_concepts)]
-    dictionary = ConceptDictionary(
-        [Concept(c, "restriction", rank=2) for c in names]
-        + [Concept("dummy", "special"), Concept("and", "special")])
-    trans_cols = dict.fromkeys(dictionary.names + ["</s>"])
-    vocab_cols = dict.fromkeys(vocab)
-
-    def uniform(support, columns):
-        return canonical_row(dict.fromkeys(support, _round12(1 / len(support))),
-                             0.0, columns)
-
-    return ConceptHmm(
-        dictionary, vocab, 0.0, uniform(initial, trans_cols),
-        {r: uniform(cols, trans_cols) for r, cols in transition.items()},
-        {c: {ctx: uniform(cols, vocab_cols) for ctx, cols in table.items()}
-         for c, table in bigram.items()})
-
-
-def _tie_heavy_model(rng):
-    """k = 0 on one or two words, or uniform rows: every transition row is
-    uniform over the same number of targets and every bigram row over the
-    whole vocabulary, so all possible labelings of a path tie exactly."""
-    n_concepts = rng.randint(1, 3)
-    vocab = [f"w{i}" for i in range(rng.randint(1, 2))]
-    if rng.random() < 0.5:
-        return random_trained_model(rng, n_concepts, len(vocab), k=0.0,
-                                    n_sentences=rng.randint(1, 4))
-    names = [f"c{i}" for i in range(n_concepts)]
-    targets = names + ["dummy", "</s>"]   # dummy: a dead end, no bigrams
-    width = rng.randint(1, len(targets))
-    return _uniform_rows_model(
-        n_concepts, vocab, rng.sample(names, rng.randint(1, n_concepts)),
-        {c: rng.sample(targets, width) for c in names},
-        {c: dict.fromkeys(["<s>", *vocab], vocab) for c in names})
-
-
 def test_viterbi_matches_brute_force_exactly_under_heavy_ties():
     # on a degenerate input (every labeling -inf) the decoder's per-cell
     # choice and the oracle's global order can pick different labelings,
@@ -139,7 +100,7 @@ def test_viterbi_matches_brute_force_exactly_under_heavy_ties():
     rng = random.Random(31337)
     compared = 0
     for _ in range(400):
-        model = _tie_heavy_model(rng)
+        model = tie_heavy_model(rng)
         lattice = random_lattice(rng, model, max_positions=5)
         fast = viterbi_decode_lattice(model, lattice)
         slow = brute_force_decode(model, lattice)
@@ -156,7 +117,7 @@ def test_tie_between_stay_and_change_goes_to_the_smaller_index():
     # into (b, c1), staying from (a, c1) and changing from (a, c0) score
     # exactly alike; only c1 may end, so the tie decides the labels
     ab = dict.fromkeys(["<s>", "a", "b"], ["a", "b"])
-    model = _uniform_rows_model(
+    model = uniform_rows_model(
         2, ["a", "b"], ["c0", "c1"],
         {"c0": ["c0", "c1"], "c1": ["c1", "</s>"]}, {"c0": ab, "c1": ab})
     lattice = Lattice(2, [Arc(0, 1, "a"), Arc(1, 2, "b")])
