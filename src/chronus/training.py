@@ -264,12 +264,12 @@ def align_win(sentence, win_tokens: Iterable[str],
         raise ChronusError("cannot align an empty sequence")
     required = required_concepts(win_tokens, dictionary)
     if not model.vocab_set.issuperset(w.sym for w in words):
-        raise AlignmentInfeasibleError(INFEASIBLE)   # a word has no mass
+        raise AlignmentInfeasibleError(INFEASIBLE)   # no row gives it mass
     place, n_codes = {}, 1   # keyword -> digit weight; number of codes
     for key in sorted(required, reverse=True):
         place[key] = n_codes
         n_codes *= required[key] + 1
-    full = sum(n * place[key] for key, n in required.items())
+    full = n_codes - 1   # the largest code: every keyword complete
     # allowed concept ids; per allowed concept, the (code, state) moves
     # that begin a segment of it and those that continue one
     allowed, enter, keep = [], [], []

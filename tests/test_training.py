@@ -319,6 +319,7 @@ def test_infeasible_under_sparse_model(artifacts):
 
 @pytest.mark.parametrize("align", [align_win, brute_force_align])
 def test_word_outside_the_vocabulary_is_infeasible(align):
+    # "w0 w0" aligns to c0; no row gives a symbol outside [vocab] mass
     model = random_trained_model(random.Random(5))
     words = tuple(parse_superword(w) for w in ["w0", "ZZZ"])
     with pytest.raises(AlignmentInfeasibleError):
