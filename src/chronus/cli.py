@@ -87,7 +87,7 @@ def cmd_train(args, out) -> int:
     if args.synonyms:
         model = apply_synonym_smoothing(model, load_synonyms(args.synonyms))
         for name, row in model.rows():
-            if abs(row.total() - 1.0) > 1e-9:
+            if not row.normalized():
                 raise ChronusError(f"row {name} is no longer normalized")
         print("synonyms applied; all rows normalized", file=out)
     rows, nonzero = model.parameter_counts()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ChronusError, DataFormatError
+from .errors import DataFormatError
 from .textfile import number, records
 
 ROLES = ("question", "subject", "restriction", "attribute", "special")
@@ -28,6 +28,9 @@ def parse_concept(line, path=None, ln=None) -> Concept:
     if len(parts) not in (3, 4):
         raise DataFormatError("expected name<TAB>role<TAB>rank[<TAB>counterpart]",
                               path, ln)
+    if parts[1] not in ROLES:
+        raise DataFormatError(f"unknown role {parts[1]!r} for concept {parts[0]}",
+                              path, ln)
     rank = number(int, parts[2], "rank", path, ln, 0, math.inf)
     return Concept(parts[0], parts[1], rank, parts[3] if len(parts) == 4 else None)
 
@@ -37,30 +40,34 @@ class ConceptDictionary:
 
     Order is significant: the decoder breaks score ties by concept index,
     so two dictionaries with the same concepts in different order are
-    different models.
+    different models.  ``lines``, when given, holds the line of ``path``
+    that defines each concept, for the errors of the checks across
+    concepts.
     """
 
-    def __init__(self, concepts):
+    def __init__(self, concepts, path=None, lines=None):
         self.concepts = tuple(concepts)
+        lines = lines or [None] * len(self.concepts)
         self._index = {}
-        for i, c in enumerate(self.concepts):
+        for i, (c, ln) in enumerate(zip(self.concepts, lines)):
             if c.name in self._index:
-                raise ChronusError(f"duplicate concept name: {c.name}")
-            if c.role not in ROLES:
-                raise ChronusError(f"unknown role {c.role!r} for concept {c.name}")
+                raise DataFormatError(f"repeated concept {c.name!r}", path, ln)
             self._index[c.name] = i
-        for c in self.concepts:
-            if c.role == "attribute":
-                if c.counterpart is None or c.counterpart not in self._index:
-                    raise ChronusError(
-                        f"attribute concept {c.name} has no valid counterpart")
-                if self[c.counterpart].role in ("attribute", "special"):
-                    raise ChronusError(
-                        f"attribute {c.name} folds into non-foldable "
-                        f"{c.counterpart}")
+        for c, ln in zip(self.concepts, lines):
+            if c.role != "attribute":
+                continue
+            if c.counterpart not in self._index:
+                raise DataFormatError(
+                    f"attribute concept {c.name} has no valid counterpart",
+                    path, ln)
+            if self[c.counterpart].role in ("attribute", "special"):
+                raise DataFormatError(
+                    f"attribute {c.name} folds into non-foldable "
+                    f"{c.counterpart}", path, ln)
         for special in (DUMMY, AND):
             if special not in self._index or self[special].role != "special":
-                raise ChronusError(f"dictionary must define special concept {special!r}")
+                raise DataFormatError(
+                    f"dictionary must define special concept {special!r}", path)
 
     @property
     def names(self):
@@ -100,12 +107,13 @@ class ConceptDictionary:
 
     @classmethod
     def from_lines(cls, lines, path=None):
-        concepts = []
+        concepts, concept_lines = [], []
         for ln, section, line in records(lines, path):
             if line is None:
                 raise DataFormatError(f"unknown section [{section}]", path, ln)
             concepts.append(parse_concept(line, path, ln))
-        return cls(concepts)
+            concept_lines.append(ln)
+        return cls(concepts, path, concept_lines)
 
     @classmethod
     def load(cls, path):

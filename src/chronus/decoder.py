@@ -7,7 +7,8 @@ dynamic program is indexed by (arc, concept) rather than (position,
 concept).  It runs on integer ids: arcs by their position in the sorted
 ``lattice.arcs``, concepts by dictionary index, scores from the model's
 concept-indexed log tables (a bigram row is its log exceptions plus a log
-default), one list of per-concept scores per arc.
+default, and a context without a row reads the model's compiled unseen
+row), one list of per-concept scores per arc.
 
 A new segment's first word is emitted from the begin-marker row whatever
 the previous concept was, so that emission is looked up once per (arc,
@@ -52,7 +53,7 @@ from operator import itemgetter
 
 from .errors import ChronusError
 from .lexicon import Arc, Lattice, Superword, enumerate_path_arcs
-from .model import NEG_INF, NO_ROW, ConceptHmm, SegmentedSentence, path_score
+from .model import NEG_INF, ConceptHmm, SegmentedSentence, path_score
 
 
 class DecodeSizeError(ChronusError):
@@ -108,7 +109,7 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
     back = [None] * len(arcs)   # arc id -> (prev arc id, prev concept) per concept
     relax = 0
     trans_into, trans_max = model.trans_into, model.trans_max
-    bigram_tables = model.bigram_tables
+    bigram_tables, unseen = model.bigram_tables, model.unseen_log
 
     for i, a in enumerate(arcs):
         known = a.sym in model.vocab_set  # else no row gives the symbol mass
@@ -137,7 +138,7 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
             table, stay = bigram_tables[c], trans[c]
             best = d = None
             for k, j in enumerate(live):
-                exc, default = table.get(contexts[k], NO_ROW)
+                exc, default = table.get(contexts[k], unseen)
                 s = delta[j][c] + stay + (exc.get(a.sym, default) if known
                                           else NEG_INF)
                 if d is None or s > best:

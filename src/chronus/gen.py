@@ -44,7 +44,7 @@ def sample_sentence(model: ConceptHmm, rng: random.Random,
     concept = sample_from(start_row, rng)
     ctx = BEGIN
     while True:
-        word = sample_from(model.bigram[concept][ctx], rng)
+        word = sample_from(model.bigram_row(concept, ctx), rng)
         words.append(Superword(word))
         labels.append(concept)
         if len(words) >= max_len:

@@ -9,6 +9,9 @@ Segment-initial words are conditioned on a per-concept begin marker.
 Add-k smoothing gives every unseen event of a row one shared value, so a
 row is held exactly as its exceptions plus one default, from estimation
 through synonym smoothing and the model file to the decoder's tables.
+It also gives every bigram context never seen in training one row, the
+model's unseen row (uniform over the vocabulary, or no mass when k = 0),
+so a bigram table holds only the context rows that differ from it.
 """
 
 from __future__ import annotations
@@ -130,6 +133,10 @@ class Row(Mapping):
         return (sum(self.exc.values())
                 + self.default * (len(self.columns) - len(self.exc)))
 
+    def normalized(self):
+        """Whether the row's mass is 1 within 1e-9; a row without mass is not."""
+        return abs(self.total() - 1.0) <= 1e-9
+
     def __getitem__(self, col):
         if col in self.columns and self.prob(col) > 0.0:
             return self.prob(col)
@@ -158,22 +165,22 @@ def canonical_row(values, default, columns) -> Row:
                columns)
 
 
-NO_ROW = ({}, NEG_INF)   # the compiled form of a missing row
-
-
 class ConceptHmm:
     """First-order concept HMM with concept-conditional word bigrams.
 
     Probabilities are ``Row``s in linear space rounded to 12 significant
-    digits (the on-disk canonical form).  Construction compiles them into
-    log tables indexed by concept, with a minus-infinity sentinel for
-    impossible events; every scorer reads these: ``init_vec``,
-    ``trans_into`` (``[next][previous]``) and its per-row maximum
-    ``trans_max`` (the decoder's bound), ``final_vec``, and per concept
-    its bigram table (context -> (log exceptions, log default); a missing
-    context reads as ``NO_ROW``) in ``bigram_tables`` and that table's
-    begin-marker row in ``begin_rows``.  A symbol outside ``vocab_set`` has
-    no mass in any row.
+    digits (the on-disk canonical form).  A bigram table holds only the
+    context rows that differ from ``unseen``, the row add-k smoothing gives
+    a context never seen in training: construction drops every row equal
+    to it, and ``bigram_row`` reads a missing context as it.  Construction
+    compiles the rows into log tables indexed by concept, with a
+    minus-infinity sentinel for impossible events; every scorer reads
+    these: ``init_vec``, ``trans_into`` (``[next][previous]``) and its
+    per-row maximum ``trans_max`` (the decoder's bound), ``final_vec``,
+    and per concept its bigram table (context -> (log exceptions, log
+    default); a missing context reads as ``unseen_log``) in
+    ``bigram_tables`` and that table's begin-marker row in ``begin_rows``.
+    A symbol outside ``vocab_set`` has no mass in any row.
     """
 
     def __init__(self, dictionary: ConceptDictionary, vocab, k: float,
@@ -184,30 +191,45 @@ class ConceptHmm:
         self.k = k
         self.initial = initial        # Row over concepts + FINAL
         self.transition = transition  # row concept -> Row over concepts + FINAL
-        self.bigram = bigram          # concept -> prev (word or BEGIN) -> Row
         self.counts = counts
+        unseen = _smooth_row({}, dict.fromkeys(self.vocab), k)
+        self.unseen = EMPTY_ROW if unseen is None else unseen
         names = dictionary.names
+        # concept -> prev (word or BEGIN) -> Row, for every concept; the
+        # unseen row has no exceptions, so a row equals it when it has none
+        # and the same default
+        self.bigram = {c: {r: row for r, row in bigram.get(c, {}).items()
+                           if row.exc or row.default != self.unseen.default}
+                       for c in names}
         rows = [transition.get(r, EMPTY_ROW) for r in names]
         self.init_vec = [_safe_log(initial.prob(c)) for c in names]
         self.trans_into = [[_safe_log(row.prob(c)) for row in rows]
                            for c in names]  # next concept -> previous -> log p
         self.trans_max = [max(col) for col in self.trans_into]
         self.final_vec = [_safe_log(row.prob(FINAL)) for row in rows]
+        self.unseen_log = ({}, _safe_log(self.unseen.default))
         self.bigram_tables = [
             {r: ({w: _safe_log(p) for w, p in row.exc.items()},
                  _safe_log(row.default))
-             for r, row in bigram.get(c, {}).items()} for c in names]
-        self.begin_rows = [t.get(BEGIN, NO_ROW) for t in self.bigram_tables]
+             for r, row in self.bigram[c].items()} for c in names]
+        self.begin_rows = [t.get(BEGIN, self.unseen_log)
+                           for t in self.bigram_tables]
+
+    def bigram_row(self, concept, ctx) -> Row:
+        """The bigram row of a concept name after context ``ctx``, stored
+        or unseen."""
+        return self.bigram[concept].get(ctx, self.unseen)
 
     def emission(self, c, ctx, sym) -> float:
         """log P(sym | concept id c, bigram context ctx)."""
         if sym not in self.vocab_set:
             return NEG_INF
-        exc, default = self.bigram_tables[c].get(ctx, NO_ROW)
+        exc, default = self.bigram_tables[c].get(ctx, self.unseen_log)
         return exc.get(sym, default)
 
     def rows(self):
-        """All (name, row) probability rows, for normalization checks."""
+        """All stored (name, row) probability rows, for normalization
+        checks; the unseen row is normalized by construction."""
         yield ("initial", self.initial)
         for r, row in self.transition.items():
             yield (f"transition[{r}]", row)
@@ -216,11 +238,16 @@ class ConceptHmm:
                 yield (f"bigram[{g}][{r}]", row)
 
     def parameter_counts(self):
-        """(probability rows, count-backed bigram entries)."""
+        """(probability rows, count-backed bigram entries), counting every
+        context of ``<s>`` + vocabulary that reads the unseen row as a row
+        when that row has mass."""
         tables = self.bigram.values()
-        nrows = 1 + len(self.transition) + sum(len(t) for t in tables)
+        contexts = {BEGIN, *self.vocab} if self.unseen.default else set()
+        unseen = sum(len(contexts - table.keys()) for table in tables)
+        nrows = 1 + len(self.transition) + sum(len(t) for t in tables) + unseen
         nonzero = self.counts.nonzero_bigrams() if self.counts else sum(
-            len(row) for t in tables for row in t.values())
+            len(row) for t in tables for row in t.values()) + unseen * len(
+                self.unseen)
         return nrows, nonzero
 
 
@@ -254,7 +281,8 @@ def train_mle(corpus, dictionary: ConceptDictionary, vocabulary, k: float) -> Co
     """Relative-frequency estimation with add-k smoothing.
 
     Transitions are estimated over (concepts + initial) x (concepts + final);
-    bigrams per concept over (vocabulary + begin marker) x vocabulary.
+    bigrams per concept over (vocabulary + begin marker) x vocabulary, where
+    every context never seen reads the model's unseen row.
     """
     corpus = list(corpus)
     if not corpus:
@@ -289,17 +317,9 @@ def train_mle(corpus, dictionary: ConceptDictionary, vocabulary, k: float) -> Co
         row = _smooth_row(trans_counts[c], trans_cols, k)
         if row is not None:
             transition[c] = row
-    unseen = _smooth_row({}, vocab_cols, k)   # any context never seen
-    bigram = {}
-    for c in names:
-        table = {}
-        ctx_rows = bigram_counts.get(c, {})
-        for ctx in [BEGIN] + vocab:
-            row = (_smooth_row(ctx_rows[ctx], vocab_cols, k) if ctx in ctx_rows
-                   else unseen)
-            if row is not None:
-                table[ctx] = row
-        bigram[c] = table
+    bigram = {c: {ctx: _smooth_row(row, vocab_cols, k)
+                  for ctx, row in table.items()}
+              for c, table in bigram_counts.items()}   # seen contexts only
 
     counts = TrainingCounts(transition=trans_counts, bigram=bigram_counts)
     return ConceptHmm(dictionary, vocab, k, initial, transition, bigram, counts)
@@ -358,7 +378,7 @@ def load_synonyms(path):
 
 
 def _average_rows(table, members, model, concept, columns):
-    rows = [table.get(w, EMPTY_ROW) for w in members]
+    rows = [table.get(w, model.unseen) for w in members]
     if all((r.exc, r.default) == (rows[0].exc, rows[0].default) for r in rows):
         return  # already tied; keep exact values (idempotence)
     if model.counts is not None:
@@ -377,10 +397,7 @@ def _average_rows(table, members, model, concept, columns):
         {col: _round12(mean([r.prob(col) for r in rows])) for col in cols},
         _round12(mean([r.default for r in rows])), columns)
     for w in members:
-        if avg:
-            table[w] = avg
-        else:
-            table.pop(w, None)
+        table[w] = avg   # the model drops it if it equals the unseen row
 
 
 def _share_columns(table, members):
@@ -413,16 +430,18 @@ def path_score(model: ConceptHmm, arcs_or_superwords, labels) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: line-oriented `chronus-model v2` format
+# Serialization: line-oriented `chronus-model v3` format
 
-MAGIC = "chronus-model v2"
+MAGIC = "chronus-model v3"
 
 
 def model_to_text(model: ConceptHmm) -> str:
-    """``chronus-model v2`` text: ``k``, the name sections, every row as its
-    default line ``ROW<TAB>PROB`` and exception lines ``ROW<TAB>COL<TAB>PROB``,
-    then the training counts, if any, as ``ROW<TAB>COL<TAB>COUNT`` lines.
-    Rows and columns are sorted, so equal models give equal text."""
+    """``chronus-model v3`` text: ``k``, the name sections, every stored row
+    as its default line ``ROW<TAB>PROB`` and exception lines
+    ``ROW<TAB>COL<TAB>PROB``, with one ``[bigram c]`` section per concept
+    that leaves out the contexts reading the unseen row, then the training
+    counts, if any, as ``ROW<TAB>COL<TAB>COUNT`` lines.  Rows and columns
+    are sorted, so equal models give equal text."""
     names = model.dictionary.names
     out = [MAGIC, f"k\t{model.k!r}", "[concepts]",
            *model.dictionary.to_lines(), "[vocab]", *model.vocab]
@@ -460,19 +479,23 @@ def save_model(model: ConceptHmm, path):
 
 
 def model_from_text(text: str, path=None) -> ConceptHmm:
-    """Parse a ``chronus-model`` text, v2 or v1.  Transitions may name only
-    concepts of ``[concepts]`` (and ``</s>``), bigrams only symbols of
+    """Parse a ``chronus-model`` text, v3, v2 or v1.  Transitions may name
+    only concepts of ``[concepts]`` (and ``</s>``), bigrams only symbols of
     ``[vocab]`` (and ``<s>``, ``</s>``); both sections must come first.  A
     row without a default line, as every v1 row, has default 0; each row is
-    brought to canonical form, so a v1 text reads as the same model."""
+    brought to canonical form and must be normalized.  Every concept needs
+    a ``[bigram c]`` section, and a context without a row there has the
+    unseen row; the v1 and v2 writers left out a row only when k = 0, so
+    their texts read as the same models."""
     lines = text.splitlines()
     magic = lines[0].strip() if lines else ""
-    if magic not in (MAGIC, "chronus-model v1"):
+    if magic not in (MAGIC, "chronus-model v2", "chronus-model v1"):
         raise DataFormatError(f"missing {MAGIC} header", path, 1)
     k = 0.0
-    concepts, vocab = [], {}   # vocab: the [vocab] symbols in file order
+    concepts, concept_lines = [], []
+    vocab = {}   # the [vocab] symbols in file order
     names, symbols = set(), {BEGIN, FINAL}
-    transition, bigram, counts = {}, {}, None   # rows: [values, default]
+    transition, bigram, counts = {}, {}, None   # rows: [values, default, ln]
     table = row_name = None    # the current table and row
     for ln, section, line in records(lines, path, magic):
         if line is None:
@@ -504,7 +527,7 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
                     raise DataFormatError(row_msg.format(parts[0]), path, ln)
                 row_name = parts[0]
                 row = table.setdefault(row_name,
-                                       {} if counting else [{}, None])
+                                       {} if counting else [{}, None, ln])
                 entries = row if counting else row[0]
             if len(parts) == 2 and not counting:
                 if row[1] is not None:
@@ -531,9 +554,7 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
                 raise DataFormatError("unexpected header line", path, ln)
         elif section == "concepts":
             concepts.append(parse_concept(line, path, ln))
-            if concepts[-1].name in names:
-                raise DataFormatError(
-                    f"repeated concept {concepts[-1].name!r}", path, ln)
+            concept_lines.append(ln)
             names.add(concepts[-1].name)
         else:
             sym = line.strip()
@@ -543,13 +564,22 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
             vocab[sym] = None
             symbols.add(sym)
 
-    dictionary = ConceptDictionary(concepts)
+    dictionary = ConceptDictionary(concepts, path, concept_lines)
+    for c, ln in zip(dictionary.names, concept_lines):
+        if c not in bigram:
+            raise DataFormatError(f"concept {c!r} has no [bigram {c}] section",
+                                  path, ln)
     trans_cols = dict.fromkeys(dictionary.names + [FINAL])
     vocab_cols = dict.fromkeys(sorted(vocab))
 
     def canonical(rows, columns):   # a row without a default line: 0
-        return {r: canonical_row(values, default or 0.0, columns)
-                for r, (values, default) in rows.items()}
+        out = {}
+        for r, (values, default, ln) in rows.items():
+            row = out[r] = canonical_row(values, default or 0.0, columns)
+            if not row.normalized():
+                raise DataFormatError(
+                    f"row {r!r} sums to {row.total()!r}, not 1", path, ln)
+        return out
 
     transition = canonical(transition, trans_cols)
     initial = transition.pop(BEGIN, EMPTY_ROW)   # the [initial] row

@@ -25,8 +25,8 @@ from itertools import groupby
 from .concepts import ConceptDictionary
 from .decoder import chain_lattice, exhaustive_search
 from .errors import ChronusError, DataFormatError
-from .model import (NEG_INF, NO_ROW, ConceptHmm, SegmentedSentence,
-                    model_to_text, train_mle)
+from .model import (NEG_INF, ConceptHmm, SegmentedSentence, model_to_text,
+                    train_mle)
 from .pipeline import Artifacts, run_turn, verdict
 from .query import Answer
 from .textfile import records, section_name
@@ -297,6 +297,7 @@ def align_win(sentence, win_tokens: Iterable[str],
              for a_p, cp in enumerate(allowed)]
     begin_rows = [model.begin_rows[c] for c in allowed]
     tables = [model.bigram_tables[c] for c in allowed]
+    unseen = model.unseen_log   # any context without a row
 
     sym = words[0].sym
     cells = [NEG_INF] * n_states   # best score of a prefix ending there
@@ -312,7 +313,7 @@ def align_win(sentence, win_tokens: Iterable[str],
         begin = [exc.get(sym, default) for exc, default in begin_rows]
         stay = []
         for table in tables:
-            exc, default = table.get(prev_sym, NO_ROW)
+            exc, default = table.get(prev_sym, unseen)
             stay.append(exc.get(sym, default))
         # a state gets at most one candidate per predecessor concept, so
         # predecessor concept order is predecessor state order

@@ -38,11 +38,14 @@ def test_train_writes_model_and_reports_sizes(tmp_path, artifacts):
 
 def test_train_accepts_multiple_corpora(tmp_path, demo_model):
     out = tmp_path / "model.txt"
-    rc, _ = run_cli(["train",
+    rc, text = run_cli(["train",
                      "--corpus", str(data_path("demo_corpus.txt")),
                      "--corpus", str(data_path("seed_corpus.txt")),
                      "--out", str(out)])
     assert rc == 0
+    # 15 concepts x 76 contexts + 15 transition rows + the initial row,
+    # whether a bigram row is stored or reads the unseen row
+    assert text == "rows\t1156\nnonzero\t100\n"
     assert model_to_text(load_model(out)) == model_to_text(demo_model)
 
 
@@ -54,7 +57,8 @@ def test_train_applies_synonyms_and_checks_normalization(tmp_path):
                         "--synonyms", str(data_path("synonyms.txt")),
                         "--out", str(out)])
     assert rc == 0
-    assert text.startswith("synonyms applied; all rows normalized\n")
+    assert text == ("synonyms applied; all rows normalized\n"
+                    "rows\t1156\nnonzero\t100\n")
     model = load_model(out)
     table = model.bigram["origin"]
     assert table["DEPART(S)"] == table["LEAVE(S)"]

@@ -37,8 +37,9 @@ def test_duplicate_names_rejected():
 
 
 def test_unknown_role_rejected():
-    with pytest.raises(ChronusError):
-        ConceptDictionary([Concept("x", "verb")] + _specials())
+    with pytest.raises(ChronusError, match="^f.txt:2: unknown role 'verb'"):
+        ConceptDictionary.from_lines(["dummy\tspecial\t9", "x\tverb\t1"],
+                                     path="f.txt")
 
 
 def test_attribute_needs_valid_counterpart():

@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 
-from chronus.model import (NEG_INF, SegmentedSentence, UnknownLabelError,
+from chronus.gen import random_trained_model
+from chronus.model import (BEGIN, NEG_INF, SegmentedSentence, UnknownLabelError,
                            UnknownWordError, apply_synonym_smoothing,
                            canonical_row, load_model, load_synonyms, make_sentence,
                            model_from_text, model_to_text, path_score,
@@ -100,8 +102,38 @@ def test_add_k_smoothing_values(artifacts):
 def test_smoothed_zero_count_context_row_is_uniform(artifacts):
     model = _mk([ (["SHOW", "ME"], ["question", "question"]) ],
                 artifacts.dictionary, ["SHOW", "ME"], k=0.001)
-    row = model.bigram["question"]["ME"]  # never observed as a context
-    assert row == {"SHOW": 0.5, "ME": 0.5}
+    assert "ME" not in model.bigram["question"]  # never observed as a context
+    assert model.bigram_row("question", "ME") == {"SHOW": 0.5, "ME": 0.5}
+    assert model.bigram_row("origin", BEGIN) == {"SHOW": 0.5, "ME": 0.5}
+
+
+def _elision_models(demo_model):
+    rng = random.Random(7)
+    return [demo_model] + [random_trained_model(rng, 3, 6, k)
+                           for k in (0.0, 0.001) for _ in range(20)]
+
+
+def test_no_stored_bigram_row_equals_the_unseen_row(demo_model):
+    for model in _elision_models(demo_model):
+        unseen = (model.unseen.exc, model.unseen.default)
+        for table in model.bigram.values():
+            assert all((row.exc, row.default) != unseen
+                       for row in table.values())
+    # the demo model keeps only the contexts its golds saw
+    assert sum(map(len, demo_model.bigram.values())) == 52
+
+
+def test_emissions_are_the_add_k_estimates_of_the_counts(demo_model):
+    for model in _elision_models(demo_model):
+        k, vocab = model.k, model.vocab
+        for c, name in enumerate(model.dictionary.names):
+            for ctx in (BEGIN, *vocab):
+                row = model.counts.bigram.get(name, {}).get(ctx, {})
+                total = sum(row.values()) + k * len(vocab)
+                for sym in vocab:
+                    p = _round12((row.get(sym, 0) + k) / total) if total else 0.0
+                    assert model.emission(c, ctx, sym) == (
+                        math.log(p) if p > 0.0 else NEG_INF)
 
 
 def test_train_rejects_unknown_label(artifacts):
@@ -261,9 +293,16 @@ def test_v1_model_collapses_to_the_trained_v2_model(artifacts):
     assert model_to_text(v1) == model_to_text(trained)
 
 
-def test_v2_model_text_is_a_fixed_point(artifacts):
+def test_v2_model_reads_as_the_trained_model(artifacts):
+    # model_v2_small.txt is the same model as the v2 writer wrote it: every
+    # context row, the unseen ones included, and the counts
+    v2 = load_model(TESTS_DATA / "model_v2_small.txt")
+    assert model_to_text(v2) == model_to_text(_synonym_model(artifacts))
+
+
+def test_v3_model_text_is_a_fixed_point(artifacts):
     smoothed = apply_synonym_smoothing(_synonym_model(artifacts),
                                        {"origin": [["DEPART(S)", "LEAVE(S)"]]})
     text = model_to_text(smoothed)
-    assert text.startswith("chronus-model v2\n")
+    assert text.startswith("chronus-model v3\n")
     assert model_to_text(model_from_text(text)) == text

@@ -47,6 +47,14 @@ def _model(anchor, line):
     return _with_line(RECOVERY_TEXT, anchor, line)
 
 
+def _without(text, line, anchor):
+    """``text`` without the line ``line``, and the line number of
+    ``anchor`` in what is left."""
+    lines = text.splitlines()
+    lines.remove(line)
+    return "\n".join(lines) + "\n", lines.index(anchor) + 1
+
+
 def _repeated(text, section, offset):
     """``text`` with the line ``offset`` lines below ``section`` given twice,
     and the second copy's line number."""
@@ -67,7 +75,7 @@ MALFORMED = [
     ("model-probability", "--model",
      _model("[initial]", "<s>\t</s>\tabc"), "probability 'abc' is not a number"),
     ("model-k", "--model",
-     _model("chronus-model v2", "k\tsmall"), "k 'small' is not a number"),
+     _model("chronus-model v3", "k\tsmall"), "k 'small' is not a number"),
     ("model-bigram-concept", "--model",
      _model("[initial]", "[bigram zzz]"), "unknown concept 'zzz'"),
     ("model-transition-row", "--model",
@@ -88,6 +96,14 @@ MALFORMED = [
      _repeated(RECOVERY_TEXT, "[vocab]", 1), "repeated [vocab] symbol 'w00'"),
     ("model-repeated-concept", "--model",
      _repeated(RECOVERY_TEXT, "[concepts]", 1), "repeated concept 'c0'"),
+    ("model-unnormalized-row", "--model",
+     _model("[initial]", "<s>\tc0\t0.5"), "row '<s>' sums to 1.3, not 1"),
+    ("model-missing-bigram-table", "--model",
+     _without(RECOVERY_TEXT, "[bigram dummy]", "dummy\tspecial\t9"),
+     "concept 'dummy' has no [bigram dummy] section"),
+    ("model-concept-counterpart", "--model",
+     _model("[concepts]", "a_x\tattribute\t2\tzzz"),
+     "attribute concept a_x has no valid counterpart"),
     ("model-v1-probability", "--model",
      _with_line((TESTS_DATA / "model_v1_small.txt").read_text(encoding="utf-8"),
                 "[initial]", "<s>\tsubject\t1.5"),
@@ -116,6 +132,13 @@ MALFORMED = [
     ("concepts-rank", "--concepts",
      _bundled("concepts.txt", "subject\tsubject\t1", "extra\tsubject\tmany"),
      "rank 'many' is not a number"),
+    ("concepts-role", "--concepts",
+     _bundled("concepts.txt", "subject\tsubject\t1", "extra\tverb\t1"),
+     "unknown role 'verb' for concept extra"),
+    ("concepts-counterpart", "--concepts",
+     _bundled("concepts.txt", "subject\tsubject\t1",
+              "a_x\tattribute\t1\tdummy"),
+     "attribute a_x folds into non-foldable dummy"),
     ("synonyms", "--synonyms",
      ("# concept<TAB>word<TAB>word...\norigin\tLEAVE(S)\n", 2),
      "synonym line needs a concept and two or more words"),
