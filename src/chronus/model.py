@@ -238,17 +238,13 @@ class ConceptHmm:
                 yield (f"bigram[{g}][{r}]", row)
 
     def parameter_counts(self):
-        """(probability rows, count-backed bigram entries), counting every
-        context of ``<s>`` + vocabulary that reads the unseen row as a row
-        when that row has mass."""
-        tables = self.bigram.values()
+        """(probability rows, count-backed bigram entries) of a trained
+        model; every context of ``<s>`` + vocabulary that reads the unseen
+        row counts as a row when that row has mass."""
         contexts = {BEGIN, *self.vocab} if self.unseen.default else set()
-        unseen = sum(len(contexts - table.keys()) for table in tables)
-        nrows = 1 + len(self.transition) + sum(len(t) for t in tables) + unseen
-        nonzero = self.counts.nonzero_bigrams() if self.counts else sum(
-            len(row) for t in tables for row in t.values()) + unseen * len(
-                self.unseen)
-        return nrows, nonzero
+        nrows = 1 + len(self.transition) + sum(
+            len(table.keys() | contexts) for table in self.bigram.values())
+        return nrows, self.counts.nonzero_bigrams()
 
 
 def _safe_log(p):
