@@ -229,7 +229,7 @@ class ConceptHmm:
 
     def rows(self):
         """All stored (name, row) probability rows, for normalization
-        checks; the unseen row is normalized by construction."""
+        checks; the unseen row is not one of them."""
         yield ("initial", self.initial)
         for r, row in self.transition.items():
             yield (f"transition[{r}]", row)

@@ -39,9 +39,9 @@ def test_train_writes_model_and_reports_sizes(tmp_path, artifacts):
 def test_train_accepts_multiple_corpora(tmp_path, demo_model):
     out = tmp_path / "model.txt"
     rc, text = run_cli(["train",
-                     "--corpus", str(data_path("demo_corpus.txt")),
-                     "--corpus", str(data_path("seed_corpus.txt")),
-                     "--out", str(out)])
+                        "--corpus", str(data_path("demo_corpus.txt")),
+                        "--corpus", str(data_path("seed_corpus.txt")),
+                        "--out", str(out)])
     assert rc == 0
     # 15 concepts x 76 contexts + 15 transition rows + the initial row,
     # whether a bigram row is stored or reads the unseen row
