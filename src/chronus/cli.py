@@ -48,14 +48,21 @@ def _add_artifact_args(p):
     for name in ("lexicon", "concepts", "values", "db", "conventions"):
         p.add_argument(f"--{name}", default=None,
                        help=f"{name} file (default: bundled demo {name})")
+    p.add_argument("--threshold", type=_threshold, default=None,
+                   help="rejection threshold (default: the conventions')")
 
 
 def _load_artifacts(args) -> Artifacts:
+    """The artifacts the arguments name; a given ``--threshold`` replaces
+    the conventions' rejection threshold."""
     def pick(name):
         given = getattr(args, name)
         return given if given is not None else data_path(f"{name}.txt")
-    return Artifacts.load(pick("lexicon"), pick("concepts"), pick("values"),
-                          pick("db"), pick("conventions"))
+    artifacts = Artifacts.load(pick("lexicon"), pick("concepts"),
+                               pick("values"), pick("db"), pick("conventions"))
+    if args.threshold is not None:
+        artifacts.db.conventions.reject_threshold = args.threshold
+    return artifacts
 
 
 def _load_model(path, artifacts: Artifacts) -> ConceptHmm:
@@ -103,7 +110,7 @@ def cmd_train(args, out) -> int:
 def cmd_decode(args, out) -> int:
     artifacts = _load_artifacts(args)
     model = _load_model(args.model, artifacts)
-    result = run_turn(args.sentence, model, artifacts, threshold=args.threshold)
+    result = run_turn(args.sentence, model, artifacts)
     if not (args.segments or args.template or args.answer or args.emit_sql):
         args.template = True
     if args.segments:
@@ -131,7 +138,7 @@ def cmd_eval(args, out) -> int:
     artifacts = _load_artifacts(args)
     model = _load_model(args.model, artifacts)
     corpus = FeedbackCorpus.load(args.corpus)
-    report = evaluate_corpus(corpus, model, artifacts, threshold=args.threshold)
+    report = evaluate_corpus(corpus, model, artifacts)
     print(report.render(), file=out)
     return 0
 
@@ -163,7 +170,7 @@ def cmd_repl(args, out) -> int:
             print("context cleared", file=out)
             continue
         try:
-            turn = understand(text, model, artifacts, threshold=args.threshold)
+            turn = understand(text, model, artifacts)
             if turn.rejected:
                 print(f"REJECT {matched_fraction(turn.template):.3f}", file=out)
                 continue
@@ -189,9 +196,7 @@ def cmd_loop(args, out) -> int:
         seed = corpus.seed_segmentations()
         vocab = full_vocabulary(artifacts.lexicon, seed)
         model = train_mle(seed, artifacts.dictionary, vocab, args.k)
-    model, report = run_training_loop(corpus, model, artifacts,
-                                      max_iters=args.max_iters,
-                                      threshold=args.threshold)
+    model, report = run_training_loop(corpus, model, artifacts, args.max_iters)
     print(report.to_text(), end="", file=out)
     if args.out:
         save_model(model, args.out)
@@ -227,15 +232,13 @@ def cmd_gen(args, out) -> int:
         write("fused.txt", [s.render() for s in fused])
         write("spans.txt", [" ".join(str(w) for w in sp) for sp in spans])
         print(f"wrote {len(raw)} sentence pairs", file=out)
-    elif args.kind == "alignment":
+    else:  # alignment; argparse restricts the choices
         model = genmod.make_recovery_model()
         triples = genmod.alignment_corpus(model, rng, args.test)
         write("alignment.txt",
               [" ".join(win) + "\t" + sent.render()
                for _, win, sent in triples])
         print(f"wrote {len(triples)} alignment instances", file=out)
-    else:  # unreachable: argparse restricts choices
-        raise UsageError(f"unknown generator {args.kind!r}")
     return 0
 
 
@@ -260,7 +263,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("decode", help="decode one sentence")
     p.add_argument("--model", required=True)
     _add_artifact_args(p)
-    p.add_argument("--threshold", type=_threshold, default=None)
     p.add_argument("--segments", action="store_true")
     p.add_argument("--template", action="store_true")
     p.add_argument("--answer", action="store_true")
@@ -270,13 +272,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="score a corpus with gold and references")
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--threshold", type=_threshold, default=None)
     _add_artifact_args(p)
 
     p = sub.add_parser("repl", help="interactive multi-turn dialog")
     p.add_argument("--model", required=True)
     p.add_argument("--script", default=None)
-    p.add_argument("--threshold", type=_threshold, default=None)
     _add_artifact_args(p)
 
     p = sub.add_parser("loop", help="semi-supervised training from answers")
@@ -285,7 +285,6 @@ def build_parser() -> _Parser:
                    help="seed model (default: train from corpus golds)")
     p.add_argument("--k", type=float, default=0.001)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=20)
-    p.add_argument("--threshold", type=_threshold, default=None)
     p.add_argument("--out", default=None)
     _add_artifact_args(p)
 

@@ -30,15 +30,16 @@ Tie-breaking is fully deterministic: among the candidates that score the
 best, the one first in order of (concept index, incoming-arc key) wins,
 as if every candidate were examined in that order and only strictly
 better scores replaced the incumbent.  The brute-force oracle reproduces
-the same rule globally, so the two decoders agree bit-for-bit whenever the
-best score is finite.  On a degenerate input, where every labeling scores
--inf, both report -inf but may pick different labelings: each cell keeps
-its own best predecessor, while the oracle takes the first labeling in
-its global order.  Rounding could split them the same way: two prefixes
-that meet in one cell an ulp apart may add up to one total, and the
-decoder keeps the strictly better prefix where the oracle takes its
-global first.  Constrained alignment shows this; for the decoder it is
-possible but has not been observed.  The oracle's enumerator,
+the same rule globally.  On a degenerate input, where every labeling
+scores -inf, the decoder returns the oracle's first labeling: every arc
+gets the dictionary's first concept, on the path that starts from the
+first live arc into the end position, in arc-key order, and steps back
+each time to the first live arc into the current arc's start.  The two
+decoders can still differ where rounding splits them: two prefixes that
+meet in one cell an ulp apart may add up to one total, and the decoder
+keeps the strictly better prefix where the oracle takes its global
+first.  Constrained alignment shows this, and so do 2 of 2,000 random
+k = 0 instances from ``random.Random(4242)``.  The oracle's enumerator,
 ``exhaustive_search``, also backs the alignment oracle
 ``training.brute_force_align``; constrained alignment itself
 (``training.align_win``) reads the same tables with the same
@@ -168,16 +169,21 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
                           for j in ends])
     log_prob = max(scores)
     c, k = divmod(scores.index(log_prob), len(ends))
+    degenerate = log_prob == NEG_INF   # then c, k = 0, 0: the oracle's first
 
     names = model.dictionary.names
     path = []
     j = ends[k]
     while j is not None:
         path.append((arcs[j].superword, names[c]))
-        j, c = back[j][c]
+        if degenerate:   # the first live arc in, concept 0 throughout
+            j = next((p for p in incoming.get(arcs[j].start, ())
+                      if delta[p] is not None), None)
+        else:
+            j, c = back[j][c]
     words, labels = zip(*reversed(path))
     return DecodeResult(labels=labels, words=words, log_prob=log_prob,
-                        degenerate=(log_prob == NEG_INF), relaxations=relax)
+                        degenerate=degenerate, relaxations=relax)
 
 
 MAX_ORACLE_CONCEPTS = 6

@@ -8,6 +8,12 @@ Rules, in order:
   (c) the new tokens are overlaid on what survived; the merged template is
       both the answer basis and the next context.
 
+The merged template is the context in its own order: a surviving keyword
+keeps its place, and a new one goes after them at its first mention in
+the template, with the value of its last mention.  So when no keyword of
+a template has two values, merging it a second time gives the same
+context and the same template.
+
 A keyword absent from the context never triggers (a) or (b); only a real
 value change does.
 """
@@ -17,16 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .concepts import ConceptDictionary
-from .template import Template, TemplateToken
+from .template import Template
 
 
 @dataclass
 class DialogState:
     context: dict = field(default_factory=dict)  # keyword -> TemplateToken
-    turns: int = 0
-
-    def context_template(self) -> Template:
-        return Template(tokens=list(self.context.values()))
 
 
 def merge_context(state: DialogState, new: Template,
@@ -49,24 +51,6 @@ def merge_context(state: DialogState, new: Template,
                 ctx = {k: v for k, v in ctx.items()
                        if dictionary[k].rank <= rank}
 
-    merged = dict(ctx)
     for t in new.tokens:
-        merged[t.keyword] = t
-
-    # surviving context tokens keep their order; new keywords append in
-    # template order
-    ordered = [merged[k] for k in ctx if k in merged]
-    for t in new.tokens:
-        if t.keyword not in ctx and merged[t.keyword] is t:
-            ordered.append(t)
-    # a template may mention one keyword twice (e.g. question + q_attr);
-    # keep the surviving token only once
-    deduped, seen = [], set()
-    for t in ordered:
-        if t.keyword not in seen:
-            seen.add(t.keyword)
-            deduped.append(merged[t.keyword])
-
-    merged_template = Template(tokens=deduped)
-    next_state = DialogState(context=dict(merged), turns=state.turns + 1)
-    return next_state, merged_template
+        ctx[t.keyword] = t
+    return DialogState(context=ctx), Template(list(ctx.values()))

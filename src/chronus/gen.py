@@ -44,7 +44,11 @@ def sample_sentence(model: ConceptHmm, rng: random.Random,
     concept = sample_from(start_row, rng)
     ctx = BEGIN
     while True:
-        word = sample_from(model.bigram_row(concept, ctx), rng)
+        row = model.bigram_row(concept, ctx)
+        if not row.total():
+            raise ChronusError(f"concept {concept!r} has no word to emit "
+                               f"after context {ctx!r}")
+        word = sample_from(row, rng)
         words.append(Superword(word))
         labels.append(concept)
         if len(words) >= max_len:
@@ -64,8 +68,8 @@ def sample_corpus(model, n, rng, max_len=24):
 # ---------------------------------------------------------------------------
 # Random instances for decoder oracle checks
 
-def _synthetic_dictionary(names, role="restriction"):
-    concepts = [Concept(n, role, rank=2) for n in names]
+def _synthetic_dictionary(names):
+    concepts = [Concept(n, "restriction", rank=2) for n in names]
     concepts.append(Concept("dummy", "special"))
     concepts.append(Concept("and", "special"))
     return ConceptDictionary(concepts)
@@ -118,9 +122,10 @@ def random_lattice(rng: random.Random, model: ConceptHmm,
 
 RECOVERY_CONCEPTS = 5
 RECOVERY_WORDS = 30
+RECOVERY_K = 0.001
 
 
-def make_recovery_model(k: float = 0.001) -> ConceptHmm:
+def make_recovery_model() -> ConceptHmm:
     """A 5-concept, 30-word reference model with overlapping vocabularies.
 
     All concepts share the full vocabulary; they differ in which start
@@ -154,7 +159,8 @@ def make_recovery_model(k: float = 0.001) -> ConceptHmm:
             table[w] = canonical_row({succ: _round12(0.95)}, _round12(
                 0.05 / (RECOVERY_WORDS - 1)), vocab_cols)
         bigram[c] = table
-    return ConceptHmm(dictionary, vocab, k, initial, transition, bigram)
+    return ConceptHmm(dictionary, vocab, RECOVERY_K, initial, transition,
+                      bigram)
 
 
 def unigram_baseline(corpus, dictionary, vocabulary, k: float) -> ConceptHmm:

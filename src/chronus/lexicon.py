@@ -114,11 +114,6 @@ class Lattice:
                 reach.add(a.end)
         return self.n_positions in reach
 
-    def __eq__(self, other):
-        return (isinstance(other, Lattice)
-                and self.n_positions == other.n_positions
-                and self.arcs == other.arcs)
-
 
 # ---------------------------------------------------------------------------
 # Normalizers
@@ -258,12 +253,11 @@ class FsaGrammar:
 class SuperwordLexicon:
     """Plain words, inflection groups, stop words and grammars."""
 
-    def __init__(self, words, inflect, stop, grammars, unknown=UNKNOWN):
+    def __init__(self, words, inflect, stop, grammars):
         self.words = frozenset(words)
         self.inflect = dict(inflect)
         self.stop = frozenset(stop)
         self.grammars = list(grammars)
-        self.unknown = unknown
         self._validate()
 
     def _validate(self):
@@ -271,7 +265,7 @@ class SuperwordLexicon:
             if surface in self.words:
                 raise LexiconError(
                     f"{surface} is both a plain word and an inflection-group member")
-        if self.unknown in self.words or self.unknown in self.inflect:
+        if UNKNOWN in self.words or UNKNOWN in self.inflect:
             raise LexiconError("unknown marker must not be a surface word")
         gids = set()
         for g in self.grammars:
@@ -288,7 +282,7 @@ class SuperwordLexicon:
             return self.inflect[token]
         if token in self.words:
             return token
-        return self.unknown
+        return UNKNOWN
 
     @property
     def superwords(self):
@@ -296,7 +290,7 @@ class SuperwordLexicon:
         syms = set(self.words)
         syms.update(self.inflect.values())
         syms.update(f"(({g.gid}))" for g in self.grammars)
-        syms.add(self.unknown)
+        syms.add(UNKNOWN)
         return syms
 
     @classmethod

@@ -479,10 +479,11 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
     only concepts of ``[concepts]`` (and ``</s>``), bigrams only symbols of
     ``[vocab]`` (and ``<s>``, ``</s>``); both sections must come first.  A
     row without a default line, as every v1 row, has default 0; each row is
-    brought to canonical form and must be normalized.  Every concept needs
-    a ``[bigram c]`` section, and a context without a row there has the
-    unseen row; the v1 and v2 writers left out a row only when k = 0, so
-    their texts read as the same models."""
+    brought to canonical form and must be normalized.  The ``[initial]``
+    row is required, every concept needs a ``[bigram c]`` section, and a
+    context without a row there has the unseen row; the v1 and v2 writers
+    left out a row only when k = 0, so their texts read as the same
+    models."""
     lines = text.splitlines()
     magic = lines[0].strip() if lines else ""
     if magic not in (MAGIC, "chronus-model v2", "chronus-model v1"):
@@ -578,7 +579,9 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
         return out
 
     transition = canonical(transition, trans_cols)
-    initial = transition.pop(BEGIN, EMPTY_ROW)   # the [initial] row
+    if BEGIN not in transition:
+        raise DataFormatError("model has no [initial] row", path, 1)
+    initial = transition.pop(BEGIN)
     bigram = {c: canonical(rows, vocab_cols) for c, rows in bigram.items()}
     return ConceptHmm(dictionary, vocab, k, initial, transition, bigram, counts)
 

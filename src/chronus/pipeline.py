@@ -4,7 +4,9 @@
 ``answer`` plans and executes a template.  ``run_turn`` chains the two for
 the CLI, the evaluation harness and the training loop; the REPL merges the
 dialog context in between.  ``verdict`` judges a turn's answer against a
-corpus entry's references for all of them.
+corpus entry's references for all of them.  The rejection threshold has
+one home, the conventions' ``reject_threshold``, which the CLI's
+``--threshold`` overwrites when it loads the artifacts.
 """
 
 from __future__ import annotations
@@ -63,16 +65,15 @@ class TurnResult:
     error: str | None = None   # query planning failure, if any
 
 
-def understand(text: str, model: ConceptHmm, artifacts: Artifacts,
-               threshold: float | None = None) -> TurnResult:
+def understand(text: str, model: ConceptHmm,
+               artifacts: Artifacts) -> TurnResult:
     """Lex, decode and template one sentence, and decide whether to reject
-    it; the result carries no answer yet."""
-    if threshold is None:
-        threshold = artifacts.db.conventions.reject_threshold
+    it by the conventions' threshold; the result carries no answer yet."""
     lattice = lex_parse(text, artifacts.lexicon)
     decode = viterbi_decode_lattice(model, lattice)
     template = generate_template(decode.segmentation(), artifacts.tables,
                                  artifacts.dictionary)
+    threshold = artifacts.db.conventions.reject_threshold
     rejected = should_reject(template, threshold) or decode.degenerate
     return TurnResult(decode=decode, template=template, rejected=rejected)
 
@@ -83,11 +84,10 @@ def answer(template: Template, artifacts: Artifacts) -> Answer:
     return execute(plan_query(template, artifacts.db), artifacts.db)
 
 
-def run_turn(text: str, model: ConceptHmm, artifacts: Artifacts,
-             threshold: float | None = None) -> TurnResult:
+def run_turn(text: str, model: ConceptHmm, artifacts: Artifacts) -> TurnResult:
     """Understand one sentence and, unless rejected, answer it on its own
     (no dialog context); a planning error is stored in ``error``."""
-    turn = understand(text, model, artifacts, threshold)
+    turn = understand(text, model, artifacts)
     if not turn.rejected:
         try:
             turn.answer = answer(turn.template, artifacts)
@@ -125,23 +125,23 @@ class EvalReport:
             f"answers_wrong\t{self.answers_wrong:.1f}",
             f"answers_rejected\t{self.answers_rejected:.1f}",
         ]
-        for cat in ("decoding", "template", "dialog", "translator"):
+        for cat in ("decoding", "template", "translator"):
             lines.append(f"errors_{cat}\t{self.errors.get(cat, 0)}")
         return "\n".join(lines)
 
 
-def evaluate_corpus(corpus, model: ConceptHmm, artifacts: Artifacts,
-                    threshold=None) -> EvalReport:
+def evaluate_corpus(corpus, model: ConceptHmm,
+                    artifacts: Artifacts) -> EvalReport:
     """Score a feedback corpus: segment accuracy against its golds, answer
     accuracy against its references, and wrong answers by first divergent
     stage.  A sentence that cannot be understood at all counts as rejected."""
     gold_segments = hyp_segments = 0
     gold_sentences = correct_sentences = 0
     tally = dict.fromkeys(("correct", "wrong", "rejected"), 0)
-    errors = {"decoding": 0, "template": 0, "dialog": 0, "translator": 0}
+    errors = {"decoding": 0, "template": 0, "translator": 0}
     for entry in corpus.entries:
         try:
-            turn = run_turn(entry.text, model, artifacts, threshold=threshold)
+            turn = run_turn(entry.text, model, artifacts)
         except ChronusError:
             turn = None
         seg_match = None

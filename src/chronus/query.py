@@ -42,9 +42,7 @@ class Conventions:
 
     @classmethod
     def load(cls, path):
-        time_ranges = {}
-        default_subject = "flight"
-        reject_threshold = 0.75
+        time_ranges, defaults = {}, {}   # unset defaults: the constructor's
         with open(path, encoding="utf-8") as fh:
             for ln, section, line in records(fh, path):
                 if line is None:
@@ -63,9 +61,9 @@ class Conventions:
                             raise DataFormatError(
                                 f"no table rule for subject {parts[1]!r}",
                                 path, ln)
-                        default_subject = parts[1]
+                        defaults["default_subject"] = parts[1]
                     elif parts[0] == "reject-threshold":
-                        reject_threshold = number(
+                        defaults["reject_threshold"] = number(
                             float, parts[1], "reject-threshold", path, ln,
                             0.0, 1.0)
                     else:
@@ -73,7 +71,7 @@ class Conventions:
                             f"unknown default {parts[0]!r}", path, ln)
                 else:
                     raise DataFormatError("bad conventions line", path, ln)
-        return cls(time_ranges, default_subject, reject_threshold)
+        return cls(time_ranges, **defaults)
 
 
 class MiniDb:
@@ -168,7 +166,6 @@ class QueryPlan:
 class Answer:
     kind: str                 # "rows" | "number" | "boolean"
     rows: list = field(default_factory=list)
-    columns: tuple = ()
     value: object = None      # payload for number/boolean answers
 
     def __post_init__(self):
@@ -303,7 +300,7 @@ def execute(plan: QueryPlan, db: MiniDb) -> Answer:
             extremum = (min if op == "minimum" else max)(r[column] for r in rows)
             rows = [r for r in rows if r[column] == extremum]
     projected = [tuple(r[c] for c in plan.projection) for r in rows]
-    return Answer(kind="rows", rows=projected, columns=plan.projection)
+    return Answer(kind="rows", rows=projected)
 
 
 def score_answer(answer: Answer, minimal: Answer, maximal: Answer) -> str:

@@ -171,8 +171,7 @@ def _snapshot_id(model: ConceptHmm) -> str:
 
 
 def run_training_loop(corpus: FeedbackCorpus, seed_model: ConceptHmm,
-                      artifacts: Artifacts, max_iters: int,
-                      threshold: float | None = None):
+                      artifacts: Artifacts, max_iters: int):
     """Answer-feedback self-training; returns (final model, LoopReport)."""
     if max_iters < 1:
         raise ChronusError("max_iters must be >= 1")
@@ -189,7 +188,7 @@ def run_training_loop(corpus: FeedbackCorpus, seed_model: ConceptHmm,
         kept = {}
         for entry in feedback:
             try:
-                turn = run_turn(entry.text, model, artifacts, threshold=threshold)
+                turn = run_turn(entry.text, model, artifacts)
             except ChronusError:
                 turn = None  # unparseable sentence: problem sentence
             if verdict(turn, entry) == "correct":

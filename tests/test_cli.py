@@ -9,6 +9,7 @@ from chronus.errors import ChronusError
 from chronus.model import load_model, model_to_text, render_segments
 from chronus.pipeline import answer, data_path, evaluate_corpus, run_turn
 from chronus.query import Answer, PlanError
+from chronus.template import Template
 from chronus.training import FeedbackCorpus, FeedbackEntry
 
 from helpers import TESTS_DATA, train_full
@@ -158,6 +159,18 @@ def test_model_missing_a_lexicon_symbol_is_data_error(
         "is not in the model's [vocab]\n")
 
 
+# A sentence whose only segment matches no value pattern: the bundled
+# conventions' threshold rejects it, and ``--threshold 0`` lets it through.
+UNMATCHED = "CONCERNING INFORMATION PLEASE"
+
+
+def test_decode_threshold_overrides_the_conventions(demo_model_path):
+    argv = ["decode", "--model", demo_model_path, UNMATCHED]
+    assert run_cli(argv) == (0, "REJECT 0.000\n")
+    rc, text = run_cli(argv[:3] + ["--threshold", "0"] + argv[3:])
+    assert rc == 0 and text == "\n"   # the empty template, not REJECT
+
+
 def test_usage_errors_exit_1():
     assert main(["decode"], out=io.StringIO()) == 1
     assert main(["frobnicate"], out=io.StringIO()) == 1
@@ -190,8 +203,19 @@ def test_eval_demo_corpus_is_clean(demo_model_path):
     assert report["answers_correct"] == "100.0"
     assert report["answers_wrong"] == "0.0"
     assert report["answers_rejected"] == "0.0"
-    for cat in ("decoding", "template", "dialog", "translator"):
+    for cat in ("decoding", "template", "translator"):
         assert report[f"errors_{cat}"] == "0"
+    assert "errors_dialog" not in report
+
+
+def test_eval_threshold_overrides_the_conventions(demo_model_path):
+    argv = ["eval", "--model", demo_model_path,
+            "--corpus", str(data_path("semi_corpus.txt"))]
+    reports = [dict(line.split("\t") for line in run_cli(a)[1].splitlines())
+               for a in (argv, argv + ["--threshold", "0"])]
+    # the one referenced sentence rejected by default is answered, wrongly
+    assert [r["answers_rejected"] for r in reports] == ["16.7", "0.0"]
+    assert [r["answers_wrong"] for r in reports] == ["0.0", "16.7"]
 
 
 def test_eval_breakdown_sums_to_hundred(demo_model, demo_corpus, artifacts):
@@ -305,6 +329,34 @@ def test_repl_reports_plan_error_after_merged_template(demo_model_path,
     ]
 
 
+def test_repl_threshold_overrides_the_conventions(demo_model_path, tmp_path):
+    script = tmp_path / "script.txt"
+    script.write_text(UNMATCHED + "\n")
+    argv = ["repl", "--model", demo_model_path, "--script", str(script)]
+    assert run_cli(argv)[1].splitlines() == ["> " + UNMATCHED, "REJECT 0.000"]
+    rc, text = run_cli(argv + ["--threshold", "0"])
+    lines = text.splitlines()
+    assert rc == 0 and lines[1] == "" and len(lines) > 2   # answered
+
+
+def test_repl_gives_one_template_for_a_sentence_sent_twice(demo_model_path,
+                                                           tmp_path):
+    # d26's template mentions question twice, from its q_attr and question
+    # segments; the merged template keeps the first place
+    text = ("WHAT TYPE OF ECONOMY FARE COULD I GET FROM SAN FRANCISCO "
+            "TO DENVER")
+    script = tmp_path / "script.txt"
+    script.write_text(f"{text}\n{text}\n")
+    rc, out = run_cli(["repl", "--model", demo_model_path,
+                       "--script", str(script)])
+    assert rc == 0
+    first, second = out.split(f"> {text}\n")[1:]
+    assert first == second
+    assert first.splitlines()[0] == ("(question,display) (fare,ECONOMY) "
+                                     "(subject,fare) (origin,SSFO) "
+                                     "(destin,DDEN)")
+
+
 def test_repl_recovers_from_errors(demo_model_path, tmp_path):
     script = tmp_path / "script.txt"
     script.write_text("THE A AN\nSHOW ME THE FLIGHTS FROM DENVER\n:quit\n")
@@ -327,6 +379,21 @@ def test_repl_skips_blank_lines(demo_model_path, tmp_path):
 
 # ---------------------------------------------------------------------------
 # loop
+
+def test_loop_threshold_overrides_the_conventions(tmp_path, artifacts):
+    # m13 of the semi corpus is rejected by default; given the answer it
+    # gets under threshold 0 as its reference, the loop counts it correct
+    refs = "".join(f"refmin\t{r}\nrefmax\t{r}\n" for r in
+                   answer(Template([]), artifacts).render_lines())
+    entry = f"text\t{UNMATCHED}\nrefs\trows\n"
+    semi = data_path("semi_corpus.txt").read_text(encoding="utf-8")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(semi.replace(entry, entry + refs), encoding="utf-8")
+    argv = ["loop", "--corpus", str(corpus)]
+    first = [run_cli(a)[1].splitlines()[1].split("\t")[1]
+             for a in (argv, argv + ["--threshold", "0"])]
+    assert first == ["5", "6"]
+
 
 def test_loop_command_reports_and_saves(tmp_path):
     out = tmp_path / "model.txt"

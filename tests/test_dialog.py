@@ -1,4 +1,8 @@
+from hypothesis import given, settings, strategies as st
+
+from chronus.concepts import ConceptDictionary
 from chronus.dialog import DialogState, merge_context
+from chronus.pipeline import data_path
 from chronus.template import Template, TemplateToken
 
 
@@ -15,7 +19,6 @@ def test_first_turn_merges_to_itself(artifacts):
     state, merged = _merge(DialogState(), [("question", "display"),
                                            ("origin", "BBOS")], artifacts)
     assert merged.render() == "(question,display) (origin,BBOS)"
-    assert state.turns == 1
     assert set(state.context) == {"question", "origin"}
 
 
@@ -79,9 +82,13 @@ def test_repeated_keyword_in_one_template_is_deduplicated(artifacts):
     assert merged.get("question").value == "yes-no"
 
 
-def test_context_template_reflects_state(artifacts):
-    state, merged = _merge(DialogState(), [("origin", "BBOS")], artifacts)
-    assert state.context_template().render() == merged.render()
+def test_repeated_keyword_keeps_its_first_place(artifacts):
+    state, merged = _merge(DialogState(), [("question", "display"),
+                                           ("fare", "ECONOMY"),
+                                           ("question", "display"),
+                                           ("origin", "SSFO")], artifacts)
+    assert merged.keywords() == ["question", "fare", "origin"]
+    assert merged.keywords() == list(state.context)
 
 
 def test_merge_is_deterministic(artifacts):
@@ -91,3 +98,31 @@ def test_merge_is_deterministic(artifacts):
     b = _merge(state, [("destin", "DDFW"), ("meal", "LUNCH")], artifacts)
     assert a[1].render() == b[1].render()
     assert list(a[0].context) == list(b[0].context)
+
+
+KEYWORDS = ConceptDictionary.load(data_path("concepts.txt")).names
+VALUES = ["A", "B", "C"]
+
+
+@st.composite
+def _context_and_template(draw):
+    """A context, and a template that gives no keyword two values."""
+    context = draw(st.dictionaries(st.sampled_from(KEYWORDS),
+                                   st.sampled_from(VALUES), max_size=8))
+    values = draw(st.dictionaries(st.sampled_from(KEYWORDS),
+                                  st.sampled_from(VALUES), min_size=1,
+                                  max_size=6))
+    keywords = draw(st.lists(st.sampled_from(sorted(values)), max_size=10))
+    return (DialogState({k: TemplateToken(k, v, "item")
+                         for k, v in context.items()}),
+            _t(*[(k, values[k]) for k in keywords]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_context_and_template())
+def test_merging_a_template_again_changes_nothing(artifacts, case):
+    state, template = case
+    once, merged = merge_context(state, template, artifacts.dictionary)
+    twice, again = merge_context(once, template, artifacts.dictionary)
+    assert list(twice.context.items()) == list(once.context.items())
+    assert again.tokens == merged.tokens

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from chronus.gen import random_trained_model
+from chronus.concepts import Concept, ConceptDictionary
+from chronus.errors import ChronusError
+from chronus.gen import random_trained_model, sample_sentence
 from chronus.model import (BEGIN, NEG_INF, SegmentedSentence, UnknownLabelError,
                            UnknownWordError, apply_synonym_smoothing,
                            canonical_row, load_model, load_synonyms, make_sentence,
@@ -306,3 +308,20 @@ def test_v3_model_text_is_a_fixed_point(artifacts):
     text = model_to_text(smoothed)
     assert text.startswith("chronus-model v3\n")
     assert model_to_text(model_from_text(text)) == text
+
+
+def test_sampling_a_row_without_mass_names_concept_and_context():
+    # with k = 0 the context B, never followed by a word inside c0, has the
+    # empty unseen row; staying in c0 after B has nothing to emit
+    dictionary = ConceptDictionary([Concept("c0", "restriction", rank=2),
+                                    Concept("dummy", "special"),
+                                    Concept("and", "special")])
+    model = _mk([(["A", "B"], ["c0", "c0"]), (["B"], ["c0"])], dictionary,
+                ["A", "B"], k=0.0)
+    rng = random.Random(0)
+    for _ in range(5):
+        sample_sentence(model, rng)
+    with pytest.raises(ChronusError,
+                       match="concept 'c0' has no word to emit after "
+                             "context 'B'"):
+        sample_sentence(model, rng)

@@ -55,6 +55,14 @@ def _without(text, line, anchor):
     return "\n".join(lines) + "\n", lines.index(anchor) + 1
 
 
+def _without_section(text, header):
+    """``text`` without the section ``header`` and its lines."""
+    lines = text.splitlines()
+    at = lines.index(header)
+    end = next(i for i in range(at + 1, len(lines)) if lines[i].startswith("["))
+    return "\n".join(lines[:at] + lines[end:]) + "\n"
+
+
 def _repeated(text, section, offset):
     """``text`` with the line ``offset`` lines below ``section`` given twice,
     and the second copy's line number."""
@@ -101,6 +109,9 @@ MALFORMED = [
     ("model-missing-bigram-table", "--model",
      _without(RECOVERY_TEXT, "[bigram dummy]", "dummy\tspecial\t9"),
      "concept 'dummy' has no [bigram dummy] section"),
+    ("model-missing-initial", "--model",
+     (_without_section(RECOVERY_TEXT, "[initial]"), 1),
+     "model has no [initial] row"),
     ("model-concept-counterpart", "--model",
      _model("[concepts]", "a_x\tattribute\t2\tzzz"),
      "attribute concept a_x has no valid counterpart"),
