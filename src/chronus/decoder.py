@@ -6,55 +6,59 @@ bigram context of an arc is the superword of the incoming arc, the
 dynamic program is indexed by (arc, concept) rather than (position,
 concept).  It runs on integer ids: arcs by their position in the sorted
 ``lattice.arcs``, concepts by dictionary index, scores from the model's
-concept-indexed log tables (a bigram row is its log exceptions plus a log
-default, and a context without a row reads the model's compiled unseen
-row), one list of per-concept scores per arc.
-
-A new segment's first word is emitted from the begin-marker row whatever
-the previous concept was, so that emission is looked up once per (arc,
-concept); only staying in the same concept reads the predecessor's row.
+concept-indexed log tables, one list of per-concept scores per arc.
+Emissions come as per-concept vectors that the model memoises
+(``ConceptHmm.emissions``): a new segment's first word is emitted from
+the begin-marker row whatever the previous concept was, so that vector is
+read once per arc; only staying in the same concept reads the vector of
+the predecessor's symbol as context, once per (arc, live predecessor).
 
 Each cell maximizes over the candidates (previous concept, live incoming
 arc), each scored as ``cell + transition + emission``, without scoring
-them all.  It scores the candidates that stay in its concept first, then
-walks those that change concept from the highest predecessor cell down
-(a stable sort, so equal cells keep index order), and stops at the first
-one whose bound ``cell + trans_max + begin emission`` is strictly below
-the best score so far; ``trans_max`` is the model's largest transition
-into the concept.  The result is exact: IEEE round-to-nearest addition is
-monotone in each operand, so no candidate after the stop can reach or tie
-the best score.  While the best score is -inf the bound never fires, so
-a degenerate cell scores every candidate.
+them all.  The search makes one pass per live incoming arc, in arc-key
+order, and every pass carries each cell's best score and winner over
+from the passes before.  A pass ranks the predecessor's cells, highest
+first (a stable sort, so equal cells keep concept order).  Per target
+concept it scores the candidate that stays in the concept, then walks the
+ranking and stops at the first previous concept whose bound ``cell +
+trans_max + begin emission`` is strictly below the best score so far;
+``trans_max`` is the model's largest transition into the concept.  The
+result is exact: IEEE round-to-nearest addition is monotone in each
+operand, so no candidate after the stop can reach or tie the best score,
+whichever pass set it.  While the best score is -inf the bound never
+fires, so a degenerate cell scores every candidate.
 
 Tie-breaking is fully deterministic: among the candidates that score the
 best, the one first in order of (concept index, incoming-arc key) wins,
 as if every candidate were examined in that order and only strictly
-better scores replaced the incumbent.  The brute-force oracle reproduces
-the same rule globally.  On a degenerate input, where every labeling
-scores -inf, the decoder returns the oracle's first labeling: every arc
-gets the dictionary's first concept, on the path that starts from the
-first live arc into the end position, in arc-key order, and steps back
-each time to the first live arc into the current arc's start.  The two
-decoders can still differ where rounding splits them: two prefixes that
-meet in one cell an ulp apart may add up to one total, and the decoder
-keeps the strictly better prefix where the oracle takes its global
-first.  Constrained alignment shows this, and so do 2 of 2,000 random
-k = 0 instances from ``random.Random(4242)``.  The oracle's enumerator,
+better scores replaced the incumbent.  Passes run in arc-key order, so a
+tie replaces the incumbent exactly when its previous concept is smaller.
+The brute-force oracle reproduces the same rule globally.  On a
+degenerate input, where every labeling scores -inf, the decoder returns
+the oracle's first labeling: every arc gets the dictionary's first
+concept, on the path that starts from the first live arc into the end
+position, in arc-key order, and steps back each time to the first live
+arc into the current arc's start.  The two decoders can still differ
+where rounding splits them: two prefixes that meet in one cell an ulp
+apart may add up to one total, and the decoder keeps the strictly better
+prefix where the oracle takes its global first.  Constrained alignment
+shows this, and so do 2 of 2,000 random k = 0 instances from
+``random.Random(4242)``, pinned in the tests.  The oracle's enumerator,
 ``exhaustive_search``, also backs the alignment oracle
 ``training.brute_force_align``; constrained alignment itself
-(``training.align_win``) reads the same tables with the same
-first-maximum rule, over dense integer (concept, count code) states.
+(``training.align_win``) reads the same tables and emission vectors with
+the same first-maximum rule, over dense integer (concept, count code)
+states.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import ChronusError
 from .lexicon import Arc, Lattice, Superword, enumerate_path_arcs
-from .model import NEG_INF, ConceptHmm, SegmentedSentence, path_score
+from .model import BEGIN, NEG_INF, ConceptHmm, SegmentedSentence, path_score
 
 
 class DecodeSizeError(ChronusError):
@@ -69,7 +73,8 @@ class DecodeResult:
     degenerate: bool = False  # no labeling had nonzero probability
     # candidates the maximization covers, scored or excluded by the bound:
     # |C| per arc leaving 0 or entering the end, |C|^2 per live predecessor
-    # of every other arc (complexity contract)
+    # of every other arc, one pass of |C| targets by |C| previous concepts
+    # (complexity contract)
     relaxations: int = 0
 
     def segmentation(self) -> SegmentedSentence:
@@ -89,18 +94,10 @@ def viterbi_decode(model: ConceptHmm, words) -> DecodeResult:
     return viterbi_decode_lattice(model, chain_lattice(words))
 
 
-_cell = itemgetter(0)   # a ranked candidate's predecessor cell score
-
-
-def _interleave(rows):
-    """Per-arc lists indexed by concept, flattened concept-major: the
-    (concept, arc) candidate order in which ties are broken."""
-    return [x for per_concept in zip(*rows) for x in per_concept]
-
-
 def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
     """Joint MAP over lattice paths and concept labelings."""
     n_concepts = len(model.dictionary)
+    concepts = range(n_concepts)
     arcs = lattice.arcs  # sorted by Arc.key: start-major, predecessors first
     incoming = {}        # end position -> ids of arcs ending there
     for i, a in enumerate(arcs):
@@ -110,12 +107,10 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
     back = [None] * len(arcs)   # arc id -> (prev arc id, prev concept) per concept
     relax = 0
     trans_into, trans_max = model.trans_into, model.trans_max
-    bigram_tables, unseen = model.bigram_tables, model.unseen_log
+    emissions = model.emissions
 
     for i, a in enumerate(arcs):
-        known = a.sym in model.vocab_set  # else no row gives the symbol mass
-        begin = ([e.get(a.sym, d) for e, d in model.begin_rows] if known
-                 else [NEG_INF] * n_concepts)
+        begin = emissions(BEGIN, a.sym)
         if a.start == 0:
             relax += n_concepts
             delta[i] = [s + e for s, e in zip(model.init_vec, begin)]
@@ -124,40 +119,39 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
         live = [j for j in incoming.get(a.start, ()) if delta[j] is not None]
         if not live:
             continue
-        m = len(live)
-        relax += n_concepts * n_concepts * m
-        # candidate d = cp * m + k extends live[k] from previous concept cp;
-        # ranked by predecessor cell, highest first, ties in index order
-        ranked = sorted([(delta[j][cp], cp, cp * m + k)
-                         for cp in range(n_concepts)
-                         for k, j in enumerate(live)], key=_cell, reverse=True)
-        contexts = [arcs[j].sym for j in live]
-        cells, bps = [], []
-        for c, trans in enumerate(trans_into):
+        relax += n_concepts * n_concepts * len(live)
+        cells = [NEG_INF] * n_concepts
+        # each cell's winning previous concept; n_concepts before any pass,
+        # so the first candidate replaces it even at -inf
+        prev = [n_concepts] * n_concepts
+        bps = [None] * n_concepts
+        for j in live:
+            row = delta[j]
+            # previous concepts by cell, highest first, ties in index order
+            ranked = sorted(concepts, key=row.__getitem__, reverse=True)
             # staying in concept c continues the segment, so the bigram
             # context is the predecessor's symbol instead of the begin marker
-            table, stay = bigram_tables[c], trans[c]
-            best = d = None
-            for k, j in enumerate(live):
-                exc, default = table.get(contexts[k], unseen)
-                s = delta[j][c] + stay + (exc.get(a.sym, default) if known
-                                          else NEG_INF)
-                if d is None or s > best:
-                    best, d = s, c * m + k
-            # changing concept: once the bound is strictly below best, no
-            # later candidate in the ranking can reach or tie it
-            emit, bound = begin[c], trans_max[c]
-            for cell, cp, e in ranked:
-                if cp == c:
-                    continue
-                if cell + bound + emit < best:
-                    break
-                s = cell + trans[cp] + emit
-                if s > best or (s == best and e < d):
-                    best, d = s, e
-            cp, k = divmod(d, m)
-            cells.append(best)
-            bps.append((live[k], cp))
+            stay = emissions(arcs[j].sym, a.sym)
+            for c, trans in enumerate(trans_into):
+                best = old = cells[c]
+                d = prev[c]
+                s = row[c] + trans[c] + stay[c]
+                if s > best or (s == best and c < d):
+                    best, d = s, c
+                # changing concept: once the bound is strictly below best,
+                # no later candidate in the ranking can reach or tie it
+                emit, bound = begin[c], trans_max[c]
+                for cp in ranked:
+                    if cp == c:
+                        continue
+                    cell = row[cp]
+                    if cell + bound + emit < best:
+                        break
+                    s = cell + trans[cp] + emit
+                    if s > best or (s == best and cp < d):
+                        best, d = s, cp
+                if best != old or d != prev[c]:
+                    cells[c], prev[c], bps[c] = best, d, (j, d)
         delta[i], back[i] = cells, bps
 
     ends = [j for j in incoming.get(lattice.n_positions, ())
@@ -165,15 +159,17 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
     if not ends:
         raise ChronusError("lattice has no decodable complete path")
     relax += n_concepts * len(ends)
-    scores = _interleave([[s + f for s, f in zip(delta[j], model.final_vec)]
-                          for j in ends])
-    log_prob = max(scores)
-    c, k = divmod(scores.index(log_prob), len(ends))
-    degenerate = log_prob == NEG_INF   # then c, k = 0, 0: the oracle's first
+    # the first maximum in (concept, arc key) order; (0, first end) if -inf
+    log_prob, c, j = NEG_INF, 0, ends[0]
+    for cf, final in enumerate(model.final_vec):
+        for e in ends:
+            s = delta[e][cf] + final
+            if s > log_prob:
+                log_prob, c, j = s, cf, e
+    degenerate = log_prob == NEG_INF
 
     names = model.dictionary.names
     path = []
-    j = ends[k]
     while j is not None:
         path.append((arcs[j].superword, names[c]))
         if degenerate:   # the first live arc in, concept 0 throughout

@@ -25,6 +25,10 @@ class LexiconError(ChronusError):
     pass
 
 
+class LexiconDataError(DataFormatError, LexiconError):
+    """Lexicon records that contradict each other."""
+
+
 class EmptyAfterDeletionError(LexiconError):
     """All tokens of the sentence were stop words."""
 
@@ -251,31 +255,37 @@ class FsaGrammar:
 # Lexicon
 
 class SuperwordLexicon:
-    """Plain words, inflection groups, stop words and grammars."""
+    """Plain words, inflection groups, stop words and grammars.
 
-    def __init__(self, words, inflect, stop, grammars):
+    ``lines``, when given, holds the line of ``path`` that starts each
+    grammar, for the errors of the checks across grammars."""
+
+    def __init__(self, words, inflect, stop, grammars, path=None, lines=None):
         self.words = frozenset(words)
         self.inflect = dict(inflect)
         self.stop = frozenset(stop)
         self.grammars = list(grammars)
-        self._validate()
+        self._validate(path, lines or [None] * len(self.grammars))
 
-    def _validate(self):
+    def _validate(self, path, lines):
         for surface in self.inflect:
             if surface in self.words:
-                raise LexiconError(
-                    f"{surface} is both a plain word and an inflection-group member")
+                raise LexiconDataError(
+                    f"{surface} is both a plain word and an inflection-group member",
+                    path)
         if UNKNOWN in self.words or UNKNOWN in self.inflect:
-            raise LexiconError("unknown marker must not be a surface word")
+            raise LexiconDataError("unknown marker must not be a surface word",
+                                   path)
         gids = set()
-        for g in self.grammars:
+        for g, ln in zip(self.grammars, lines):
             if g.gid in gids:
-                raise LexiconError(f"duplicate grammar id {g.gid}")
+                raise LexiconDataError(f"duplicate grammar id {g.gid}", path, ln)
             gids.add(g.gid)
             overlap = g.words & self.stop
             if overlap:
-                raise LexiconError(
-                    f"stop words {sorted(overlap)} appear in grammar {g.gid}")
+                raise LexiconDataError(
+                    f"stop words {sorted(overlap)} appear in grammar {g.gid}",
+                    path, ln)
 
     def word_sym(self, token: str) -> str:
         if token in self.inflect:
@@ -302,6 +312,7 @@ class SuperwordLexicon:
     def from_lines(cls, lines, path=None):
         words, inflect, stop = set(), {}, set()
         grammars = []   # FsaGrammar arguments, one dict per [grammar] section
+        grammar_lines = []
         for ln, section, line in records(lines, path):
             if line is None:
                 if section in ("words", "inflect", "stop"):
@@ -313,6 +324,7 @@ class SuperwordLexicon:
                     raise DataFormatError("expected [grammar <id>]", path, ln)
                 grammars.append({"gid": parts[1], "transitions": {},
                                  "accepting": set(), "normalizer": "identity"})
+                grammar_lines.append(ln)
             elif section == "words":
                 words.update(line.split())
             elif section == "inflect":
@@ -338,7 +350,8 @@ class SuperwordLexicon:
                     raise DataFormatError("bad grammar line", path, ln)
             else:
                 raise DataFormatError("content before first section header", path, ln)
-        return cls(words, inflect, stop, [FsaGrammar(**g) for g in grammars])
+        return cls(words, inflect, stop, [FsaGrammar(**g) for g in grammars],
+                   path, grammar_lines)
 
 
 def lex_parse(sentence: str, lexicon: SuperwordLexicon) -> Lattice:

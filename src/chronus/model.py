@@ -179,8 +179,16 @@ class ConceptHmm:
     per-row maximum ``trans_max`` (the decoder's bound), ``final_vec``,
     and per concept its bigram table (context -> (log exceptions, log
     default); a missing context reads as ``unseen_log``) in
-    ``bigram_tables`` and that table's begin-marker row in ``begin_rows``.
-    A symbol outside ``vocab_set`` has no mass in any row.
+    ``bigram_tables``.  A symbol outside ``vocab_set`` has no mass in any
+    row.
+
+    Every scorer reads emissions as per-concept vectors from
+    ``emissions(ctx, sym)``: the begin-marker emissions of ``sym`` (``ctx``
+    = ``BEGIN``) and its stay emissions after ``ctx``.  They are built
+    from ``bigram_tables`` on first use, never at construction, and
+    memoised on the instance for a context in ``BEGIN`` + vocabulary and a
+    symbol in the vocabulary, so the memo holds at most (|V| + 1) * |V|
+    vectors; any other symbol reads one shared all -inf vector.
     """
 
     def __init__(self, dictionary: ConceptDictionary, vocab, k: float,
@@ -212,20 +220,30 @@ class ConceptHmm:
             {r: ({w: _safe_log(p) for w, p in row.exc.items()},
                  _safe_log(row.default))
              for r, row in self.bigram[c].items()} for c in names]
-        self.begin_rows = [t.get(BEGIN, self.unseen_log)
-                           for t in self.bigram_tables]
+        self._emissions = {}   # (ctx, sym) -> per-concept vector, on use
+        self._no_mass = (NEG_INF,) * len(names)
 
     def bigram_row(self, concept, ctx) -> Row:
         """The bigram row of a concept name after context ``ctx``, stored
         or unseen."""
         return self.bigram[concept].get(ctx, self.unseen)
 
+    def emissions(self, ctx, sym) -> tuple:
+        """log P(sym | concept id c, bigram context ctx) for every c, as
+        one read-only vector."""
+        vec = self._emissions.get((ctx, sym))
+        if vec is None:
+            if sym not in self.vocab_set:
+                return self._no_mass
+            rows = [t.get(ctx, self.unseen_log) for t in self.bigram_tables]
+            vec = tuple([exc.get(sym, default) for exc, default in rows])
+            if ctx == BEGIN or ctx in self.vocab_set:
+                self._emissions[ctx, sym] = vec
+        return vec
+
     def emission(self, c, ctx, sym) -> float:
         """log P(sym | concept id c, bigram context ctx)."""
-        if sym not in self.vocab_set:
-            return NEG_INF
-        exc, default = self.bigram_tables[c].get(ctx, self.unseen_log)
-        return exc.get(sym, default)
+        return self.emissions(ctx, sym)[c]
 
     def rows(self):
         """All stored (name, row) probability rows, for normalization

@@ -25,8 +25,8 @@ from itertools import groupby
 from .concepts import ConceptDictionary
 from .decoder import chain_lattice, exhaustive_search
 from .errors import ChronusError, DataFormatError
-from .model import (NEG_INF, ConceptHmm, SegmentedSentence, model_to_text,
-                    train_mle)
+from .model import (BEGIN, NEG_INF, ConceptHmm, SegmentedSentence,
+                    model_to_text, train_mle)
 from .pipeline import Artifacts, run_turn, verdict
 from .query import Answer
 from .textfile import records, section_name
@@ -244,8 +244,10 @@ def align_win(sentence, win_tokens: Iterable[str],
     index * n_codes + code`` indexes flat lists, and index order is
     (concept id, counts) order.  Concepts that no labeling can enter (-inf
     initial and transition log probabilities) are left out.  Scores come
-    from the same concept-indexed tables as the lattice decoder, each
-    candidate summed as ``cell + transition + emission``.  A state's
+    from the same concept-indexed tables as the lattice decoder, with the
+    emissions from the same memoised per-concept vectors
+    (``model.emissions``), each candidate summed as ``cell + transition +
+    emission``.  A state's
     candidates are examined in predecessor state order and the first
     strict maximum wins, also in the final sweep over the states whose
     counts are complete.
@@ -288,39 +290,35 @@ def align_win(sentence, win_tokens: Iterable[str],
         allowed.append(c)
         keep.append(same)
     n_states = len(allowed) * n_codes
-    # per predecessor: (allowed index, transition, moves) of every
-    # concept it can go on to
-    moves = [[(a, model.trans_into[c][cp], keep[a] if a == a_p else enter[a])
+    # per predecessor: (allowed index, concept id, transition, moves) of
+    # every concept it can go on to
+    moves = [[(a, c, model.trans_into[c][cp],
+               keep[a] if a == a_p else enter[a])
               for a, c in enumerate(allowed)
               if model.trans_into[c][cp] > NEG_INF]
              for a_p, cp in enumerate(allowed)]
-    begin_rows = [model.begin_rows[c] for c in allowed]
-    tables = [model.bigram_tables[c] for c in allowed]
-    unseen = model.unseen_log   # any context without a row
 
     sym = words[0].sym
+    begin = model.emissions(BEGIN, sym)
     cells = [NEG_INF] * n_states   # best score of a prefix ending there
     for a, c in enumerate(allowed):
-        exc, default = begin_rows[a]
         _, state = enter[a][0]   # code 0: no segment begun yet
-        cells[state] = model.init_vec[c] + exc.get(sym, default)
+        cells[state] = model.init_vec[c] + begin[c]
     back = []   # per later word: state -> predecessor state
     for i in range(1, len(words)):
         prev_sym, sym = sym, words[i].sym
         nxt, bp = [NEG_INF] * n_states, [0] * n_states
         back.append(bp)
-        begin = [exc.get(sym, default) for exc, default in begin_rows]
-        stay = []
-        for table in tables:
-            exc, default = table.get(prev_sym, unseen)
-            stay.append(exc.get(sym, default))
+        # per concept id: emissions that begin a segment or continue one
+        begin = model.emissions(BEGIN, sym)
+        stay = model.emissions(prev_sym, sym)
         # a state gets at most one candidate per predecessor concept, so
         # predecessor concept order is predecessor state order
         for a_p, to in enumerate(moves):
             src = a_p * n_codes
             row = cells[src:src + n_codes]
-            for a, trans, pairs in to:
-                emit = stay[a] if a == a_p else begin[a]
+            for a, c, trans, pairs in to:
+                emit = stay[c] if a == a_p else begin[c]
                 for code_p, state in pairs:
                     score = row[code_p] + trans + emit
                     if score > nxt[state]:

@@ -8,7 +8,8 @@ from chronus.decoder import (DecodeSizeError, brute_force_decode, path_score,
 from chronus.errors import ChronusError
 from chronus.gen import random_lattice, random_trained_model
 from chronus.lexicon import Arc, Lattice, Superword, lex_parse
-from chronus.model import NEG_INF, make_sentence, train_mle
+from chronus.model import (NEG_INF, make_sentence, model_from_text,
+                           model_to_text, train_mle)
 
 from helpers import tie_heavy_model, uniform_rows_model
 
@@ -126,6 +127,30 @@ def test_tie_between_stay_and_change_goes_to_the_smaller_index():
     assert fast.log_prob == path_score(model, lattice.arcs, ("c1", "c1"))
 
 
+def test_ties_across_incoming_arcs_go_to_the_smaller_concept_then_arc():
+    # two arcs a, b into position 1, in key order; into (a, c2) the
+    # candidates (c1, arc a) and (c0, arc b) tie, so the later arc wins on
+    # its smaller concept; into (a, c0) of the second model the stay
+    # candidates from arcs a and b tie, so the earlier arc wins
+    lattice = Lattice(2, [Arc(0, 1, "a"), Arc(0, 1, "b"), Arc(1, 2, "a")])
+    change = uniform_rows_model(
+        3, ["a", "b"], ["c0", "c1"],
+        {"c0": ["c2"], "c1": ["c2"], "c2": ["</s>"]},
+        {"c0": {"<s>": ["b"]}, "c1": {"<s>": ["a"]},
+         "c2": {"<s>": ["a", "b"]}})
+    stay = uniform_rows_model(
+        1, ["a", "b"], ["c0"], {"c0": ["c0", "</s>"]},
+        {"c0": dict.fromkeys(["<s>", "a", "b"], ["a", "b"])})
+    for model, labels, first in ((change, ("c0", "c2"), "b"),
+                                 (stay, ("c0", "c0"), "a")):
+        fast = viterbi_decode_lattice(model, lattice)
+        slow = brute_force_decode(model, lattice)
+        assert fast.labels == slow.labels == labels
+        assert [w.sym for w in fast.words] == [w.sym for w in slow.words] \
+            == [first, "a"]
+        assert repr(fast.log_prob) == repr(slow.log_prob)
+
+
 def test_degenerate_lattices_give_the_oracles_first_labeling():
     # k = 0 models make many lattices degenerate; on them the per-cell
     # back pointers alone would disagree with the oracle's global order
@@ -143,6 +168,29 @@ def test_degenerate_lattices_give_the_oracles_first_labeling():
     assert degenerate >= 50
 
 
+def test_rounding_splits_decoder_and_oracle_on_two_known_instances():
+    # the one licensed difference: two prefixes that meet in one cell an
+    # ulp apart reach one total; the decoder keeps the strictly better
+    # prefix, the oracle the first labeling in its global order
+    rng = random.Random(4242)
+    split = {}
+    for n in range(1564):
+        model = random_trained_model(rng, k=0.0)
+        lattice = random_lattice(rng, model)
+        if n in (1241, 1563):
+            fast = viterbi_decode_lattice(model, lattice)
+            slow = brute_force_decode(model, lattice)
+            assert repr(fast.log_prob) == repr(slow.log_prob)
+            assert fast.words == slow.words and not fast.degenerate
+            split[n] = (" ".join(w.sym for w in fast.words),
+                        fast.labels, slow.labels)
+    assert split == {
+        1241: ("w0 w0 w3", ("c2", "dummy", "c0"), ("dummy", "c2", "c0")),
+        1563: ("w1 w1 w5 w5", ("c2", "and", "c2", "c0"),
+               ("and", "dummy", "c2", "c0")),
+    }
+
+
 def test_degenerate_flag_when_nothing_has_probability(artifacts):
     corpus = [make_sentence(["SHOW", "ME"], ["question", "question"])]
     model = train_mle(corpus, artifacts.dictionary, ["SHOW", "ME"], k=0.0)
@@ -150,6 +198,25 @@ def test_degenerate_flag_when_nothing_has_probability(artifacts):
     result = viterbi_decode(model, ["ME", "SHOW"])
     assert result.degenerate
     assert result.log_prob == NEG_INF
+
+
+def test_decoding_an_unknown_symbol_leaves_the_emission_memo_alone(
+        demo_model):
+    model = model_from_text(model_to_text(demo_model))   # an empty memo
+    # GIZMO is in no vocabulary; it is a context on the way to FLIGHT(S)
+    lattice = Lattice(3, [Arc(0, 1, "SHOW"), Arc(1, 2, "ME"),
+                          Arc(1, 2, "GIZMO"), Arc(2, 3, "FLIGHT(S)"),
+                          Arc(1, 3, "GIZMO")])
+    first = viterbi_decode_lattice(model, lattice)
+    size = len(model._emissions)
+    again = viterbi_decode_lattice(model, lattice)
+    assert len(model._emissions) == size
+    assert not any("GIZMO" in key for key in model._emissions)
+    assert (first.labels, first.words, repr(first.log_prob),
+            first.degenerate, first.relaxations) == (
+        again.labels, again.words, repr(again.log_prob),
+        again.degenerate, again.relaxations)
+    assert [w.sym for w in first.words] == ["SHOW", "ME", "FLIGHT(S)"]
 
 
 def test_lattice_prefers_trained_fused_arc(demo_model, artifacts):

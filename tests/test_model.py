@@ -138,6 +138,20 @@ def test_emissions_are_the_add_k_estimates_of_the_counts(demo_model):
                         math.log(p) if p > 0.0 else NEG_INF)
 
 
+def test_emission_vectors_hold_the_table_values_bit_for_bit(demo_model):
+    model = model_from_text(model_to_text(demo_model))   # an empty memo
+    vocab = model.vocab
+    for ctx in (BEGIN, *vocab):
+        for sym in vocab:
+            vec = model.emissions(ctx, sym)
+            assert len(vec) == len(model.dictionary)
+            for c, table in enumerate(model.bigram_tables):
+                exc, default = table.get(ctx, model.unseen_log)
+                assert vec[c].hex() == exc.get(sym, default).hex()
+                assert vec[c].hex() == model.emission(c, ctx, sym).hex()
+    assert len(model._emissions) == (len(vocab) + 1) * len(vocab)
+
+
 def test_train_rejects_unknown_label(artifacts):
     with pytest.raises(UnknownLabelError):
         _mk([ (["SHOW"], ["bogus"]) ], artifacts.dictionary, ["SHOW"], 0.001)

@@ -75,6 +75,11 @@ def _bundled(name, anchor, line):
     return _with_line(data_path(name).read_text(encoding="utf-8"), anchor, line)
 
 
+def _at(text, line):
+    """``text`` and the number of its line ``line``."""
+    return text, text.splitlines().index(line) + 1
+
+
 FIRST_BIGRAM = f"[bigram {make_recovery_model().dictionary.names[0]}]"
 CORPUS = "[sentence x01]\ntext\tSHOW\ngold\tSHOW:question\n"
 
@@ -150,6 +155,12 @@ MALFORMED = [
      _bundled("concepts.txt", "subject\tsubject\t1",
               "a_x\tattribute\t1\tdummy"),
      "attribute a_x folds into non-foldable dummy"),
+    ("lexicon-grammar-id", "--lexicon",
+     _bundled("lexicon.txt", "accept\tw0", "[grammar city]"),
+     "duplicate grammar id city"),
+    ("lexicon-stop-word-in-grammar", "--lexicon",
+     _at(_bundled("lexicon.txt", "THE A AN", "TWO")[0], "[grammar number]"),
+     "stop words ['TWO'] appear in grammar number"),
     ("synonyms", "--synonyms",
      ("# concept<TAB>word<TAB>word...\norigin\tLEAVE(S)\n", 2),
      "synonym line needs a concept and two or more words"),
