@@ -244,13 +244,11 @@ def align_win(sentence, win_tokens: Iterable[str],
     index * n_codes + code`` indexes flat lists, and index order is
     (concept id, counts) order.  Concepts that no labeling can enter (-inf
     initial and transition log probabilities) are left out.  Scores come
-    from the same concept-indexed tables as the lattice decoder, with the
-    emissions from the same memoised per-concept vectors
-    (``model.emissions``), each candidate summed as ``cell + transition +
-    emission``.  A state's
-    candidates are examined in predecessor state order and the first
-    strict maximum wins, also in the final sweep over the states whose
-    counts are complete.
+    from the same concept-indexed tables and memoised emission vectors
+    (``model.emissions``) as the lattice decoder, each candidate summed as
+    ``cell + transition + emission``.  A state's candidates are examined
+    in predecessor state order and the first strict maximum wins, also in
+    the final sweep over the states whose counts are complete.
 
     The result is the labeling brute_force_align returns unless rounding
     creates a tie: two prefixes that meet in one state can differ by an
