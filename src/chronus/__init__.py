@@ -9,7 +9,7 @@ answered against a small in-memory database.
 from .concepts import Concept, ConceptDictionary
 from .decoder import (DecodeResult, brute_force_decode, viterbi_decode,
                       viterbi_decode_lattice)
-from .dialog import DialogState, merge_context
+from .dialog import merge_context
 from .errors import ChronusError, DataFormatError
 from .lexicon import (Arc, Lattice, Superword, SuperwordLexicon, lex_parse,
                       parse_superword, tokenize)

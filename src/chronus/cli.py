@@ -10,7 +10,7 @@ import random
 import sys
 
 from .concepts import ConceptDictionary
-from .dialog import DialogState, merge_context
+from .dialog import merge_context
 from .errors import ChronusError
 from . import gen as genmod
 from .lexicon import SuperwordLexicon
@@ -20,7 +20,7 @@ from .model import (ConceptHmm, apply_synonym_smoothing, full_vocabulary,
 from .pipeline import (Artifacts, answer, data_path, evaluate_corpus,
                        run_turn, understand)
 from .query import plan_query
-from .template import matched_fraction
+from .template import Template, matched_fraction
 from .training import FeedbackCorpus, run_training_loop
 
 
@@ -149,7 +149,7 @@ def cmd_eval(args, out) -> int:
 def cmd_repl(args, out) -> int:
     artifacts = _load_artifacts(args)
     model = _load_model(args.model, artifacts)
-    state = DialogState()
+    context = Template()
     if args.script:
         with open(args.script, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -166,7 +166,7 @@ def cmd_repl(args, out) -> int:
         if text == ":quit":
             break
         if text == ":reset":
-            state = DialogState()
+            context = Template()
             print("context cleared", file=out)
             continue
         try:
@@ -174,10 +174,10 @@ def cmd_repl(args, out) -> int:
             if turn.rejected:
                 print(f"REJECT {matched_fraction(turn.template):.3f}", file=out)
                 continue
-            state, merged = merge_context(state, turn.template,
-                                          artifacts.dictionary)
-            print(merged.render(), file=out)
-            for ans_line in answer(merged, artifacts).render_lines():
+            context = merge_context(context, turn.template,
+                                    artifacts.dictionary)
+            print(context.render(), file=out)
+            for ans_line in answer(context, artifacts).render_lines():
                 print(ans_line, file=out)
         except ChronusError as exc:
             print(f"ERROR {exc}", file=out)

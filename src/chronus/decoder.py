@@ -6,12 +6,13 @@ bigram context of an arc is the superword of the incoming arc, the
 dynamic program is indexed by (arc, concept) rather than (position,
 concept).  It runs on integer ids: arcs by their position in the sorted
 ``lattice.arcs``, concepts by dictionary index, scores from the model's
-concept-indexed log tables, one list of per-concept scores per arc.
-Emissions come as per-concept vectors that the model memoises
-(``ConceptHmm.emissions``): a new segment's first word is emitted from
-the begin-marker row whatever the previous concept was, so that vector is
-read once per arc; only staying in the same concept reads the vector of
-the predecessor's symbol as context, once per (arc, live predecessor).
+concept-indexed log transition vectors, one list of per-concept scores
+per arc.  Emissions come as per-concept vectors that the model takes from
+its bigram rows and memoises (``ConceptHmm.emissions``): a new segment's
+first word is emitted from the begin-marker row whatever the previous
+concept was, so that vector is read once per arc; only staying in the
+same concept reads the vector of the predecessor's symbol as context,
+once per (arc, live predecessor).
 
 Each cell maximizes over the candidates (previous concept, live incoming
 arc), each scored as ``cell + transition + emission``, without scoring
@@ -46,9 +47,9 @@ shows this, and so do 2 of 2,000 random k = 0 instances from
 ``random.Random(4242)``, pinned in the tests.  The oracle's enumerator,
 ``exhaustive_search``, also backs the alignment oracle
 ``training.brute_force_align``; constrained alignment itself
-(``training.align_win``) reads the same tables and emission vectors with
-the same first-maximum rule, over dense integer (concept, count code)
-states.
+(``training.align_win``) reads the same transition and emission vectors
+with the same first-maximum rule, over dense integer (concept, count
+code) states.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ Rules, in order:
   (b) otherwise, any keyword re-mentioned with a new value deletes every
       context token of strictly larger hierarchy rank;
   (c) the new tokens are overlaid on what survived; the merged template is
-      both the answer basis and the next context.
+      both the answer basis and the next context, which is itself a
+      ``Template``.
 
 The merged template is the context in its own order: a surviving keyword
 keeps its place, and a new one goes after them at its first mention in
@@ -20,21 +21,14 @@ value change does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .concepts import ConceptDictionary
 from .template import Template
 
 
-@dataclass
-class DialogState:
-    context: dict = field(default_factory=dict)  # keyword -> TemplateToken
-
-
-def merge_context(state: DialogState, new: Template,
-                  dictionary: ConceptDictionary):
-    """Returns (next_state, merged_template)."""
-    ctx = dict(state.context)
+def merge_context(context: Template, new: Template,
+                  dictionary: ConceptDictionary) -> Template:
+    """The merged template, which is also the next turn's context."""
+    ctx = {t.keyword: t for t in context.tokens}
 
     def changed(token):
         old = ctx.get(token.keyword)
@@ -53,4 +47,4 @@ def merge_context(state: DialogState, new: Template,
 
     for t in new.tokens:
         ctx[t.keyword] = t
-    return DialogState(context=ctx), Template(list(ctx.values()))
+    return Template(list(ctx.values()))

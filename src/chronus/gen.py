@@ -1,4 +1,4 @@
-"""Synthetic corpus and model generators for property tests.
+"""Synthetic corpus and model generators behind ``chronus gen``.
 
 Everything here is seed-deterministic: the same random.Random seed yields
 byte-identical corpora, so generated fixtures behave like golden files.
@@ -7,13 +7,12 @@ byte-identical corpora, so generated fixtures behave like golden files.
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 from .concepts import Concept, ConceptDictionary
 from .errors import ChronusError
-from .lexicon import Arc, Lattice, Superword
-from .model import (ConceptHmm, SegmentedSentence, _round12, _smooth_row,
-                    canonical_row, train_mle)
+from .lexicon import Superword
+from .model import (BEGIN, FINAL, ConceptHmm, SegmentedSentence,
+                    canonical_row, round12)
 
 
 # ---------------------------------------------------------------------------
@@ -35,8 +34,6 @@ def sample_from(row, rng: random.Random):
 def sample_sentence(model: ConceptHmm, rng: random.Random,
                     max_len: int = 24) -> SegmentedSentence:
     """Sample one labeled sentence from the generative model."""
-    from .model import BEGIN, FINAL
-
     start_row = {c: p for c, p in model.initial.items() if c != FINAL}
     if not start_row:
         raise ChronusError("model cannot start any sentence")
@@ -66,59 +63,15 @@ def sample_corpus(model, n, rng, max_len=24):
 
 
 # ---------------------------------------------------------------------------
-# Random instances for decoder oracle checks
+# Known-model recovery (held-out labeling accuracy)
 
-def _synthetic_dictionary(names):
+def synthetic_dictionary(names):
+    """Restriction concepts ``names`` of rank 2, then ``dummy`` and ``and``."""
     concepts = [Concept(n, "restriction", rank=2) for n in names]
     concepts.append(Concept("dummy", "special"))
     concepts.append(Concept("and", "special"))
     return ConceptDictionary(concepts)
 
-
-def random_trained_model(rng: random.Random, n_concepts=3, n_words=6,
-                         k=0.001, n_sentences=5) -> ConceptHmm:
-    """Train a model from a small random corpus (sparse when k=0)."""
-    names = [f"c{i}" for i in range(n_concepts)]
-    dictionary = _synthetic_dictionary(names)
-    vocab = [f"w{i}" for i in range(n_words)]
-    corpus = []
-    for _ in range(n_sentences):
-        length = rng.randint(1, 6)
-        words = tuple(Superword(rng.choice(vocab)) for _ in range(length))
-        labels = tuple(rng.choice(dictionary.names) for _ in range(length))
-        corpus.append(SegmentedSentence(words, labels))
-    return train_mle(corpus, dictionary, vocab, k)
-
-
-def random_lattice(rng: random.Random, model: ConceptHmm,
-                   max_positions=5) -> Lattice:
-    """A small random lattice over the model's vocabulary.
-
-    A spine of unit arcs guarantees completeness; extra longer arcs add
-    path ambiguity.
-    """
-    n = rng.randint(1, max_positions)
-    vocab = list(model.vocab)
-    arcs = []
-    seen = set()
-
-    def add(start, end, sym):
-        key = (start, end, sym)
-        if key not in seen:
-            seen.add(key)
-            arcs.append(Arc(start, end, sym))
-
-    for i in range(n):
-        add(i, i + 1, rng.choice(vocab))
-    for _ in range(rng.randint(0, 4)):
-        start = rng.randrange(n)
-        end = rng.randint(start + 1, n)
-        add(start, end, rng.choice(vocab))
-    return Lattice(n, arcs)
-
-
-# ---------------------------------------------------------------------------
-# Known-model recovery (held-out labeling accuracy)
 
 RECOVERY_CONCEPTS = 5
 RECOVERY_WORDS = 30
@@ -133,54 +86,34 @@ def make_recovery_model() -> ConceptHmm:
     word order carries most of the label information.
     """
     names = [f"c{i}" for i in range(RECOVERY_CONCEPTS)]
-    dictionary = _synthetic_dictionary(names)
+    dictionary = synthetic_dictionary(names)
     vocab = [f"w{i:02d}" for i in range(RECOVERY_WORDS)]
 
     trans_cols = dict.fromkeys(dictionary.names + ["</s>"])
     vocab_cols = dict.fromkeys(vocab)
-    initial = canonical_row({c: _round12(1.0 / RECOVERY_CONCEPTS) for c in names},
+    initial = canonical_row({c: round12(1.0 / RECOVERY_CONCEPTS) for c in names},
                             0.0, trans_cols)
     transition = {}
     for c in names:
-        row = {d: _round12(0.15 / (RECOVERY_CONCEPTS - 1))
+        row = {d: round12(0.15 / (RECOVERY_CONCEPTS - 1))
                for d in names if d != c}
-        row[c] = _round12(0.80)
-        row["</s>"] = _round12(0.05)
+        row[c] = round12(0.80)
+        row["</s>"] = round12(0.05)
         transition[c] = canonical_row(row, 0.0, trans_cols)
 
     per = RECOVERY_WORDS // RECOVERY_CONCEPTS
     bigram = {}
     for i, c in enumerate(names):
-        preferred = {w: _round12(0.8 / per) for w in vocab[i * per:(i + 1) * per]}
+        preferred = {w: round12(0.8 / per) for w in vocab[i * per:(i + 1) * per]}
         table = {"<s>": canonical_row(
-            preferred, _round12(0.2 / (RECOVERY_WORDS - per)), vocab_cols)}
+            preferred, round12(0.2 / (RECOVERY_WORDS - per)), vocab_cols)}
         for j, w in enumerate(vocab):
             succ = vocab[(j + 7 * i + 1) % RECOVERY_WORDS]
-            table[w] = canonical_row({succ: _round12(0.95)}, _round12(
+            table[w] = canonical_row({succ: round12(0.95)}, round12(
                 0.05 / (RECOVERY_WORDS - 1)), vocab_cols)
         bigram[c] = table
     return ConceptHmm(dictionary, vocab, RECOVERY_K, initial, transition,
                       bigram)
-
-
-def unigram_baseline(corpus, dictionary, vocabulary, k: float) -> ConceptHmm:
-    """Context-free emission baseline: the same trained transition
-    structure, but every bigram context row is the concept's unigram
-    word distribution."""
-    model = train_mle(corpus, dictionary, vocabulary, k)
-    unigram_counts = {}
-    for sent in corpus:
-        for word, label in zip(sent.words, sent.labels):
-            row = unigram_counts.setdefault(label, Counter())
-            row[word.sym] += 1
-    bigram = {}
-    for c in dictionary.names:
-        row = _smooth_row(unigram_counts.get(c, Counter()),
-                          dict.fromkeys(model.vocab), k)
-        bigram[c] = {} if row is None else dict.fromkeys(
-            ("<s>",) + model.vocab, row)
-    return ConceptHmm(dictionary, model.vocab, k, model.initial,
-                      model.transition, bigram)
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +177,6 @@ def superword_effect_corpus(rng: random.Random, n: int, cities=None):
             tuple(w for w, _ in fused), tuple(c for _, c in fused)))
         span_maps.append(tuple(spans))
     return raw_corpus, fused_corpus, span_maps
-
-
-def superword_dictionary() -> ConceptDictionary:
-    return ConceptDictionary([
-        Concept("subject", "subject", rank=1),
-        Concept("origin", "restriction", rank=0),
-        Concept("destin", "restriction", rank=0),
-        Concept("fltnum", "restriction", rank=2),
-        Concept("dummy", "special"),
-        Concept("and", "special"),
-    ])
-
-
-def expand_labels(fused_labels, span_map):
-    """Project fused-token labels back onto the raw word positions."""
-    out = []
-    for label, width in zip(fused_labels, span_map):
-        out.extend([label] * width)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

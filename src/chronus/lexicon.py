@@ -270,9 +270,7 @@ class SuperwordLexicon:
     def _validate(self, path, lines):
         for surface in self.inflect:
             if surface in self.words:
-                raise LexiconDataError(
-                    f"{surface} is both a plain word and an inflection-group member",
-                    path)
+                raise _plain_and_inflected(surface, path)
         if UNKNOWN in self.words or UNKNOWN in self.inflect:
             raise LexiconDataError("unknown marker must not be a surface word",
                                    path)
@@ -326,13 +324,18 @@ class SuperwordLexicon:
                                  "accepting": set(), "normalizer": "identity"})
                 grammar_lines.append(ln)
             elif section == "words":
-                words.update(line.split())
+                for word in line.split():
+                    if word in inflect:
+                        raise _plain_and_inflected(word, path, ln)
+                    words.add(word)
             elif section == "inflect":
                 parts = line.split("\t")
                 if len(parts) != 2:
                     raise DataFormatError("expected SURFACE<TAB>SUPERWORD", path, ln)
                 if parts[0] in inflect and inflect[parts[0]] != parts[1]:
                     raise DataFormatError(f"{parts[0]} in two inflection groups", path, ln)
+                if parts[0] in words:
+                    raise _plain_and_inflected(parts[0], path, ln)
                 inflect[parts[0]] = parts[1]
             elif section == "stop":
                 stop.update(line.split())
@@ -342,6 +345,10 @@ class SuperwordLexicon:
                 if parts[0] == "accept" and len(parts) == 2:
                     grammar["accepting"].add(parts[1])
                 elif parts[0] == "normalize" and len(parts) == 2:
+                    if parts[1] not in NORMALIZERS:
+                        raise LexiconDataError(
+                            f"grammar {grammar['gid']}: unknown normalizer "
+                            f"{parts[1]!r}", path, ln)
                     grammar["normalizer"] = parts[1]
                 elif len(parts) == 3:
                     grammar["transitions"].setdefault(
@@ -352,6 +359,12 @@ class SuperwordLexicon:
                 raise DataFormatError("content before first section header", path, ln)
         return cls(words, inflect, stop, [FsaGrammar(**g) for g in grammars],
                    path, grammar_lines)
+
+
+def _plain_and_inflected(surface, path, ln=None):
+    return LexiconDataError(
+        f"{surface} is both a plain word and an inflection-group member",
+        path, ln)
 
 
 def lex_parse(sentence: str, lexicon: SuperwordLexicon) -> Lattice:

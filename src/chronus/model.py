@@ -8,7 +8,7 @@ Segment-initial words are conditioned on a per-concept begin marker.
 
 Add-k smoothing gives every unseen event of a row one shared value, so a
 row is held exactly as its exceptions plus one default, from estimation
-through synonym smoothing and the model file to the decoder's tables.
+through synonym smoothing and the model file to the decoder.
 It also gives every bigram context never seen in training one row, the
 model's unseen row (uniform over the vocabulary, or no mass when k = 0),
 so a bigram table holds only the context rows that differ from it.
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .concepts import ConceptDictionary, parse_concept
 from .errors import ChronusError, DataFormatError
-from .lexicon import Superword, parse_superword
+from .lexicon import parse_superword
 from .textfile import number, records
 
 BEGIN = "<s>"    # begin-of-segment marker / initial-state row
@@ -47,8 +47,9 @@ class UnknownWordError(TrainingError):
         self.word = word
 
 
-def _round12(p: float) -> float:
-    """Canonical 12-significant-digit value; keeps serialization lossless."""
+def round12(p: float) -> float:
+    """Canonical 12-significant-digit value, the model file's rounding;
+    keeps serialization lossless."""
     return float(f"{p:.11e}")
 
 
@@ -173,22 +174,20 @@ class ConceptHmm:
     context rows that differ from ``unseen``, the row add-k smoothing gives
     a context never seen in training: construction drops every row equal
     to it, and ``bigram_row`` reads a missing context as it.  Construction
-    compiles the rows into log tables indexed by concept, with a
-    minus-infinity sentinel for impossible events; every scorer reads
-    these: ``init_vec``, ``trans_into`` (``[next][previous]``) and its
-    per-row maximum ``trans_max`` (the decoder's bound), ``final_vec``,
-    and per concept its bigram table (context -> (log exceptions, log
-    default); a missing context reads as ``unseen_log``) in
-    ``bigram_tables``.  A symbol outside ``vocab_set`` has no mass in any
-    row.
+    compiles the transition rows into log tables indexed by concept, with
+    a minus-infinity sentinel for impossible events: ``init_vec``,
+    ``trans_into`` (``[next][previous]``) and its per-row maximum
+    ``trans_max`` (the decoder's bound), and ``final_vec``.  A symbol
+    outside ``vocab_set`` has no mass in any row.
 
     Every scorer reads emissions as per-concept vectors from
     ``emissions(ctx, sym)``: the begin-marker emissions of ``sym`` (``ctx``
-    = ``BEGIN``) and its stay emissions after ``ctx``.  They are built
-    from ``bigram_tables`` on first use, never at construction, and
-    memoised on the instance for a context in ``BEGIN`` + vocabulary and a
-    symbol in the vocabulary, so the memo holds at most (|V| + 1) * |V|
-    vectors; any other symbol reads one shared all -inf vector.
+    = ``BEGIN``) and its stay emissions after ``ctx``.  They are the logs
+    of the bigram rows' values, taken on first use, never at
+    construction, and memoised on the instance for a context in ``BEGIN``
+    + vocabulary and a symbol in the vocabulary, so the memo holds at most
+    (|V| + 1) * |V| vectors; any other symbol reads one shared all -inf
+    vector.
     """
 
     def __init__(self, dictionary: ConceptDictionary, vocab, k: float,
@@ -215,11 +214,6 @@ class ConceptHmm:
                            for c in names]  # next concept -> previous -> log p
         self.trans_max = [max(col) for col in self.trans_into]
         self.final_vec = [_safe_log(row.prob(FINAL)) for row in rows]
-        self.unseen_log = ({}, _safe_log(self.unseen.default))
-        self.bigram_tables = [
-            {r: ({w: _safe_log(p) for w, p in row.exc.items()},
-                 _safe_log(row.default))
-             for r, row in self.bigram[c].items()} for c in names]
         self._emissions = {}   # (ctx, sym) -> per-concept vector, on use
         self._no_mass = (NEG_INF,) * len(names)
 
@@ -235,15 +229,11 @@ class ConceptHmm:
         if vec is None:
             if sym not in self.vocab_set:
                 return self._no_mass
-            rows = [t.get(ctx, self.unseen_log) for t in self.bigram_tables]
-            vec = tuple([exc.get(sym, default) for exc, default in rows])
+            vec = tuple([_safe_log(table.get(ctx, self.unseen).prob(sym))
+                         for table in self.bigram.values()])
             if ctx == BEGIN or ctx in self.vocab_set:
                 self._emissions[ctx, sym] = vec
         return vec
-
-    def emission(self, c, ctx, sym) -> float:
-        """log P(sym | concept id c, bigram context ctx)."""
-        return self.emissions(ctx, sym)[c]
 
     def rows(self):
         """All stored (name, row) probability rows, for normalization
@@ -280,8 +270,8 @@ def _smooth_row(counts_row, columns, k):
     if total <= 0.0:
         return None
     return canonical_row(
-        {col: _round12((n + k) / total) for col, n in counts_row.items()},
-        _round12(k / total), columns)
+        {col: round12((n + k) / total) for col, n in counts_row.items()},
+        round12(k / total), columns)
 
 
 def full_vocabulary(lexicon, sentences):
@@ -408,8 +398,8 @@ def _average_rows(table, members, model, concept, columns):
 
     cols = set().union(*(r.exc for r in rows))
     avg = canonical_row(
-        {col: _round12(mean([r.prob(col) for r in rows])) for col in cols},
-        _round12(mean([r.default for r in rows])), columns)
+        {col: round12(mean([r.prob(col) for r in rows])) for col in cols},
+        round12(mean([r.default for r in rows])), columns)
     for w in members:
         table[w] = avg   # the model drops it if it equals the unseen row
 
@@ -419,7 +409,7 @@ def _share_columns(table, members):
         vals = [row.prob(w) for w in members]
         if all(v == vals[0] for v in vals):
             continue
-        share = _round12(sum(vals) / len(members))
+        share = round12(sum(vals) / len(members))
         table[ctx] = canonical_row({**row.exc, **dict.fromkeys(members, share)},
                                    row.default, row.columns)
 
@@ -438,7 +428,7 @@ def path_score(model: ConceptHmm, arcs_or_superwords, labels) -> float:
             logp += model.init_vec[c]
         else:
             logp += model.trans_into[c][prev]
-        logp += model.emission(c, prev_sym if c == prev else BEGIN, word.sym)
+        logp += model.emissions(prev_sym if c == prev else BEGIN, word.sym)[c]
         prev, prev_sym = c, word.sym
     return logp + (NEG_INF if prev is None else model.final_vec[prev])
 
@@ -607,8 +597,3 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
 def load_model(path) -> ConceptHmm:
     with open(path, encoding="utf-8") as fh:
         return model_from_text(fh.read(), path=str(path))
-
-
-def make_sentence(word_syms, labels) -> SegmentedSentence:
-    """Convenience constructor from plain symbol strings."""
-    return SegmentedSentence(tuple(Superword(s) for s in word_syms), tuple(labels))

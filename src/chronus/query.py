@@ -10,6 +10,7 @@ definition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .errors import ChronusError, DataFormatError
 from .template import Template
@@ -75,35 +76,45 @@ class Conventions:
 
 
 class MiniDb:
-    """Typed, referentially checked in-memory tables."""
+    """Typed, referentially checked in-memory tables.  ``lines``, when
+    given, maps each table to the lines of ``path`` that hold its rows, for
+    the errors of the record checks."""
 
-    def __init__(self, tables, conventions: Conventions):
+    def __init__(self, tables, conventions: Conventions, path=None,
+                 lines=None):
         self.tables = tables
         self.conventions = conventions
-        self._validate()
+        self._validate(path, lines or {})
         self._city_by_name = {r["city_name"]: r["city_code"]
                               for r in tables.get("city", [])}
         self._city_codes = {r["city_code"] for r in tables.get("city", [])}
 
-    def _validate(self):
+    def _validate(self, path, lines):
+        def rows(name):   # (row, its line or None)
+            return zip_longest(self.tables.get(name, []), lines.get(name, ()))
+
         for name, schema in SCHEMAS.items():
-            for row in self.tables.get(name, []):
+            for row, ln in rows(name):
                 if set(row) != set(schema):
-                    raise DataFormatError(f"bad columns in table {name}: {sorted(row)}")
+                    raise DataFormatError(
+                        f"bad columns in table {name}: {sorted(row)}", path, ln)
         flight_ids = {r["flight_id"] for r in self.tables.get("flight", [])}
         city_codes = {r["city_code"] for r in self.tables.get("city", [])}
-        for r in self.tables.get("fare", []):
+        for r, ln in rows("fare"):
             if r["flight_id"] not in flight_ids:
-                raise DataFormatError(f"fare {r['fare_id']} references unknown flight")
-        for r in self.tables.get("airport", []):
+                raise DataFormatError(
+                    f"fare {r['fare_id']} references unknown flight", path, ln)
+        for r, ln in rows("airport"):
             if r["city_code"] not in city_codes:
                 raise DataFormatError(
-                    f"airport {r['airport_code']} references unknown city")
-        for r in self.tables.get("flight", []):
+                    f"airport {r['airport_code']} references unknown city",
+                    path, ln)
+        for r, ln in rows("flight"):
             for col in ("depart_min", "arrive_min"):
                 if not 0 <= r[col] < 1440:
                     raise DataFormatError(
-                        f"flight {r['flight_id']}: {col} out of [0,1440)")
+                        f"flight {r['flight_id']}: {col} out of [0,1440)",
+                        path, ln)
 
     def resolve_city(self, value: str) -> str:
         """City code from a code or a (grammar-normalized) city name."""
@@ -116,6 +127,7 @@ class MiniDb:
     @classmethod
     def load(cls, path, conventions: Conventions):
         tables = {name: [] for name in SCHEMAS}
+        lines = {name: [] for name in SCHEMAS}
         table = None
         with open(path, encoding="utf-8") as fh:
             for ln, section, line in records(fh, path, "chronus-db v1"):
@@ -135,7 +147,8 @@ class MiniDb:
                     col: number(int, cell, f"{table}.{col}", path, ln)
                     if col in INT_COLUMNS else cell
                     for col, cell in zip(schema, parts)})
-        return cls(tables, conventions)
+                lines[table].append(ln)
+        return cls(tables, conventions, path, lines)
 
 
 @dataclass

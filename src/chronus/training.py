@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import groupby
 
 from .concepts import ConceptDictionary
@@ -58,13 +58,18 @@ class FeedbackEntry:
 
 @dataclass
 class FeedbackCorpus:
-    entries: list = field(default_factory=list)
+    """Feedback entries; ``lines``, when given, holds the line of ``path``
+    that starts each entry, for the errors of the record checks."""
 
-    def __post_init__(self):
-        for e in self.entries:
+    entries: list = field(default_factory=list)
+    path: InitVar[str | None] = None
+    lines: InitVar[list | None] = None
+
+    def __post_init__(self, path, lines):
+        for e, ln in zip(self.entries, lines or [None] * len(self.entries)):
             if e.gold is None and not e.has_references:
-                raise ChronusError(
-                    f"sentence {e.ident}: needs references or a gold segmentation")
+                raise DataFormatError(f"sentence {e.ident}: needs references "
+                                      "or a gold segmentation", path, ln)
 
     def seed_segmentations(self):
         return [e.gold for e in self.entries if e.gold is not None]
@@ -79,11 +84,12 @@ class FeedbackCorpus:
 
     @classmethod
     def from_lines(cls, lines, path=None):
-        entries = []
+        entries, entry_lines = [], []
         for ln, section, line in records(lines, path):
             if line is None:
                 entries.append(FeedbackEntry(
                     section_name(section, "sentence", path, ln), text=""))
+                entry_lines.append(ln)
                 continue
             if not entries:
                 raise DataFormatError("line before any [sentence] header", path, ln)
@@ -114,7 +120,7 @@ class FeedbackCorpus:
                                       path, ln)
             else:
                 raise DataFormatError(f"unknown record key {key!r}", path, ln)
-        return cls(entries)
+        return cls(entries, path, entry_lines)
 
     def to_text(self) -> str:
         out = []

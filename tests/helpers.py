@@ -1,13 +1,23 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite: fixtures' builders, random
+instances for the oracle checks and the baselines of the acceptance
+criteria."""
 
+import random
+from collections import Counter
 from pathlib import Path
 
 from chronus.concepts import Concept, ConceptDictionary
-from chronus.gen import random_trained_model
-from chronus.model import (ConceptHmm, _round12, canonical_row,
-                           full_vocabulary, train_mle)
+from chronus.gen import synthetic_dictionary
+from chronus.lexicon import Arc, Lattice, Superword
+from chronus.model import (ConceptHmm, SegmentedSentence, _smooth_row,
+                           canonical_row, full_vocabulary, round12, train_mle)
 
 TESTS_DATA = Path(__file__).parent / "data"
+
+
+def make_sentence(word_syms, labels) -> SegmentedSentence:
+    """A segmented sentence from plain symbol strings."""
+    return SegmentedSentence(tuple(Superword(s) for s in word_syms), tuple(labels))
 
 
 def train_full(sentences, artifacts, k=0.001):
@@ -35,15 +45,12 @@ def uniform_rows_model(n_concepts, vocab, initial, transition, bigram):
     """Concepts c0.. (plus the two specials) whose rows are uniform over
     the columns given: ``initial`` and ``transition[row]`` list concepts
     or "</s>", ``bigram[concept][context]`` lists words."""
-    names = [f"c{i}" for i in range(n_concepts)]
-    dictionary = ConceptDictionary(
-        [Concept(c, "restriction", rank=2) for c in names]
-        + [Concept("dummy", "special"), Concept("and", "special")])
+    dictionary = synthetic_dictionary([f"c{i}" for i in range(n_concepts)])
     trans_cols = dict.fromkeys(dictionary.names + ["</s>"])
     vocab_cols = dict.fromkeys(vocab)
 
     def uniform(support, columns):
-        return canonical_row(dict.fromkeys(support, _round12(1 / len(support))),
+        return canonical_row(dict.fromkeys(support, round12(1 / len(support))),
                              0.0, columns)
 
     return ConceptHmm(
@@ -69,3 +76,90 @@ def tie_heavy_model(rng):
         n_concepts, vocab, rng.sample(names, rng.randint(1, n_concepts)),
         {c: rng.sample(targets, width) for c in names},
         {c: dict.fromkeys(["<s>", *vocab], vocab) for c in names})
+
+
+# ---------------------------------------------------------------------------
+# Random instances for decoder oracle checks
+
+def random_trained_model(rng: random.Random, n_concepts=3, n_words=6,
+                         k=0.001, n_sentences=5) -> ConceptHmm:
+    """Train a model from a small random corpus (sparse when k=0)."""
+    names = [f"c{i}" for i in range(n_concepts)]
+    dictionary = synthetic_dictionary(names)
+    vocab = [f"w{i}" for i in range(n_words)]
+    corpus = []
+    for _ in range(n_sentences):
+        length = rng.randint(1, 6)
+        words = tuple(Superword(rng.choice(vocab)) for _ in range(length))
+        labels = tuple(rng.choice(dictionary.names) for _ in range(length))
+        corpus.append(SegmentedSentence(words, labels))
+    return train_mle(corpus, dictionary, vocab, k)
+
+
+def random_lattice(rng: random.Random, model: ConceptHmm,
+                   max_positions=5) -> Lattice:
+    """A small random lattice over the model's vocabulary.
+
+    A spine of unit arcs guarantees completeness; extra longer arcs add
+    path ambiguity.
+    """
+    n = rng.randint(1, max_positions)
+    vocab = list(model.vocab)
+    arcs = []
+    seen = set()
+
+    def add(start, end, sym):
+        key = (start, end, sym)
+        if key not in seen:
+            seen.add(key)
+            arcs.append(Arc(start, end, sym))
+
+    for i in range(n):
+        add(i, i + 1, rng.choice(vocab))
+    for _ in range(rng.randint(0, 4)):
+        start = rng.randrange(n)
+        end = rng.randint(start + 1, n)
+        add(start, end, rng.choice(vocab))
+    return Lattice(n, arcs)
+
+
+# ---------------------------------------------------------------------------
+# Baselines and fixtures of the acceptance criteria
+
+def unigram_baseline(corpus, dictionary, vocabulary, k: float) -> ConceptHmm:
+    """Context-free emission baseline: the same trained transition
+    structure, but every bigram context row is the concept's unigram
+    word distribution."""
+    model = train_mle(corpus, dictionary, vocabulary, k)
+    unigram_counts = {}
+    for sent in corpus:
+        for word, label in zip(sent.words, sent.labels):
+            row = unigram_counts.setdefault(label, Counter())
+            row[word.sym] += 1
+    bigram = {}
+    for c in dictionary.names:
+        row = _smooth_row(unigram_counts.get(c, Counter()),
+                          dict.fromkeys(model.vocab), k)
+        bigram[c] = {} if row is None else dict.fromkeys(
+            ("<s>",) + model.vocab, row)
+    return ConceptHmm(dictionary, model.vocab, k, model.initial,
+                      model.transition, bigram)
+
+
+def superword_dictionary() -> ConceptDictionary:
+    return ConceptDictionary([
+        Concept("subject", "subject", rank=1),
+        Concept("origin", "restriction", rank=0),
+        Concept("destin", "restriction", rank=0),
+        Concept("fltnum", "restriction", rank=2),
+        Concept("dummy", "special"),
+        Concept("and", "special"),
+    ])
+
+
+def expand_labels(fused_labels, span_map):
+    """Project fused-token labels back onto the raw word positions."""
+    out = []
+    for label, width in zip(fused_labels, span_map):
+        out.extend([label] * width)
+    return tuple(out)

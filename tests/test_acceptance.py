@@ -13,16 +13,16 @@ import pytest
 from chronus.cli import main
 from chronus.decoder import brute_force_decode, viterbi_decode, \
     viterbi_decode_lattice
-from chronus.gen import (_GEN_CITIES, alignment_corpus, expand_labels,
-                         make_recovery_model, random_lattice,
-                         random_trained_model, superword_dictionary,
-                         superword_effect_corpus, unigram_baseline)
+from chronus.gen import (_GEN_CITIES, alignment_corpus, make_recovery_model,
+                         superword_effect_corpus)
 from chronus.model import (SegmentedSentence, apply_synonym_smoothing,
                            load_model, model_to_text, train_mle)
 from chronus.pipeline import evaluate_corpus, run_turn
 from chronus.training import run_training_loop
 
-from helpers import TESTS_DATA, per_word_accuracy, train_full
+from helpers import (TESTS_DATA, expand_labels, per_word_accuracy,
+                     random_lattice, random_trained_model,
+                     superword_dictionary, train_full, unigram_baseline)
 
 
 def _verdict(number, name, ok):

@@ -2,12 +2,14 @@ import io
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chronus import pipeline
 from chronus.cli import main
 from chronus.errors import ChronusError
 from chronus.model import load_model, model_to_text, render_segments
-from chronus.pipeline import answer, data_path, evaluate_corpus, run_turn
+from chronus.pipeline import (TurnResult, answer, data_path, evaluate_corpus,
+                              run_turn)
 from chronus.query import Answer, PlanError
 from chronus.template import Template
 from chronus.training import FeedbackCorpus, FeedbackEntry
@@ -467,6 +469,25 @@ def test_programming_error_in_execute_propagates(demo_model, artifacts,
     monkeypatch.setattr(pipeline, "execute", broken)
     with pytest.raises(KeyError):
         run_turn("SHOW ME THE FLIGHTS TO BOSTON", demo_model, artifacts)
+
+
+# words of the demo corpus, so that some drawn texts decode and answer
+DEMO_WORDS = sorted({w for e in FeedbackCorpus.load(
+    data_path("demo_corpus.txt")).entries for w in e.text.split()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=st.lists(st.one_of(st.sampled_from(DEMO_WORDS),
+                               st.text(max_size=6)), max_size=16)
+       .map(" ".join))
+def test_any_text_gives_a_turn_or_a_chronus_error(demo_model, artifacts,
+                                                   text):
+    # st.text draws control and non-ASCII characters too
+    try:
+        turn = run_turn(text, demo_model, artifacts)
+    except ChronusError:
+        return
+    assert isinstance(turn, TurnResult)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,11 @@ from chronus.concepts import Concept, ConceptDictionary
 from chronus.decoder import (DecodeSizeError, brute_force_decode, path_score,
                              viterbi_decode, viterbi_decode_lattice)
 from chronus.errors import ChronusError
-from chronus.gen import random_lattice, random_trained_model
 from chronus.lexicon import Arc, Lattice, Superword, lex_parse
-from chronus.model import (NEG_INF, make_sentence, model_from_text,
-                           model_to_text, train_mle)
+from chronus.model import NEG_INF, model_from_text, model_to_text, train_mle
 
-from helpers import tie_heavy_model, uniform_rows_model
+from helpers import (make_sentence, random_lattice, random_trained_model,
+                     tie_heavy_model, uniform_rows_model)
 
 
 # ---------------------------------------------------------------------------

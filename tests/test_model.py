@@ -5,15 +5,16 @@ import pytest
 
 from chronus.concepts import Concept, ConceptDictionary
 from chronus.errors import ChronusError
-from chronus.gen import random_trained_model, sample_sentence
+from chronus.gen import sample_sentence
 from chronus.model import (BEGIN, NEG_INF, SegmentedSentence, UnknownLabelError,
                            UnknownWordError, apply_synonym_smoothing,
-                           canonical_row, load_model, load_synonyms, make_sentence,
+                           canonical_row, load_model, load_synonyms,
                            model_from_text, model_to_text, path_score,
-                           save_model, train_mle, _round12)
+                           round12, save_model, train_mle)
 from chronus.pipeline import data_path
 
-from helpers import TESTS_DATA, assert_rows_normalized
+from helpers import (TESTS_DATA, assert_rows_normalized, make_sentence,
+                     random_trained_model)
 
 
 def _mk(corpus_specs, dictionary, vocab, k):
@@ -76,7 +77,6 @@ def test_unsmoothed_absent_rows_are_impossible(artifacts):
                 artifacts.dictionary, ["SHOW", "ME"], k=0.0)
     # no counts under context ME: the row is absent, not uniform
     assert "ME" not in model.bigram["question"]
-    assert "ME" not in model.bigram_tables[artifacts.dictionary.index("question")]
     assert model.init_vec[artifacts.dictionary.index("subject")] == NEG_INF
     bad = make_sentence(["ME", "SHOW"], ["question", "question"])
     assert path_score(model, bad.words, bad.labels) == NEG_INF
@@ -91,13 +91,13 @@ def test_add_k_smoothing_values(artifacts):
                 artifacts.dictionary, ["SHOW", "ME"], k=k)
     n_cols = len(artifacts.dictionary) + 1  # concepts plus the final column
     assert model.initial["question"] == pytest.approx(
-        _round12((1 + k) / (1 + k * n_cols)), rel=1e-11)
+        round12((1 + k) / (1 + k * n_cols)), rel=1e-11)
     assert model.initial["subject"] == pytest.approx(
-        _round12(k / (1 + k * n_cols)), rel=1e-11)
+        round12(k / (1 + k * n_cols)), rel=1e-11)
     assert model.bigram["question"]["SHOW"]["ME"] == pytest.approx(
-        _round12((1 + k) / (1 + 2 * k)), rel=1e-11)
+        round12((1 + k) / (1 + 2 * k)), rel=1e-11)
     assert model.bigram["question"]["SHOW"]["SHOW"] == pytest.approx(
-        _round12(k / (1 + 2 * k)), rel=1e-11)
+        round12(k / (1 + 2 * k)), rel=1e-11)
     assert_rows_normalized(model)
 
 
@@ -133,8 +133,8 @@ def test_emissions_are_the_add_k_estimates_of_the_counts(demo_model):
                 row = model.counts.bigram.get(name, {}).get(ctx, {})
                 total = sum(row.values()) + k * len(vocab)
                 for sym in vocab:
-                    p = _round12((row.get(sym, 0) + k) / total) if total else 0.0
-                    assert model.emission(c, ctx, sym) == (
+                    p = round12((row.get(sym, 0) + k) / total) if total else 0.0
+                    assert model.emissions(ctx, sym)[c] == (
                         math.log(p) if p > 0.0 else NEG_INF)
 
 
@@ -145,10 +145,10 @@ def test_emission_vectors_hold_the_table_values_bit_for_bit(demo_model):
         for sym in vocab:
             vec = model.emissions(ctx, sym)
             assert len(vec) == len(model.dictionary)
-            for c, table in enumerate(model.bigram_tables):
-                exc, default = table.get(ctx, model.unseen_log)
-                assert vec[c].hex() == exc.get(sym, default).hex()
-                assert vec[c].hex() == model.emission(c, ctx, sym).hex()
+            for c, name in enumerate(model.dictionary.names):
+                p = model.bigram_row(name, ctx).prob(sym)
+                assert vec[c].hex() == (
+                    math.log(p) if p > 0.0 else NEG_INF).hex()
     assert len(model._emissions) == (len(vocab) + 1) * len(vocab)
 
 

@@ -1,10 +1,12 @@
 import pytest
 
 from chronus.lexicon import Superword, parse_superword
-from chronus.model import SegmentedSentence, make_sentence
+from chronus.model import SegmentedSentence
 from chronus.template import (Pattern, Template, TemplateError, TemplateToken,
                               ValueTable, generate_template, matched_fraction,
                               should_reject)
+
+from helpers import make_sentence
 
 
 def _segmentation(spec):

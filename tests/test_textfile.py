@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from chronus.cli import main
 from chronus.errors import DataFormatError
-from chronus.gen import make_recovery_model, random_trained_model
+from chronus.gen import make_recovery_model
 from chronus.model import SegmentedSentence, model_from_text, model_to_text
 from chronus.pipeline import data_path
 from chronus.query import Answer
 from chronus.textfile import records
 from chronus.training import FeedbackCorpus, FeedbackEntry
 
-from helpers import TESTS_DATA
+from helpers import TESTS_DATA, random_trained_model
 
 
 def test_records_skips_comments_and_numbers_lines():
@@ -128,6 +128,16 @@ MALFORMED = [
      _bundled("db.txt", "[table flight]",
               "f99\tAA\tabc\tBBOS\tDDFW\t480\t720\tDC10\tNONE"),
      "flight.number 'abc' is not a number"),
+    ("db-fare-flight", "--db",
+     _bundled("db.txt", "[table fare]", "g99\tf99\t100\tECONOMY"),
+     "fare g99 references unknown flight"),
+    ("db-airport-city", "--db",
+     _bundled("db.txt", "[table airport]", "XXX\tZZZZ"),
+     "airport XXX references unknown city"),
+    ("db-time", "--db",
+     _bundled("db.txt", "[table flight]",
+              "f99\tAA\t999\tBBOS\tDDFW\t480\t1440\tDC10\tNONE"),
+     "flight f99: arrive_min out of [0,1440)"),
     ("values-header", "--values",
      _bundled("values.txt", "[concept subject]", "[concept origin"),
      "unterminated section header"),
@@ -145,6 +155,9 @@ MALFORMED = [
     ("corpus-refs", "--corpus",
      ("[sentence x01]\ntext\tSHOW\nrefmin\tAA\n", 3),
      "refmin needs a matching refs line before it"),
+    ("corpus-no-gold-or-refs", "--corpus",
+     (CORPUS + "[sentence x02]\ntext\tSHOW\n", 4),
+     "sentence x02: needs references or a gold segmentation"),
     ("concepts-rank", "--concepts",
      _bundled("concepts.txt", "subject\tsubject\t1", "extra\tsubject\tmany"),
      "rank 'many' is not a number"),
@@ -161,6 +174,14 @@ MALFORMED = [
     ("lexicon-stop-word-in-grammar", "--lexicon",
      _at(_bundled("lexicon.txt", "THE A AN", "TWO")[0], "[grammar number]"),
      "stop words ['TWO'] appear in grammar number"),
+    ("lexicon-normalizer", "--lexicon",
+     _at(data_path("lexicon.txt").read_text(encoding="utf-8").replace(
+         "normalize\tjoin", "normalize\tnope"), "normalize\tnope"),
+     "grammar city: unknown normalizer 'nope'"),
+    ("lexicon-plain-and-inflected", "--lexicon",
+     _at(_bundled("lexicon.txt", "[words]", "FLIGHTS")[0],
+         "FLIGHTS\tFLIGHT(S)"),
+     "FLIGHTS is both a plain word and an inflection-group member"),
     ("synonyms", "--synonyms",
      ("# concept<TAB>word<TAB>word...\norigin\tLEAVE(S)\n", 2),
      "synonym line needs a concept and two or more words"),

@@ -5,7 +5,7 @@ import pytest
 
 from chronus.decoder import brute_force_decode
 from chronus.errors import ChronusError
-from chronus.gen import alignment_corpus, make_recovery_model, random_trained_model
+from chronus.gen import alignment_corpus, make_recovery_model
 from chronus.lexicon import Arc, Lattice, parse_superword
 from chronus.model import BEGIN, SegmentedSentence, path_score, train_mle
 from chronus.query import Answer
@@ -13,7 +13,7 @@ from chronus.training import (AlignmentInfeasibleError, FeedbackCorpus,
                               FeedbackEntry, align_win, brute_force_align,
                               required_concepts, run_training_loop)
 
-from helpers import tie_heavy_model, train_full
+from helpers import random_trained_model, tie_heavy_model, train_full
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +238,7 @@ def _prefix_states(model, words, labels):
     for word, label in zip(words, labels):
         c = dictionary.index(label)
         score += model.init_vec[c] if prev is None else model.trans_into[c][prev]
-        score += model.emission(c, prev_sym if c == prev else BEGIN, word.sym)
+        score += model.emissions(prev_sym if c == prev else BEGIN, word.sym)[c]
         if c != prev and not dictionary.is_special(label):
             counts[dictionary.fold(label)] += 1
         states.append(((c, tuple(sorted(counts.items()))), score))
