@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from itertools import zip_longest
 
 from .concepts import ConceptDictionary
 from .dialog import merge_context
@@ -67,12 +68,19 @@ def _load_artifacts(args) -> Artifacts:
 
 def _load_model(path, artifacts: Artifacts) -> ConceptHmm:
     """The model at ``path``, which must score every symbol that the
-    artifacts' lexicon can emit: any other symbol would decode at -inf."""
+    artifacts' lexicon can emit: any other symbol would decode at -inf.
+    Its ``[concepts]`` must equal the artifacts' concepts line for line,
+    since order, roles, ranks and counterparts all change the answers."""
     model = load_model(path)
     missing = artifacts.lexicon.superwords - model.vocab_set
     if missing:
         raise ChronusError(f"{path}: lexicon symbol {min(missing)!r} "
                            "is not in the model's [vocab]")
+    for ours, theirs in zip_longest(model.dictionary.to_lines(),
+                                    artifacts.dictionary.to_lines()):
+        if ours != theirs:
+            raise ChronusError(f"{path}: [concepts] has {ours!r} where "
+                               f"the concepts file has {theirs!r}")
     return model
 
 

@@ -7,12 +7,16 @@ dynamic program is indexed by (arc, concept) rather than (position,
 concept).  It runs on integer ids: arcs by their position in the sorted
 ``lattice.arcs``, concepts by dictionary index, scores from the model's
 concept-indexed log transition vectors, one list of per-concept scores
-per arc.  Emissions come as per-concept vectors that the model takes from
-its bigram rows and memoises (``ConceptHmm.emissions``): a new segment's
-first word is emitted from the begin-marker row whatever the previous
-concept was, so that vector is read once per arc; only staying in the
-same concept reads the vector of the predecessor's symbol as context,
-once per (arc, live predecessor).
+per arc.  Its predecessors come from the lattice's own index,
+``lattice.incoming``: per position, the arcs into it that a path from
+position 0 reaches (the live arcs), built once with the lattice, so the
+decoder derives no reachability of its own.  Emissions come as
+per-concept vectors that the model takes from its bigram rows and
+memoises (``ConceptHmm.emissions``): a new segment's first word is
+emitted from the begin-marker row whatever the previous concept was, so
+that vector is read once per arc; only staying in the same concept reads
+the vector of the predecessor's symbol as context, once per (arc, live
+predecessor).
 
 Each cell maximizes over the candidates (previous concept, live incoming
 arc), each scored as ``cell + transition + emission``, without scoring
@@ -100,9 +104,7 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
     n_concepts = len(model.dictionary)
     concepts = range(n_concepts)
     arcs = lattice.arcs  # sorted by Arc.key: start-major, predecessors first
-    incoming = {}        # end position -> ids of arcs ending there
-    for i, a in enumerate(arcs):
-        incoming.setdefault(a.end, []).append(i)
+    incoming = lattice.incoming  # position -> ids of the live arcs ending there
 
     delta = [None] * len(arcs)  # arc id -> score per concept; None: unreachable
     back = [None] * len(arcs)   # arc id -> (prev arc id, prev concept) per concept
@@ -117,7 +119,7 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
             delta[i] = [s + e for s, e in zip(model.init_vec, begin)]
             back[i] = [(None, None)] * n_concepts
             continue
-        live = [j for j in incoming.get(a.start, ()) if delta[j] is not None]
+        live = incoming.get(a.start)
         if not live:
             continue
         relax += n_concepts * n_concepts * len(live)
@@ -155,10 +157,7 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
                     cells[c], prev[c], bps[c] = best, d, (j, d)
         delta[i], back[i] = cells, bps
 
-    ends = [j for j in incoming.get(lattice.n_positions, ())
-            if delta[j] is not None]
-    if not ends:
-        raise ChronusError("lattice has no decodable complete path")
+    ends = incoming[lattice.n_positions]
     relax += n_concepts * len(ends)
     # the first maximum in (concept, arc key) order; (0, first end) if -inf
     log_prob, c, j = NEG_INF, 0, ends[0]
@@ -174,8 +173,7 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
     while j is not None:
         path.append((arcs[j].superword, names[c]))
         if degenerate:   # the first live arc in, concept 0 throughout
-            j = next((p for p in incoming.get(arcs[j].start, ())
-                      if delta[p] is not None), None)
+            j = incoming[arcs[j].start][0] if arcs[j].start else None
         else:
             j, c = back[j][c]
     words, labels = zip(*reversed(path))

@@ -92,7 +92,13 @@ class Arc:
 
 class Lattice:
     """DAG of superword arcs over token positions 0..n_positions, with
-    ``arcs`` sorted by ``Arc.key`` (start-major)."""
+    ``arcs`` sorted by ``Arc.key`` (start-major), the one arc order.
+
+    ``incoming`` maps each position that a path from 0 reaches, other
+    than 0, to the ids (indices into ``arcs``, in arc-key order) of the
+    arcs that end there and start at 0 or at a reached position; the
+    lattice is complete exactly when the end position is among its keys.
+    """
 
     def __init__(self, n_positions: int, arcs):
         arcs = tuple(sorted(arcs, key=Arc.key))
@@ -106,17 +112,15 @@ class Lattice:
             if dup in seen:
                 raise LatticeError(f"duplicate arc {dup}")
             seen.add(dup)
+        incoming = {}
+        for i, a in enumerate(arcs):  # start-major: a single pass suffices
+            if a.start == 0 or a.start in incoming:
+                incoming.setdefault(a.end, []).append(i)
+        if n_positions not in incoming:
+            raise LatticeError("no complete path from position 0 to the end")
         self.n_positions = n_positions
         self.arcs = arcs
-        if not self._complete():
-            raise LatticeError("no complete path from position 0 to the end")
-
-    def _complete(self) -> bool:
-        reach = {0}
-        for a in self.arcs:  # arcs sorted by start: single pass suffices
-            if a.start in reach:
-                reach.add(a.end)
-        return self.n_positions in reach
+        self.incoming = incoming
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +325,7 @@ class SuperwordLexicon:
                 if len(parts) != 2:
                     raise DataFormatError("expected [grammar <id>]", path, ln)
                 grammars.append({"gid": parts[1], "transitions": {},
-                                 "accepting": set(), "normalizer": "identity"})
+                                 "accepting": set()})
                 grammar_lines.append(ln)
             elif section == "words":
                 for word in line.split():
@@ -345,6 +349,9 @@ class SuperwordLexicon:
                 if parts[0] == "accept" and len(parts) == 2:
                     grammar["accepting"].add(parts[1])
                 elif parts[0] == "normalize" and len(parts) == 2:
+                    if "normalizer" in grammar:
+                        raise DataFormatError(f"grammar {grammar['gid']}: "
+                                              "normalize given twice", path, ln)
                     if parts[1] not in NORMALIZERS:
                         raise LexiconDataError(
                             f"grammar {grammar['gid']}: unknown normalizer "
@@ -399,11 +406,10 @@ def lex_parse(sentence: str, lexicon: SuperwordLexicon) -> Lattice:
 
 
 def enumerate_path_arcs(lattice: Lattice):
-    """All complete paths as arc tuples, lexicographic by (start, symbol,
-    end, value) of their arcs."""
-    order = sorted(lattice.arcs, key=lambda a: (a.start, a.sym, a.end, a.value or ""))
+    """All complete paths as arc tuples, lexicographic by the arc keys of
+    their arcs (the lattice's one arc order)."""
     by_start = {}
-    for a in order:
+    for a in lattice.arcs:
         by_start.setdefault(a.start, []).append(a)
     paths = []
 

@@ -98,6 +98,13 @@ class MiniDb:
                 if set(row) != set(schema):
                     raise DataFormatError(
                         f"bad columns in table {name}: {sorted(row)}", path, ln)
+        for name, key in PRIMARY_KEYS.items():
+            keys = set()
+            for row, ln in rows(name):
+                if row[key] in keys:
+                    raise DataFormatError(
+                        f"table {name} repeats {key} {row[key]!r}", path, ln)
+                keys.add(row[key])
         flight_ids = {r["flight_id"] for r in self.tables.get("flight", [])}
         city_codes = {r["city_code"] for r in self.tables.get("city", [])}
         for r, ln in rows("fare"):

@@ -11,6 +11,7 @@ same token as under fare.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .concepts import ConceptDictionary
 from .errors import ChronusError, DataFormatError
@@ -24,6 +25,11 @@ TAKE_VALUE = "*"
 
 class TemplateError(ChronusError):
     pass
+
+
+class ValueTableDataError(DataFormatError, TemplateError):
+    """A value pattern that is empty, or that a shorter one listed before
+    it shadows."""
 
 
 @dataclass(frozen=True)
@@ -83,19 +89,26 @@ class Template:
 
 
 class ValueTable:
-    """Per-concept ordered pattern lists."""
+    """Per-concept ordered pattern lists.  ``lines``, when given, maps each
+    concept to the lines of ``path`` that hold its patterns, for the errors
+    of the pattern checks."""
 
-    def __init__(self, tables):
+    def __init__(self, tables, path=None, lines=None):
         self.tables = {c: list(pats) for c, pats in tables.items()}
+        lines = lines or {}
         for concept, pats in self.tables.items():
-            if any(not p.tokens for p in pats):
-                raise TemplateError(f"empty pattern under {concept}")
-            for i, p in enumerate(pats):
-                for q in pats[i + 1:]:
+            at = list(zip_longest(pats, lines.get(concept, ())))
+            for p, ln in at:
+                if not p.tokens:
+                    raise ValueTableDataError(f"empty pattern under {concept}",
+                                              path, ln)
+            for i, (p, _) in enumerate(at):
+                for q, ln in at[i + 1:]:
                     if len(q.tokens) > len(p.tokens) and q.tokens[:len(p.tokens)] == p.tokens:
-                        raise TemplateError(
+                        raise ValueTableDataError(
                             f"{concept}: pattern {_render_tokens(p.tokens)} listed "
-                            f"before the longer {_render_tokens(q.tokens)}")
+                            f"before the longer {_render_tokens(q.tokens)}",
+                            path, ln)
 
     def patterns(self, concept):
         return self.tables.get(concept, [])
@@ -107,12 +120,13 @@ class ValueTable:
 
     @classmethod
     def from_lines(cls, lines, path=None):
-        tables = {}
+        tables, pattern_lines = {}, {}
         patterns = None
         for ln, section, line in records(lines, path):
             if line is None:
-                patterns = tables.setdefault(
-                    section_name(section, "concept", path, ln), [])
+                concept = section_name(section, "concept", path, ln)
+                patterns = tables.setdefault(concept, [])
+                pattern_ln = pattern_lines.setdefault(concept, [])
                 continue
             if patterns is None:
                 raise DataFormatError("pattern before any [concept] header", path, ln)
@@ -125,7 +139,8 @@ class ValueTable:
                 raise DataFormatError(f"unknown category {category!r}", path, ln)
             tokens = tuple(parse_superword(w) for w in words.split())
             patterns.append(Pattern(tokens, value, category))
-        return cls(tables)
+            pattern_ln.append(ln)
+        return cls(tables, path, pattern_lines)
 
 
 def _render_tokens(tokens):

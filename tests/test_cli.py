@@ -1,4 +1,5 @@
 import io
+import re
 from dataclasses import replace
 
 import pytest
@@ -159,6 +160,24 @@ def test_model_missing_a_lexicon_symbol_is_data_error(
     assert capsys.readouterr().err == (
         f"data error: {demo_model_path}: lexicon symbol 'GIZMO' "
         "is not in the model's [vocab]\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["decode", "SHOW ME THE FLIGHTS TO BOSTON"],
+    ["eval", "--corpus", str(data_path("demo_corpus.txt"))],
+], ids=["decode", "eval"])
+def test_model_with_other_concepts_is_data_error(
+        command, demo_model_path, tmp_path, capsys):
+    # the model calls destin "dest"; without the check, decode fails on a
+    # template label and eval silently rejects every trip to a destination
+    text = open(demo_model_path, encoding="utf-8").read()
+    model = tmp_path / "model.txt"
+    model.write_text(re.sub(r"\bdestin\b", "dest", text), encoding="utf-8")
+    argv = command[:1] + ["--model", str(model)] + command[1:]
+    assert main(argv, out=io.StringIO()) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {model}: [concepts] has 'dest\\trestriction\\t0' "
+        "where the concepts file has 'destin\\trestriction\\t0'\n")
 
 
 # A sentence whose only segment matches no value pattern: the bundled

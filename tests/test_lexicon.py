@@ -172,6 +172,45 @@ def test_lattice_requires_positions():
         Lattice(0, [])
 
 
+def _reached(arcs):
+    """Positions a path from 0 reaches, by fixpoint over unordered arcs."""
+    reach = {0}
+    while True:
+        more = {a.end for a in arcs if a.start in reach} - reach
+        if not more:
+            return reach
+        reach |= more
+
+
+@st.composite
+def _arc_sets(draw):
+    n = draw(st.integers(1, 6))
+    ends = st.integers(0, n - 1)
+    keys = draw(st.lists(st.tuples(ends, ends, st.sampled_from("ab")),
+                         max_size=10))
+    # a pair of positions i, j in [0, n) spans min(i, j) .. max(i, j) + 1
+    arcs = {(min(i, j), max(i, j) + 1, sym) for i, j, sym in keys}
+    return n, [Arc(*key) for key in arcs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_arc_sets())
+def test_lattice_incoming_holds_the_reachable_arcs(case):
+    n, arcs = case
+    reach = _reached(arcs)
+    if n not in reach:
+        with pytest.raises(LatticeError):
+            Lattice(n, arcs)
+        return
+    lattice = Lattice(n, arcs)
+    expected = {}
+    for a in sorted(arcs, key=Arc.key):
+        if a.start in reach:
+            expected.setdefault(a.end, []).append(a)
+    assert {p: [lattice.arcs[i] for i in ids]
+            for p, ids in lattice.incoming.items()} == expected
+
+
 def test_enumerate_path_arcs_order():
     lattice = Lattice(2, [Arc(0, 1, "A"), Arc(0, 1, "B"),
                           Arc(1, 2, "C"), Arc(0, 2, "D")])

@@ -138,6 +138,18 @@ MALFORMED = [
      _bundled("db.txt", "[table flight]",
               "f99\tAA\t999\tBBOS\tDDFW\t480\t1440\tDC10\tNONE"),
      "flight f99: arrive_min out of [0,1440)"),
+    ("db-repeated-key", "--db",
+     _bundled("db.txt", "f01\tAA\t101\tBBOS\tDDFW\t480\t720\tDC10\tBREAKFAST",
+              "f01\tUA\t999\tDDFW\tBBOS\t500\t700\tDC9\tNONE"),
+     "table flight repeats flight_id 'f01'"),
+    ("values-empty-pattern", "--values",
+     _bundled("values.txt", "[concept origin]", "\tMATL\titem"),
+     "empty pattern under origin"),
+    ("values-shadowed-pattern", "--values",
+     _bundled("values.txt", "((city)ATLANTA)\tMATL\titem",
+              "((city)ATLANTA) ((city)BOSTON)\tMATL\titem"),
+     "origin: pattern ((city)ATLANTA) listed before the longer "
+     "((city)ATLANTA) ((city)BOSTON)"),
     ("values-header", "--values",
      _bundled("values.txt", "[concept subject]", "[concept origin"),
      "unterminated section header"),
@@ -178,6 +190,9 @@ MALFORMED = [
      _at(data_path("lexicon.txt").read_text(encoding="utf-8").replace(
          "normalize\tjoin", "normalize\tnope"), "normalize\tnope"),
      "grammar city: unknown normalizer 'nope'"),
+    ("lexicon-normalize-twice", "--lexicon",
+     _bundled("lexicon.txt", "normalize\tjoin", "normalize\tdigits"),
+     "grammar city: normalize given twice"),
     ("lexicon-plain-and-inflected", "--lexicon",
      _at(_bundled("lexicon.txt", "[words]", "FLIGHTS")[0],
          "FLIGHTS\tFLIGHT(S)"),
