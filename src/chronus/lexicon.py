@@ -105,15 +105,14 @@ class Lattice:
         if n_positions < 1:
             raise LatticeError("lattice needs at least one token position")
         seen = set()
-        for a in arcs:
+        incoming = {}
+        for i, a in enumerate(arcs):  # start-major: a single pass suffices
             if not (0 <= a.start < a.end <= n_positions):
                 raise LatticeError(f"arc {a} out of bounds for n={n_positions}")
             dup = (a.start, a.end, a.sym)
             if dup in seen:
                 raise LatticeError(f"duplicate arc {dup}")
             seen.add(dup)
-        incoming = {}
-        for i, a in enumerate(arcs):  # start-major: a single pass suffices
             if a.start == 0 or a.start in incoming:
                 incoming.setdefault(a.end, []).append(i)
         if n_positions not in incoming:
@@ -201,7 +200,8 @@ class FsaGrammar:
 
     Transitions may be nondeterministic as written; the acceptor is
     determinized by subset construction at load time, so matching is
-    linear in input length.
+    linear in input length.  ``start_words`` holds the words that can
+    begin a match, the keys of the determinized start state's row.
     """
 
     START = "0"
@@ -238,6 +238,7 @@ class FsaGrammar:
                     stack.append(nxt)
             self._dfa[cur] = row
         self._start = start
+        self.start_words = frozenset(self._dfa[start])
 
     def match_ends(self, tokens, start_idx):
         """End indices (exclusive) of all accepted prefixes starting at start_idx."""
@@ -395,8 +396,12 @@ def lex_parse(sentence: str, lexicon: SuperwordLexicon) -> Lattice:
         # of the same grammar).  In (start, -end) order a match is contained
         # exactly when an earlier one reaches at least its end; match_ends
         # ascends, so at each start only the longest match can be maximal.
+        # A match can only start at one of the grammar's start words.
         reach = 0
-        for s in range(len(kept)):
+        start_words = grammar.start_words
+        for s, tok in enumerate(kept):
+            if tok not in start_words:
+                continue
             ends = grammar.match_ends(kept, s)
             if ends and ends[-1] > reach:
                 e = reach = ends[-1]

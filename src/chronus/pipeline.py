@@ -42,10 +42,12 @@ class Artifacts:
     def load(cls, lexicon_path, dictionary_path, tables_path, db_path,
              conventions_path):
         conventions = Conventions.load(conventions_path)
+        lexicon = SuperwordLexicon.load(lexicon_path)
+        dictionary = ConceptDictionary.load(dictionary_path)
         return cls(
-            lexicon=SuperwordLexicon.load(lexicon_path),
-            dictionary=ConceptDictionary.load(dictionary_path),
-            tables=ValueTable.load(tables_path),
+            lexicon=lexicon,
+            dictionary=dictionary,
+            tables=ValueTable.load(tables_path, dictionary),
             db=MiniDb.load(db_path, conventions),
         )
 

@@ -1,11 +1,15 @@
 """Meaning templates: keyword/value tokens produced from a segmentation.
 
-Each concept has an ordered list of phrase patterns; the first pattern
-found inside a segment supplies the token value.  Grammar-typed slots
-(e.g. ((city))) either match a specific normalized value or take the
-value of whatever grammar arc they matched.  Attribute concepts fold
-into their restriction counterpart, so ECONOMY under a_fare yields the
-same token as under fare.
+Each concept has an ordered list of phrase patterns; the first pattern,
+in file order, found anywhere inside a segment supplies the token value,
+taken at its leftmost match.  So a pattern listed first wins even where a
+later one matches further left.  The value table indexes each concept's
+patterns by their first symbol, and matching walks the segment's words
+once, trying at each word only the patterns that begin with its symbol.
+Grammar-typed slots (e.g. ((city))) either match a specific normalized
+value or take the value of whatever grammar arc they matched.  Attribute
+concepts fold into their restriction counterpart, so ECONOMY under a_fare
+yields the same token as under fare.
 """
 
 from __future__ import annotations
@@ -37,21 +41,27 @@ class Pattern:
     tokens: tuple       # Superword tokens; grammar slots have value None ("any")
     value: str          # token value, or TAKE_VALUE to copy the matched slot's
     category: str
+    _parts: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # (sym, value, is grammar slot) per token, so matching reads no property
+        object.__setattr__(self, "_parts", tuple(
+            (t.sym, t.value, t.grammar_id is not None) for t in self.tokens))
 
     def matches_at(self, segment, i) -> str | None:
         """Value produced if the pattern matches segment words at offset i."""
-        if i + len(self.tokens) > len(segment):
+        if i + len(self._parts) > len(segment):
             return None
         slot_value = None
-        for p, w in zip(self.tokens, segment[i:]):
-            if p.sym != w.sym:
+        for (sym, value, slot), w in zip(self._parts, segment[i:]):
+            if sym != w.sym:
                 return None
-            if p.grammar_id is not None:
-                if p.value is not None and p.value != w.value:
+            if slot:
+                if value is not None and value != w.value:
                     return None
                 if slot_value is None:
                     slot_value = w.value
-            elif p.value != w.value:
+            elif value != w.value:
                 return None
         if self.value == TAKE_VALUE:
             return slot_value
@@ -89,19 +99,23 @@ class Template:
 
 
 class ValueTable:
-    """Per-concept ordered pattern lists.  ``lines``, when given, maps each
-    concept to the lines of ``path`` that hold its patterns, for the errors
-    of the pattern checks."""
+    """Per-concept ordered pattern lists, held as ``by_first``: per concept,
+    each first symbol maps to the ``(file order, pattern)`` pairs of the
+    patterns that begin with it, in file order.  ``lines``, when given, maps
+    each concept to the lines of ``path`` that hold its patterns, for the
+    errors of the pattern checks."""
 
     def __init__(self, tables, path=None, lines=None):
-        self.tables = {c: list(pats) for c, pats in tables.items()}
         lines = lines or {}
-        for concept, pats in self.tables.items():
+        self.by_first = {}
+        for concept, pats in tables.items():
             at = list(zip_longest(pats, lines.get(concept, ())))
-            for p, ln in at:
+            index = self.by_first[concept] = {}
+            for order, (p, ln) in enumerate(at):
                 if not p.tokens:
                     raise ValueTableDataError(f"empty pattern under {concept}",
                                               path, ln)
+                index.setdefault(p.tokens[0].sym, []).append((order, p))
             for i, (p, _) in enumerate(at):
                 for q, ln in at[i + 1:]:
                     if len(q.tokens) > len(p.tokens) and q.tokens[:len(p.tokens)] == p.tokens:
@@ -110,21 +124,23 @@ class ValueTable:
                             f"before the longer {_render_tokens(q.tokens)}",
                             path, ln)
 
-    def patterns(self, concept):
-        return self.tables.get(concept, [])
-
     @classmethod
-    def load(cls, path):
+    def load(cls, path, dictionary: ConceptDictionary):
         with open(path, encoding="utf-8") as fh:
-            return cls.from_lines(fh, path=str(path))
+            return cls.from_lines(fh, dictionary, path=str(path))
 
     @classmethod
-    def from_lines(cls, lines, path=None):
+    def from_lines(cls, lines, dictionary: ConceptDictionary, path=None):
+        """Read a value file whose ``[concept c]`` headers each name a
+        concept of ``dictionary``."""
         tables, pattern_lines = {}, {}
         patterns = None
         for ln, section, line in records(lines, path):
             if line is None:
                 concept = section_name(section, "concept", path, ln)
+                if concept not in dictionary:
+                    raise DataFormatError(f"unknown concept {concept!r}",
+                                          path, ln)
                 patterns = tables.setdefault(concept, [])
                 pattern_ln = pattern_lines.setdefault(concept, [])
                 continue
@@ -167,12 +183,23 @@ def generate_template(segmentation: SegmentedSentence, tables: ValueTable,
 
 
 def _match_segment(keyword, words, tables, seg_idx):
-    for pattern in tables.patterns(keyword):
-        for i in range(len(words)):
+    """The first pattern in file order that matches anywhere in ``words``,
+    at its leftmost offset.  One walk over the offsets tries, at each, the
+    patterns indexed under its word's symbol that come before the best
+    match so far; the first of them to match is the best at that offset."""
+    index = tables.by_first.get(keyword, {})
+    best = None
+    for i, w in enumerate(words):
+        for order, pattern in index.get(w.sym, ()):
+            if best is not None and order >= best[0]:
+                break
             value = pattern.matches_at(words, i)
             if value is not None:
-                return TemplateToken(keyword, value, pattern.category, seg_idx)
-    return None
+                best = order, value, pattern.category
+                break
+    if best is None:
+        return None
+    return TemplateToken(keyword, best[1], best[2], seg_idx)
 
 
 def should_reject(template: Template, threshold: float) -> bool:

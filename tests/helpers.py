@@ -11,6 +11,7 @@ from chronus.gen import synthetic_dictionary
 from chronus.lexicon import Arc, Lattice, Superword
 from chronus.model import (ConceptHmm, SegmentedSentence, _smooth_row,
                            canonical_row, full_vocabulary, round12, train_mle)
+from chronus.template import Template, TemplateToken
 
 TESTS_DATA = Path(__file__).parent / "data"
 
@@ -155,6 +156,28 @@ def superword_dictionary() -> ConceptDictionary:
         Concept("dummy", "special"),
         Concept("and", "special"),
     ])
+
+
+def template_by_definition(segmentation, tables, dictionary) -> Template:
+    """``generate_template`` as defined, pattern-major: for each segment,
+    every pattern of its concept's list in ``tables`` (concept -> patterns,
+    in file order), and for each pattern every offset; the first match
+    gives the token."""
+    template = Template()
+    for seg_idx, (label, start, end) in enumerate(segmentation.segments()):
+        if dictionary.is_special(label):
+            continue
+        keyword = dictionary.fold(label)
+        words = segmentation.words[start:end]
+        found = next(((p, v) for p in tables.get(keyword, ())
+                      for i in range(len(words))
+                      if (v := p.matches_at(words, i)) is not None), None)
+        if found is None:
+            template.unmatched += 1
+        else:
+            template.tokens.append(TemplateToken(keyword, found[1],
+                                                 found[0].category, seg_idx))
+    return template
 
 
 def expand_labels(fused_labels, span_map):

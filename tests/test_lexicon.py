@@ -149,6 +149,30 @@ def test_maximal_match_sweep_equals_all_pairs_definition(tokens):
     assert lattice.arcs == _arcs_by_all_pairs(kept, BUNDLED)
 
 
+def _match_ends_calls(monkeypatch, sentence):
+    """How many times lex_parse calls FsaGrammar.match_ends on ``sentence``."""
+    calls = []
+    real = FsaGrammar.match_ends
+
+    def counted(self, tokens, start_idx):
+        calls.append(start_idx)
+        return real(self, tokens, start_idx)
+
+    monkeypatch.setattr(FsaGrammar, "match_ends", counted)
+    lex_parse(sentence, BUNDLED)
+    return len(calls)
+
+
+def test_lexer_tries_grammars_only_at_their_start_words(monkeypatch):
+    plain = ["SHOW", "ME", "FLIGHTS", "XYZZY"]
+    assert not set(plain) & set(GRAMMAR_WORDS)
+    assert _match_ends_calls(monkeypatch, " ".join(plain)) == 0
+    tokens = ["FROM", "BOSTON", "TO", "DENVER"]
+    starts = sum(t in g.start_words for g in BUNDLED.grammars for t in tokens)
+    assert starts == 2
+    assert _match_ends_calls(monkeypatch, " ".join(tokens)) == starts
+
+
 # ---------------------------------------------------------------------------
 # Lattice invariants
 

@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chronus.gen import synthetic_dictionary
 from chronus.lexicon import Superword, parse_superword
 from chronus.model import SegmentedSentence
-from chronus.template import (Pattern, Template, TemplateError, TemplateToken,
-                              ValueTable, generate_template, matched_fraction,
+from chronus.template import (CATEGORIES, TAKE_VALUE, Pattern, Template,
+                              TemplateError, TemplateToken, ValueTable,
+                              generate_template, matched_fraction,
                               should_reject)
 
-from helpers import make_sentence
+from helpers import make_sentence, template_by_definition
 
 
 def _segmentation(spec):
@@ -113,12 +116,68 @@ def test_first_match_wins_within_concept():
         Pattern((Superword("AMERICAN"), Superword("AIRLINES")), "AA", "item"),
         Pattern((Superword("AMERICAN"),), "AA-short", "item"),
     ]})
-    seg = [Superword("AMERICAN"), Superword("AIRLINES")]
-    for pattern in table.patterns("airline"):
-        value = pattern.matches_at(seg, 0)
-        if value is not None:
-            break
-    assert value == "AA"
+    seg = make_sentence(["AMERICAN", "AIRLINES"], ["airline"] * 2)
+    template = generate_template(seg, table, synthetic_dictionary(["airline"]))
+    assert template.render() == "(airline,AA)"
+
+
+def test_file_order_beats_a_match_further_left():
+    # patterns [B, A] on segment A B: B is listed first, so it wins
+    # although A matches at an earlier offset
+    table = ValueTable({"x": [Pattern((Superword("B"),), "b", "item"),
+                              Pattern((Superword("A"),), "a", "item")]})
+    seg = make_sentence(["A", "B"], ["x", "x"])
+    template = generate_template(seg, table, synthetic_dictionary(["x"]))
+    assert template.render() == "(x,b)"
+
+
+def test_winning_pattern_takes_its_leftmost_match():
+    table = ValueTable({"x": [Pattern((Superword("((city))"),), TAKE_VALUE,
+                                      "item")]})
+    seg = _segmentation("((city)BOSTON):x ((city)DALLAS):x")
+    template = generate_template(seg, table, synthetic_dictionary(["x"]))
+    assert template.render() == "(x,BOSTON)"
+
+
+_PATTERN_WORDS = [Superword("A"), Superword("B"), Superword("C"),
+                  Superword("((city))"), Superword("((city))", "BOSTON"),
+                  Superword("((city))", "DALLAS"), Superword("((number))")]
+_SEGMENT_WORDS = [Superword("A"), Superword("B"), Superword("C"),
+                  Superword("D"), Superword("((city))"),
+                  Superword("((city))", "BOSTON"),
+                  Superword("((city))", "DALLAS"),
+                  Superword("((number))", "37")]
+
+
+@st.composite
+def _pattern_list(draw):
+    """Up to 6 patterns in file order, without any that an earlier, shorter
+    pattern shadows (which ValueTable rejects)."""
+    patterns = []
+    for order in range(draw(st.integers(0, 6))):
+        tokens = tuple(draw(st.lists(st.sampled_from(_PATTERN_WORDS),
+                                     min_size=1, max_size=3)))
+        if any(len(tokens) > len(p.tokens)
+               and tokens[:len(p.tokens)] == p.tokens for p in patterns):
+            continue
+        value = draw(st.sampled_from([f"p{order}", TAKE_VALUE]))
+        patterns.append(Pattern(tokens, value,
+                                draw(st.sampled_from(CATEGORIES))))
+    return patterns
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables=st.fixed_dictionaries({"x": _pattern_list(),
+                                     "y": _pattern_list()}),
+       pairs=st.lists(st.tuples(st.sampled_from(_SEGMENT_WORDS),
+                                st.sampled_from(["x", "y", "dummy"])),
+                      min_size=1, max_size=10))
+def test_indexed_template_equals_pattern_major_definition(tables, pairs):
+    dictionary = synthetic_dictionary(["x", "y"])
+    seg = SegmentedSentence(tuple(w for w, _ in pairs),
+                            tuple(c for _, c in pairs))
+    assert generate_template(seg, ValueTable(tables), dictionary) \
+        == template_by_definition(seg, tables, dictionary)
 
 
 def test_prefix_pattern_must_come_after_longer_one():
@@ -134,14 +193,15 @@ def test_empty_pattern_rejected():
         ValueTable({"airline": [Pattern((), "AA", "item")]})
 
 
-def test_from_lines_validates_category():
+def test_from_lines_validates_category(artifacts):
     with pytest.raises(Exception):
-        ValueTable.from_lines(["[concept x]", "WORD\tvalue\tbogus"])
+        ValueTable.from_lines(["[concept origin]", "WORD\tvalue\tbogus"],
+                              artifacts.dictionary)
 
 
-def test_from_lines_requires_concept_header():
+def test_from_lines_requires_concept_header(artifacts):
     with pytest.raises(Exception):
-        ValueTable.from_lines(["WORD\tvalue\titem"])
+        ValueTable.from_lines(["WORD\tvalue\titem"], artifacts.dictionary)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,10 @@ MALFORMED = [
               "((city)ATLANTA) ((city)BOSTON)\tMATL\titem"),
      "origin: pattern ((city)ATLANTA) listed before the longer "
      "((city)ATLANTA) ((city)BOSTON)"),
+    ("values-unknown-concept", "--values",
+     _at(data_path("values.txt").read_text(encoding="utf-8").replace(
+         "[concept origin]", "[concept orign]"), "[concept orign]"),
+     "unknown concept 'orign'"),
     ("values-header", "--values",
      _bundled("values.txt", "[concept subject]", "[concept origin"),
      "unterminated section header"),
