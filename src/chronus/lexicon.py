@@ -47,18 +47,13 @@ class Superword:
     """A lexical unit: either a word/inflection-group symbol or a grammar match.
 
     For grammar matches ``sym`` is the bracketed grammar identifier
-    (e.g. ``((number))``) and ``value`` the normalized form (e.g. ``37``).
-    The stochastic model only ever sees ``sym``.
+    (e.g. ``((number))``) and ``value`` the normalized form (e.g. ``37``);
+    other superwords carry no value.  The stochastic model only ever sees
+    ``sym``.
     """
 
     sym: str
     value: str | None = None
-
-    @property
-    def grammar_id(self) -> str | None:
-        if self.sym.startswith("((") and self.sym.endswith("))"):
-            return self.sym[2:-2]
-        return None
 
     def render(self) -> str:
         if self.value is None:

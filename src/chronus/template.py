@@ -41,28 +41,21 @@ class Pattern:
     tokens: tuple       # Superword tokens; grammar slots have value None ("any")
     value: str          # token value, or TAKE_VALUE to copy the matched slot's
     category: str
-    _parts: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # (sym, value, is grammar slot) per token, so matching reads no property
-        object.__setattr__(self, "_parts", tuple(
-            (t.sym, t.value, t.grammar_id is not None) for t in self.tokens))
 
     def matches_at(self, segment, i) -> str | None:
-        """Value produced if the pattern matches segment words at offset i."""
-        if i + len(self._parts) > len(segment):
+        """Value produced if the pattern matches segment words at offset i.
+
+        Only grammar superwords carry values, so a token without one
+        matches any word of its symbol, and the first word with a value
+        is the first matched slot's."""
+        if i + len(self.tokens) > len(segment):
             return None
         slot_value = None
-        for (sym, value, slot), w in zip(self._parts, segment[i:]):
-            if sym != w.sym:
+        for p, w in zip(self.tokens, segment[i:]):
+            if p.sym != w.sym or p.value is not None and p.value != w.value:
                 return None
-            if slot:
-                if value is not None and value != w.value:
-                    return None
-                if slot_value is None:
-                    slot_value = w.value
-            elif value != w.value:
-                return None
+            if slot_value is None:
+                slot_value = w.value
         if self.value == TAKE_VALUE:
             return slot_value
         return self.value

@@ -39,7 +39,6 @@ def test_parse_superword_plain_word():
 def test_parse_superword_grammar_match():
     sw = parse_superword("((city)BOSTON)")
     assert sw == Superword("((city))", "BOSTON")
-    assert sw.grammar_id == "city"
     assert sw.render() == "((city)BOSTON)"
 
 
