@@ -20,6 +20,7 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .concepts import ConceptDictionary, parse_concept
 from .errors import ChronusError, DataFormatError
@@ -335,23 +336,30 @@ def apply_synonym_smoothing(model: ConceptHmm, groups) -> ConceptHmm:
     ``groups`` maps a concept name to word groups.  For each group the
     context rows of the member words are replaced by their count-weighted
     average, and in every row of that concept's table the member columns
-    share their summed mass uniformly.
+    share their summed mass uniformly.  When ``groups`` is the
+    ``SynonymGroups`` of ``load_synonyms``, an error names the file and
+    line of the group at fault.
     """
     if not groups:
         return model
+    path = getattr(groups, "path", None)
+    lines = getattr(groups, "lines", {})
     columns = dict.fromkeys(model.vocab)
     bigram = {g: dict(table) for g, table in model.bigram.items()}
     for concept, concept_groups in groups.items():
+        at = list(zip_longest(concept_groups, lines.get(concept, ())))
         if concept not in model.dictionary:
-            raise UnknownLabelError(concept)
+            raise _located(UnknownLabelError(concept), path,
+                           at[0][1] if at else None)
         seen = set()
-        for group in concept_groups:
+        for group, ln in at:
             for w in group:
                 if w not in columns:
-                    raise UnknownWordError(w)
+                    raise _located(UnknownWordError(w), path, ln)
                 if w in seen:
-                    raise TrainingError(
-                        f"word {w!r} in two synonym groups under {concept}")
+                    raise _located(TrainingError(
+                        f"word {w!r} in two synonym groups under {concept}"),
+                        path, ln)
                 seen.add(w)
         table = bigram.setdefault(concept, {})
         for group in concept_groups:
@@ -364,10 +372,26 @@ def apply_synonym_smoothing(model: ConceptHmm, groups) -> ConceptHmm:
                       model.initial, model.transition, bigram, model.counts)
 
 
-def load_synonyms(path):
+def _located(error, path, line):
+    """``error``, or a DataFormatError with its message at ``path``:``line``
+    when the line is known."""
+    return error if line is None else DataFormatError(str(error), path, line)
+
+
+class SynonymGroups(dict):
+    """Concept name -> word groups, as read from ``path``; ``lines`` maps
+    each concept to the line of each of its groups."""
+
+    def __init__(self, path=None):
+        super().__init__()
+        self.path = path
+        self.lines = {}
+
+
+def load_synonyms(path) -> SynonymGroups:
     """Synonym groups for ``apply_synonym_smoothing`` from a file of
     ``concept<TAB>word<TAB>word...`` lines, one group per line."""
-    groups = {}
+    groups = SynonymGroups(path)
     with open(path, encoding="utf-8") as fh:
         for ln, section, line in records(fh, path):
             if line is None:
@@ -378,6 +402,7 @@ def load_synonyms(path):
                     "synonym line needs a concept and two or more words",
                     path, ln)
             groups.setdefault(fields[0], []).append(fields[1:])
+            groups.lines.setdefault(fields[0], []).append(ln)
     return groups
 
 

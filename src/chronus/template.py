@@ -32,8 +32,8 @@ class TemplateError(ChronusError):
 
 
 class ValueTableDataError(DataFormatError, TemplateError):
-    """A value pattern that is empty, or that a shorter one listed before
-    it shadows."""
+    """A value pattern that is empty, that takes its slot's value without a
+    grammar slot, or that a shorter one listed before it shadows."""
 
 
 @dataclass(frozen=True)
@@ -108,6 +108,11 @@ class ValueTable:
                 if not p.tokens:
                     raise ValueTableDataError(f"empty pattern under {concept}",
                                               path, ln)
+                if p.value == TAKE_VALUE and not any(
+                        t.sym.startswith("((") for t in p.tokens):
+                    raise ValueTableDataError(
+                        f"{concept}: pattern {_render_tokens(p.tokens)} takes "
+                        "its slot's value (*) but has no grammar slot", path, ln)
                 index.setdefault(p.tokens[0].sym, []).append((order, p))
             for i, (p, _) in enumerate(at):
                 for q, ln in at[i + 1:]:
@@ -125,7 +130,8 @@ class ValueTable:
     @classmethod
     def from_lines(cls, lines, dictionary: ConceptDictionary, path=None):
         """Read a value file whose ``[concept c]`` headers each name a
-        concept of ``dictionary``."""
+        folded, non-special concept of ``dictionary``: the only ones
+        ``generate_template`` looks patterns up under."""
         tables, pattern_lines = {}, {}
         patterns = None
         for ln, section, line in records(lines, path):
@@ -134,6 +140,11 @@ class ValueTable:
                 if concept not in dictionary:
                     raise DataFormatError(f"unknown concept {concept!r}",
                                           path, ln)
+                role = dictionary[concept].role
+                if role in ("special", "attribute"):
+                    raise DataFormatError(
+                        f"concept {concept!r} has role {role}; segments read "
+                        "the patterns of folded, non-special concepts", path, ln)
                 patterns = tables.setdefault(concept, [])
                 pattern_ln = pattern_lines.setdefault(concept, [])
                 continue

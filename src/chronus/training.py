@@ -9,14 +9,16 @@ segmentations, and repeats until the correct set stops changing.
 Constrained alignment is a Viterbi search over dense integer states, a
 concept and a code for how many segments of each required keyword have
 begun, held in flat lists.  It reads the model's concept-indexed tables,
-like the lattice decoder, and keeps its first-maximum tie rule; its
-brute-force oracle runs the decoder oracle's enumerator on the sentence's
-chain lattice.
+like the lattice decoder, and keeps its first-maximum tie rule.  Its
+search plan is built once per model and win multiset.  Its brute-force
+oracle runs the decoder oracle's enumerator on the sentence's chain
+lattice.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, field
@@ -233,6 +235,51 @@ def required_concepts(win_tokens: Iterable[str], dictionary: ConceptDictionary):
     return Counter(keywords)
 
 
+_plans = weakref.WeakKeyDictionary()   # model -> win multiset -> plan
+
+
+def _align_plan(model: ConceptHmm, required: Counter):
+    """align_win's search plan ``(n_codes, allowed, enter, moves)`` for one
+    model and win multiset, built on first use and read, never changed,
+    by every later call."""
+    plans = _plans.setdefault(model, {})
+    multiset = tuple(sorted(required.items()))
+    if multiset in plans:
+        return plans[multiset]
+    dictionary = model.dictionary
+    place, n_codes = {}, 1   # keyword -> digit weight; number of codes
+    for key in sorted(required, reverse=True):
+        place[key] = n_codes
+        n_codes *= required[key] + 1
+    # allowed concept ids; per allowed concept, the (code, state) moves
+    # that begin a segment of it and those that continue one
+    allowed, enter, keep = [], [], []
+    for c, name in enumerate(dictionary.names):
+        if model.init_vec[c] == NEG_INF and model.trans_max[c] == NEG_INF:
+            continue   # no labeling can enter c
+        first = len(allowed) * n_codes
+        same = [(code, first + code) for code in range(n_codes)]
+        if dictionary.is_special(name):   # its segments keep the counts
+            enter.append(same)
+        elif (key := dictionary.fold(name)) in required:
+            step, need = place[key], required[key]
+            enter.append([(code, first + code + step) for code in range(n_codes)
+                          if code // step % (need + 1) < need])
+        else:
+            continue
+        allowed.append(c)
+        keep.append(same)
+    # per predecessor: (allowed index, concept id, transition, moves) of
+    # every concept it can go on to
+    moves = [[(a, c, model.trans_into[c][cp],
+               keep[a] if a == a_p else enter[a])
+              for a, c in enumerate(allowed)
+              if model.trans_into[c][cp] > NEG_INF]
+             for a_p, cp in enumerate(allowed)]
+    plan = plans[multiset] = n_codes, allowed, enter, moves
+    return plan
+
+
 def align_win(sentence, win_tokens: Iterable[str],
               model: ConceptHmm) -> SegmentedSentence:
     """Viterbi decoding constrained to emit exactly the win concept multiset.
@@ -256,6 +303,14 @@ def align_win(sentence, win_tokens: Iterable[str],
     in predecessor state order and the first strict maximum wins, also in
     the final sweep over the states whose counts are complete.
 
+    The search plan (digit weights, allowed concepts, the moves that
+    begin or continue a segment, the per-predecessor move table) depends
+    only on the model's fixed tables and the win multiset.  It is built on
+    the first call for that model and multiset and kept while the model
+    lives, in a memo keyed weakly by the model; later calls read it and
+    never change it.  The checks of the sentence and the win run on every
+    call, before the plan is looked up.
+
     The result is the labeling brute_force_align returns unless rounding
     creates a tie: two prefixes that meet in one state can differ by an
     ulp and still reach one total once the later terms, at the latest the
@@ -270,37 +325,9 @@ def align_win(sentence, win_tokens: Iterable[str],
     required = required_concepts(win_tokens, dictionary)
     if not model.vocab_set.issuperset(w.sym for w in words):
         raise AlignmentInfeasibleError(INFEASIBLE)   # no row gives it mass
-    place, n_codes = {}, 1   # keyword -> digit weight; number of codes
-    for key in sorted(required, reverse=True):
-        place[key] = n_codes
-        n_codes *= required[key] + 1
-    full = n_codes - 1   # the largest code: every keyword complete
-    # allowed concept ids; per allowed concept, the (code, state) moves
-    # that begin a segment of it and those that continue one
-    allowed, enter, keep = [], [], []
-    for c, name in enumerate(dictionary.names):
-        if model.init_vec[c] == NEG_INF and model.trans_max[c] == NEG_INF:
-            continue   # no labeling can enter c
-        first = len(allowed) * n_codes
-        same = [(code, first + code) for code in range(n_codes)]
-        if dictionary.is_special(name):   # its segments keep the counts
-            enter.append(same)
-        elif (key := dictionary.fold(name)) in required:
-            step, need = place[key], required[key]
-            enter.append([(code, first + code + step) for code in range(n_codes)
-                          if code // step % (need + 1) < need])
-        else:
-            continue
-        allowed.append(c)
-        keep.append(same)
+    n_codes, allowed, enter, moves = _align_plan(model, required)
     n_states = len(allowed) * n_codes
-    # per predecessor: (allowed index, concept id, transition, moves) of
-    # every concept it can go on to
-    moves = [[(a, c, model.trans_into[c][cp],
-               keep[a] if a == a_p else enter[a])
-              for a, c in enumerate(allowed)
-              if model.trans_into[c][cp] > NEG_INF]
-             for a_p, cp in enumerate(allowed)]
+    full = n_codes - 1   # the largest code: every keyword complete
 
     sym = words[0].sym
     begin = model.emissions(BEGIN, sym)

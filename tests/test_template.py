@@ -152,7 +152,8 @@ _SEGMENT_WORDS = [Superword("A"), Superword("B"), Superword("C"),
 @st.composite
 def _pattern_list(draw):
     """Up to 6 patterns in file order, without any that an earlier, shorter
-    pattern shadows (which ValueTable rejects)."""
+    pattern shadows and without a TAKE_VALUE pattern that has no grammar
+    slot (ValueTable rejects both)."""
     patterns = []
     for order in range(draw(st.integers(0, 6))):
         tokens = tuple(draw(st.lists(st.sampled_from(_PATTERN_WORDS),
@@ -160,7 +161,9 @@ def _pattern_list(draw):
         if any(len(tokens) > len(p.tokens)
                and tokens[:len(p.tokens)] == p.tokens for p in patterns):
             continue
-        value = draw(st.sampled_from([f"p{order}", TAKE_VALUE]))
+        value = f"p{order}"
+        if any(t.sym.startswith("((") for t in tokens):   # it has a slot
+            value = draw(st.sampled_from([value, TAKE_VALUE]))
         patterns.append(Pattern(tokens, value,
                                 draw(st.sampled_from(CATEGORIES))))
     return patterns

@@ -154,6 +154,19 @@ MALFORMED = [
      _at(data_path("values.txt").read_text(encoding="utf-8").replace(
          "[concept origin]", "[concept orign]"), "[concept orign]"),
      "unknown concept 'orign'"),
+    ("values-attribute-concept", "--values",
+     _at(data_path("values.txt").read_text(encoding="utf-8").replace(
+         "[concept fare]", "[concept a_fare]"), "[concept a_fare]"),
+     "concept 'a_fare' has role attribute; segments read the patterns of "
+     "folded, non-special concepts"),
+    ("values-special-concept", "--values",
+     _bundled("values.txt", "EARLY\tmorning\tattribute", "[concept dummy]"),
+     "concept 'dummy' has role special; segments read the patterns of "
+     "folded, non-special concepts"),
+    ("values-take-without-slot", "--values",
+     _bundled("values.txt", "CONTINENTAL\tCO\titem", "AMERICAN\t*\titem"),
+     "airline: pattern AMERICAN takes its slot's value (*) but has no "
+     "grammar slot"),
     ("values-header", "--values",
      _bundled("values.txt", "[concept subject]", "[concept origin"),
      "unterminated section header"),
@@ -204,6 +217,16 @@ MALFORMED = [
     ("synonyms", "--synonyms",
      ("# concept<TAB>word<TAB>word...\norigin\tLEAVE(S)\n", 2),
      "synonym line needs a concept and two or more words"),
+    ("synonyms-unknown-word", "--synonyms",
+     ("origin\tDEPART(S)\tLEAVE(S)\n# next\norigin\tFROM\tNOSUCHWORD\n", 3),
+     "word not in vocabulary: 'NOSUCHWORD'"),
+    ("synonyms-unknown-concept", "--synonyms",
+     ("origin\tDEPART(S)\tLEAVE(S)\nnosuch\tDEPART(S)\tLEAVE(S)\n", 2),
+     "segmentation label not in concept dictionary: 'nosuch'"),
+    ("synonyms-word-in-two-groups", "--synonyms",
+     ("origin\tDEPART(S)\tLEAVE(S)\ndestin\tTO\tARRIVE(S)\n"
+      "origin\tFROM\tLEAVE(S)\n", 3),
+     "word 'LEAVE(S)' in two synonym groups under origin"),
 ]
 
 

@@ -1,13 +1,17 @@
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
 
 from chronus.decoder import brute_force_decode
 from chronus.errors import ChronusError
-from chronus.gen import alignment_corpus, make_recovery_model
+from chronus.gen import (alignment_corpus, make_recovery_model,
+                         synthetic_dictionary)
 from chronus.lexicon import Arc, Lattice, parse_superword
-from chronus.model import BEGIN, SegmentedSentence, path_score, train_mle
+from chronus.model import (BEGIN, SegmentedSentence, model_from_text,
+                           model_to_text, path_score, train_mle)
 from chronus.query import Answer
 from chronus.training import (AlignmentInfeasibleError, FeedbackCorpus,
                               FeedbackEntry, align_win, brute_force_align,
@@ -364,3 +368,77 @@ def test_brute_force_align_guards():
     long_words = tuple(parse_superword("w0") for _ in range(9))
     with pytest.raises(ChronusError):
         brute_force_align(long_words, ["c0"], small)
+
+
+# ---------------------------------------------------------------------------
+# The per-model search plan
+
+def _aligned_or_error(words, win, model):
+    try:
+        return align_win(words, win, model).labels
+    except ChronusError as exc:
+        return type(exc), str(exc)
+
+
+def test_shared_plans_align_like_a_fresh_model_per_call():
+    # one model aligns the interleaved instances of three seeds, reusing
+    # its plan per win multiset; a fresh copy per call builds every plan.
+    # Each win also comes with its first keyword twice, so multisets that
+    # share their keywords differ in a count
+    text = model_to_text(make_recovery_model())
+    shared = model_from_text(text)
+    corpora = [alignment_corpus(shared, random.Random(seed), 100, max_len=8)
+               for seed in (1, 2, 3)]
+    multisets = set()
+    for instances in zip(*corpora):
+        for words, win, _gold in instances:
+            for keywords in (win, win + win[:1]):
+                multisets.add(tuple(sorted(keywords)))
+                assert _aligned_or_error(words, keywords, shared) \
+                    == _aligned_or_error(words, keywords,
+                                         model_from_text(text))
+    assert len(multisets) > 40
+
+
+def _sparse_model(rng, dictionary, vocab):
+    corpus = [SegmentedSentence(
+        tuple(parse_superword(rng.choice(vocab)) for _ in range(n)),
+        tuple(rng.choice(dictionary.names[:3]) for _ in range(n)))
+        for n in [rng.randint(1, 6) for _ in range(6)]]
+    return train_mle(corpus, dictionary, vocab, 0.0)
+
+
+def test_models_of_one_dictionary_keep_their_own_plans():
+    # same dictionary, vocabulary and win, different transitions: each
+    # model's alignment must be its own oracle's, whichever aligned first
+    dictionary = synthetic_dictionary(["c0", "c1", "c2"])
+    vocab = [f"w{i}" for i in range(4)]
+    rng = random.Random(31)
+    differ = 0
+    for _ in range(60):
+        models = [_sparse_model(rng, dictionary, vocab) for _ in range(2)]
+        words = tuple(parse_superword(rng.choice(vocab))
+                      for _ in range(rng.randint(1, 5)))
+        win = [rng.choice(["c0", "c1", "c2"]) for _ in range(rng.randint(1, 2))]
+        results = []
+        for model in models + models[::-1]:
+            try:
+                slow = brute_force_align(words, win, model).labels
+            except AlignmentInfeasibleError:
+                slow = None
+            fast = _aligned_or_error(words, win, model)
+            assert fast == slow or slow is None \
+                and fast[0] is AlignmentInfeasibleError
+            results.append(slow)
+        differ += results[0] != results[1]
+    assert differ >= 5
+
+
+def test_a_model_with_plans_is_still_collected():
+    model = random_trained_model(random.Random(5))
+    words = tuple(parse_superword(w) for w in ["w0", "w1"])
+    align_win(words, ["c0"], model)
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
