@@ -100,7 +100,8 @@ def cmd_train(args, out) -> int:
     vocab = full_vocabulary(lexicon, corpus)
     model = train_mle(corpus, dictionary, vocab, args.k)
     if args.synonyms:
-        model = apply_synonym_smoothing(model, load_synonyms(args.synonyms))
+        model = apply_synonym_smoothing(model, load_synonyms(
+            args.synonyms, model.dictionary, model.vocab))
         for name, row in model.rows():
             if not row.normalized():
                 raise ChronusError(f"row {name} is no longer normalized")

@@ -70,6 +70,12 @@ def parse_superword(text: str) -> Superword:
     return Superword(text)
 
 
+def is_grammar_sym(sym: str) -> bool:
+    """Whether ``sym`` is the symbol of a grammar superword, ((gid))."""
+    m = _SUPERWORD_RE.match(sym)
+    return m is not None and not m.group(2)
+
+
 @dataclass(frozen=True, order=True)
 class Arc:
     start: int

@@ -20,7 +20,6 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import zip_longest
 
 from .concepts import ConceptDictionary, parse_concept
 from .errors import ChronusError, DataFormatError
@@ -336,30 +335,23 @@ def apply_synonym_smoothing(model: ConceptHmm, groups) -> ConceptHmm:
     ``groups`` maps a concept name to word groups.  For each group the
     context rows of the member words are replaced by their count-weighted
     average, and in every row of that concept's table the member columns
-    share their summed mass uniformly.  When ``groups`` is the
-    ``SynonymGroups`` of ``load_synonyms``, an error names the file and
-    line of the group at fault.
+    share their summed mass uniformly.
     """
     if not groups:
         return model
-    path = getattr(groups, "path", None)
-    lines = getattr(groups, "lines", {})
     columns = dict.fromkeys(model.vocab)
     bigram = {g: dict(table) for g, table in model.bigram.items()}
     for concept, concept_groups in groups.items():
-        at = list(zip_longest(concept_groups, lines.get(concept, ())))
         if concept not in model.dictionary:
-            raise _located(UnknownLabelError(concept), path,
-                           at[0][1] if at else None)
+            raise UnknownLabelError(concept)
         seen = set()
-        for group, ln in at:
+        for group in concept_groups:
             for w in group:
                 if w not in columns:
-                    raise _located(UnknownWordError(w), path, ln)
+                    raise UnknownWordError(w)
                 if w in seen:
-                    raise _located(TrainingError(
-                        f"word {w!r} in two synonym groups under {concept}"),
-                        path, ln)
+                    raise TrainingError(
+                        f"word {w!r} in two synonym groups under {concept}")
                 seen.add(w)
         table = bigram.setdefault(concept, {})
         for group in concept_groups:
@@ -372,26 +364,16 @@ def apply_synonym_smoothing(model: ConceptHmm, groups) -> ConceptHmm:
                       model.initial, model.transition, bigram, model.counts)
 
 
-def _located(error, path, line):
-    """``error``, or a DataFormatError with its message at ``path``:``line``
-    when the line is known."""
-    return error if line is None else DataFormatError(str(error), path, line)
-
-
-class SynonymGroups(dict):
-    """Concept name -> word groups, as read from ``path``; ``lines`` maps
-    each concept to the line of each of its groups."""
-
-    def __init__(self, path=None):
-        super().__init__()
-        self.path = path
-        self.lines = {}
-
-
-def load_synonyms(path) -> SynonymGroups:
+def load_synonyms(path, dictionary: ConceptDictionary, vocab):
     """Synonym groups for ``apply_synonym_smoothing`` from a file of
-    ``concept<TAB>word<TAB>word...`` lines, one group per line."""
-    groups = SynonymGroups(path)
+    ``concept<TAB>word<TAB>word...`` lines, one group per line.
+
+    Lines are checked in file order against the model's ``dictionary`` and
+    ``vocab``: an unknown concept, a word outside the vocabulary, or a word
+    that an earlier group of the same concept holds is a data error at
+    its line."""
+    vocab = set(vocab)
+    groups, seen = {}, {}   # concept -> word groups; -> words so far
     with open(path, encoding="utf-8") as fh:
         for ln, section, line in records(fh, path):
             if line is None:
@@ -401,8 +383,20 @@ def load_synonyms(path) -> SynonymGroups:
                 raise DataFormatError(
                     "synonym line needs a concept and two or more words",
                     path, ln)
-            groups.setdefault(fields[0], []).append(fields[1:])
-            groups.lines.setdefault(fields[0], []).append(ln)
+            concept, words = fields[0], fields[1:]
+            if concept not in dictionary:
+                raise DataFormatError(f"unknown concept {concept!r}", path, ln)
+            held = seen.setdefault(concept, set())
+            for w in words:
+                if w not in vocab:
+                    raise DataFormatError(f"word not in vocabulary: {w!r}",
+                                          path, ln)
+                if w in held:
+                    raise DataFormatError(
+                        f"word {w!r} in two synonym groups under {concept}",
+                        path, ln)
+                held.add(w)
+            groups.setdefault(concept, []).append(words)
     return groups
 
 

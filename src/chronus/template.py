@@ -19,7 +19,7 @@ from itertools import zip_longest
 
 from .concepts import ConceptDictionary
 from .errors import ChronusError, DataFormatError
-from .lexicon import parse_superword
+from .lexicon import is_grammar_sym, parse_superword
 from .model import SegmentedSentence
 from .textfile import records, section_name
 
@@ -109,7 +109,7 @@ class ValueTable:
                     raise ValueTableDataError(f"empty pattern under {concept}",
                                               path, ln)
                 if p.value == TAKE_VALUE and not any(
-                        t.sym.startswith("((") for t in p.tokens):
+                        is_grammar_sym(t.sym) for t in p.tokens):
                     raise ValueTableDataError(
                         f"{concept}: pattern {_render_tokens(p.tokens)} takes "
                         "its slot's value (*) but has no grammar slot", path, ln)

@@ -230,8 +230,9 @@ def required_concepts(win_tokens: Iterable[str], dictionary: ConceptDictionary):
             raise ChronusError(f"win keyword {k!r} is not a concept")
         role = dictionary[k].role
         if role in ("special", "attribute"):
-            raise ChronusError(f"win keyword {k!r} names a {role} concept; "
-                               "a win lists folded, non-special concepts")
+            raise ChronusError(f"win keyword {k!r} names a concept of role "
+                               f"{role}; a win lists folded, non-special "
+                               "concepts")
     return Counter(keywords)
 
 
@@ -239,44 +240,50 @@ _plans = weakref.WeakKeyDictionary()   # model -> win multiset -> plan
 
 
 def _align_plan(model: ConceptHmm, required: Counter):
-    """align_win's search plan ``(n_codes, allowed, enter, moves)`` for one
-    model and win multiset, built on first use and read, never changed,
-    by every later call."""
-    plans = _plans.setdefault(model, {})
-    multiset = tuple(sorted(required.items()))
-    if multiset in plans:
-        return plans[multiset]
-    dictionary = model.dictionary
+    """align_win's search plan ``(n_codes, allowed, labels, enter, moves)``
+    for one model and win multiset, built on first use and read, never
+    changed, by every later call."""
+    plans = _plans.get(model)
+    if plans is None:
+        plans = _plans[model] = {}
+    multiset = frozenset(required.items())
+    plan = plans.get(multiset)
+    if plan is not None:
+        return plan
+    dictionary, init_vec, trans_max = (model.dictionary, model.init_vec,
+                                       model.trans_max)
     place, n_codes = {}, 1   # keyword -> digit weight; number of codes
     for key in sorted(required, reverse=True):
         place[key] = n_codes
         n_codes *= required[key] + 1
-    # allowed concept ids; per allowed concept, the (code, state) moves
-    # that begin a segment of it and those that continue one
-    allowed, enter, keep = [], [], []
-    for c, name in enumerate(dictionary.names):
-        if model.init_vec[c] == NEG_INF and model.trans_max[c] == NEG_INF:
+    # allowed concept ids and names; per allowed concept, the (code, state)
+    # moves that begin a segment of it and those that continue one
+    allowed, labels, enter, keep = [], [], [], []
+    for c, concept in enumerate(dictionary.concepts):
+        if init_vec[c] == NEG_INF and trans_max[c] == NEG_INF:
             continue   # no labeling can enter c
         first = len(allowed) * n_codes
         same = [(code, first + code) for code in range(n_codes)]
-        if dictionary.is_special(name):   # its segments keep the counts
+        role = concept.role
+        if role == "special":   # its segments keep the counts
             enter.append(same)
-        elif (key := dictionary.fold(name)) in required:
+        elif (key := concept.counterpart if role == "attribute"
+              else concept.name) in required:   # as dictionary.fold
             step, need = place[key], required[key]
             enter.append([(code, first + code + step) for code in range(n_codes)
                           if code // step % (need + 1) < need])
         else:
             continue
         allowed.append(c)
+        labels.append(concept.name)
         keep.append(same)
     # per predecessor: (allowed index, concept id, transition, moves) of
     # every concept it can go on to
-    moves = [[(a, c, model.trans_into[c][cp],
-               keep[a] if a == a_p else enter[a])
-              for a, c in enumerate(allowed)
-              if model.trans_into[c][cp] > NEG_INF]
+    into = [(a, c, model.trans_into[c]) for a, c in enumerate(allowed)]
+    moves = [[(a, c, trans, keep[a] if a == a_p else enter[a])
+              for a, c, row in into if (trans := row[cp]) > NEG_INF]
              for a_p, cp in enumerate(allowed)]
-    plan = plans[multiset] = n_codes, allowed, enter, moves
+    plan = plans[multiset] = n_codes, allowed, labels, enter, moves
     return plan
 
 
@@ -303,13 +310,19 @@ def align_win(sentence, win_tokens: Iterable[str],
     in predecessor state order and the first strict maximum wins, also in
     the final sweep over the states whose counts are complete.
 
-    The search plan (digit weights, allowed concepts, the moves that
-    begin or continue a segment, the per-predecessor move table) depends
-    only on the model's fixed tables and the win multiset.  It is built on
-    the first call for that model and multiset and kept while the model
-    lives, in a memo keyed weakly by the model; later calls read it and
-    never change it.  The checks of the sentence and the win run on every
-    call, before the plan is looked up.
+    The search plan (digit weights, allowed concepts and their names, the
+    moves that begin or continue a segment, the per-predecessor move
+    table) depends only on the model's fixed tables and the win multiset.
+    It is built on the first call for that model and multiset and kept
+    while the model lives, in a memo keyed weakly by the model; later calls
+    read it and never change it.  The checks of the sentence and the win
+    run on every call, before the plan is looked up.  The memo has no
+    bound: a model keeps one plan per distinct multiset it has aligned,
+    each about ``2 * len(allowed) * n_codes`` (code, state) pairs plus
+    ``len(allowed) ** 2`` move entries that share them, where ``n_codes``
+    is the product of (count + 1) over the win's keywords.  The 24 plans
+    of 100 generated instances against the recovery model take about
+    70 KiB.
 
     The result is the labeling brute_force_align returns unless rounding
     creates a tie: two prefixes that meet in one state can differ by an
@@ -325,7 +338,7 @@ def align_win(sentence, win_tokens: Iterable[str],
     required = required_concepts(win_tokens, dictionary)
     if not model.vocab_set.issuperset(w.sym for w in words):
         raise AlignmentInfeasibleError(INFEASIBLE)   # no row gives it mass
-    n_codes, allowed, enter, moves = _align_plan(model, required)
+    n_codes, allowed, labels, enter, moves = _align_plan(model, required)
     n_states = len(allowed) * n_codes
     full = n_codes - 1   # the largest code: every keyword complete
 
@@ -364,12 +377,12 @@ def align_win(sentence, win_tokens: Iterable[str],
             best, state = score, a * n_codes + full
     if state is None:
         raise AlignmentInfeasibleError(INFEASIBLE)
-    path = [allowed[state // n_codes]]
+    path = [labels[state // n_codes]]
     for bp in reversed(back):
         state = bp[state]
-        path.append(allowed[state // n_codes])
-    names = dictionary.names
-    return SegmentedSentence(words, tuple(names[c] for c in reversed(path)))
+        path.append(labels[state // n_codes])
+    path.reverse()
+    return SegmentedSentence(words, tuple(path))
 
 
 def brute_force_align(sentence, win_tokens: Iterable[str],

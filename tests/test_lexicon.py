@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings, strategies as st
 from chronus.lexicon import (Arc, EmptyAfterDeletionError, FsaGrammar, Lattice,
                              LatticeError, LexiconError, Superword,
                              SuperwordLexicon, compound_number_value,
-                             enumerate_path_arcs, lex_parse,
+                             enumerate_path_arcs, is_grammar_sym, lex_parse,
                              parse_superword, tokenize)
 from chronus.pipeline import data_path
 
@@ -40,6 +40,13 @@ def test_parse_superword_grammar_match():
     sw = parse_superword("((city)BOSTON)")
     assert sw == Superword("((city))", "BOSTON")
     assert sw.render() == "((city)BOSTON)"
+
+
+def test_is_grammar_sym_accepts_only_a_bare_grammar_symbol():
+    assert is_grammar_sym("((city))")
+    assert is_grammar_sym(parse_superword("((number)37)").sym)
+    for sym in ["BOSTON", "FLIGHT(S)", "((city)BOSTON)", "((city)"]:
+        assert not is_grammar_sym(sym)
 
 
 def test_superword_render_parse_round_trip():

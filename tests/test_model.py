@@ -276,7 +276,8 @@ def test_synonym_smoothing_input_validation(artifacts):
 def test_synonym_smoothing_survives_a_save_load_round_trip(demo_model,
                                                            tmp_path):
     # the saved counts keep the count-weighted row averages
-    groups = load_synonyms(data_path("synonyms.txt"))
+    groups = load_synonyms(data_path("synonyms.txt"), demo_model.dictionary,
+                           demo_model.vocab)
     save_model(demo_model, tmp_path / "model.txt")
     reloaded = load_model(tmp_path / "model.txt")
     assert model_to_text(apply_synonym_smoothing(reloaded, groups)) \

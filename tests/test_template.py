@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chronus.gen import synthetic_dictionary
-from chronus.lexicon import Superword, parse_superword
+from chronus.lexicon import Superword, is_grammar_sym, parse_superword
 from chronus.model import SegmentedSentence
 from chronus.template import (CATEGORIES, TAKE_VALUE, Pattern, Template,
                               TemplateError, TemplateToken, ValueTable,
@@ -162,7 +162,7 @@ def _pattern_list(draw):
                and tokens[:len(p.tokens)] == p.tokens for p in patterns):
             continue
         value = f"p{order}"
-        if any(t.sym.startswith("((") for t in tokens):   # it has a slot
+        if any(is_grammar_sym(t.sym) for t in tokens):   # it has a slot
             value = draw(st.sampled_from([value, TAKE_VALUE]))
         patterns.append(Pattern(tokens, value,
                                 draw(st.sampled_from(CATEGORIES))))

@@ -222,7 +222,11 @@ MALFORMED = [
      "word not in vocabulary: 'NOSUCHWORD'"),
     ("synonyms-unknown-concept", "--synonyms",
      ("origin\tDEPART(S)\tLEAVE(S)\nnosuch\tDEPART(S)\tLEAVE(S)\n", 2),
-     "segmentation label not in concept dictionary: 'nosuch'"),
+     "unknown concept 'nosuch'"),
+    ("synonyms-first-bad-line", "--synonyms",
+     ("origin\tDEPART(S)\tLEAVE(S)\nnosuch\tDEPART(S)\tLEAVE(S)\n"
+      "origin\tFROM\tNOSUCHWORD\n", 2),
+     "unknown concept 'nosuch'"),
     ("synonyms-word-in-two-groups", "--synonyms",
      ("origin\tDEPART(S)\tLEAVE(S)\ndestin\tTO\tARRIVE(S)\n"
       "origin\tFROM\tLEAVE(S)\n", 3),
