@@ -21,6 +21,12 @@ class Concept:
     rank: int = 9                   # dialog hierarchy; smaller = higher
     counterpart: str | None = None  # for attributes: the concept they fold into
 
+    @property
+    def folded(self) -> str:
+        """The concept this one folds into: its counterpart if it is an
+        attribute, else itself."""
+        return self.counterpart if self.role == "attribute" else self.name
+
 
 def parse_concept(line, path=None, ln=None) -> Concept:
     """One ``name<TAB>role<TAB>rank[<TAB>counterpart]`` line."""
@@ -90,8 +96,7 @@ class ConceptDictionary:
 
     def fold(self, name) -> str:
         """Map an attribute concept to the concept it mirrors."""
-        c = self[name]
-        return c.counterpart if c.role == "attribute" else name
+        return self[name].folded
 
     def is_special(self, name) -> bool:
         return self[name].role == "special"

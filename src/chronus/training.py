@@ -264,11 +264,9 @@ def _align_plan(model: ConceptHmm, required: Counter):
             continue   # no labeling can enter c
         first = len(allowed) * n_codes
         same = [(code, first + code) for code in range(n_codes)]
-        role = concept.role
-        if role == "special":   # its segments keep the counts
+        if concept.role == "special":   # its segments keep the counts
             enter.append(same)
-        elif (key := concept.counterpart if role == "attribute"
-              else concept.name) in required:   # as dictionary.fold
+        elif (key := concept.folded) in required:
             step, need = place[key], required[key]
             enter.append([(code, first + code + step) for code in range(n_codes)
                           if code // step % (need + 1) < need])
