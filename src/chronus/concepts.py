@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DataFormatError
 from .textfile import number, records
@@ -20,6 +20,7 @@ class Concept:
     role: str
     rank: int = 9                   # dialog hierarchy; smaller = higher
     counterpart: str | None = None  # for attributes: the concept they fold into
+    line: int | None = field(default=None, compare=False)  # in the file read
 
     @property
     def folded(self) -> str:
@@ -38,7 +39,7 @@ def parse_concept(line, path=None, ln=None) -> Concept:
         raise DataFormatError(f"unknown role {parts[1]!r} for concept {parts[0]}",
                               path, ln)
     rank = number(int, parts[2], "rank", path, ln, 0, math.inf)
-    return Concept(parts[0], parts[1], rank, parts[3] if len(parts) == 4 else None)
+    return Concept(parts[0], parts[1], rank, parts[3] if len(parts) == 4 else None, ln)
 
 
 class ConceptDictionary:
@@ -46,30 +47,29 @@ class ConceptDictionary:
 
     Order is significant: the decoder breaks score ties by concept index,
     so two dictionaries with the same concepts in different order are
-    different models.  ``lines``, when given, holds the line of ``path``
-    that defines each concept, for the errors of the checks across
-    concepts.
+    different models.  The checks across concepts run here, since
+    ``index`` and ``fold`` rely on them; errors name ``path`` and the
+    concept's ``line``.
     """
 
-    def __init__(self, concepts, path=None, lines=None):
+    def __init__(self, concepts, path=None):
         self.concepts = tuple(concepts)
-        lines = lines or [None] * len(self.concepts)
         self._index = {}
-        for i, (c, ln) in enumerate(zip(self.concepts, lines)):
+        for i, c in enumerate(self.concepts):
             if c.name in self._index:
-                raise DataFormatError(f"repeated concept {c.name!r}", path, ln)
+                raise DataFormatError(f"repeated concept {c.name!r}", path, c.line)
             self._index[c.name] = i
-        for c, ln in zip(self.concepts, lines):
+        for c in self.concepts:
             if c.role != "attribute":
                 continue
             if c.counterpart not in self._index:
                 raise DataFormatError(
                     f"attribute concept {c.name} has no valid counterpart",
-                    path, ln)
+                    path, c.line)
             if self[c.counterpart].role in ("attribute", "special"):
                 raise DataFormatError(
                     f"attribute {c.name} folds into non-foldable "
-                    f"{c.counterpart}", path, ln)
+                    f"{c.counterpart}", path, c.line)
         for special in (DUMMY, AND):
             if special not in self._index or self[special].role != "special":
                 raise DataFormatError(
@@ -112,13 +112,12 @@ class ConceptDictionary:
 
     @classmethod
     def from_lines(cls, lines, path=None):
-        concepts, concept_lines = [], []
+        concepts = []
         for ln, section, line in records(lines, path):
             if line is None:
                 raise DataFormatError(f"unknown section [{section}]", path, ln)
             concepts.append(parse_concept(line, path, ln))
-            concept_lines.append(ln)
-        return cls(concepts, path, concept_lines)
+        return cls(concepts, path)
 
     @classmethod
     def load(cls, path):

@@ -207,10 +207,11 @@ class FsaGrammar:
 
     START = "0"
 
-    def __init__(self, gid, transitions, accepting, normalizer="identity"):
+    def __init__(self, gid, transitions, accepting, normalizer="identity", line=None):
         if normalizer not in NORMALIZERS:
             raise LexiconError(f"grammar {gid}: unknown normalizer {normalizer!r}")
         self.gid = gid
+        self.line = line   # of the [grammar] header it was read from
         self.normalizer = normalizer
         self.words = {w for (_, w) in transitions}
         nfa = {}
@@ -263,33 +264,32 @@ class FsaGrammar:
 class SuperwordLexicon:
     """Plain words, inflection groups, stop words and grammars.
 
-    ``lines``, when given, holds the line of ``path`` that starts each
-    grammar, for the errors of the checks across grammars."""
+    The reader checks each surface word at its line.  The checks across
+    grammars run here, since ``lex_parse`` relies on them (``[stop]`` may
+    follow the grammars); errors name ``path`` and the grammar's ``line``."""
 
-    def __init__(self, words, inflect, stop, grammars, path=None, lines=None):
+    def __init__(self, words, inflect, stop, grammars, path=None):
         self.words = frozenset(words)
         self.inflect = dict(inflect)
         self.stop = frozenset(stop)
         self.grammars = list(grammars)
-        self._validate(path, lines or [None] * len(self.grammars))
+        self._validate(path)
 
-    def _validate(self, path, lines):
+    def _validate(self, path):
         for surface in self.inflect:
-            if surface in self.words:
-                raise _plain_and_inflected(surface, path)
-        if UNKNOWN in self.words or UNKNOWN in self.inflect:
-            raise LexiconDataError("unknown marker must not be a surface word",
-                                   path)
+            _check_surface(surface, self.words, path)
+        if UNKNOWN in self.words:
+            _check_surface(UNKNOWN, (), path)
         gids = set()
-        for g, ln in zip(self.grammars, lines):
+        for g in self.grammars:
             if g.gid in gids:
-                raise LexiconDataError(f"duplicate grammar id {g.gid}", path, ln)
+                raise LexiconDataError(f"duplicate grammar id {g.gid}", path, g.line)
             gids.add(g.gid)
             overlap = g.words & self.stop
             if overlap:
                 raise LexiconDataError(
                     f"stop words {sorted(overlap)} appear in grammar {g.gid}",
-                    path, ln)
+                    path, g.line)
 
     def word_sym(self, token: str) -> str:
         if token in self.inflect:
@@ -316,7 +316,6 @@ class SuperwordLexicon:
     def from_lines(cls, lines, path=None):
         words, inflect, stop = set(), {}, set()
         grammars = []   # FsaGrammar arguments, one dict per [grammar] section
-        grammar_lines = []
         for ln, section, line in records(lines, path):
             if line is None:
                 if section in ("words", "inflect", "stop"):
@@ -327,12 +326,10 @@ class SuperwordLexicon:
                 if len(parts) != 2:
                     raise DataFormatError("expected [grammar <id>]", path, ln)
                 grammars.append({"gid": parts[1], "transitions": {},
-                                 "accepting": set()})
-                grammar_lines.append(ln)
+                                 "accepting": set(), "line": ln})
             elif section == "words":
                 for word in line.split():
-                    if word in inflect:
-                        raise _plain_and_inflected(word, path, ln)
+                    _check_surface(word, inflect, path, ln)
                     words.add(word)
             elif section == "inflect":
                 parts = line.split("\t")
@@ -340,8 +337,7 @@ class SuperwordLexicon:
                     raise DataFormatError("expected SURFACE<TAB>SUPERWORD", path, ln)
                 if parts[0] in inflect and inflect[parts[0]] != parts[1]:
                     raise DataFormatError(f"{parts[0]} in two inflection groups", path, ln)
-                if parts[0] in words:
-                    raise _plain_and_inflected(parts[0], path, ln)
+                _check_surface(parts[0], words, path, ln)
                 inflect[parts[0]] = parts[1]
             elif section == "stop":
                 stop.update(line.split())
@@ -367,13 +363,19 @@ class SuperwordLexicon:
             else:
                 raise DataFormatError("content before first section header", path, ln)
         return cls(words, inflect, stop, [FsaGrammar(**g) for g in grammars],
-                   path, grammar_lines)
+                   path)
 
 
-def _plain_and_inflected(surface, path, ln=None):
-    return LexiconDataError(
-        f"{surface} is both a plain word and an inflection-group member",
-        path, ln)
+def _check_surface(surface, other_kind, path, ln=None):
+    """``surface`` is not the unknown marker, nor in ``other_kind``, the
+    surface words of the other kind (plain or inflected)."""
+    if surface == UNKNOWN:
+        raise LexiconDataError("unknown marker must not be a surface word",
+                               path, ln)
+    if surface in other_kind:
+        raise LexiconDataError(
+            f"{surface} is both a plain word and an inflection-group member",
+            path, ln)
 
 
 def lex_parse(sentence: str, lexicon: SuperwordLexicon) -> Lattice:

@@ -516,7 +516,7 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
     if magic not in (MAGIC, "chronus-model v2", "chronus-model v1"):
         raise DataFormatError(f"missing {MAGIC} header", path, 1)
     k = 0.0
-    concepts, concept_lines = [], []
+    concepts = []
     vocab = {}   # the [vocab] symbols in file order
     names, symbols = set(), {BEGIN, FINAL}
     transition, bigram, counts = {}, {}, None   # rows: [values, default, ln]
@@ -578,7 +578,6 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
                 raise DataFormatError("unexpected header line", path, ln)
         elif section == "concepts":
             concepts.append(parse_concept(line, path, ln))
-            concept_lines.append(ln)
             names.add(concepts[-1].name)
         else:
             sym = line.strip()
@@ -588,11 +587,11 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
             vocab[sym] = None
             symbols.add(sym)
 
-    dictionary = ConceptDictionary(concepts, path, concept_lines)
-    for c, ln in zip(dictionary.names, concept_lines):
-        if c not in bigram:
-            raise DataFormatError(f"concept {c!r} has no [bigram {c}] section",
-                                  path, ln)
+    dictionary = ConceptDictionary(concepts, path)
+    for c in dictionary:
+        if c.name not in bigram:
+            raise DataFormatError(f"concept {c.name!r} has no [bigram {c.name}] "
+                                  "section", path, c.line)
     trans_cols = dict.fromkeys(dictionary.names + [FINAL])
     vocab_cols = dict.fromkeys(sorted(vocab))
 

@@ -10,7 +10,6 @@ definition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import zip_longest
 
 from .errors import ChronusError, DataFormatError
 from .template import Template
@@ -32,6 +31,10 @@ class PlanError(ChronusError):
     """Template token with no compilation rule (translator-class error)."""
 
 
+_DEFAULTS = {"subject": "default_subject",   # [defaults] key -> argument
+             "reject-threshold": "reject_threshold"}
+
+
 class Conventions:
     """Explicit data conventions: time-word intervals and defaults."""
 
@@ -50,6 +53,9 @@ class Conventions:
                     continue
                 parts = line.split("\t")
                 if section == "time" and len(parts) == 3:
+                    if parts[0] in time_ranges:
+                        raise DataFormatError(
+                            f"repeated time word {parts[0]!r}", path, ln)
                     lo = number(int, parts[1], "time bound", path, ln, 0, 1440)
                     hi = number(int, parts[2], "time bound", path, ln, 0, 1440)
                     if lo >= hi:
@@ -57,71 +63,34 @@ class Conventions:
                             f"time range {parts[0]} is empty", path, ln)
                     time_ranges[parts[0]] = (lo, hi)
                 elif section == "defaults" and len(parts) == 2:
-                    if parts[0] == "subject":
-                        if parts[1] not in _SUBJECTS:
-                            raise DataFormatError(
-                                f"no table rule for subject {parts[1]!r}",
-                                path, ln)
-                        defaults["default_subject"] = parts[1]
-                    elif parts[0] == "reject-threshold":
-                        defaults["reject_threshold"] = number(
-                            float, parts[1], "reject-threshold", path, ln,
-                            0.0, 1.0)
-                    else:
+                    key, value = parts
+                    if key not in _DEFAULTS:
+                        raise DataFormatError(f"unknown default {key!r}",
+                                              path, ln)
+                    if _DEFAULTS[key] in defaults:
+                        raise DataFormatError(f"repeated default {key!r}",
+                                              path, ln)
+                    if key == "subject" and value not in _SUBJECTS:
                         raise DataFormatError(
-                            f"unknown default {parts[0]!r}", path, ln)
+                            f"no table rule for subject {value!r}", path, ln)
+                    if key == "reject-threshold":
+                        value = number(float, value, key, path, ln, 0.0, 1.0)
+                    defaults[_DEFAULTS[key]] = value
                 else:
                     raise DataFormatError("bad conventions line", path, ln)
         return cls(time_ranges, **defaults)
 
 
 class MiniDb:
-    """Typed, referentially checked in-memory tables.  ``lines``, when
-    given, maps each table to the lines of ``path`` that hold its rows, for
-    the errors of the record checks."""
+    """Typed in-memory tables.  ``load`` checks them: each row as it reads
+    it, and the references between rows once the file is read."""
 
-    def __init__(self, tables, conventions: Conventions, path=None,
-                 lines=None):
+    def __init__(self, tables, conventions: Conventions):
         self.tables = tables
         self.conventions = conventions
-        self._validate(path, lines or {})
         self._city_by_name = {r["city_name"]: r["city_code"]
                               for r in tables.get("city", [])}
         self._city_codes = {r["city_code"] for r in tables.get("city", [])}
-
-    def _validate(self, path, lines):
-        def rows(name):   # (row, its line or None)
-            return zip_longest(self.tables.get(name, []), lines.get(name, ()))
-
-        for name, schema in SCHEMAS.items():
-            for row, ln in rows(name):
-                if set(row) != set(schema):
-                    raise DataFormatError(
-                        f"bad columns in table {name}: {sorted(row)}", path, ln)
-        for name, key in PRIMARY_KEYS.items():
-            keys = set()
-            for row, ln in rows(name):
-                if row[key] in keys:
-                    raise DataFormatError(
-                        f"table {name} repeats {key} {row[key]!r}", path, ln)
-                keys.add(row[key])
-        flight_ids = {r["flight_id"] for r in self.tables.get("flight", [])}
-        city_codes = {r["city_code"] for r in self.tables.get("city", [])}
-        for r, ln in rows("fare"):
-            if r["flight_id"] not in flight_ids:
-                raise DataFormatError(
-                    f"fare {r['fare_id']} references unknown flight", path, ln)
-        for r, ln in rows("airport"):
-            if r["city_code"] not in city_codes:
-                raise DataFormatError(
-                    f"airport {r['airport_code']} references unknown city",
-                    path, ln)
-        for r, ln in rows("flight"):
-            for col in ("depart_min", "arrive_min"):
-                if not 0 <= r[col] < 1440:
-                    raise DataFormatError(
-                        f"flight {r['flight_id']}: {col} out of [0,1440)",
-                        path, ln)
 
     def resolve_city(self, value: str) -> str:
         """City code from a code or a (grammar-normalized) city name."""
@@ -134,7 +103,7 @@ class MiniDb:
     @classmethod
     def load(cls, path, conventions: Conventions):
         tables = {name: [] for name in SCHEMAS}
-        lines = {name: [] for name in SCHEMAS}
+        keys = {name: {} for name in SCHEMAS}   # per table: key -> its line
         table = None
         with open(path, encoding="utf-8") as fh:
             for ln, section, line in records(fh, path, "chronus-db v1"):
@@ -150,12 +119,31 @@ class MiniDb:
                 if len(parts) != len(schema):
                     raise DataFormatError(
                         f"expected {len(schema)} columns in {table}", path, ln)
-                tables[table].append({
-                    col: number(int, cell, f"{table}.{col}", path, ln)
-                    if col in INT_COLUMNS else cell
-                    for col, cell in zip(schema, parts)})
-                lines[table].append(ln)
-        return cls(tables, conventions, path, lines)
+                row = {col: number(int, cell, f"{table}.{col}", path, ln)
+                       if col in INT_COLUMNS else cell
+                       for col, cell in zip(schema, parts)}
+                key = PRIMARY_KEYS[table]
+                if row[key] in keys[table]:
+                    raise DataFormatError(
+                        f"table {table} repeats {key} {row[key]!r}", path, ln)
+                keys[table][row[key]] = ln
+                if table == "flight":
+                    for col in ("depart_min", "arrive_min"):
+                        if not 0 <= row[col] < 1440:
+                            raise DataFormatError(
+                                f"flight {row[key]}: {col} out of [0,1440)",
+                                path, ln)
+                tables[table].append(row)
+        # a fare's flight and an airport's city may come later in the file
+        for name, ref, target in (("fare", "flight_id", "flight"),
+                                  ("airport", "city_code", "city")):
+            key = PRIMARY_KEYS[name]
+            for row in tables[name]:
+                if row[ref] not in keys[target]:
+                    raise DataFormatError(
+                        f"{name} {row[key]} references unknown {target}",
+                        path, keys[name][row[key]])
+        return cls(tables, conventions)
 
 
 @dataclass

@@ -14,8 +14,8 @@ yields the same token as under fare.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import zip_longest
 
 from .concepts import ConceptDictionary
 from .errors import ChronusError, DataFormatError
@@ -94,33 +94,37 @@ class Template:
 class ValueTable:
     """Per-concept ordered pattern lists, held as ``by_first``: per concept,
     each first symbol maps to the ``(file order, pattern)`` pairs of the
-    patterns that begin with it, in file order.  ``lines``, when given, maps
-    each concept to the lines of ``path`` that hold its patterns, for the
-    errors of the pattern checks."""
+    patterns that begin with it, in file order.  Each pattern is checked as
+    it is added, so the reader names the first bad line."""
 
-    def __init__(self, tables, path=None, lines=None):
-        lines = lines or {}
+    def __init__(self, tables):
         self.by_first = {}
+        self._added = Counter()   # concept -> patterns added so far
         for concept, pats in tables.items():
-            at = list(zip_longest(pats, lines.get(concept, ())))
-            index = self.by_first[concept] = {}
-            for order, (p, ln) in enumerate(at):
-                if not p.tokens:
-                    raise ValueTableDataError(f"empty pattern under {concept}",
-                                              path, ln)
-                if p.value == TAKE_VALUE and not any(
-                        is_grammar_sym(t.sym) for t in p.tokens):
-                    raise ValueTableDataError(
-                        f"{concept}: pattern {_render_tokens(p.tokens)} takes "
-                        "its slot's value (*) but has no grammar slot", path, ln)
-                index.setdefault(p.tokens[0].sym, []).append((order, p))
-            for i, (p, _) in enumerate(at):
-                for q, ln in at[i + 1:]:
-                    if len(q.tokens) > len(p.tokens) and q.tokens[:len(p.tokens)] == p.tokens:
-                        raise ValueTableDataError(
-                            f"{concept}: pattern {_render_tokens(p.tokens)} listed "
-                            f"before the longer {_render_tokens(q.tokens)}",
-                            path, ln)
+            for p in pats:
+                self._add(concept, p)
+
+    def _add(self, concept, p, path=None, ln=None):
+        """Index ``p`` after the patterns of ``concept`` added so far.  It
+        must not be empty, must have a grammar slot if it takes its slot's
+        value, and must not extend an earlier pattern, which would always
+        win over it; such a pattern has the same first symbol."""
+        if not p.tokens:
+            raise ValueTableDataError(f"empty pattern under {concept}", path, ln)
+        if p.value == TAKE_VALUE and not any(
+                is_grammar_sym(t.sym) for t in p.tokens):
+            raise ValueTableDataError(
+                f"{concept}: pattern {_render_tokens(p.tokens)} takes its "
+                "slot's value (*) but has no grammar slot", path, ln)
+        same_first = self.by_first.setdefault(concept, {}).setdefault(
+            p.tokens[0].sym, [])
+        for _, q in same_first:
+            if len(p.tokens) > len(q.tokens) and p.tokens[:len(q.tokens)] == q.tokens:
+                raise ValueTableDataError(
+                    f"{concept}: pattern {_render_tokens(q.tokens)} listed "
+                    f"before the longer {_render_tokens(p.tokens)}", path, ln)
+        same_first.append((self._added[concept], p))
+        self._added[concept] += 1
 
     @classmethod
     def load(cls, path, dictionary: ConceptDictionary):
@@ -132,8 +136,7 @@ class ValueTable:
         """Read a value file whose ``[concept c]`` headers each name a
         folded, non-special concept of ``dictionary``: the only ones
         ``generate_template`` looks patterns up under."""
-        tables, pattern_lines = {}, {}
-        patterns = None
+        table, concept = cls({}), None
         for ln, section, line in records(lines, path):
             if line is None:
                 concept = section_name(section, "concept", path, ln)
@@ -145,10 +148,8 @@ class ValueTable:
                     raise DataFormatError(
                         f"concept {concept!r} has role {role}; segments read "
                         "the patterns of folded, non-special concepts", path, ln)
-                patterns = tables.setdefault(concept, [])
-                pattern_ln = pattern_lines.setdefault(concept, [])
                 continue
-            if patterns is None:
+            if concept is None:
                 raise DataFormatError("pattern before any [concept] header", path, ln)
             parts = line.split("\t")
             if len(parts) != 3:
@@ -158,9 +159,8 @@ class ValueTable:
             if category not in CATEGORIES:
                 raise DataFormatError(f"unknown category {category!r}", path, ln)
             tokens = tuple(parse_superword(w) for w in words.split())
-            patterns.append(Pattern(tokens, value, category))
-            pattern_ln.append(ln)
-        return cls(tables, path, pattern_lines)
+            table._add(concept, Pattern(tokens, value, category), path, ln)
+        return table
 
 
 def _render_tokens(tokens):

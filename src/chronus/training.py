@@ -21,7 +21,7 @@ import hashlib
 import weakref
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import groupby
 
 from .concepts import ConceptDictionary
@@ -58,20 +58,23 @@ class FeedbackEntry:
         return self.refmin is not None and self.refmax is not None
 
 
+def _check_entry(entry, path=None, ln=None):
+    if entry.gold is None and not entry.has_references:
+        raise DataFormatError(f"sentence {entry.ident}: needs references "
+                              "or a gold segmentation", path, ln)
+
+
 @dataclass
 class FeedbackCorpus:
-    """Feedback entries; ``lines``, when given, holds the line of ``path``
-    that starts each entry, for the errors of the record checks."""
+    """Feedback entries, each with a gold segmentation or references.  The
+    reader checks an entry when it ends, naming its header line, and a
+    sentence id at its header."""
 
     entries: list = field(default_factory=list)
-    path: InitVar[str | None] = None
-    lines: InitVar[list | None] = None
 
-    def __post_init__(self, path, lines):
-        for e, ln in zip(self.entries, lines or [None] * len(self.entries)):
-            if e.gold is None and not e.has_references:
-                raise DataFormatError(f"sentence {e.ident}: needs references "
-                                      "or a gold segmentation", path, ln)
+    def __post_init__(self):
+        for e in self.entries:
+            _check_entry(e)
 
     def seed_segmentations(self):
         return [e.gold for e in self.entries if e.gold is not None]
@@ -86,12 +89,17 @@ class FeedbackCorpus:
 
     @classmethod
     def from_lines(cls, lines, path=None):
-        entries, entry_lines = [], []
+        entries, idents, start = [], set(), None   # start: the header's line
         for ln, section, line in records(lines, path):
             if line is None:
-                entries.append(FeedbackEntry(
-                    section_name(section, "sentence", path, ln), text=""))
-                entry_lines.append(ln)
+                if entries:
+                    _check_entry(entries[-1], path, start)
+                ident = section_name(section, "sentence", path, ln)
+                if ident in idents:
+                    raise DataFormatError(f"repeated sentence id {ident!r}", path, ln)
+                idents.add(ident)
+                entries.append(FeedbackEntry(ident, text=""))
+                start = ln
                 continue
             if not entries:
                 raise DataFormatError("line before any [sentence] header", path, ln)
@@ -122,7 +130,9 @@ class FeedbackCorpus:
                                       path, ln)
             else:
                 raise DataFormatError(f"unknown record key {key!r}", path, ln)
-        return cls(entries, path, entry_lines)
+        if entries:
+            _check_entry(entries[-1], path, start)
+        return cls(entries)
 
     def to_text(self) -> str:
         out = []

@@ -1,6 +1,6 @@
 import pytest
 
-from chronus.concepts import Concept, ConceptDictionary
+from chronus.concepts import Concept, ConceptDictionary, parse_concept
 from chronus.errors import ChronusError
 
 
@@ -71,3 +71,11 @@ def test_from_lines_rejects_bad_rank():
         ConceptDictionary.from_lines(["x\tsubject\tmany"])
     with pytest.raises(ChronusError):
         ConceptDictionary.from_lines(["x\tsubject\t-1"])
+
+
+def test_line_read_is_not_part_of_a_concepts_identity(artifacts):
+    d = artifacts.dictionary
+    for c, text in zip(d, d.to_lines()):
+        again = parse_concept(text)
+        assert c.line is not None and again.line is None
+        assert again == c and hash(again) == hash(c)

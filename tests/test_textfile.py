@@ -75,6 +75,14 @@ def _bundled(name, anchor, line):
     return _with_line(data_path(name).read_text(encoding="utf-8"), anchor, line)
 
 
+def _two_faults(name, first, second):
+    """Bundled file ``name`` with two bad lines inserted, ``first`` and,
+    further down, ``second``, each an ``(anchor, line)`` pair as for
+    ``_with_line``; and the first one's line number."""
+    text, line = _bundled(name, *first)
+    return _with_line(text, *second)[0], line
+
+
 def _at(text, line):
     """``text`` and the number of its line ``line``."""
     return text, text.splitlines().index(line) + 1
@@ -142,12 +150,23 @@ MALFORMED = [
      _bundled("db.txt", "f01\tAA\t101\tBBOS\tDDFW\t480\t720\tDC10\tBREAKFAST",
               "f01\tUA\t999\tDDFW\tBBOS\t500\t700\tDC9\tNONE"),
      "table flight repeats flight_id 'f01'"),
+    ("db-first-bad-line", "--db",
+     _two_faults("db.txt", ("[table flight]",
+                            "f99\tAA\t999\tBBOS\tDDFW\t480\t1440\tDC10\tNONE"),
+                 ("[table fare]", "g01\tf01\t250\tECONOMY")),
+     "flight f99: arrive_min out of [0,1440)"),
     ("values-empty-pattern", "--values",
      _bundled("values.txt", "[concept origin]", "\tMATL\titem"),
      "empty pattern under origin"),
     ("values-shadowed-pattern", "--values",
      _bundled("values.txt", "((city)ATLANTA)\tMATL\titem",
               "((city)ATLANTA) ((city)BOSTON)\tMATL\titem"),
+     "origin: pattern ((city)ATLANTA) listed before the longer "
+     "((city)ATLANTA) ((city)BOSTON)"),
+    ("values-first-bad-line", "--values",
+     _two_faults("values.txt", ("((city)ATLANTA)\tMATL\titem",
+                                "((city)ATLANTA) ((city)BOSTON)\tMATL\titem"),
+                 ("((city)BOSTON)\tBBOS\titem", "\tMATL\titem")),
      "origin: pattern ((city)ATLANTA) listed before the longer "
      "((city)ATLANTA) ((city)BOSTON)"),
     ("values-unknown-concept", "--values",
@@ -176,6 +195,12 @@ MALFORMED = [
     ("conventions-subject", "--conventions",
      _bundled("conventions.txt", "[defaults]", "subject\tflgiht"),
      "no table rule for subject 'flgiht'"),
+    ("conventions-repeated-time", "--conventions",
+     _bundled("conventions.txt", "late-evening\t1200\t1440", "morning\t0\t60"),
+     "repeated time word 'morning'"),
+    ("conventions-repeated-default", "--conventions",
+     _bundled("conventions.txt", "reject-threshold\t0.75", "subject\tfare"),
+     "repeated default 'subject'"),
     ("corpus-header", "--corpus",
      (CORPUS + "[sentence d01\n", 4), "unterminated section header"),
     ("corpus-gold", "--corpus",
@@ -187,6 +212,11 @@ MALFORMED = [
     ("corpus-no-gold-or-refs", "--corpus",
      (CORPUS + "[sentence x02]\ntext\tSHOW\n", 4),
      "sentence x02: needs references or a gold segmentation"),
+    ("corpus-first-bad-line", "--corpus",
+     ("[sentence x02]\ntext\tSHOW\n" + CORPUS + "bogus\tv\n", 1),
+     "sentence x02: needs references or a gold segmentation"),
+    ("corpus-repeated-id", "--corpus",
+     (CORPUS + CORPUS, 4), "repeated sentence id 'x01'"),
     ("concepts-rank", "--concepts",
      _bundled("concepts.txt", "subject\tsubject\t1", "extra\tsubject\tmany"),
      "rank 'many' is not a number"),
@@ -214,6 +244,12 @@ MALFORMED = [
      _at(_bundled("lexicon.txt", "[words]", "FLIGHTS")[0],
          "FLIGHTS\tFLIGHT(S)"),
      "FLIGHTS is both a plain word and an inflection-group member"),
+    ("lexicon-unknown-marker", "--lexicon",
+     _bundled("lexicon.txt", "[words]", "<UNK>"),
+     "unknown marker must not be a surface word"),
+    ("lexicon-unknown-marker-inflected", "--lexicon",
+     _bundled("lexicon.txt", "[inflect]", "<UNK>\tFLIGHT(S)"),
+     "unknown marker must not be a surface word"),
     ("synonyms", "--synonyms",
      ("# concept<TAB>word<TAB>word...\norigin\tLEAVE(S)\n", 2),
      "synonym line needs a concept and two or more words"),
