@@ -47,9 +47,9 @@ class ConceptDictionary:
 
     Order is significant: the decoder breaks score ties by concept index,
     so two dictionaries with the same concepts in different order are
-    different models.  The checks across concepts run here, since
-    ``index`` and ``fold`` rely on them; errors name ``path`` and the
-    concept's ``line``.
+    different models.  The reader checks a repeated name at its line.  The
+    checks across concepts run here too, since ``index`` and ``fold`` rely
+    on them; errors name ``path`` and the concept's ``line``.
     """
 
     def __init__(self, concepts, path=None):
@@ -112,11 +112,16 @@ class ConceptDictionary:
 
     @classmethod
     def from_lines(cls, lines, path=None):
-        concepts = []
+        concepts, names = [], set()
         for ln, section, line in records(lines, path):
             if line is None:
                 raise DataFormatError(f"unknown section [{section}]", path, ln)
-            concepts.append(parse_concept(line, path, ln))
+            concept = parse_concept(line, path, ln)
+            if concept.name in names:
+                raise DataFormatError(f"repeated concept {concept.name!r}",
+                                      path, ln)
+            names.add(concept.name)
+            concepts.append(concept)
         return cls(concepts, path)
 
     @classmethod

@@ -25,13 +25,16 @@ order, and every pass carries each cell's best score and winner over
 from the passes before.  A pass ranks the predecessor's cells, highest
 first (a stable sort, so equal cells keep concept order).  Per target
 concept it scores the candidate that stays in the concept, then walks the
-ranking and stops at the first previous concept whose bound ``cell +
-trans_max + begin emission`` is strictly below the best score so far;
-``trans_max`` is the model's largest transition into the concept.  The
-result is exact: IEEE round-to-nearest addition is monotone in each
-operand, so no candidate after the stop can reach or tie the best score,
-whichever pass set it.  While the best score is -inf the bound never
-fires, so a degenerate cell scores every candidate.
+ranking, skipping the concept itself, and stops at the first previous
+concept whose bound ``cell + enter_max + begin emission`` is strictly
+below the best score so far; ``enter_max`` is the model's largest
+transition into the concept from another concept, so the self-loop,
+scored as the stay candidate, does not loosen it.  The result is exact:
+every walked candidate changes concept, so its transition is at most the
+bound's, and IEEE round-to-nearest addition is monotone in each operand,
+so no candidate after the stop can reach or tie the best score, whichever
+pass set it.  While the best score is -inf the bound never fires, so a
+degenerate cell scores every candidate.
 
 Tie-breaking is fully deterministic: among the candidates that score the
 best, the one first in order of (concept index, incoming-arc key) wins,
@@ -109,7 +112,7 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
     delta = [None] * len(arcs)  # arc id -> score per concept; None: unreachable
     back = [None] * len(arcs)   # arc id -> (prev arc id, prev concept) per concept
     relax = 0
-    trans_into, trans_max = model.trans_into, model.trans_max
+    trans_into, enter_max = model.trans_into, model.enter_max
     emissions = model.emissions
 
     for i, a in enumerate(arcs):
@@ -143,7 +146,7 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
                     best, d = s, c
                 # changing concept: once the bound is strictly below best,
                 # no later candidate in the ranking can reach or tie it
-                emit, bound = begin[c], trans_max[c]
+                emit, bound = begin[c], enter_max[c]
                 for cp in ranked:
                     if cp == c:
                         continue

@@ -10,7 +10,8 @@ reserved unknown marker instead of failing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import ChronusError, DataFormatError
 from .textfile import records
@@ -42,14 +43,14 @@ def tokenize(sentence: str):
     return _TOKEN_RE.findall(sentence.upper())
 
 
-@dataclass(frozen=True, order=True)
-class Superword:
+class Superword(NamedTuple):
     """A lexical unit: either a word/inflection-group symbol or a grammar match.
 
     For grammar matches ``sym`` is the bracketed grammar identifier
     (e.g. ``((number))``) and ``value`` the normalized form (e.g. ``37``);
     other superwords carry no value.  The stochastic model only ever sees
-    ``sym``.
+    ``sym``.  A named tuple: as cheap to build as a tuple, and compared,
+    ordered and hashed as its fields.
     """
 
     sym: str
@@ -76,8 +77,10 @@ def is_grammar_sym(sym: str) -> bool:
     return m is not None and not m.group(2)
 
 
-@dataclass(frozen=True, order=True)
-class Arc:
+class Arc(NamedTuple):
+    """A superword spanning token positions ``start`` to ``end``; a named
+    tuple, like ``Superword``."""
+
     start: int
     end: int
     sym: str
@@ -91,9 +94,14 @@ class Arc:
         return (self.start, self.end, self.sym, self.value or "")
 
 
+_SPAN_SYM = itemgetter(0, 1, 2)   # an arc's (start, end, sym)
+
+
 class Lattice:
     """DAG of superword arcs over token positions 0..n_positions, with
-    ``arcs`` sorted by ``Arc.key`` (start-major), the one arc order.
+    ``arcs`` sorted by ``Arc.key`` (start-major), the one arc order.  No two
+    arcs share ``(start, end, sym)``, so sorting on that triple alone gives
+    the order.
 
     ``incoming`` maps each position that a path from 0 reaches, other
     than 0, to the ids (indices into ``arcs``, in arc-key order) of the
@@ -102,7 +110,7 @@ class Lattice:
     """
 
     def __init__(self, n_positions: int, arcs):
-        arcs = tuple(sorted(arcs, key=Arc.key))
+        arcs = tuple(sorted(arcs, key=_SPAN_SYM))
         if n_positions < 1:
             raise LatticeError("lattice needs at least one token position")
         seen = set()
@@ -264,9 +272,10 @@ class FsaGrammar:
 class SuperwordLexicon:
     """Plain words, inflection groups, stop words and grammars.
 
-    The reader checks each surface word at its line.  The checks across
-    grammars run here, since ``lex_parse`` relies on them (``[stop]`` may
-    follow the grammars); errors name ``path`` and the grammar's ``line``."""
+    The reader checks each surface word and each grammar id at its line.
+    The checks across grammars run here too, since ``lex_parse`` relies on
+    them (``[stop]`` may follow the grammars); errors name ``path`` and the
+    grammar's ``line``."""
 
     def __init__(self, words, inflect, stop, grammars, path=None):
         self.words = frozenset(words)
@@ -325,6 +334,9 @@ class SuperwordLexicon:
                 parts = section.split()
                 if len(parts) != 2:
                     raise DataFormatError("expected [grammar <id>]", path, ln)
+                if any(g["gid"] == parts[1] for g in grammars):
+                    raise LexiconDataError(f"duplicate grammar id {parts[1]}",
+                                           path, ln)
                 grammars.append({"gid": parts[1], "transitions": {},
                                  "accepting": set(), "line": ln})
             elif section == "words":

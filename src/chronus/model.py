@@ -176,9 +176,14 @@ class ConceptHmm:
     to it, and ``bigram_row`` reads a missing context as it.  Construction
     compiles the transition rows into log tables indexed by concept, with
     a minus-infinity sentinel for impossible events: ``init_vec``,
-    ``trans_into`` (``[next][previous]``) and its per-row maximum
-    ``trans_max`` (the decoder's bound), and ``final_vec``.  A symbol
-    outside ``vocab_set`` has no mass in any row.
+    ``trans_into`` (``[next][previous]``), ``enter_max`` and
+    ``final_vec``.  ``enter_max[c]`` is the largest transition into ``c``
+    from another concept, -inf when there is none; the self-loop is left
+    out because it stays in ``c`` rather than entering it.  It bounds the
+    decoder's concept-changing candidates and tells constrained alignment
+    which concepts no labeling can enter.  The tables are read from each
+    row's default and exceptions.  A symbol outside ``vocab_set`` has no
+    mass in any row.
 
     Every scorer reads emissions as per-concept vectors from
     ``emissions(ctx, sym)``: the begin-marker emissions of ``sym`` (``ctx``
@@ -210,9 +215,18 @@ class ConceptHmm:
                        for c in names}
         rows = [transition.get(r, EMPTY_ROW) for r in names]
         self.init_vec = [_safe_log(initial.prob(c)) for c in names]
-        self.trans_into = [[_safe_log(row.prob(c)) for row in rows]
-                           for c in names]  # next concept -> previous -> log p
-        self.trans_max = [max(col) for col in self.trans_into]
+        index = {c: i for i, c in enumerate(names)}
+        out_of = []   # previous concept -> next -> log p
+        for row in rows:
+            logs = [_safe_log(row.default)] * len(names)
+            for col, p in row.exc.items():
+                if col in index:
+                    logs[index[col]] = _safe_log(p)
+            out_of.append(logs)
+        # next concept -> previous -> log p
+        self.trans_into = [list(col) for col in zip(*out_of)]
+        self.enter_max = [max(col[:c] + col[c + 1:], default=NEG_INF)
+                          for c, col in enumerate(self.trans_into)]
         self.final_vec = [_safe_log(row.prob(FINAL)) for row in rows]
         self._emissions = {}   # (ctx, sym) -> per-concept vector, on use
         self._no_mass = (NEG_INF,) * len(names)
@@ -465,26 +479,33 @@ def model_to_text(model: ConceptHmm) -> str:
     that leaves out the contexts reading the unseen row, then the training
     counts, if any, as ``ROW<TAB>COL<TAB>COUNT`` lines.  Rows and columns
     are sorted, so equal models give equal text."""
-    names = model.dictionary.names
+    counts = model.counts
+    out = [probability_text(model)]
+    if counts is not None:
+        for header, table in _tables(counts.transition.get(BEGIN, {}),
+                                     counts.transition, counts.bigram,
+                                     model.dictionary.names):
+            out.append(f"[counts {header}]")
+            for name in sorted(table):
+                out.extend(f"{name}\t{col}\t{n}"
+                           for col, n in sorted(table[name].items()))
+    return "\n".join(out) + "\n"
+
+
+def probability_text(model: ConceptHmm) -> str:
+    """The part of ``model_to_text`` before the training counts: the
+    settings, names and probability sections, without a final newline."""
     out = [MAGIC, f"k\t{model.k!r}", "[concepts]",
            *model.dictionary.to_lines(), "[vocab]", *model.vocab]
     for header, table in _tables(model.initial, model.transition,
-                                 model.bigram, names):
+                                 model.bigram, model.dictionary.names):
         out.append(f"[{header}]")
         for name in sorted(table):
             row = table[name]
             out.append(f"{name}\t{row.default:.11e}")
             out.extend(f"{name}\t{col}\t{p:.11e}"
                        for col, p in sorted(row.exc.items()))
-    counts = model.counts
-    if counts is not None:
-        for header, table in _tables(counts.transition.get(BEGIN, {}),
-                                     counts.transition, counts.bigram, names):
-            out.append(f"[counts {header}]")
-            for name in sorted(table):
-                out.extend(f"{name}\t{col}\t{n}"
-                           for col, n in sorted(table[name].items()))
-    return "\n".join(out) + "\n"
+    return "\n".join(out)
 
 
 def _tables(initial, transition, bigram, names):

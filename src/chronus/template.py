@@ -172,12 +172,15 @@ def generate_template(segmentation: SegmentedSentence, tables: ValueTable,
     """One token per matched segment, in segment order; dummy/and skipped."""
     template = Template()
     for seg_idx, (label, start, end) in enumerate(segmentation.segments()):
-        if label not in dictionary:
-            raise TemplateError(f"segment label {label!r} not in dictionary")
-        if dictionary.is_special(label):
+        try:
+            concept = dictionary[label]
+        except KeyError:
+            raise TemplateError(
+                f"segment label {label!r} not in dictionary") from None
+        if concept.role == "special":
             continue
-        keyword = dictionary.fold(label)
-        words = list(segmentation.words[start:end])
+        keyword = concept.folded
+        words = segmentation.words[start:end]
         token = _match_segment(keyword, words, tables, seg_idx)
         if token is None:
             template.unmatched += 1

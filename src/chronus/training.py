@@ -28,7 +28,10 @@ from .concepts import ConceptDictionary
 from .decoder import chain_lattice, exhaustive_search
 from .errors import ChronusError, DataFormatError
 from .model import (BEGIN, NEG_INF, ConceptHmm, SegmentedSentence,
-                    model_to_text, train_mle)
+                    probability_text, train_mle)
+# unused here; perfbench/spans.py times model_to_text at every module that
+# held it, this one included
+from .model import model_to_text
 from .pipeline import Artifacts, run_turn, verdict
 from .query import Answer
 from .textfile import records, section_name
@@ -183,8 +186,11 @@ class LoopReport:
 
 
 def _snapshot_id(model: ConceptHmm) -> str:
-    """Hash of the model's probabilities: its text up to the counts."""
-    probs = model_to_text(model).partition("\n[counts ")[0]
+    """Hash of the model's probabilities: its text up to the counts, which
+    is the whole text, final newline included, when it has none."""
+    probs = probability_text(model)
+    if model.counts is None:
+        probs += "\n"
     return hashlib.sha256(probs.encode()).hexdigest()[:12]
 
 
@@ -260,8 +266,8 @@ def _align_plan(model: ConceptHmm, required: Counter):
     plan = plans.get(multiset)
     if plan is not None:
         return plan
-    dictionary, init_vec, trans_max = (model.dictionary, model.init_vec,
-                                       model.trans_max)
+    dictionary, init_vec, enter_max = (model.dictionary, model.init_vec,
+                                       model.enter_max)
     place, n_codes = {}, 1   # keyword -> digit weight; number of codes
     for key in sorted(required, reverse=True):
         place[key] = n_codes
@@ -270,7 +276,7 @@ def _align_plan(model: ConceptHmm, required: Counter):
     # moves that begin a segment of it and those that continue one
     allowed, labels, enter, keep = [], [], [], []
     for c, concept in enumerate(dictionary.concepts):
-        if init_vec[c] == NEG_INF and trans_max[c] == NEG_INF:
+        if init_vec[c] == NEG_INF and enter_max[c] == NEG_INF:
             continue   # no labeling can enter c
         first = len(allowed) * n_codes
         same = [(code, first + code) for code in range(n_codes)]
@@ -311,8 +317,9 @@ def align_win(sentence, win_tokens: Iterable[str],
     sorted order, so code order is count tuple order.  State ``allowed
     index * n_codes + code`` indexes flat lists, and index order is
     (concept id, counts) order.  Concepts that no labeling can enter (-inf
-    initial and transition log probabilities) are left out.  Scores come
-    from the same concept-indexed tables and memoised emission vectors
+    initial log probability and ``enter_max``, the largest transition in
+    from another concept) are left out.  Scores come from the same
+    concept-indexed tables and memoised emission vectors
     (``model.emissions``) as the lattice decoder, each candidate summed as
     ``cell + transition + emission``.  A state's candidates are examined
     in predecessor state order and the first strict maximum wins, also in

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,7 +8,8 @@ from chronus.decoder import (DecodeSizeError, brute_force_decode, path_score,
                              viterbi_decode, viterbi_decode_lattice)
 from chronus.errors import ChronusError
 from chronus.lexicon import Arc, Lattice, Superword, lex_parse
-from chronus.model import NEG_INF, model_from_text, model_to_text, train_mle
+from chronus.model import (NEG_INF, model_from_text, model_to_text, round12,
+                           train_mle)
 
 from helpers import (make_sentence, random_lattice, random_trained_model,
                      tie_heavy_model, uniform_rows_model)
@@ -109,6 +111,55 @@ def test_viterbi_matches_brute_force_exactly_under_heavy_ties():
         assert fast.words == slow.words
         degenerate += slow.degenerate
     assert 100 <= degenerate <= 200
+
+
+def _bound_models():
+    """Two models over c0, c1, dummy, and: in the first, c1's self-loop is
+    its largest incoming transition; in the second, it is its only finite
+    one, so the walk's bound into c1 is -inf."""
+    emit = {"c0": dict.fromkeys(["<s>", "a", "b"], ["a", "b"]),
+            "c1": dict.fromkeys(["<s>", "a", "b"], ["a"]),
+            "dummy": dict.fromkeys(["<s>", "a", "b"], ["a", "b", "c"])}
+    vocab = ["a", "b", "c"]
+    self_largest = uniform_rows_model(
+        2, vocab, ["c0", "dummy"],
+        {"c0": ["c0", "c1", "dummy", "</s>"], "c1": ["c1", "</s>"],
+         "dummy": ["c0", "c1", "</s>"]}, emit)
+    self_only = uniform_rows_model(
+        2, vocab, ["c0", "c1"],
+        {"c0": ["c0", "dummy", "</s>"], "c1": ["c1", "</s>"],
+         "dummy": ["c0", "</s>"]}, emit)
+    return self_largest, self_only
+
+
+def test_walk_bound_is_the_largest_transition_from_another_concept():
+    self_largest, self_only = _bound_models()
+    third, quarter = math.log(round12(1 / 3)), math.log(0.25)
+    # into c0: c0 1/4 (self), dummy 1/3; into c1: c0 1/4, c1 1/2 (self),
+    # dummy 1/3; into dummy: c0 1/4; nothing enters and
+    assert self_largest.enter_max == [third, third, quarter, NEG_INF]
+    c1 = self_largest.dictionary.index("c1")
+    assert self_largest.trans_into[c1][c1] == math.log(0.5) > third
+    # into c0: dummy 1/2; c1 starts a sentence or follows itself, never
+    # another concept; into dummy: c0 1/3
+    assert self_only.enter_max == [math.log(0.5), NEG_INF, third, NEG_INF]
+    assert self_only.trans_into[c1][c1] == math.log(0.5)
+
+
+def test_decoder_matches_brute_force_where_the_self_loop_is_excluded():
+    rng = random.Random(2024)
+    degenerate = 0
+    for model in _bound_models():
+        for _ in range(150):
+            lattice = random_lattice(rng, model, max_positions=5)
+            fast = viterbi_decode_lattice(model, lattice)
+            slow = brute_force_decode(model, lattice)
+            assert repr(fast.log_prob) == repr(slow.log_prob)
+            assert fast.labels == slow.labels
+            assert fast.words == slow.words
+            assert fast.degenerate == slow.degenerate
+            degenerate += slow.degenerate
+    assert degenerate < 100   # most draws have a finite best labeling
 
 
 def test_tie_between_stay_and_change_goes_to_the_smaller_index():

@@ -192,6 +192,15 @@ def test_lattice_rejects_duplicate_arc():
         Lattice(1, [Arc(0, 1, "A"), Arc(0, 1, "A", "x")])
 
 
+@pytest.mark.parametrize("first,second", [(None, "X"), ("X", None)])
+def test_lattice_rejects_arcs_that_differ_only_in_value(first, second):
+    # the lattice sorts on (start, end, sym) alone, so the values of a
+    # repeat are never compared
+    with pytest.raises(LatticeError) as info:
+        Lattice(1, [Arc(0, 1, "A", first), Arc(0, 1, "A", second)])
+    assert str(info.value) == "duplicate arc (0, 1, 'A')"
+
+
 def test_lattice_requires_complete_path():
     with pytest.raises(LatticeError):
         Lattice(3, [Arc(0, 1, "A"), Arc(2, 3, "B")])

@@ -227,8 +227,16 @@ MALFORMED = [
      _bundled("concepts.txt", "subject\tsubject\t1",
               "a_x\tattribute\t1\tdummy"),
      "attribute a_x folds into non-foldable dummy"),
+    ("concepts-first-repeat", "--concepts",
+     _two_faults("concepts.txt", ("subject\tsubject\t1", "subject\tsubject\t1"),
+                 ("and\tspecial\t9", "extra\tverb\t1")),
+     "repeated concept 'subject'"),
     ("lexicon-grammar-id", "--lexicon",
      _bundled("lexicon.txt", "accept\tw0", "[grammar city]"),
+     "duplicate grammar id city"),
+    ("lexicon-first-repeated-grammar", "--lexicon",
+     _two_faults("lexicon.txt", ("accept\tw0", "[grammar city]"),
+                 ("[grammar aircraft]", "0\tDC")),
      "duplicate grammar id city"),
     ("lexicon-stop-word-in-grammar", "--lexicon",
      _at(_bundled("lexicon.txt", "THE A AN", "TWO")[0], "[grammar number]"),

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 from collections import Counter
@@ -14,10 +15,12 @@ from chronus.model import (BEGIN, SegmentedSentence, model_from_text,
                            model_to_text, path_score, train_mle)
 from chronus.query import Answer
 from chronus.training import (AlignmentInfeasibleError, FeedbackCorpus,
-                              FeedbackEntry, align_win, brute_force_align,
-                              required_concepts, run_training_loop)
+                              FeedbackEntry, _snapshot_id, align_win,
+                              brute_force_align, required_concepts,
+                              run_training_loop)
 
-from helpers import random_trained_model, tie_heavy_model, train_full
+from helpers import (random_trained_model, tie_heavy_model, train_full,
+                     uniform_rows_model)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +112,19 @@ def test_loop_improves_and_converges_on_bundled_corpus(artifacts, semi_corpus):
     # the seed knowledge is not forgotten
     for gold in semi_corpus.seed_segmentations():
         assert path_score(model, gold.words, gold.labels) > float("-inf")
+
+
+def test_snapshot_id_hashes_the_model_text_before_its_counts():
+    def by_definition(model):
+        probs = model_to_text(model).partition("\n[counts ")[0]
+        return hashlib.sha256(probs.encode()).hexdigest()[:12]
+
+    with_counts = random_trained_model(random.Random(5))
+    without = uniform_rows_model(1, ["a"], ["c0"], {"c0": ["c0", "</s>"]},
+                                 {"c0": {"<s>": ["a"], "a": ["a"]}})
+    assert with_counts.counts is not None and without.counts is None
+    for model in (with_counts, without):
+        assert _snapshot_id(model) == by_definition(model)
 
 
 def test_loop_report_rendering(artifacts, semi_corpus):
