@@ -115,14 +115,14 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
     trans_into, enter_max = model.trans_into, model.enter_max
     emissions = model.emissions
 
-    for i, a in enumerate(arcs):
-        begin = emissions(BEGIN, a.sym)
-        if a.start == 0:
+    for i, (start, _, sym, _) in enumerate(arcs):
+        begin = emissions(BEGIN, sym)
+        if start == 0:
             relax += n_concepts
             delta[i] = [s + e for s, e in zip(model.init_vec, begin)]
             back[i] = [(None, None)] * n_concepts
             continue
-        live = incoming.get(a.start)
+        live = incoming.get(start)
         if not live:
             continue
         relax += n_concepts * n_concepts * len(live)
@@ -137,7 +137,7 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
             ranked = sorted(concepts, key=row.__getitem__, reverse=True)
             # staying in concept c continues the segment, so the bigram
             # context is the predecessor's symbol instead of the begin marker
-            stay = emissions(arcs[j].sym, a.sym)
+            stay = emissions(arcs[j].sym, sym)
             for c, trans in enumerate(trans_into):
                 best = old = cells[c]
                 d = prev[c]

@@ -113,17 +113,17 @@ class Lattice:
         arcs = tuple(sorted(arcs, key=_SPAN_SYM))
         if n_positions < 1:
             raise LatticeError("lattice needs at least one token position")
-        seen = set()
+        last = None   # sorted, so a repeated triple follows its first
         incoming = {}
         for i, a in enumerate(arcs):  # start-major: a single pass suffices
-            if not (0 <= a.start < a.end <= n_positions):
+            start, end, sym, _ = a
+            if not (0 <= start < end <= n_positions):
                 raise LatticeError(f"arc {a} out of bounds for n={n_positions}")
-            dup = (a.start, a.end, a.sym)
-            if dup in seen:
-                raise LatticeError(f"duplicate arc {dup}")
-            seen.add(dup)
-            if a.start == 0 or a.start in incoming:
-                incoming.setdefault(a.end, []).append(i)
+            if (start, end, sym) == last:
+                raise LatticeError(f"duplicate arc {last}")
+            last = start, end, sym
+            if start == 0 or start in incoming:
+                incoming.setdefault(end, []).append(i)
         if n_positions not in incoming:
             raise LatticeError("no complete path from position 0 to the end")
         self.n_positions = n_positions
