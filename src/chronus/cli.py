@@ -327,10 +327,7 @@ def main(argv=None, out=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args, out)
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except ChronusError as exc:
+    except (FileNotFoundError, ChronusError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

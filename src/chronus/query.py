@@ -148,7 +148,6 @@ class MiniDb:
 
 @dataclass
 class QueryPlan:
-    table: str
     join_fare: bool = False
     predicates: list = field(default_factory=list)  # (column, op, value)
     projection: tuple = ()
@@ -159,7 +158,7 @@ class QueryPlan:
         """Debug-only SQL-like rendering; never executed anywhere."""
         cols = "COUNT(*)" if self.existence else ", ".join(self.projection)
         frm = "flight JOIN fare ON fare.flight_id = flight.flight_id" \
-            if self.join_fare else self.table
+            if self.join_fare else "flight"
         where = " AND ".join(f"{c} {op} {v!r}" for c, op, v in self.predicates)
         sql = f"SELECT {cols} FROM {frm}"
         if where:
@@ -229,8 +228,7 @@ def plan_query(template: Template, db: MiniDb) -> QueryPlan:
         raise PlanError(f"no table rule for subject {subject!r}")
     join_fare, extra_preds, proj_key = _SUBJECTS[subject]
 
-    plan = QueryPlan(table="flight", join_fare=join_fare,
-                     projection=_PROJECTIONS[proj_key])
+    plan = QueryPlan(join_fare=join_fare, projection=_PROJECTIONS[proj_key])
     plan.predicates.extend(extra_preds)
     operator = None
 
@@ -287,8 +285,7 @@ def execute(plan: QueryPlan, db: MiniDb) -> Answer:
                     rows.append({**flight, **fare})
         rows.sort(key=lambda r: (r["flight_id"], r["fare_id"]))
     else:
-        rows = sorted(db.tables[plan.table],
-                      key=lambda r: r[PRIMARY_KEYS[plan.table]])
+        rows = sorted(db.tables["flight"], key=lambda r: r["flight_id"])
 
     for column, op, value in plan.predicates:
         if op == "=":

@@ -137,9 +137,12 @@ def test_decode_all_stop_words_is_data_error(demo_model_path):
     assert rc == 2
 
 
-def test_missing_model_file_is_data_error(tmp_path):
-    rc, _ = run_cli(["decode", "--model", str(tmp_path / "nope.txt"), "SHOW"])
+def test_missing_model_file_is_data_error(tmp_path, capsys):
+    path = tmp_path / "nope.txt"
+    rc, _ = run_cli(["decode", "--model", str(path), "SHOW"])
     assert rc == 2
+    assert capsys.readouterr().err == (
+        f"data error: [Errno 2] No such file or directory: '{path}'\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -287,6 +290,40 @@ def test_eval_accuracy_arithmetic_for_one_flipped_label(demo_model, artifacts):
     # nothing carries references: the answer breakdown defaults to rejected
     assert report.answers_correct == 0.0
     assert report.answers_rejected == 100.0
+
+
+def _wrong_answer_entry(kind, demo_model, artifacts):
+    """A sentence answered wrongly, with a gold that makes ``kind`` the
+    first stage to diverge from it."""
+    text = "SHOW ME THE FLIGHTS FROM BOSTON TO DALLAS"
+    gold = run_turn(text, demo_model, artifacts).decode.segmentation()
+    if kind == "decoding":
+        gold = replace(gold, labels=tuple(
+            "airline" if label == "destin" else label for label in gold.labels))
+    elif kind == "template":
+        # same segments, but the gold heard DENVER where the text says DALLAS
+        other = run_turn(text.replace("DALLAS", "DENVER"), demo_model,
+                         artifacts).decode.segmentation()
+        assert other.segments() == gold.segments()
+        gold = other
+    elif kind == "translator-no-gold":
+        gold = None
+    # references no plan of the decoded template can meet
+    refs = Answer(kind="rows", rows=[("XX", "0", "XXXX", "XXXX", "0", "0")])
+    return FeedbackEntry(ident=kind, text=text, gold=gold, refmin=refs,
+                         refmax=refs)
+
+
+@pytest.mark.parametrize("kind,error", [
+    ("decoding", "decoding"), ("template", "template"),
+    ("translator", "translator"), ("translator-no-gold", "translator")])
+def test_eval_classifies_a_wrong_answer_by_its_first_divergent_stage(
+        demo_model, artifacts, kind, error):
+    entry = _wrong_answer_entry(kind, demo_model, artifacts)
+    report = evaluate_corpus(FeedbackCorpus([entry]), demo_model, artifacts)
+    assert report.answers_wrong == 100.0
+    assert report.errors == {"decoding": 0, "template": 0, "translator": 0,
+                             error: 1}
 
 
 # ---------------------------------------------------------------------------

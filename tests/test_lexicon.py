@@ -323,6 +323,9 @@ def test_digit_normalizer_renders_numerals(artifacts):
     aircraft = next(g for g in artifacts.lexicon.grammars if g.gid == "aircraft")
     assert aircraft.normalize(["D", "C", "TEN"]) == "DC10"
     assert aircraft.normalize(["B", "SEVEN", "FORTY", "SEVEN"]) == "B747"
+    # a number word that starts no compound passes through as a word
+    assert aircraft.normalize(["HUNDRED", "SEVEN"]) == "HUNDRED7"
+    assert aircraft.normalize(["B", "THOUSAND"]) == "BTHOUSAND"
 
 
 def test_nondeterministic_grammar_is_determinized():

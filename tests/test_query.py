@@ -65,7 +65,7 @@ def test_conventions_load(artifacts):
 def test_display_flight_plan(artifacts):
     plan = plan_query(_t(("question", "display"), ("subject", "flight"),
                          ("origin", "BBOS"), ("destin", "DDFW")), artifacts.db)
-    assert plan.table == "flight" and not plan.join_fare
+    assert not plan.join_fare
     assert ("from_city", "=", "BBOS") in plan.predicates
     assert ("to_city", "=", "DDFW") in plan.predicates
     assert not plan.existence and plan.aggregate is None
@@ -73,14 +73,25 @@ def test_display_flight_plan(artifacts):
 
 def test_missing_subject_defaults_to_flight(artifacts):
     plan = plan_query(_t(("origin", "BBOS")), artifacts.db)
-    assert plan.table == "flight"
-    assert plan.projection[0] == "airline"
+    assert not plan.join_fare
+    assert plan.projection == ("airline", "number", "from_city", "to_city",
+                               "depart_min", "arrive_min")
 
 
 def test_fare_subject_joins_fares(artifacts):
     plan = plan_query(_t(("subject", "fare"), ("origin", "MATL")), artifacts.db)
     assert plan.join_fare
     assert "one_way_cost" in plan.projection
+
+
+def test_fare_class_under_a_flight_subject_projects_fares(artifacts):
+    template = _t(("subject", "flight"), ("fare", "FIRST"), ("origin", "BBOS"))
+    plan = plan_query(template, artifacts.db)
+    assert plan.join_fare
+    assert plan.projection == ("airline", "number", "fare_class",
+                               "one_way_cost")
+    assert execute(plan, artifacts.db).rows == [("AA", 101, "FIRST", 500),
+                                                ("DL", 302, "FIRST", 420)]
 
 
 def test_meal_subject_adds_predicate(artifacts):

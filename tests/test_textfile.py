@@ -125,6 +125,10 @@ MALFORMED = [
     ("model-missing-initial", "--model",
      (_without_section(RECOVERY_TEXT, "[initial]"), 1),
      "model has no [initial] row"),
+    ("model-field-count", "--model",
+     _model("[initial]", "<s>\tc0\t0.5\t0.5"), "expected ROW<TAB>COL<TAB>PROB"),
+    ("model-header-line", "--model",
+     _model("chronus-model v3", "kk\t0.1"), "unexpected header line"),
     ("model-concept-counterpart", "--model",
      _model("[concepts]", "a_x\tattribute\t2\tzzz"),
      "attribute concept a_x has no valid counterpart"),
@@ -150,6 +154,16 @@ MALFORMED = [
      _bundled("db.txt", "f01\tAA\t101\tBBOS\tDDFW\t480\t720\tDC10\tBREAKFAST",
               "f01\tUA\t999\tDDFW\tBBOS\t500\t700\tDC9\tNONE"),
      "table flight repeats flight_id 'f01'"),
+    ("db-unknown-table", "--db",
+     _bundled("db.txt", "[table flight]", "[table plane]"),
+     "unknown table 'plane'"),
+    ("db-row-before-table", "--db",
+     _bundled("db.txt", "chronus-db v1",
+              "f99\tAA\t999\tBBOS\tDDFW\t480\t720\tDC10\tNONE"),
+     "row before any [table] header"),
+    ("db-column-count", "--db",
+     _bundled("db.txt", "[table flight]", "f99\tAA\t999"),
+     "expected 9 columns in flight"),
     ("db-first-bad-line", "--db",
      _two_faults("db.txt", ("[table flight]",
                             "f99\tAA\t999\tBBOS\tDDFW\t480\t1440\tDC10\tNONE"),
@@ -186,6 +200,12 @@ MALFORMED = [
      _bundled("values.txt", "CONTINENTAL\tCO\titem", "AMERICAN\t*\titem"),
      "airline: pattern AMERICAN takes its slot's value (*) but has no "
      "grammar slot"),
+    ("values-field-count", "--values",
+     _bundled("values.txt", "[concept question]", "HOW MUCH\tdisplay"),
+     "expected PATTERN<TAB>value<TAB>category"),
+    ("values-section-kind", "--values",
+     _bundled("values.txt", "[concept question]", "[question]"),
+     "expected [concept <name>]"),
     ("values-header", "--values",
      _bundled("values.txt", "[concept subject]", "[concept origin"),
      "unterminated section header"),
@@ -201,6 +221,9 @@ MALFORMED = [
     ("conventions-repeated-default", "--conventions",
      _bundled("conventions.txt", "reject-threshold\t0.75", "subject\tfare"),
      "repeated default 'subject'"),
+    ("conventions-line", "--conventions",
+     _bundled("conventions.txt", "[time]", "noon\t720"),
+     "bad conventions line"),
     ("corpus-header", "--corpus",
      (CORPUS + "[sentence d01\n", 4), "unterminated section header"),
     ("corpus-gold", "--corpus",
@@ -227,6 +250,12 @@ MALFORMED = [
      _bundled("concepts.txt", "subject\tsubject\t1",
               "a_x\tattribute\t1\tdummy"),
      "attribute a_x folds into non-foldable dummy"),
+    ("concepts-field-count", "--concepts",
+     _bundled("concepts.txt", "subject\tsubject\t1", "extra\tsubject"),
+     "expected name<TAB>role<TAB>rank[<TAB>counterpart]"),
+    ("concepts-section", "--concepts",
+     _bundled("concepts.txt", "subject\tsubject\t1", "[x]"),
+     "unknown section [x]"),
     ("concepts-first-repeat", "--concepts",
      _two_faults("concepts.txt", ("subject\tsubject\t1", "subject\tsubject\t1"),
                  ("and\tspecial\t9", "extra\tverb\t1")),
@@ -238,6 +267,21 @@ MALFORMED = [
      _two_faults("lexicon.txt", ("accept\tw0", "[grammar city]"),
                  ("[grammar aircraft]", "0\tDC")),
      "duplicate grammar id city"),
+    ("lexicon-grammar-header", "--lexicon",
+     _bundled("lexicon.txt", "accept\tw0", "[grammar a b]"),
+     "expected [grammar <id>]"),
+    ("lexicon-inflect-line", "--lexicon",
+     _bundled("lexicon.txt", "[inflect]", "FLIGHTZ"),
+     "expected SURFACE<TAB>SUPERWORD"),
+    ("lexicon-grammar-line", "--lexicon",
+     _bundled("lexicon.txt", "normalize\tjoin", "0\tBOSTON"),
+     "bad grammar line"),
+    ("lexicon-before-header", "--lexicon",
+     _bundled("lexicon.txt", "# finite-state grammars (city names, compound "
+              "numerals, aircraft codes)", "SHOW"),
+     "content before first section header"),
+    ("lexicon-section", "--lexicon",
+     _bundled("lexicon.txt", "[stop]", "[wrods]"), "unknown section [wrods]"),
     ("lexicon-stop-word-in-grammar", "--lexicon",
      _at(_bundled("lexicon.txt", "THE A AN", "TWO")[0], "[grammar number]"),
      "stop words ['TWO'] appear in grammar number"),
@@ -267,6 +311,9 @@ MALFORMED = [
     ("synonyms-unknown-concept", "--synonyms",
      ("origin\tDEPART(S)\tLEAVE(S)\nnosuch\tDEPART(S)\tLEAVE(S)\n", 2),
      "unknown concept 'nosuch'"),
+    ("synonyms-section", "--synonyms",
+     ("origin\tDEPART(S)\tLEAVE(S)\n[groups]\n", 2),
+     "unknown section [groups]"),
     ("synonyms-first-bad-line", "--synonyms",
      ("origin\tDEPART(S)\tLEAVE(S)\nnosuch\tDEPART(S)\tLEAVE(S)\n"
       "origin\tFROM\tNOSUCHWORD\n", 2),

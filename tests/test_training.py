@@ -114,6 +114,19 @@ def test_loop_improves_and_converges_on_bundled_corpus(artifacts, semi_corpus):
         assert path_score(model, gold.words, gold.labels) > float("-inf")
 
 
+def test_loop_counts_an_unparseable_sentence_as_a_problem(artifacts,
+                                                          semi_corpus):
+    refs = Answer(kind="rows", rows=[])
+    entries = [e for e in semi_corpus.entries if e.gold is not None]
+    entries.append(FeedbackEntry(ident="s", text="THE A AN", refmin=refs,
+                                 refmax=refs))   # stop words only
+    seed_model = train_full(semi_corpus.seed_segmentations(), artifacts)
+    _, report = run_training_loop(FeedbackCorpus(entries), seed_model,
+                                  artifacts, max_iters=5)
+    assert [(r.correct, r.problem) for r in report.rows] == [(0, 1), (0, 1)]
+    assert report.termination == "converged"
+
+
 def test_snapshot_id_hashes_the_model_text_before_its_counts():
     def by_definition(model):
         probs = model_to_text(model).partition("\n[counts ")[0]
