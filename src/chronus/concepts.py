@@ -47,9 +47,10 @@ class ConceptDictionary:
 
     Order is significant: the decoder breaks score ties by concept index,
     so two dictionaries with the same concepts in different order are
-    different models.  The reader checks a repeated name at its line.  The
-    checks across concepts run here too, since ``index`` and ``fold`` rely
-    on them; errors name ``path`` and the concept's ``line``.
+    different models.  Its reader and the model reader check a repeated
+    name at its line.  The checks across concepts run here too, since
+    ``index`` and ``fold`` rely on them; errors name ``path`` and the
+    concept's ``line``.
     """
 
     def __init__(self, concepts, path=None):

@@ -101,7 +101,8 @@ def render_segments(segmentation: SegmentedSentence) -> str:
 
 @dataclass
 class TrainingCounts:
-    """Raw event counts kept alongside a trained model and saved with it."""
+    """Raw event counts of a model trained in this process; model files
+    do not hold them."""
 
     transition: dict = field(default_factory=dict)   # row -> col -> count
     bigram: dict = field(default_factory=dict)       # concept -> prev -> word -> count
@@ -193,6 +194,9 @@ class ConceptHmm:
     + vocabulary and a symbol in the vocabulary, so the memo holds at most
     (|V| + 1) * |V| vectors; any other symbol reads one shared all -inf
     vector.
+
+    ``counts`` holds the training counts of a model trained in this
+    process, and is None for a loaded one.
     """
 
     def __init__(self, dictionary: ConceptDictionary, vocab, k: float,
@@ -260,9 +264,9 @@ class ConceptHmm:
                 yield (f"bigram[{g}][{r}]", row)
 
     def parameter_counts(self):
-        """(probability rows, count-backed bigram entries) of a trained
-        model; every context of ``<s>`` + vocabulary that reads the unseen
-        row counts as a row when that row has mass."""
+        """(probability rows, count-backed bigram entries) of a model
+        trained in this process; every context of ``<s>`` + vocabulary
+        that reads the unseen row counts as a row when that row has mass."""
         contexts = {BEGIN, *self.vocab} if self.unseen.default else set()
         nrows = 1 + len(self.transition) + sum(
             len(table.keys() | contexts) for table in self.bigram.values())
@@ -347,9 +351,10 @@ def apply_synonym_smoothing(model: ConceptHmm, groups) -> ConceptHmm:
     """Tie bigram statistics of synonym groups.
 
     ``groups`` maps a concept name to word groups.  For each group the
-    context rows of the member words are replaced by their count-weighted
-    average, and in every row of that concept's table the member columns
-    share their summed mass uniformly.
+    context rows of the member words are replaced by their average,
+    weighted by the rows' training counts when the model has them and
+    equally when it has none, as a loaded model, and in every row of that
+    concept's table the member columns share their summed mass uniformly.
     """
     if not groups:
         return model
@@ -473,48 +478,25 @@ MAGIC = "chronus-model v3"
 
 
 def model_to_text(model: ConceptHmm) -> str:
-    """``chronus-model v3`` text: ``k``, the name sections, every stored row
-    as its default line ``ROW<TAB>PROB`` and exception lines
+    """``chronus-model v3`` text: ``k``, the name sections, and every stored
+    row as its default line ``ROW<TAB>PROB`` and exception lines
     ``ROW<TAB>COL<TAB>PROB``, with one ``[bigram c]`` section per concept
-    that leaves out the contexts reading the unseen row, then the training
-    counts, if any, as ``ROW<TAB>COL<TAB>COUNT`` lines.  Rows and columns
-    are sorted, so equal models give equal text."""
-    counts = model.counts
-    out = [probability_text(model)]
-    if counts is not None:
-        for header, table in _tables(counts.transition.get(BEGIN, {}),
-                                     counts.transition, counts.bigram,
-                                     model.dictionary.names):
-            out.append(f"[counts {header}]")
-            for name in sorted(table):
-                out.extend(f"{name}\t{col}\t{n}"
-                           for col, n in sorted(table[name].items()))
-    return "\n".join(out) + "\n"
-
-
-def probability_text(model: ConceptHmm) -> str:
-    """The part of ``model_to_text`` before the training counts: the
-    settings, names and probability sections, without a final newline."""
+    that leaves out the contexts reading the unseen row.  Training counts
+    are not written.  Rows and columns are sorted, so equal models give
+    equal text."""
     out = [MAGIC, f"k\t{model.k!r}", "[concepts]",
            *model.dictionary.to_lines(), "[vocab]", *model.vocab]
-    for header, table in _tables(model.initial, model.transition,
-                                 model.bigram, model.dictionary.names):
+    tables = [("initial", {BEGIN: model.initial}),
+              ("transition", model.transition)]
+    tables += [(f"bigram {c}", model.bigram[c]) for c in model.dictionary.names]
+    for header, table in tables:
         out.append(f"[{header}]")
         for name in sorted(table):
             row = table[name]
             out.append(f"{name}\t{row.default:.11e}")
             out.extend(f"{name}\t{col}\t{p:.11e}"
                        for col, p in sorted(row.exc.items()))
-    return "\n".join(out)
-
-
-def _tables(initial, transition, bigram, names):
-    """(section header, row name -> row) of a model's tables, in file order."""
-    yield "initial", {BEGIN: initial}
-    yield "transition", {r: transition[r] for r in names if r in transition}
-    for c in names:
-        if c in bigram:
-            yield f"bigram {c}", bigram[c]
+    return "\n".join(out) + "\n"
 
 
 def save_model(model: ConceptHmm, path):
@@ -531,7 +513,9 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
     row is required, every concept needs a ``[bigram c]`` section, and a
     context without a row there has the unseen row; the v1 and v2 writers
     left out a row only when k = 0, so their texts read as the same
-    models."""
+    models.  ``[counts ...]`` sections, which older writers added, are
+    checked like the probabilities and then dropped: a loaded model has no
+    counts."""
     lines = text.splitlines()
     magic = lines[0].strip() if lines else ""
     if magic not in (MAGIC, "chronus-model v2", "chronus-model v1"):
@@ -540,28 +524,28 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
     concepts = []
     vocab = {}   # the [vocab] symbols in file order
     names, symbols = set(), {BEGIN, FINAL}
-    transition, bigram, counts = {}, {}, None   # rows: [values, default, ln]
+    transition, bigram = {}, {}   # rows: [values, default, ln]
+    counted = {}   # [counts ...] header -> row -> column -> count
     table = row_name = None    # the current table and row
     for ln, section, line in records(lines, path, magic):
         if line is None:
             table = row_name = None
             counting = section.startswith("counts ")
-            if counting and counts is None:
-                counts = TrainingCounts()
             kind, _, concept = section.removeprefix("counts ").partition(" ")
             if kind == "bigram":
                 if concept not in names:
                     raise DataFormatError(f"unknown concept {concept!r}", path, ln)
                 rows_ok = cols_ok = symbols
                 row_msg = col_msg = "symbol {!r} is not in [vocab]"
-                table = (counts.bigram if counting else bigram).setdefault(
-                    concept, {})
+                table = (counted.setdefault(section, {}) if counting
+                         else bigram.setdefault(concept, {}))
             elif kind in ("initial", "transition") and not concept:
                 rows_ok = {BEGIN} if kind == "initial" else names
                 cols_ok = names | {FINAL}
                 row_msg = f"unknown {kind} row {{!r}}"
                 col_msg = "unknown concept {!r}"
-                table = counts.transition if counting else transition
+                table = (counted.setdefault(section, {}) if counting
+                         else transition)
             elif section not in ("concepts", "vocab"):
                 raise DataFormatError(f"unknown section [{section}]", path, ln)
             continue
@@ -599,7 +583,10 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
                 raise DataFormatError("unexpected header line", path, ln)
         elif section == "concepts":
             concepts.append(parse_concept(line, path, ln))
-            names.add(concepts[-1].name)
+            name = concepts[-1].name
+            if name in names:
+                raise DataFormatError(f"repeated concept {name!r}", path, ln)
+            names.add(name)
         else:
             sym = line.strip()
             if sym in vocab:
@@ -630,7 +617,7 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
         raise DataFormatError("model has no [initial] row", path, 1)
     initial = transition.pop(BEGIN)
     bigram = {c: canonical(rows, vocab_cols) for c, rows in bigram.items()}
-    return ConceptHmm(dictionary, vocab, k, initial, transition, bigram, counts)
+    return ConceptHmm(dictionary, vocab, k, initial, transition, bigram)
 
 
 def load_model(path) -> ConceptHmm:

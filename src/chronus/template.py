@@ -107,8 +107,9 @@ class ValueTable:
     def _add(self, concept, p, path=None, ln=None):
         """Index ``p`` after the patterns of ``concept`` added so far.  It
         must not be empty, must have a grammar slot if it takes its slot's
-        value, and must not extend an earlier pattern, which would always
-        win over it; such a pattern has the same first symbol."""
+        value, and must not repeat or extend an earlier pattern, which
+        would always win over it; such a pattern has the same first
+        symbol."""
         if not p.tokens:
             raise ValueTableDataError(f"empty pattern under {concept}", path, ln)
         if p.value == TAKE_VALUE and not any(
@@ -119,7 +120,11 @@ class ValueTable:
         same_first = self.by_first.setdefault(concept, {}).setdefault(
             p.tokens[0].sym, [])
         for _, q in same_first:
-            if len(p.tokens) > len(q.tokens) and p.tokens[:len(q.tokens)] == q.tokens:
+            if p.tokens == q.tokens:
+                raise ValueTableDataError(
+                    f"{concept}: pattern {_render_tokens(p.tokens)} listed "
+                    "twice", path, ln)
+            if p.tokens[:len(q.tokens)] == q.tokens:
                 raise ValueTableDataError(
                     f"{concept}: pattern {_render_tokens(q.tokens)} listed "
                     f"before the longer {_render_tokens(p.tokens)}", path, ln)

@@ -28,10 +28,7 @@ from .concepts import ConceptDictionary
 from .decoder import chain_lattice, exhaustive_search
 from .errors import ChronusError, DataFormatError
 from .model import (BEGIN, NEG_INF, ConceptHmm, SegmentedSentence,
-                    probability_text, train_mle)
-# unused here; perfbench/spans.py times model_to_text at every module that
-# held it, this one included
-from .model import model_to_text
+                    model_to_text, train_mle)
 from .pipeline import Artifacts, run_turn, verdict
 from .query import Answer
 from .textfile import records, section_name
@@ -61,6 +58,9 @@ class FeedbackEntry:
         return self.refmin is not None and self.refmax is not None
 
 
+_ONCE = ("text", "win", "gold", "refs", "refvalue")   # keys an entry gives once
+
+
 def _check_entry(entry, path=None, ln=None):
     if entry.gold is None and not entry.has_references:
         raise DataFormatError(f"sentence {entry.ident}: needs references "
@@ -71,7 +71,9 @@ def _check_entry(entry, path=None, ln=None):
 class FeedbackCorpus:
     """Feedback entries, each with a gold segmentation or references.  The
     reader checks an entry when it ends, naming its header line, and a
-    sentence id at its header."""
+    sentence id at its header.  It also needs a ``text`` line in every
+    entry, and names at its line a repeated ``text``, ``win``, ``gold``,
+    ``refs`` or ``refvalue`` line."""
 
     entries: list = field(default_factory=list)
 
@@ -93,22 +95,37 @@ class FeedbackCorpus:
     @classmethod
     def from_lines(cls, lines, path=None):
         entries, idents, start = [], set(), None   # start: the header's line
+        given = set()   # the keys of _ONCE the current entry has given
+
+        def finish():
+            if "text" not in given:
+                raise DataFormatError(
+                    f"sentence {entries[-1].ident}: needs a text line",
+                    path, start)
+            _check_entry(entries[-1], path, start)
+
         for ln, section, line in records(lines, path):
             if line is None:
                 if entries:
-                    _check_entry(entries[-1], path, start)
+                    finish()
                 ident = section_name(section, "sentence", path, ln)
                 if ident in idents:
                     raise DataFormatError(f"repeated sentence id {ident!r}", path, ln)
                 idents.add(ident)
                 entries.append(FeedbackEntry(ident, text=""))
                 start = ln
+                given.clear()
                 continue
             if not entries:
                 raise DataFormatError("line before any [sentence] header", path, ln)
             entry = entries[-1]
             kind = entry.refmin.kind if entry.refmin is not None else None
             key, _, rest = line.partition("\t")
+            if key in _ONCE:
+                if key in given:
+                    raise DataFormatError(
+                        f"sentence {entry.ident}: repeated {key} line", path, ln)
+                given.add(key)
             if key == "text":
                 entry.text = rest
             elif key == "win":
@@ -134,7 +151,7 @@ class FeedbackCorpus:
             else:
                 raise DataFormatError(f"unknown record key {key!r}", path, ln)
         if entries:
-            _check_entry(entries[-1], path, start)
+            finish()
         return cls(entries)
 
     def to_text(self) -> str:
@@ -186,12 +203,8 @@ class LoopReport:
 
 
 def _snapshot_id(model: ConceptHmm) -> str:
-    """Hash of the model's probabilities: its text up to the counts, which
-    is the whole text, final newline included, when it has none."""
-    probs = probability_text(model)
-    if model.counts is None:
-        probs += "\n"
-    return hashlib.sha256(probs.encode()).hexdigest()[:12]
+    """Hash of the model's text, which holds its probabilities only."""
+    return hashlib.sha256(model_to_text(model).encode()).hexdigest()[:12]
 
 
 def run_training_loop(corpus: FeedbackCorpus, seed_model: ConceptHmm,

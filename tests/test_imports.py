@@ -1,5 +1,6 @@
 """Package modules use one another only through public names, and so do
-the tools and the benchmark."""
+the tools and the benchmark; each function the benchmark wraps is defined
+or called by name in the module where it is wrapped."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,34 @@ def test_tools_and_benchmark_use_only_public_chronus_names():
             private.extend(f"{path.relative_to(ROOT)}: {name}"
                            for name in _private_chronus_names(tree))
     assert private == []
+
+
+def _wrapped_pairs():
+    """The ``(module, name)`` pairs of ``WRAPPED`` in perfbench/spans.py,
+    read from its source without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(
+        encoding="utf-8"))
+    wrapped = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["WRAPPED"])
+    return [(module.id, name.value)
+            for entry in wrapped.elts
+            for module, name in (pair.elts for pair in entry.elts[1].elts)]
+
+
+def test_every_benchmark_wrap_point_is_defined_or_called_there():
+    # the trace replaces module.name, so it sees a call only if the module
+    # defines the function or calls it through that global name
+    pairs = _wrapped_pairs()
+    assert pairs
+    missing = []
+    for module, name in pairs:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        defined = any(isinstance(node, ast.FunctionDef) and node.name == name
+                      for node in tree.body)
+        called = any(isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name) and node.func.id == name
+                     for node in ast.walk(tree))
+        if not (defined or called):
+            missing.append(f"{module}.{name}")
+    assert missing == []

@@ -6,8 +6,9 @@ import pytest
 from chronus.concepts import Concept, ConceptDictionary
 from chronus.errors import ChronusError
 from chronus.gen import sample_sentence
-from chronus.model import (BEGIN, NEG_INF, SegmentedSentence, UnknownLabelError,
-                           UnknownWordError, apply_synonym_smoothing,
+from chronus.model import (BEGIN, NEG_INF, ConceptHmm, SegmentedSentence,
+                           UnknownLabelError, UnknownWordError,
+                           apply_synonym_smoothing,
                            canonical_row, load_model, load_synonyms,
                            model_from_text, model_to_text, path_score,
                            round12, save_model, train_mle)
@@ -273,15 +274,21 @@ def test_synonym_smoothing_input_validation(artifacts):
             model, {"origin": [["FROM", "((city))"], ["FROM", "DEPART(S)"]]})
 
 
-def test_synonym_smoothing_survives_a_save_load_round_trip(demo_model,
-                                                           tmp_path):
-    # the saved counts keep the count-weighted row averages
+def test_a_loaded_model_is_smoothed_with_equal_weights(demo_model,
+                                                       tmp_path):
+    # the file holds no counts, so the member rows weigh the same
     groups = load_synonyms(data_path("synonyms.txt"), demo_model.dictionary,
                            demo_model.vocab)
     save_model(demo_model, tmp_path / "model.txt")
     reloaded = load_model(tmp_path / "model.txt")
-    assert model_to_text(apply_synonym_smoothing(reloaded, groups)) \
-        == model_to_text(apply_synonym_smoothing(demo_model, groups))
+    assert reloaded.counts is None
+    uncounted = ConceptHmm(demo_model.dictionary, demo_model.vocab,
+                           demo_model.k, demo_model.initial,
+                           demo_model.transition, demo_model.bigram)
+    smoothed = model_to_text(apply_synonym_smoothing(reloaded, groups))
+    assert smoothed == model_to_text(apply_synonym_smoothing(uncounted, groups))
+    # the demo counts give the rows unequal weights
+    assert smoothed != model_to_text(apply_synonym_smoothing(demo_model, groups))
 
 
 def test_canonical_row_default_is_the_most_common_value():
@@ -304,17 +311,27 @@ def test_canonical_row_default_is_the_most_common_value():
 def test_v1_model_collapses_to_the_trained_v2_model(artifacts):
     # model_v1_small.txt is _synonym_model(k=0.001) as the v1 writer wrote
     # it: every column of every row, and no counts
-    trained = _synonym_model(artifacts)
-    trained.counts = None
     v1 = load_model(TESTS_DATA / "model_v1_small.txt")
-    assert model_to_text(v1) == model_to_text(trained)
+    assert model_to_text(v1) == model_to_text(_synonym_model(artifacts))
 
 
 def test_v2_model_reads_as_the_trained_model(artifacts):
     # model_v2_small.txt is the same model as the v2 writer wrote it: every
     # context row, the unseen ones included, and the counts
     v2 = load_model(TESTS_DATA / "model_v2_small.txt")
+    assert v2.counts is None
     assert model_to_text(v2) == model_to_text(_synonym_model(artifacts))
+
+
+def test_v3_model_with_counts_reads_as_the_trained_model(artifacts):
+    # earlier v3 writers put the training counts after the probabilities,
+    # in the sections the v2 writer used
+    v2_text = (TESTS_DATA / "model_v2_small.txt").read_text(encoding="utf-8")
+    text = model_to_text(_synonym_model(artifacts))
+    with_counts = model_from_text(
+        text + v2_text[v2_text.index("[counts initial]"):])
+    assert with_counts.counts is None
+    assert model_to_text(with_counts) == text
 
 
 def test_v3_model_text_is_a_fixed_point(artifacts):

@@ -151,15 +151,14 @@ _SEGMENT_WORDS = [Superword("A"), Superword("B"), Superword("C"),
 
 @st.composite
 def _pattern_list(draw):
-    """Up to 6 patterns in file order, without any that an earlier, shorter
-    pattern shadows and without a TAKE_VALUE pattern that has no grammar
+    """Up to 6 patterns in file order, without any that repeats or extends
+    an earlier pattern and without a TAKE_VALUE pattern that has no grammar
     slot (ValueTable rejects both)."""
     patterns = []
     for order in range(draw(st.integers(0, 6))):
         tokens = tuple(draw(st.lists(st.sampled_from(_PATTERN_WORDS),
                                      min_size=1, max_size=3)))
-        if any(len(tokens) > len(p.tokens)
-               and tokens[:len(p.tokens)] == p.tokens for p in patterns):
+        if any(tokens[:len(p.tokens)] == p.tokens for p in patterns):
             continue
         value = f"p{order}"
         if any(is_grammar_sym(t.sym) for t in tokens):   # it has a slot

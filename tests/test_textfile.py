@@ -75,12 +75,18 @@ def _bundled(name, anchor, line):
     return _with_line(data_path(name).read_text(encoding="utf-8"), anchor, line)
 
 
+def _and_later(bad, anchor, line):
+    """``bad``, a (text, bad line) pair, with a second bad line inserted
+    further down as by ``_with_line``; the first one's line number stays."""
+    text, first = bad
+    return _with_line(text, anchor, line)[0], first
+
+
 def _two_faults(name, first, second):
     """Bundled file ``name`` with two bad lines inserted, ``first`` and,
     further down, ``second``, each an ``(anchor, line)`` pair as for
     ``_with_line``; and the first one's line number."""
-    text, line = _bundled(name, *first)
-    return _with_line(text, *second)[0], line
+    return _and_later(_bundled(name, *first), *second)
 
 
 def _at(text, line):
@@ -110,13 +116,18 @@ MALFORMED = [
      _repeated(RECOVERY_TEXT, "[initial]", 2),
      "row '<s>' repeats column '</s>'"),
     ("model-repeated-count", "--model",
-     _repeated(model_to_text(random_trained_model(random.Random(1))),
+     _repeated((TESTS_DATA / "model_v2_small.txt").read_text(encoding="utf-8"),
                "[counts initial]", 1),
-     "row '<s>' repeats column 'and'"),
+     "row '<s>' repeats column 'origin'"),
     ("model-repeated-vocab", "--model",
      _repeated(RECOVERY_TEXT, "[vocab]", 1), "repeated [vocab] symbol 'w00'"),
     ("model-repeated-concept", "--model",
      _repeated(RECOVERY_TEXT, "[concepts]", 1), "repeated concept 'c0'"),
+    ("model-first-repeated-concept", "--model",
+     _and_later(_repeated(RECOVERY_TEXT, "[concepts]", 1),
+                "[initial]", "<s>\t</s>\tabc"), "repeated concept 'c0'"),
+    ("model-section", "--model",
+     _model("[initial]", "[bogus]"), "unknown section [bogus]"),
     ("model-unnormalized-row", "--model",
      _model("[initial]", "<s>\tc0\t0.5"), "row '<s>' sums to 1.3, not 1"),
     ("model-missing-bigram-table", "--model",
@@ -177,6 +188,10 @@ MALFORMED = [
               "((city)ATLANTA) ((city)BOSTON)\tMATL\titem"),
      "origin: pattern ((city)ATLANTA) listed before the longer "
      "((city)ATLANTA) ((city)BOSTON)"),
+    ("values-repeated-pattern", "--values",
+     _bundled("values.txt", "AMERICAN AIRLINES\tAA\titem",
+              "AMERICAN AIRLINES\tXX\titem"),
+     "airline: pattern AMERICAN AIRLINES listed twice"),
     ("values-first-bad-line", "--values",
      _two_faults("values.txt", ("((city)ATLANTA)\tMATL\titem",
                                 "((city)ATLANTA) ((city)BOSTON)\tMATL\titem"),
@@ -240,6 +255,14 @@ MALFORMED = [
      "sentence x02: needs references or a gold segmentation"),
     ("corpus-repeated-id", "--corpus",
      (CORPUS + CORPUS, 4), "repeated sentence id 'x01'"),
+    ("corpus-repeated-line", "--corpus",
+     (CORPUS + "text\tSHOW ME\n", 4), "sentence x01: repeated text line"),
+    ("corpus-repeated-refs", "--corpus",
+     ("[sentence x01]\ntext\tSHOW\nrefs\trows\nrefmin\tf01\nrefs\trows\n", 5),
+     "sentence x01: repeated refs line"),
+    ("corpus-missing-text", "--corpus",
+     (CORPUS + "[sentence x02]\ngold\tSHOW:question\n", 4),
+     "sentence x02: needs a text line"),
     ("concepts-rank", "--concepts",
      _bundled("concepts.txt", "subject\tsubject\t1", "extra\tsubject\tmany"),
      "rank 'many' is not a number"),
@@ -376,7 +399,6 @@ def _v1_text(model):
        n_concepts=st.integers(1, 5), n_words=st.integers(1, 8))
 def test_v1_text_reads_as_the_same_model(seed, k, n_concepts, n_words):
     model = random_trained_model(random.Random(seed), n_concepts, n_words, k)
-    model.counts = None   # v1 files hold no counts
     assert model_to_text(model_from_text(_v1_text(model))) \
         == model_to_text(model)
 
