@@ -6,13 +6,14 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from itertools import zip_longest
 
 from .concepts import ConceptDictionary
 from .dialog import merge_context
-from .errors import ChronusError
+from .errors import ChronusError, DataFormatError
 from . import gen as genmod
 from .lexicon import SuperwordLexicon
 from .model import (ConceptHmm, apply_synonym_smoothing, full_vocabulary,
@@ -22,6 +23,7 @@ from .pipeline import (Artifacts, answer, data_path, evaluate_corpus,
                        run_turn, understand)
 from .query import plan_query
 from .template import Template, matched_fraction
+from .textfile import number, read_text
 from .training import FeedbackCorpus, run_training_loop
 
 
@@ -34,22 +36,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _threshold(text: str) -> float:
-    """Rejection threshold argument: a number in [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
-    return value
+def _number(kind, lo, hi=math.inf):
+    """An argparse type: a finite ``kind`` number in [lo, hi], checked as
+    the data files check theirs; a bad one is a usage error."""
+    def parse(text):
+        try:
+            return number(kind, text, "value", None, None, lo, hi)
+        except DataFormatError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _add_artifact_args(p):
     for name in ("lexicon", "concepts", "values", "db", "conventions"):
         p.add_argument(f"--{name}", default=None,
                        help=f"{name} file (default: bundled demo {name})")
-    p.add_argument("--threshold", type=_threshold, default=None,
+    p.add_argument("--threshold", type=_number(float, 0.0, 1.0), default=None,
                    help="rejection threshold (default: the conventions')")
 
 
@@ -105,11 +107,12 @@ def cmd_train(args, out) -> int:
         for name, row in model.rows():
             if not row.normalized():
                 raise ChronusError(f"row {name} is no longer normalized")
+    save_model(model, args.out)   # before any output: a failed save prints none
+    if args.synonyms:
         print("synonyms applied; all rows normalized", file=out)
     rows, nonzero = model.parameter_counts()
     print(f"rows\t{rows}", file=out)
     print(f"nonzero\t{nonzero}", file=out)
-    save_model(model, args.out)
     return 0
 
 
@@ -160,8 +163,7 @@ def cmd_repl(args, out) -> int:
     model = _load_model(args.model, artifacts)
     context = Template()
     if args.script:
-        with open(args.script, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = read_text(args.script).splitlines()
         echo = True
     else:
         lines = (line.rstrip("\n") for line in sys.stdin)
@@ -265,7 +267,7 @@ def build_parser() -> _Parser:
     p.add_argument("--concepts", default=None)
     p.add_argument("--lexicon", default=None,
                    help="lexicon whose symbols define the model vocabulary")
-    p.add_argument("--k", type=float, default=0.001)
+    p.add_argument("--k", type=_number(float, 0.0), default=0.001)
     p.add_argument("--synonyms", default=None)
     p.add_argument("--out", required=True)
 
@@ -292,16 +294,17 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--model", default=None,
                    help="seed model (default: train from corpus golds)")
-    p.add_argument("--k", type=float, default=0.001)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=20)
+    p.add_argument("--k", type=_number(float, 0.0), default=0.001)
+    p.add_argument("--max-iters", dest="max_iters", type=_number(int, 1),
+                   default=20)
     p.add_argument("--out", default=None)
     _add_artifact_args(p)
 
     p = sub.add_parser("gen", help="generate synthetic test corpora")
     p.add_argument("kind", choices=["recovery", "superword", "alignment"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train", type=int, default=2000)
-    p.add_argument("--test", type=int, default=500)
+    p.add_argument("--train", type=_number(int, 0), default=2000)
+    p.add_argument("--test", type=_number(int, 0), default=500)
     p.add_argument("--out", required=True)
 
     return parser
@@ -327,7 +330,7 @@ def main(argv=None, out=None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args, out)
-    except (FileNotFoundError, ChronusError) as exc:
+    except (OSError, ChronusError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from dataclasses import dataclass, field
 
 from .errors import DataFormatError
-from .textfile import number, records
+from .textfile import number, read_text, records
 
 ROLES = ("question", "subject", "restriction", "attribute", "special")
 
@@ -23,9 +24,12 @@ class Concept:
     line: int | None = field(default=None, compare=False)  # in the file read
 
     @property
-    def folded(self) -> str:
-        """The concept this one folds into: its counterpart if it is an
-        attribute, else itself."""
+    def keyword(self) -> str | None:
+        """The template keyword a segment of this concept reports: None for
+        a special concept, the counterpart for an attribute, else the
+        concept's own name."""
+        if self.role == "special":
+            return None
         return self.counterpart if self.role == "attribute" else self.name
 
 
@@ -47,19 +51,21 @@ class ConceptDictionary:
 
     Order is significant: the decoder breaks score ties by concept index,
     so two dictionaries with the same concepts in different order are
-    different models.  Its reader and the model reader check a repeated
-    name at its line.  The checks across concepts run here too, since
-    ``index`` and ``fold`` rely on them; errors name ``path`` and the
+    different models.  A repeated name is refused as the concepts arrive,
+    so a reader that yields them as it reads names the first repeat.  The
+    checks across concepts run once all have arrived, since ``index`` and
+    ``Concept.keyword`` rely on them; errors name ``path`` and the
     concept's ``line``.
     """
 
     def __init__(self, concepts, path=None):
-        self.concepts = tuple(concepts)
-        self._index = {}
-        for i, c in enumerate(self.concepts):
+        kept, self._index = [], {}
+        for c in concepts:
             if c.name in self._index:
                 raise DataFormatError(f"repeated concept {c.name!r}", path, c.line)
-            self._index[c.name] = i
+            self._index[c.name] = len(kept)
+            kept.append(c)
+        self.concepts = tuple(kept)
         for c in self.concepts:
             if c.role != "attribute":
                 continue
@@ -95,12 +101,11 @@ class ConceptDictionary:
     def index(self, name) -> int:
         return self._index[name]
 
-    def fold(self, name) -> str:
-        """Map an attribute concept to the concept it mirrors."""
-        return self[name].folded
-
-    def is_special(self, name) -> bool:
-        return self[name].role == "special"
+    def keywords(self, labels) -> list:
+        """The keyword of each segment of a per-word labeling, in order;
+        special segments report none."""
+        return [kw for label, _ in groupby(labels)
+                if (kw := self[label].keyword) is not None]
 
     def to_lines(self):
         lines = []
@@ -113,19 +118,13 @@ class ConceptDictionary:
 
     @classmethod
     def from_lines(cls, lines, path=None):
-        concepts, names = [], set()
-        for ln, section, line in records(lines, path):
-            if line is None:
-                raise DataFormatError(f"unknown section [{section}]", path, ln)
-            concept = parse_concept(line, path, ln)
-            if concept.name in names:
-                raise DataFormatError(f"repeated concept {concept.name!r}",
-                                      path, ln)
-            names.add(concept.name)
-            concepts.append(concept)
-        return cls(concepts, path)
+        def parsed():
+            for ln, section, line in records(lines, path):
+                if line is None:
+                    raise DataFormatError(f"unknown section [{section}]", path, ln)
+                yield parse_concept(line, path, ln)
+        return cls(parsed(), path)
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_lines(fh, path=str(path))
+        return cls.from_lines(read_text(path).split("\n"), path=str(path))

@@ -186,18 +186,16 @@ def alignment_corpus(model: ConceptHmm, rng: random.Random, n: int,
                      max_len: int = 8):
     """(sentence, shuffled win keywords, gold segmentation) triples.
 
-    Win keywords are the folded non-special segment concepts of the gold
-    labeling, in randomized order.  Sentences where a concept occurs in
-    more than one segment are skipped: with duplicate keywords the split
-    between the repeats is not recoverable from the keyword multiset, so
-    such instances have no unique gold alignment.
+    Win keywords are the keywords of the gold labeling's segments, in
+    randomized order.  Sentences where a keyword occurs in more than one
+    segment are skipped: with duplicate keywords the split between the
+    repeats is not recoverable from the keyword multiset, so such
+    instances have no unique gold alignment.
     """
-    dictionary = model.dictionary
     out = []
     while len(out) < n:
         sent = sample_sentence(model, rng, max_len=max_len)
-        win = [dictionary.fold(c) for c, _, _ in sent.segments()
-               if not dictionary.is_special(c)]
+        win = model.dictionary.keywords(sent.labels)
         if not win or len(set(win)) != len(win):
             continue
         rng.shuffle(win)

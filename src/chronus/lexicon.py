@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ChronusError, DataFormatError
-from .textfile import records
+from .textfile import read_text, records
 
 UNKNOWN = "<UNK>"
 
@@ -318,8 +318,7 @@ class SuperwordLexicon:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_lines(fh, path=str(path))
+        return cls.from_lines(read_text(path).split("\n"), path=str(path))
 
     @classmethod
     def from_lines(cls, lines, path=None):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .concepts import ConceptDictionary, parse_concept
 from .errors import ChronusError, DataFormatError
 from .lexicon import parse_superword
-from .textfile import number, records
+from .textfile import number, read_text, records
 
 BEGIN = "<s>"    # begin-of-segment marker / initial-state row
 FINAL = "</s>"   # final-state column
@@ -266,7 +266,10 @@ class ConceptHmm:
     def parameter_counts(self):
         """(probability rows, count-backed bigram entries) of a model
         trained in this process; every context of ``<s>`` + vocabulary
-        that reads the unseen row counts as a row when that row has mass."""
+        that reads the unseen row counts as a row when that row has mass.
+        A loaded model has no counts: TrainingError."""
+        if self.counts is None:
+            raise TrainingError("a loaded model has no training counts")
         contexts = {BEGIN, *self.vocab} if self.unseen.default else set()
         nrows = 1 + len(self.transition) + sum(
             len(table.keys() | contexts) for table in self.bigram.values())
@@ -304,8 +307,11 @@ def train_mle(corpus, dictionary: ConceptDictionary, vocabulary, k: float) -> Co
 
     Transitions are estimated over (concepts + initial) x (concepts + final);
     bigrams per concept over (vocabulary + begin marker) x vocabulary, where
-    every context never seen reads the model's unseen row.
+    every context never seen reads the model's unseen row.  ``k`` must be
+    finite and >= 0.
     """
+    if not 0.0 <= k < math.inf:
+        raise TrainingError(f"k {k!r} is not a finite number >= 0")
     corpus = list(corpus)
     if not corpus:
         raise TrainingError("training corpus is empty")
@@ -393,29 +399,28 @@ def load_synonyms(path, dictionary: ConceptDictionary, vocab):
     its line."""
     vocab = set(vocab)
     groups, seen = {}, {}   # concept -> word groups; -> words so far
-    with open(path, encoding="utf-8") as fh:
-        for ln, section, line in records(fh, path):
-            if line is None:
-                raise DataFormatError(f"unknown section [{section}]", path, ln)
-            fields = line.split("\t")
-            if len(fields) < 3:
+    for ln, section, line in records(read_text(path).split("\n"), path):
+        if line is None:
+            raise DataFormatError(f"unknown section [{section}]", path, ln)
+        fields = line.split("\t")
+        if len(fields) < 3:
+            raise DataFormatError(
+                "synonym line needs a concept and two or more words",
+                path, ln)
+        concept, words = fields[0], fields[1:]
+        if concept not in dictionary:
+            raise DataFormatError(f"unknown concept {concept!r}", path, ln)
+        held = seen.setdefault(concept, set())
+        for w in words:
+            if w not in vocab:
+                raise DataFormatError(f"word not in vocabulary: {w!r}",
+                                      path, ln)
+            if w in held:
                 raise DataFormatError(
-                    "synonym line needs a concept and two or more words",
+                    f"word {w!r} in two synonym groups under {concept}",
                     path, ln)
-            concept, words = fields[0], fields[1:]
-            if concept not in dictionary:
-                raise DataFormatError(f"unknown concept {concept!r}", path, ln)
-            held = seen.setdefault(concept, set())
-            for w in words:
-                if w not in vocab:
-                    raise DataFormatError(f"word not in vocabulary: {w!r}",
-                                          path, ln)
-                if w in held:
-                    raise DataFormatError(
-                        f"word {w!r} in two synonym groups under {concept}",
-                        path, ln)
-                held.add(w)
-            groups.setdefault(concept, []).append(words)
+            held.add(w)
+        groups.setdefault(concept, []).append(words)
     return groups
 
 
@@ -621,5 +626,4 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
 
 
 def load_model(path) -> ConceptHmm:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_text(fh.read(), path=str(path))
+    return model_from_text(read_text(path), path=str(path))

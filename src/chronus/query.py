@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import ChronusError, DataFormatError
 from .template import Template
-from .textfile import number, records, section_name
+from .textfile import number, read_text, records, section_name
 
 SCHEMAS = {
     "flight": ("flight_id", "airline", "number", "from_city", "to_city",
@@ -47,37 +47,36 @@ class Conventions:
     @classmethod
     def load(cls, path):
         time_ranges, defaults = {}, {}   # unset defaults: the constructor's
-        with open(path, encoding="utf-8") as fh:
-            for ln, section, line in records(fh, path):
-                if line is None:
-                    continue
-                parts = line.split("\t")
-                if section == "time" and len(parts) == 3:
-                    if parts[0] in time_ranges:
-                        raise DataFormatError(
-                            f"repeated time word {parts[0]!r}", path, ln)
-                    lo = number(int, parts[1], "time bound", path, ln, 0, 1440)
-                    hi = number(int, parts[2], "time bound", path, ln, 0, 1440)
-                    if lo >= hi:
-                        raise DataFormatError(
-                            f"time range {parts[0]} is empty", path, ln)
-                    time_ranges[parts[0]] = (lo, hi)
-                elif section == "defaults" and len(parts) == 2:
-                    key, value = parts
-                    if key not in _DEFAULTS:
-                        raise DataFormatError(f"unknown default {key!r}",
-                                              path, ln)
-                    if _DEFAULTS[key] in defaults:
-                        raise DataFormatError(f"repeated default {key!r}",
-                                              path, ln)
-                    if key == "subject" and value not in _SUBJECTS:
-                        raise DataFormatError(
-                            f"no table rule for subject {value!r}", path, ln)
-                    if key == "reject-threshold":
-                        value = number(float, value, key, path, ln, 0.0, 1.0)
-                    defaults[_DEFAULTS[key]] = value
-                else:
-                    raise DataFormatError("bad conventions line", path, ln)
+        for ln, section, line in records(read_text(path).split("\n"), path):
+            if line is None:
+                continue
+            parts = line.split("\t")
+            if section == "time" and len(parts) == 3:
+                if parts[0] in time_ranges:
+                    raise DataFormatError(
+                        f"repeated time word {parts[0]!r}", path, ln)
+                lo = number(int, parts[1], "time bound", path, ln, 0, 1440)
+                hi = number(int, parts[2], "time bound", path, ln, 0, 1440)
+                if lo >= hi:
+                    raise DataFormatError(
+                        f"time range {parts[0]} is empty", path, ln)
+                time_ranges[parts[0]] = (lo, hi)
+            elif section == "defaults" and len(parts) == 2:
+                key, value = parts
+                if key not in _DEFAULTS:
+                    raise DataFormatError(f"unknown default {key!r}",
+                                          path, ln)
+                if _DEFAULTS[key] in defaults:
+                    raise DataFormatError(f"repeated default {key!r}",
+                                          path, ln)
+                if key == "subject" and value not in _SUBJECTS:
+                    raise DataFormatError(
+                        f"no table rule for subject {value!r}", path, ln)
+                if key == "reject-threshold":
+                    value = number(float, value, key, path, ln, 0.0, 1.0)
+                defaults[_DEFAULTS[key]] = value
+            else:
+                raise DataFormatError("bad conventions line", path, ln)
         return cls(time_ranges, **defaults)
 
 
@@ -105,35 +104,35 @@ class MiniDb:
         tables = {name: [] for name in SCHEMAS}
         keys = {name: {} for name in SCHEMAS}   # per table: key -> its line
         table = None
-        with open(path, encoding="utf-8") as fh:
-            for ln, section, line in records(fh, path, "chronus-db v1"):
-                if line is None:
-                    table = section_name(section, "table", path, ln)
-                    if table not in SCHEMAS:
-                        raise DataFormatError(f"unknown table {table!r}", path, ln)
-                    continue
-                if table is None:
-                    raise DataFormatError("row before any [table] header", path, ln)
-                schema = SCHEMAS[table]
-                parts = line.split("\t")
-                if len(parts) != len(schema):
-                    raise DataFormatError(
-                        f"expected {len(schema)} columns in {table}", path, ln)
-                row = {col: number(int, cell, f"{table}.{col}", path, ln)
-                       if col in INT_COLUMNS else cell
-                       for col, cell in zip(schema, parts)}
-                key = PRIMARY_KEYS[table]
-                if row[key] in keys[table]:
-                    raise DataFormatError(
-                        f"table {table} repeats {key} {row[key]!r}", path, ln)
-                keys[table][row[key]] = ln
-                if table == "flight":
-                    for col in ("depart_min", "arrive_min"):
-                        if not 0 <= row[col] < 1440:
-                            raise DataFormatError(
-                                f"flight {row[key]}: {col} out of [0,1440)",
-                                path, ln)
-                tables[table].append(row)
+        lines = read_text(path).split("\n")
+        for ln, section, line in records(lines, path, "chronus-db v1"):
+            if line is None:
+                table = section_name(section, "table", path, ln)
+                if table not in SCHEMAS:
+                    raise DataFormatError(f"unknown table {table!r}", path, ln)
+                continue
+            if table is None:
+                raise DataFormatError("row before any [table] header", path, ln)
+            schema = SCHEMAS[table]
+            parts = line.split("\t")
+            if len(parts) != len(schema):
+                raise DataFormatError(
+                    f"expected {len(schema)} columns in {table}", path, ln)
+            row = {col: number(int, cell, f"{table}.{col}", path, ln)
+                   if col in INT_COLUMNS else cell
+                   for col, cell in zip(schema, parts)}
+            key = PRIMARY_KEYS[table]
+            if row[key] in keys[table]:
+                raise DataFormatError(
+                    f"table {table} repeats {key} {row[key]!r}", path, ln)
+            keys[table][row[key]] = ln
+            if table == "flight":
+                for col in ("depart_min", "arrive_min"):
+                    if not 0 <= row[col] < 1440:
+                        raise DataFormatError(
+                            f"flight {row[key]}: {col} out of [0,1440)",
+                            path, ln)
+            tables[table].append(row)
         # a fare's flight and an airport's city may come later in the file
         for name, ref, target in (("fare", "flight_id", "flight"),
                                   ("airport", "city_code", "city")):
@@ -220,6 +219,12 @@ _SUBJECTS = {
 }
 
 
+# keyword -> the column its value must equal; a city is resolved to its
+# code first, and a fare class needs the fare join
+_EQUALS = {"origin": "from_city", "destin": "to_city", "airline": "airline",
+           "aircraft": "aircraft", "meal": "meal", "fare": "fare_class"}
+
+
 def plan_query(template: Template, db: MiniDb) -> QueryPlan:
     """Compile an accepted template into a deterministic query plan."""
     subject_token = template.get("subject")
@@ -241,19 +246,12 @@ def plan_query(template: Template, db: MiniDb) -> QueryPlan:
                 plan.existence = True
             elif value != "display":
                 raise PlanError(f"no rule for question value {value!r}")
-        elif kw == "origin":
-            plan.predicates.append(("from_city", "=", db.resolve_city(value)))
-        elif kw == "destin":
-            plan.predicates.append(("to_city", "=", db.resolve_city(value)))
-        elif kw == "airline":
-            plan.predicates.append(("airline", "=", value))
-        elif kw == "aircraft":
-            plan.predicates.append(("aircraft", "=", value))
-        elif kw == "meal":
-            plan.predicates.append(("meal", "=", value))
-        elif kw == "fare":
-            plan.join_fare = True
-            plan.predicates.append(("fare_class", "=", value))
+        elif kw in _EQUALS:
+            if kw in ("origin", "destin"):
+                value = db.resolve_city(value)
+            elif kw == "fare":
+                plan.join_fare = True
+            plan.predicates.append((_EQUALS[kw], "=", value))
         elif kw == "depart-time":
             if value not in db.conventions.time_ranges:
                 raise PlanError(f"no time convention for {value!r}")

@@ -21,7 +21,7 @@ from .concepts import ConceptDictionary
 from .errors import ChronusError, DataFormatError
 from .lexicon import is_grammar_sym, parse_superword
 from .model import SegmentedSentence
-from .textfile import records, section_name
+from .textfile import read_text, records, section_name
 
 CATEGORIES = ("item", "attribute", "logic", "operator")
 TAKE_VALUE = "*"
@@ -133,8 +133,8 @@ class ValueTable:
 
     @classmethod
     def load(cls, path, dictionary: ConceptDictionary):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_lines(fh, dictionary, path=str(path))
+        return cls.from_lines(read_text(path).split("\n"), dictionary,
+                              path=str(path))
 
     @classmethod
     def from_lines(cls, lines, dictionary: ConceptDictionary, path=None):
@@ -148,10 +148,9 @@ class ValueTable:
                 if concept not in dictionary:
                     raise DataFormatError(f"unknown concept {concept!r}",
                                           path, ln)
-                role = dictionary[concept].role
-                if role in ("special", "attribute"):
+                if (c := dictionary[concept]).keyword != concept:
                     raise DataFormatError(
-                        f"concept {concept!r} has role {role}; segments read "
+                        f"concept {concept!r} has role {c.role}; segments read "
                         "the patterns of folded, non-special concepts", path, ln)
                 continue
             if concept is None:
@@ -182,9 +181,9 @@ def generate_template(segmentation: SegmentedSentence, tables: ValueTable,
         except KeyError:
             raise TemplateError(
                 f"segment label {label!r} not in dictionary") from None
-        if concept.role == "special":
+        keyword = concept.keyword
+        if keyword is None:
             continue
-        keyword = concept.folded
         words = segmentation.words[start:end]
         token = _match_segment(keyword, words, tables, seg_idx)
         if token is None:

@@ -7,7 +7,23 @@ Errors name the file and line as ``path:line: message``.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DataFormatError
+
+
+def read_text(path):
+    """The text of the UTF-8 file at ``path``; bytes that are not UTF-8
+    are a DataFormatError naming the file.  ``split("\\n")`` gives its
+    lines as iterating the open file does, so ``records`` numbers them
+    alike; ``splitlines()`` would also split at form feeds and Unicode
+    line breaks."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"not UTF-8 text ({exc.reason})",
+                              str(path)) from None
 
 
 def records(lines, path=None, magic=None):
@@ -40,8 +56,9 @@ def records(lines, path=None, magic=None):
 
 
 def number(kind, text, what, path, line, lo=None, hi=None):
-    """``kind(text)``, checked to lie in [lo, hi] when bounds are given;
-    a bad value raises DataFormatError naming path and line."""
+    """``kind(text)``, checked to lie in [lo, hi] when bounds are given and
+    to be finite; a bad value raises DataFormatError naming path and
+    line."""
     try:
         value = kind(text)
     except ValueError:
@@ -50,6 +67,8 @@ def number(kind, text, what, path, line, lo=None, hi=None):
     if lo is not None and not lo <= value <= hi:
         raise DataFormatError(f"{what} {text} is not in [{lo}, {hi}]",
                               path, line)
+    if value == math.inf:   # within [lo, inf], yet no number to compute with
+        raise DataFormatError(f"{what} {text} is not finite", path, line)
     return value
 
 

@@ -22,7 +22,6 @@ import weakref
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import groupby
 
 from .concepts import ConceptDictionary
 from .decoder import chain_lattice, exhaustive_search
@@ -31,7 +30,7 @@ from .model import (BEGIN, NEG_INF, ConceptHmm, SegmentedSentence,
                     model_to_text, train_mle)
 from .pipeline import Artifacts, run_turn, verdict
 from .query import Answer
-from .textfile import records, section_name
+from .textfile import read_text, records, section_name
 
 
 class AlignmentInfeasibleError(ChronusError):
@@ -48,7 +47,6 @@ INFEASIBLE = "no labeling satisfies the win concept multiset"
 class FeedbackEntry:
     ident: str
     text: str
-    win: str | None = None
     gold: SegmentedSentence | None = None
     refmin: Answer | None = None
     refmax: Answer | None = None
@@ -58,7 +56,7 @@ class FeedbackEntry:
         return self.refmin is not None and self.refmax is not None
 
 
-_ONCE = ("text", "win", "gold", "refs", "refvalue")   # keys an entry gives once
+_ONCE = ("text", "gold", "refs", "refvalue")   # keys an entry gives once
 
 
 def _check_entry(entry, path=None, ln=None):
@@ -72,8 +70,8 @@ class FeedbackCorpus:
     """Feedback entries, each with a gold segmentation or references.  The
     reader checks an entry when it ends, naming its header line, and a
     sentence id at its header.  It also needs a ``text`` line in every
-    entry, and names at its line a repeated ``text``, ``win``, ``gold``,
-    ``refs`` or ``refvalue`` line."""
+    entry, and names at its line a repeated ``text``, ``gold``, ``refs`` or
+    ``refvalue`` line."""
 
     entries: list = field(default_factory=list)
 
@@ -89,8 +87,7 @@ class FeedbackCorpus:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_lines(fh, path=str(path))
+        return cls.from_lines(read_text(path).split("\n"), path=str(path))
 
     @classmethod
     def from_lines(cls, lines, path=None):
@@ -128,8 +125,6 @@ class FeedbackCorpus:
                 given.add(key)
             if key == "text":
                 entry.text = rest
-            elif key == "win":
-                entry.win = rest
             elif key == "gold":
                 try:
                     entry.gold = SegmentedSentence.parse(rest)
@@ -159,8 +154,6 @@ class FeedbackCorpus:
         for e in self.entries:
             out.append(f"[sentence {e.ident}]")
             out.append(f"text\t{e.text}")
-            if e.win is not None:
-                out.append(f"win\t{e.win}")
             if e.gold is not None:
                 out.append(f"gold\t{e.gold.render()}")
             if e.has_references:
@@ -249,19 +242,19 @@ def run_training_loop(corpus: FeedbackCorpus, seed_model: ConceptHmm,
 # Constrained alignment
 
 def required_concepts(win_tokens: Iterable[str], dictionary: ConceptDictionary):
-    """Multiset of folded concept keywords a labeling must realize; token
-    order is deliberately ignored.  Segments are compared after folding
-    and special segments are unconstrained, so a special or attribute
-    keyword could never be realized and is refused up front."""
+    """Multiset of concept keywords a labeling must realize; token order
+    is deliberately ignored.  Segments are compared by their keywords
+    (``Concept.keyword``), so a special or attribute concept, whose
+    keyword is not its own name, could never be realized and is refused
+    up front."""
     keywords = list(win_tokens)
     for k in keywords:
         if k not in dictionary:
             raise ChronusError(f"win keyword {k!r} is not a concept")
-        role = dictionary[k].role
-        if role in ("special", "attribute"):
+        if (concept := dictionary[k]).keyword != k:
             raise ChronusError(f"win keyword {k!r} names a concept of role "
-                               f"{role}; a win lists folded, non-special "
-                               "concepts")
+                               f"{concept.role}; a win lists folded, "
+                               "non-special concepts")
     return Counter(keywords)
 
 
@@ -293,9 +286,9 @@ def _align_plan(model: ConceptHmm, required: Counter):
             continue   # no labeling can enter c
         first = len(allowed) * n_codes
         same = [(code, first + code) for code in range(n_codes)]
-        if concept.role == "special":   # its segments keep the counts
+        if (key := concept.keyword) is None:   # special: keeps the counts
             enter.append(same)
-        elif (key := concept.folded) in required:
+        elif key in required:
             step, need = place[key], required[key]
             enter.append([(code, first + code + step) for code in range(n_codes)
                           if code // step % (need + 1) < need])
@@ -426,8 +419,7 @@ def brute_force_align(sentence, win_tokens: Iterable[str],
     required = required_concepts(win_tokens, dictionary)
 
     def admit(labels):
-        return required == Counter(dictionary.fold(c) for c, _ in groupby(labels)
-                                   if not dictionary.is_special(c))
+        return required == Counter(dictionary.keywords(labels))
 
     best = exhaustive_search(model, chain_lattice(words), admit)
     if best is None or best[0] == NEG_INF:

@@ -165,9 +165,9 @@ def template_by_definition(segmentation, tables, dictionary) -> Template:
     gives the token."""
     template = Template()
     for seg_idx, (label, start, end) in enumerate(segmentation.segments()):
-        if dictionary.is_special(label):
+        keyword = dictionary[label].keyword
+        if keyword is None:
             continue
-        keyword = dictionary.fold(label)
         words = segmentation.words[start:end]
         found = next(((p, v) for p in tables.get(keyword, ())
                       for i in range(len(words))

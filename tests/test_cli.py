@@ -214,6 +214,85 @@ def test_threshold_outside_unit_interval_is_usage_error(command, value,
     assert capsys.readouterr().err.startswith("usage error: argument --threshold")
 
 
+DEMO_CORPUS = str(data_path("demo_corpus.txt"))
+SEMI_CORPUS = str(data_path("semi_corpus.txt"))
+
+# (id, argv, exit code, the one stderr line); {dir} is an existing
+# directory and {file} an existing file
+BAD_INVOCATIONS = [
+    ("train-k-negative",
+     ["train", "--corpus", DEMO_CORPUS, "--k", "-0.001", "--out", "{dir}/m"],
+     1, "usage error: argument --k: value -0.001 is not in [0.0, inf]"),
+    ("train-k-inf",
+     ["train", "--corpus", DEMO_CORPUS, "--k", "inf", "--out", "{dir}/m"],
+     1, "usage error: argument --k: value inf is not finite"),
+    ("train-k-minus-one",
+     ["train", "--corpus", DEMO_CORPUS, "--k", "-1", "--out", "{dir}/m"],
+     1, "usage error: argument --k: value -1 is not in [0.0, inf]"),
+    ("loop-k-negative", ["loop", "--corpus", SEMI_CORPUS, "--k", "-0.5"],
+     1, "usage error: argument --k: value -0.5 is not in [0.0, inf]"),
+    ("loop-k-nan", ["loop", "--corpus", SEMI_CORPUS, "--k", "nan"],
+     1, "usage error: argument --k: value nan is not in [0.0, inf]"),
+    ("loop-max-iters-zero",
+     ["loop", "--corpus", SEMI_CORPUS, "--max-iters", "0"],
+     1, "usage error: argument --max-iters: value 0 is not in [1, inf]"),
+    ("loop-max-iters-word",
+     ["loop", "--corpus", SEMI_CORPUS, "--max-iters", "many"],
+     1, "usage error: argument --max-iters: value 'many' is not a number"),
+    ("gen-train-negative",
+     ["gen", "recovery", "--train", "-3", "--out", "{dir}/g"],
+     1, "usage error: argument --train: value -3 is not in [0, inf]"),
+    ("gen-test-negative",
+     ["gen", "alignment", "--test", "-1", "--out", "{dir}/g"],
+     1, "usage error: argument --test: value -1 is not in [0, inf]"),
+    ("train-out-directory",
+     ["train", "--corpus", DEMO_CORPUS, "--out", "{dir}"],
+     2, "data error: [Errno 21] Is a directory: '{dir}'"),
+    ("decode-model-directory", ["decode", "--model", "{dir}", "SHOW"],
+     2, "data error: [Errno 21] Is a directory: '{dir}'"),
+    ("gen-out-existing-file", ["gen", "recovery", "--out", "{file}"],
+     2, "data error: [Errno 17] File exists: '{file}'"),
+]
+
+
+@pytest.mark.parametrize("argv,code,err",
+                         [case[1:] for case in BAD_INVOCATIONS],
+                         ids=[case[0] for case in BAD_INVOCATIONS])
+def test_bad_invocation_exits_with_one_error_line_and_no_output(
+        tmp_path, capsys, argv, code, err):
+    (tmp_path / "file.txt").write_text("kept\n", encoding="utf-8")
+    names = {"dir": str(tmp_path), "file": str(tmp_path / "file.txt")}
+    rc, out = run_cli([arg.format(**names) for arg in argv])
+    assert (rc, out) == (code, "")
+    assert capsys.readouterr().err == err.format(**names) + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["decode", "--model", "{model}", "--concepts", "{bad}", "SHOW"],
+    ["decode", "--model", "{model}", "--lexicon", "{bad}", "SHOW"],
+    ["decode", "--model", "{model}", "--values", "{bad}", "SHOW"],
+    ["decode", "--model", "{model}", "--db", "{bad}", "SHOW"],
+    ["decode", "--model", "{model}", "--conventions", "{bad}", "SHOW"],
+    ["decode", "--model", "{bad}", "SHOW"],
+    ["eval", "--model", "{model}", "--corpus", "{bad}"],
+    ["train", "--corpus", "{bad}", "--out", "{dir}/m.txt"],
+    ["train", "--corpus", DEMO_CORPUS, "--synonyms", "{bad}",
+     "--out", "{dir}/m.txt"],
+    ["repl", "--model", "{model}", "--script", "{bad}"],
+], ids=["concepts", "lexicon", "values", "db", "conventions", "model",
+        "eval-corpus", "train-corpus", "synonyms", "script"])
+def test_file_that_is_not_utf8_is_a_data_error_naming_it(
+        argv, tmp_path, capsys, demo_model_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# \xff\n")
+    names = {"model": demo_model_path, "bad": str(bad), "dir": str(tmp_path)}
+    rc, out = run_cli([arg.format(**names) for arg in argv])
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"data error: {bad}: not UTF-8 text (invalid start byte)\n")
+
+
 # ---------------------------------------------------------------------------
 # eval
 

@@ -12,17 +12,25 @@ def test_bundled_dictionary_shape(artifacts):
     d = artifacts.dictionary
     assert len(d) == 15
     assert d.names[0] == "question"
-    assert d.is_special("dummy") and d.is_special("and")
+    assert d["dummy"].keyword is None and d["and"].keyword is None
     assert d["origin"].rank == 0 and d["destin"].rank == 0
     assert d["meal"].rank == 3
 
 
 def test_attribute_folding(artifacts):
     d = artifacts.dictionary
-    assert d.fold("a_fare") == "fare"
-    assert d.fold("a_time") == "depart-time"
-    assert d.fold("q_attr") == "question"
-    assert d.fold("origin") == "origin"  # non-attributes fold to themselves
+    assert d["a_fare"].keyword == "fare"
+    assert d["a_time"].keyword == "depart-time"
+    assert d["q_attr"].keyword == "question"
+    assert d["origin"].keyword == "origin"  # non-attributes fold to themselves
+
+
+def test_keywords_of_a_labeling_are_one_per_non_special_segment(artifacts):
+    d = artifacts.dictionary
+    labels = ["question", "question", "dummy", "a_fare", "fare", "fare",
+              "and", "origin", "origin"]
+    assert d.keywords(labels) == ["question", "fare", "fare", "origin"]
+    assert d.keywords(["dummy", "and"]) == [] == d.keywords([])
 
 
 def test_index_is_declaration_order(artifacts):
@@ -51,6 +59,14 @@ def test_attribute_needs_valid_counterpart():
         ConceptDictionary([Concept("x", "restriction"),
                            Concept("a", "attribute", counterpart="b"),
                            Concept("b", "attribute", counterpart="x")]
+                          + _specials())
+
+
+def test_attribute_naming_itself_as_counterpart_is_refused():
+    with pytest.raises(ChronusError,
+                       match="^attribute a_x folds into non-foldable a_x$"):
+        ConceptDictionary([Concept("x", "restriction"),
+                           Concept("a_x", "attribute", counterpart="a_x")]
                           + _specials())
 
 

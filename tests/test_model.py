@@ -7,7 +7,7 @@ from chronus.concepts import Concept, ConceptDictionary
 from chronus.errors import ChronusError
 from chronus.gen import sample_sentence
 from chronus.model import (BEGIN, NEG_INF, ConceptHmm, SegmentedSentence,
-                           UnknownLabelError, UnknownWordError,
+                           TrainingError, UnknownLabelError, UnknownWordError,
                            apply_synonym_smoothing,
                            canonical_row, load_model, load_synonyms,
                            model_from_text, model_to_text, path_score,
@@ -168,6 +168,12 @@ def test_train_rejects_empty_corpus(artifacts):
         train_mle([], artifacts.dictionary, ["SHOW"], 0.001)
 
 
+@pytest.mark.parametrize("k", [-0.001, -1.0, math.inf, math.nan])
+def test_train_rejects_a_negative_or_non_finite_k(artifacts, k):
+    with pytest.raises(TrainingError, match="is not a finite number >= 0"):
+        _mk([(["SHOW"], ["question"])], artifacts.dictionary, ["SHOW"], k)
+
+
 def test_all_rows_normalized_on_real_model(demo_model):
     assert_rows_normalized(demo_model)
 
@@ -321,6 +327,15 @@ def test_v2_model_reads_as_the_trained_model(artifacts):
     v2 = load_model(TESTS_DATA / "model_v2_small.txt")
     assert v2.counts is None
     assert model_to_text(v2) == model_to_text(_synonym_model(artifacts))
+
+
+def test_parameter_counts_of_a_loaded_model_is_a_training_error(artifacts):
+    trained = _synonym_model(artifacts)
+    assert trained.parameter_counts()[1] > 0
+    loaded = model_from_text(model_to_text(trained))
+    with pytest.raises(TrainingError, match="a loaded model has no training "
+                                            "counts"):
+        loaded.parameter_counts()
 
 
 def test_v3_model_with_counts_reads_as_the_trained_model(artifacts):

@@ -103,6 +103,8 @@ MALFORMED = [
      _model("[initial]", "<s>\t</s>\tabc"), "probability 'abc' is not a number"),
     ("model-k", "--model",
      _model("chronus-model v3", "k\tsmall"), "k 'small' is not a number"),
+    ("model-k-inf", "--model",
+     _model("chronus-model v3", "k\tinf"), "k inf is not finite"),
     ("model-bigram-concept", "--model",
      _model("[initial]", "[bigram zzz]"), "unknown concept 'zzz'"),
     ("model-transition-row", "--model",
@@ -260,6 +262,12 @@ MALFORMED = [
     ("corpus-repeated-refs", "--corpus",
      ("[sentence x01]\ntext\tSHOW\nrefs\trows\nrefmin\tf01\nrefs\trows\n", 5),
      "sentence x01: repeated refs line"),
+    ("corpus-win-line", "--corpus",
+     ("[sentence x01]\ntext\tSHOW\nwin\tList flights\ngold\tSHOW:question\n", 3),
+     "unknown record key 'win'"),
+    ("corpus-line-breaks-inside-a-line", "--corpus",
+     ("[sentence x01]\ntext\tSHOW \x0c\x85\u2028 ME\ngold\tSHOW:question\n"
+      "bogus\tv\n", 4), "unknown record key 'bogus'"),
     ("corpus-missing-text", "--corpus",
      (CORPUS + "[sentence x02]\ngold\tSHOW:question\n", 4),
      "sentence x02: needs a text line"),
@@ -437,8 +445,7 @@ def _entries(draw):
         refmin, refmax = refs if refs is not None else (None, None)
         entries.append(FeedbackEntry(
             ident=f"s{i}", text=" ".join(draw(st.lists(_FIELD, max_size=5))),
-            win=draw(st.none() | _FIELD), gold=gold,
-            refmin=refmin, refmax=refmax))
+            gold=gold, refmin=refmin, refmax=refmax))
     return entries
 
 

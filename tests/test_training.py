@@ -183,14 +183,15 @@ def test_required_concepts_ignores_order(artifacts):
 # Constrained alignment
 
 def test_alignment_recovers_annotated_example(demo_model, seed_corpus):
-    entry = next(e for e in seed_corpus.entries if e.win is not None)
+    entry = next(e for e in seed_corpus.entries if e.ident == "x01")
     win = ["operator", "depart-time", "subject", "origin", "destin",
            "airline", "question"]
     aligned = align_win(entry.gold.words, win, demo_model)
+    dictionary = demo_model.dictionary
     segs = {(label, start, end) for label, start, end in aligned.segments()
-            if not demo_model.dictionary.is_special(label)}
+            if dictionary[label].keyword is not None}
     gold = {(label, start, end) for label, start, end in entry.gold.segments()
-            if not demo_model.dictionary.is_special(label)}
+            if dictionary[label].keyword is not None}
     assert segs == gold
 
 
@@ -200,9 +201,7 @@ def test_alignment_matches_unconstrained_decode_when_compatible():
     for words, win, _gold in alignment_corpus(model, rng, 20, max_len=6):
         from chronus.decoder import viterbi_decode
         free = viterbi_decode(model, words)
-        folded = [model.dictionary.fold(c) for c, _, _ in
-                  free.segmentation().segments()
-                  if not model.dictionary.is_special(c)]
+        folded = model.dictionary.keywords(free.labels)
         if sorted(folded) != sorted(win):
             continue  # the free optimum violates the constraint here
         aligned = align_win(words, win, model)
@@ -215,8 +214,7 @@ def test_alignment_satisfies_constraint_even_when_decode_does_not():
     count = 0
     for words, win, _gold in alignment_corpus(model, rng, 50, max_len=8):
         aligned = align_win(words, win, model)
-        folded = [model.dictionary.fold(c) for c, _, _ in aligned.segments()
-                  if not model.dictionary.is_special(c)]
+        folded = model.dictionary.keywords(aligned.labels)
         assert sorted(folded) == sorted(win)
         count += 1
     assert count == 50
@@ -240,8 +238,8 @@ def test_alignment_infeasibility_matches_brute_force():
     infeasible = 0
     for i in range(100):
         model = random_trained_model(rng, k=(0.0, 0.001)[i % 2])
-        concepts = [c for c in model.dictionary.names
-                    if not model.dictionary.is_special(c)]
+        concepts = [c.name for c in model.dictionary
+                    if c.keyword is not None]
         words = tuple(parse_superword(rng.choice(model.vocab))
                       for _ in range(rng.randint(1, 5)))
         win = [rng.choice(concepts) for _ in range(rng.randint(1, 4))]
@@ -269,8 +267,8 @@ def _prefix_states(model, words, labels):
         c = dictionary.index(label)
         score += model.init_vec[c] if prev is None else model.trans_into[c][prev]
         score += model.emissions(prev_sym if c == prev else BEGIN, word.sym)[c]
-        if c != prev and not dictionary.is_special(label):
-            counts[dictionary.fold(label)] += 1
+        if c != prev and (keyword := dictionary[label].keyword) is not None:
+            counts[keyword] += 1
         states.append(((c, tuple(sorted(counts.items()))), score))
         prev, prev_sym = c, word.sym
     return states
@@ -284,8 +282,8 @@ def test_align_win_matches_brute_force_exactly_under_heavy_ties():
     compared = rounding_ties = 0
     for _ in range(300):
         model = tie_heavy_model(rng)
-        concepts = [c for c in model.dictionary.names
-                    if not model.dictionary.is_special(c)]
+        concepts = [c.name for c in model.dictionary
+                    if c.keyword is not None]
         words = tuple(parse_superword(rng.choice(model.vocab))
                       for _ in range(rng.randint(1, 5)))
         win = [rng.choice(concepts) for _ in range(rng.randint(1, 3))]
@@ -321,10 +319,7 @@ def test_alignment_oracle_breaks_ties_like_decode_oracle():
         decoded = brute_force_decode(model, chain)
         if decoded.degenerate:
             continue
-        dictionary = model.dictionary
-        win = [dictionary.fold(c) for c, _, _ in
-               decoded.segmentation().segments()
-               if not dictionary.is_special(c)]
+        win = model.dictionary.keywords(decoded.labels)
         aligned = brute_force_align(words, win, model)
         assert aligned.labels == decoded.labels
         checked += 1
