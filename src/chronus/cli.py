@@ -163,7 +163,7 @@ def cmd_repl(args, out) -> int:
     model = _load_model(args.model, artifacts)
     context = Template()
     if args.script:
-        lines = read_text(args.script).splitlines()
+        lines = read_text(args.script).split("\n")
         echo = True
     else:
         lines = (line.rstrip("\n") for line in sys.stdin)
@@ -320,11 +320,16 @@ _COMMANDS = {
 }
 
 
+_parser = None   # built by the first main call; parsing leaves it unchanged
+
+
 def main(argv=None, out=None) -> int:
+    global _parser
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

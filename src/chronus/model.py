@@ -521,11 +521,11 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
     models.  ``[counts ...]`` sections, which older writers added, are
     checked like the probabilities and then dropped: a loaded model has no
     counts."""
-    lines = text.splitlines()
-    magic = lines[0].strip() if lines else ""
+    lines = text.split("\n")
+    magic = lines[0].strip()
     if magic not in (MAGIC, "chronus-model v2", "chronus-model v1"):
         raise DataFormatError(f"missing {MAGIC} header", path, 1)
-    k = 0.0
+    k = None
     concepts = []
     vocab = {}   # the [vocab] symbols in file order
     names, symbols = set(), {BEGIN, FINAL}
@@ -583,6 +583,8 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
                     number(float, parts[2], "probability", path, ln, 0.0, 1.0))
         elif section is None:
             if parts[0] == "k" and len(parts) == 2:
+                if k is not None:
+                    raise DataFormatError("repeated k line", path, ln)
                 k = number(float, parts[1], "k", path, ln, 0.0, math.inf)
             elif parts[0] != "floor" or len(parts) != 2:  # v1 floor: ignored
                 raise DataFormatError("unexpected header line", path, ln)
@@ -622,7 +624,8 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
         raise DataFormatError("model has no [initial] row", path, 1)
     initial = transition.pop(BEGIN)
     bigram = {c: canonical(rows, vocab_cols) for c, rows in bigram.items()}
-    return ConceptHmm(dictionary, vocab, k, initial, transition, bigram)
+    return ConceptHmm(dictionary, vocab, k or 0.0, initial, transition,
+                      bigram)
 
 
 def load_model(path) -> ConceptHmm:

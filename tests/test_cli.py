@@ -1,11 +1,12 @@
 import io
 import re
+import sys
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chronus import pipeline
+from chronus import cli, pipeline
 from chronus.cli import main
 from chronus.errors import ChronusError
 from chronus.model import load_model, model_to_text, render_segments
@@ -293,6 +294,49 @@ def test_file_that_is_not_utf8_is_a_data_error_naming_it(
         f"data error: {bad}: not UTF-8 text (invalid start byte)\n")
 
 
+def test_calls_in_one_process_share_one_parser_and_no_state(
+        demo_model_path, tmp_path, monkeypatch, capsys):
+    model = ["--model", demo_model_path]
+    calls = [
+        ["frobnicate"],
+        ["decode", *model, "--threshold", "1.5", UNMATCHED],
+        ["train", "--corpus", DEMO_CORPUS,
+         "--corpus", str(data_path("seed_corpus.txt")),
+         "--out", str(tmp_path / "two.txt")],
+        ["train", "--corpus", SEMI_CORPUS, "--out", str(tmp_path / "one.txt")],
+        ["decode", *model, "--threshold", "1.0", "SHOW ME THE FLIGHTS"],
+        ["decode", *model, "SHOW ME THE FLIGHTS"],
+        ["decode", *model, "--threshold", "0", UNMATCHED],
+        ["decode", *model, UNMATCHED],
+        ["eval", *model, "--corpus", DEMO_CORPUS],
+        ["--help"],
+    ]
+
+    def run(argv):
+        buf = io.StringIO()
+        try:
+            rc = main(argv, out=buf)
+        except SystemExit as exc:   # --help
+            rc = exc.code
+        std = capsys.readouterr()
+        return rc, buf.getvalue(), std.out, std.err
+
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(argv))
+    assert [r[0] for r in fresh] == [1, 1, 0, 0, 0, 0, 0, 0, 0, 0]
+    assert fresh[6] != fresh[7]   # the threshold given once does not stay
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [run(argv) for argv in calls] == fresh
+    assert len(built) == 1
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -503,6 +547,28 @@ def test_repl_recovers_from_errors(demo_model_path, tmp_path):
     lines = text.splitlines()
     assert lines[1].startswith("ERROR ")
     assert lines[3] == "(question,display) (subject,flight) (origin,DDEN)"
+
+
+def test_repl_sends_a_line_with_a_unicode_line_break_as_one_turn(
+        demo_model_path, tmp_path, monkeypatch):
+    # str.splitlines() breaks at U+2028; a file or stdin line does not
+    joined = "SHOW ME THE FLIGHTS FROM BOSTON\u2028TO DALLAS"
+    spaced = "SHOW ME THE FLIGHTS FROM BOSTON TO DALLAS"
+    argv = ["repl", "--model", demo_model_path]
+
+    def by_stdin(line):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
+        return run_cli(argv)
+
+    script = tmp_path / "script.txt"
+    script.write_text(joined + "\n", encoding="utf-8")
+    rc, turn = by_stdin(spaced)
+    assert rc == 0
+    assert turn.splitlines()[0] == ("(question,display) (subject,flight) "
+                                    "(origin,BBOS) (destin,DDFW)")
+    assert by_stdin(joined) == (0, turn)
+    assert run_cli(argv + ["--script", str(script)]) == (0, f"> {joined}\n"
+                                                          + turn)
 
 
 def test_repl_skips_blank_lines(demo_model_path, tmp_path):

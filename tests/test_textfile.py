@@ -1,6 +1,7 @@
 """The shared data-file syntax: every reader reports bad input as
 ``path:line: message``, and the writers' output reads back unchanged."""
 
+import io
 import random
 
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from chronus.cli import main
 from chronus.errors import DataFormatError
 from chronus.gen import make_recovery_model
-from chronus.model import SegmentedSentence, model_from_text, model_to_text
+from chronus.model import (SegmentedSentence, load_model, model_from_text,
+                           model_to_text)
 from chronus.pipeline import data_path
 from chronus.query import Answer
 from chronus.textfile import records
@@ -123,6 +125,8 @@ MALFORMED = [
      "row '<s>' repeats column 'origin'"),
     ("model-repeated-vocab", "--model",
      _repeated(RECOVERY_TEXT, "[vocab]", 1), "repeated [vocab] symbol 'w00'"),
+    ("model-repeated-k", "--model",
+     _repeated(RECOVERY_TEXT, "chronus-model v3", 1), "repeated k line"),
     ("model-repeated-concept", "--model",
      _repeated(RECOVERY_TEXT, "[concepts]", 1), "repeated concept 'c0'"),
     ("model-first-repeated-concept", "--model",
@@ -376,6 +380,29 @@ def test_malformed_file_is_a_data_error_naming_path_and_line(
             argv[2] = str(path)
     assert main(argv) == 2
     assert capsys.readouterr().err == f"data error: {path}:{line}: {message}\n"
+
+
+def test_model_comment_with_a_line_break_character_is_skipped_whole(
+        tmp_path, demo_model_path):
+    # str.splitlines() would break this comment and read its tail as a line
+    with open(demo_model_path, encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "model.txt"
+    path.write_text(_with_line(text, "chronus-model v3",
+                               "# note \x0c\x85\u2028 here")[0],
+                    encoding="utf-8")
+    assert model_to_text(load_model(path)) == model_to_text(
+        load_model(demo_model_path))
+    for sentence in ("SHOW ME THE FLIGHTS FROM BOSTON TO DALLAS",
+                     "WHAT TYPE OF ECONOMY FARE COULD I GET FROM SAN "
+                     "FRANCISCO TO DENVER"):
+        outputs = []
+        for model in (str(path), demo_model_path):
+            out = io.StringIO()
+            assert main(["decode", "--model", model, "--segments",
+                         "--answer", sentence], out=out) == 0
+            outputs.append(out.getvalue())
+        assert outputs[0] == outputs[1]
 
 
 @settings(max_examples=60, deadline=None)
