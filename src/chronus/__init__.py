@@ -14,7 +14,7 @@ from .errors import ChronusError, DataFormatError
 from .lexicon import (Arc, Lattice, Superword, SuperwordLexicon, lex_parse,
                       parse_superword, tokenize)
 from .model import (ConceptHmm, SegmentedSentence, apply_synonym_smoothing,
-                    load_model, save_model, train_mle)
+                    count_events, load_model, save_model, train_mle)
 from .pipeline import (Artifacts, TurnResult, answer, run_turn, understand,
                        verdict)
 from .query import (Answer, Conventions, MiniDb, QueryPlan, execute,

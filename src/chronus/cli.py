@@ -16,9 +16,9 @@ from .dialog import merge_context
 from .errors import ChronusError, DataFormatError
 from . import gen as genmod
 from .lexicon import SuperwordLexicon
-from .model import (ConceptHmm, apply_synonym_smoothing, full_vocabulary,
-                    load_model, load_synonyms, render_segments, save_model,
-                    train_mle)
+from .model import (ConceptHmm, apply_synonym_smoothing, count_events,
+                    full_vocabulary, load_model, load_synonyms,
+                    render_segments, save_model, train_mle)
 from .pipeline import (Artifacts, answer, data_path, evaluate_corpus,
                        run_turn, understand)
 from .query import plan_query
@@ -99,20 +99,19 @@ def cmd_train(args, out) -> int:
         corpus.extend(FeedbackCorpus.load(path).seed_segmentations())
     if not corpus:
         raise ChronusError("training corpus has no gold segmentations")
-    vocab = full_vocabulary(lexicon, corpus)
-    model = train_mle(corpus, dictionary, vocab, args.k)
+    counts = count_events(corpus, dictionary, full_vocabulary(lexicon, corpus))
+    model = train_mle(counts, args.k)
     if args.synonyms:
         model = apply_synonym_smoothing(model, load_synonyms(
-            args.synonyms, model.dictionary, model.vocab))
+            args.synonyms, model.dictionary, model.vocab), counts)
         for name, row in model.rows():
             if not row.normalized():
                 raise ChronusError(f"row {name} is no longer normalized")
     save_model(model, args.out)   # before any output: a failed save prints none
     if args.synonyms:
         print("synonyms applied; all rows normalized", file=out)
-    rows, nonzero = model.parameter_counts()
-    print(f"rows\t{rows}", file=out)
-    print(f"nonzero\t{nonzero}", file=out)
+    print(f"rows\t{model.row_count()}", file=out)
+    print(f"nonzero\t{counts.nonzero_bigrams()}", file=out)
     return 0
 
 
@@ -206,7 +205,8 @@ def cmd_loop(args, out) -> int:
     else:
         seed = corpus.seed_segmentations()
         vocab = full_vocabulary(artifacts.lexicon, seed)
-        model = train_mle(seed, artifacts.dictionary, vocab, args.k)
+        model = train_mle(count_events(seed, artifacts.dictionary, vocab),
+                          args.k)
     model, report = run_training_loop(corpus, model, artifacts, args.max_iters)
     print(report.to_text(), end="", file=out)
     if args.out:

@@ -2,6 +2,10 @@
 word bigrams, with maximum-likelihood estimation, add-k smoothing and
 supervised synonym smoothing.
 
+Training counts the events of a corpus (``count_events``) and estimates
+a model from the counts (``train_mle``); a model holds probabilities
+only, exactly what its file holds.
+
 Segmentations are encoded one label per word, so a segment boundary is
 simply a label change and self-transitions are real, estimated events.
 Segment-initial words are conditioned on a per-concept begin marker.
@@ -19,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .concepts import ConceptDictionary, parse_concept
 from .errors import ChronusError, DataFormatError
@@ -101,14 +105,13 @@ def render_segments(segmentation: SegmentedSentence) -> str:
 
 @dataclass
 class TrainingCounts:
-    """Raw event counts of a model trained in this process; model files
-    do not hold them."""
+    """Raw event counts of a corpus over a dictionary and a sorted
+    vocabulary; models and model files do not hold them."""
 
-    transition: dict = field(default_factory=dict)   # row -> col -> count
-    bigram: dict = field(default_factory=dict)       # concept -> prev -> word -> count
-
-    def bigram_row_total(self, concept, prev):
-        return sum(self.bigram.get(concept, {}).get(prev, {}).values())
+    dictionary: ConceptDictionary
+    vocab: tuple
+    transition: dict   # row -> col -> count
+    bigram: dict       # concept -> prev -> word -> count
 
     def nonzero_bigrams(self):
         return sum(len(row)
@@ -194,20 +197,16 @@ class ConceptHmm:
     + vocabulary and a symbol in the vocabulary, so the memo holds at most
     (|V| + 1) * |V| vectors; any other symbol reads one shared all -inf
     vector.
-
-    ``counts`` holds the training counts of a model trained in this
-    process, and is None for a loaded one.
     """
 
     def __init__(self, dictionary: ConceptDictionary, vocab, k: float,
-                 initial, transition, bigram, counts: TrainingCounts | None = None):
+                 initial, transition, bigram):
         self.dictionary = dictionary
         self.vocab = tuple(sorted(vocab))
         self.vocab_set = frozenset(self.vocab)
         self.k = k
         self.initial = initial        # Row over concepts + FINAL
         self.transition = transition  # row concept -> Row over concepts + FINAL
-        self.counts = counts
         unseen = _smooth_row({}, dict.fromkeys(self.vocab), k)
         self.unseen = EMPTY_ROW if unseen is None else unseen
         names = dictionary.names
@@ -263,17 +262,13 @@ class ConceptHmm:
             for r, row in table.items():
                 yield (f"bigram[{g}][{r}]", row)
 
-    def parameter_counts(self):
-        """(probability rows, count-backed bigram entries) of a model
-        trained in this process; every context of ``<s>`` + vocabulary
-        that reads the unseen row counts as a row when that row has mass.
-        A loaded model has no counts: TrainingError."""
-        if self.counts is None:
-            raise TrainingError("a loaded model has no training counts")
+    def row_count(self):
+        """The number of probability rows; every context of ``<s>`` +
+        vocabulary that reads the unseen row counts as a row when that row
+        has mass."""
         contexts = {BEGIN, *self.vocab} if self.unseen.default else set()
-        nrows = 1 + len(self.transition) + sum(
+        return 1 + len(self.transition) + sum(
             len(table.keys() | contexts) for table in self.bigram.values())
-        return nrows, self.counts.nonzero_bigrams()
 
 
 def _safe_log(p):
@@ -302,24 +297,17 @@ def full_vocabulary(lexicon, sentences):
     return sorted(syms)
 
 
-def train_mle(corpus, dictionary: ConceptDictionary, vocabulary, k: float) -> ConceptHmm:
-    """Relative-frequency estimation with add-k smoothing.
-
-    Transitions are estimated over (concepts + initial) x (concepts + final);
-    bigrams per concept over (vocabulary + begin marker) x vocabulary, where
-    every context never seen reads the model's unseen row.  ``k`` must be
-    finite and >= 0.
-    """
-    if not 0.0 <= k < math.inf:
-        raise TrainingError(f"k {k!r} is not a finite number >= 0")
+def count_events(corpus, dictionary: ConceptDictionary,
+                 vocabulary) -> TrainingCounts:
+    """The transition events over (concepts + initial) x (concepts +
+    final) and the bigram events per concept over (vocabulary + begin
+    marker) x vocabulary of a non-empty corpus of segmented sentences."""
     corpus = list(corpus)
     if not corpus:
         raise TrainingError("training corpus is empty")
-    vocab = sorted(set(vocabulary))
-    vocab_cols = dict.fromkeys(vocab)
-    names = dictionary.names
-
-    trans_counts = {r: {} for r in [BEGIN] + names}
+    vocab = tuple(sorted(set(vocabulary)))
+    vocab_set = frozenset(vocab)
+    trans_counts = {r: {} for r in [BEGIN] + dictionary.names}
     bigram_counts = {}
     for sent in corpus:
         prev_label = BEGIN
@@ -327,7 +315,7 @@ def train_mle(corpus, dictionary: ConceptDictionary, vocabulary, k: float) -> Co
         for word, label in zip(sent.words, sent.labels):
             if label not in dictionary:
                 raise UnknownLabelError(label)
-            if word.sym not in vocab_cols:
+            if word.sym not in vocab_set:
                 raise UnknownWordError(word.sym)
             row = trans_counts[prev_label]
             row[label] = row.get(label, 0) + 1
@@ -337,30 +325,42 @@ def train_mle(corpus, dictionary: ConceptDictionary, vocabulary, k: float) -> Co
             prev_label, prev_sym = label, word.sym
         row = trans_counts[prev_label]
         row[FINAL] = row.get(FINAL, 0) + 1
+    return TrainingCounts(dictionary, vocab, trans_counts, bigram_counts)
 
+
+def train_mle(counts: TrainingCounts, k: float) -> ConceptHmm:
+    """Relative-frequency estimation with add-k smoothing from ``counts``;
+    every bigram context never seen reads the model's unseen row.  ``k``
+    must be finite and >= 0.
+    """
+    if not 0.0 <= k < math.inf:
+        raise TrainingError(f"k {k!r} is not a finite number >= 0")
+    names = counts.dictionary.names
     trans_cols = dict.fromkeys(names + [FINAL])
-    initial = _smooth_row(trans_counts[BEGIN], trans_cols, k)
+    vocab_cols = dict.fromkeys(counts.vocab)
+    initial = _smooth_row(counts.transition[BEGIN], trans_cols, k)
     transition = {}
     for c in names:
-        row = _smooth_row(trans_counts[c], trans_cols, k)
+        row = _smooth_row(counts.transition[c], trans_cols, k)
         if row is not None:
             transition[c] = row
     bigram = {c: {ctx: _smooth_row(row, vocab_cols, k)
                   for ctx, row in table.items()}
-              for c, table in bigram_counts.items()}   # seen contexts only
+              for c, table in counts.bigram.items()}   # seen contexts only
+    return ConceptHmm(counts.dictionary, counts.vocab, k, initial, transition,
+                      bigram)
 
-    counts = TrainingCounts(transition=trans_counts, bigram=bigram_counts)
-    return ConceptHmm(dictionary, vocab, k, initial, transition, bigram, counts)
 
-
-def apply_synonym_smoothing(model: ConceptHmm, groups) -> ConceptHmm:
+def apply_synonym_smoothing(model: ConceptHmm, groups,
+                            counts: TrainingCounts) -> ConceptHmm:
     """Tie bigram statistics of synonym groups.
 
     ``groups`` maps a concept name to word groups.  For each group the
     context rows of the member words are replaced by their average,
-    weighted by the rows' training counts when the model has them and
-    equally when it has none, as a loaded model, and in every row of that
-    concept's table the member columns share their summed mass uniformly.
+    weighted by the rows' totals in ``counts``, the counts the model was
+    estimated from (equally when every total is 0), and in every row of
+    that concept's table the member columns share their summed mass
+    uniformly.
     """
     if not groups:
         return model
@@ -379,14 +379,15 @@ def apply_synonym_smoothing(model: ConceptHmm, groups) -> ConceptHmm:
                         f"word {w!r} in two synonym groups under {concept}")
                 seen.add(w)
         table = bigram.setdefault(concept, {})
+        counted = counts.bigram.get(concept, {})
         for group in concept_groups:
             if len(group) < 2:
                 continue
             members = list(group)
-            _average_rows(table, members, model, concept, columns)
+            _average_rows(table, members, model, counted, columns)
             _share_columns(table, members)
     return ConceptHmm(model.dictionary, model.vocab, model.k,
-                      model.initial, model.transition, bigram, model.counts)
+                      model.initial, model.transition, bigram)
 
 
 def load_synonyms(path, dictionary: ConceptDictionary, vocab):
@@ -424,14 +425,11 @@ def load_synonyms(path, dictionary: ConceptDictionary, vocab):
     return groups
 
 
-def _average_rows(table, members, model, concept, columns):
+def _average_rows(table, members, model, counted, columns):
     rows = [table.get(w, model.unseen) for w in members]
     if all((r.exc, r.default) == (rows[0].exc, rows[0].default) for r in rows):
         return  # already tied; keep exact values (idempotence)
-    if model.counts is not None:
-        weights = [model.counts.bigram_row_total(concept, w) for w in members]
-    else:
-        weights = [1] * len(members)
+    weights = [sum(counted.get(w, {}).values()) for w in members]
     if sum(weights) == 0:
         weights = [1] * len(members)
     total_w = sum(weights)
@@ -486,9 +484,8 @@ def model_to_text(model: ConceptHmm) -> str:
     """``chronus-model v3`` text: ``k``, the name sections, and every stored
     row as its default line ``ROW<TAB>PROB`` and exception lines
     ``ROW<TAB>COL<TAB>PROB``, with one ``[bigram c]`` section per concept
-    that leaves out the contexts reading the unseen row.  Training counts
-    are not written.  Rows and columns are sorted, so equal models give
-    equal text."""
+    that leaves out the contexts reading the unseen row.  Rows and columns
+    are sorted, so equal models give equal text."""
     out = [MAGIC, f"k\t{model.k!r}", "[concepts]",
            *model.dictionary.to_lines(), "[vocab]", *model.vocab]
     tables = [("initial", {BEGIN: model.initial}),
@@ -510,47 +507,40 @@ def save_model(model: ConceptHmm, path):
 
 
 def model_from_text(text: str, path=None) -> ConceptHmm:
-    """Parse a ``chronus-model`` text, v3, v2 or v1.  Transitions may name
-    only concepts of ``[concepts]`` (and ``</s>``), bigrams only symbols of
-    ``[vocab]`` (and ``<s>``, ``</s>``); both sections must come first.  A
-    row without a default line, as every v1 row, has default 0; each row is
+    """Parse a ``chronus-model v3`` text; a v1 or v2 text is refused at its
+    header.  The header holds exactly one ``k`` line.  Transitions may
+    name only concepts of ``[concepts]`` (and ``</s>``), bigrams only
+    symbols of ``[vocab]`` (and ``<s>``, ``</s>``); both sections must come
+    first.  A row without a default line has default 0; each row is
     brought to canonical form and must be normalized.  The ``[initial]``
     row is required, every concept needs a ``[bigram c]`` section, and a
-    context without a row there has the unseen row; the v1 and v2 writers
-    left out a row only when k = 0, so their texts read as the same
-    models.  ``[counts ...]`` sections, which older writers added, are
-    checked like the probabilities and then dropped: a loaded model has no
-    counts."""
+    context without a row there has the unseen row."""
     lines = text.split("\n")
-    magic = lines[0].strip()
-    if magic not in (MAGIC, "chronus-model v2", "chronus-model v1"):
-        raise DataFormatError(f"missing {MAGIC} header", path, 1)
+    if (magic := lines[0].strip()) in ("chronus-model v1", "chronus-model v2"):
+        raise DataFormatError(
+            f"{magic} is no longer read; retrain with chronus train", path, 1)
     k = None
     concepts = []
     vocab = {}   # the [vocab] symbols in file order
     names, symbols = set(), {BEGIN, FINAL}
     transition, bigram = {}, {}   # rows: [values, default, ln]
-    counted = {}   # [counts ...] header -> row -> column -> count
     table = row_name = None    # the current table and row
-    for ln, section, line in records(lines, path, magic):
+    for ln, section, line in records(lines, path, MAGIC):
         if line is None:
             table = row_name = None
-            counting = section.startswith("counts ")
-            kind, _, concept = section.removeprefix("counts ").partition(" ")
+            kind, _, concept = section.partition(" ")
             if kind == "bigram":
                 if concept not in names:
                     raise DataFormatError(f"unknown concept {concept!r}", path, ln)
                 rows_ok = cols_ok = symbols
                 row_msg = col_msg = "symbol {!r} is not in [vocab]"
-                table = (counted.setdefault(section, {}) if counting
-                         else bigram.setdefault(concept, {}))
+                table = bigram.setdefault(concept, {})
             elif kind in ("initial", "transition") and not concept:
                 rows_ok = {BEGIN} if kind == "initial" else names
                 cols_ok = names | {FINAL}
                 row_msg = f"unknown {kind} row {{!r}}"
                 col_msg = "unknown concept {!r}"
-                table = (counted.setdefault(section, {}) if counting
-                         else transition)
+                table = transition
             elif section not in ("concepts", "vocab"):
                 raise DataFormatError(f"unknown section [{section}]", path, ln)
             continue
@@ -560,34 +550,28 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
                 if parts[0] not in rows_ok:
                     raise DataFormatError(row_msg.format(parts[0]), path, ln)
                 row_name = parts[0]
-                row = table.setdefault(row_name,
-                                       {} if counting else [{}, None, ln])
-                entries = row if counting else row[0]
-            if len(parts) == 2 and not counting:
+                row = table.setdefault(row_name, [{}, None, ln])
+            if len(parts) == 2:
                 if row[1] is not None:
                     raise DataFormatError(
                         f"row {row_name!r} has a second default line", path, ln)
                 row[1] = number(float, parts[1], "probability", path, ln, 0.0, 1.0)
             elif len(parts) != 3:
-                raise DataFormatError("expected ROW<TAB>COL<TAB>"
-                                      + ("COUNT" if counting else "PROB"), path, ln)
+                raise DataFormatError("expected ROW<TAB>COL<TAB>PROB", path, ln)
             elif parts[1] not in cols_ok:
                 raise DataFormatError(col_msg.format(parts[1]), path, ln)
-            elif parts[1] in entries:
+            elif parts[1] in row[0]:
                 raise DataFormatError(
                     f"row {row_name!r} repeats column {parts[1]!r}", path, ln)
             else:
-                entries[parts[1]] = (
-                    number(int, parts[2], "count", path, ln, 1, math.inf)
-                    if counting else
-                    number(float, parts[2], "probability", path, ln, 0.0, 1.0))
+                row[0][parts[1]] = number(float, parts[2], "probability",
+                                          path, ln, 0.0, 1.0)
         elif section is None:
-            if parts[0] == "k" and len(parts) == 2:
-                if k is not None:
-                    raise DataFormatError("repeated k line", path, ln)
-                k = number(float, parts[1], "k", path, ln, 0.0, math.inf)
-            elif parts[0] != "floor" or len(parts) != 2:  # v1 floor: ignored
+            if parts[0] != "k" or len(parts) != 2:
                 raise DataFormatError("unexpected header line", path, ln)
+            if k is not None:
+                raise DataFormatError("repeated k line", path, ln)
+            k = number(float, parts[1], "k", path, ln, 0.0, math.inf)
         elif section == "concepts":
             concepts.append(parse_concept(line, path, ln))
             name = concepts[-1].name
@@ -602,6 +586,8 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
             vocab[sym] = None
             symbols.add(sym)
 
+    if k is None:
+        raise DataFormatError("model has no k line", path, 1)
     dictionary = ConceptDictionary(concepts, path)
     for c in dictionary:
         if c.name not in bigram:
@@ -624,8 +610,7 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
         raise DataFormatError("model has no [initial] row", path, 1)
     initial = transition.pop(BEGIN)
     bigram = {c: canonical(rows, vocab_cols) for c, rows in bigram.items()}
-    return ConceptHmm(dictionary, vocab, k or 0.0, initial, transition,
-                      bigram)
+    return ConceptHmm(dictionary, vocab, k, initial, transition, bigram)
 
 
 def load_model(path) -> ConceptHmm:

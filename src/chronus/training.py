@@ -27,7 +27,7 @@ from .concepts import ConceptDictionary
 from .decoder import chain_lattice, exhaustive_search
 from .errors import ChronusError, DataFormatError
 from .model import (BEGIN, NEG_INF, ConceptHmm, SegmentedSentence,
-                    model_to_text, train_mle)
+                    count_events, model_to_text, train_mle)
 from .pipeline import Artifacts, run_turn, verdict
 from .query import Answer
 from .textfile import read_text, records, section_name
@@ -233,7 +233,8 @@ def run_training_loop(corpus: FeedbackCorpus, seed_model: ConceptHmm,
             return model, report
         prev_correct_ids = correct_ids
         retrain = seed + [kept[i] for i in sorted(kept)]
-        model = train_mle(retrain, model.dictionary, model.vocab, model.k)
+        model = train_mle(count_events(retrain, model.dictionary, model.vocab),
+                          model.k)
     report.termination = "max_iters"
     return model, report
 

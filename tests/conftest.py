@@ -1,10 +1,10 @@
 import pytest
 
-from chronus.model import save_model
+from chronus.model import save_model, train_mle
 from chronus.pipeline import Artifacts, data_path
 from chronus.training import FeedbackCorpus
 
-from helpers import train_full
+from helpers import count_full
 
 
 @pytest.fixture(scope="session")
@@ -28,11 +28,16 @@ def semi_corpus():
 
 
 @pytest.fixture(scope="session")
-def demo_model(artifacts, demo_corpus, seed_corpus):
+def demo_counts(artifacts, demo_corpus, seed_corpus):
+    """The counts of every gold segmentation bundled with the package."""
+    return count_full(demo_corpus.seed_segmentations()
+                      + seed_corpus.seed_segmentations(), artifacts)
+
+
+@pytest.fixture(scope="session")
+def demo_model(demo_counts):
     """Model trained on every gold segmentation bundled with the package."""
-    sentences = (demo_corpus.seed_segmentations()
-                 + seed_corpus.seed_segmentations())
-    return train_full(sentences, artifacts)
+    return train_mle(demo_counts, 0.001)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,8 @@ from chronus.concepts import Concept, ConceptDictionary
 from chronus.gen import synthetic_dictionary
 from chronus.lexicon import Arc, Lattice, Superword
 from chronus.model import (ConceptHmm, SegmentedSentence, _smooth_row,
-                           canonical_row, full_vocabulary, round12, train_mle)
+                           canonical_row, count_events, full_vocabulary,
+                           round12, train_mle)
 from chronus.template import Template, TemplateToken
 
 TESTS_DATA = Path(__file__).parent / "data"
@@ -21,15 +22,29 @@ def make_sentence(word_syms, labels) -> SegmentedSentence:
     return SegmentedSentence(tuple(Superword(s) for s in word_syms), tuple(labels))
 
 
-def train_full(sentences, artifacts, k=0.001):
+def count_full(sentences, artifacts):
+    """The counts of ``sentences`` over the lexicon's full vocabulary."""
     vocab = full_vocabulary(artifacts.lexicon, sentences)
-    return train_mle(sentences, artifacts.dictionary, vocab, k)
+    return count_events(sentences, artifacts.dictionary, vocab)
+
+
+def train_full(sentences, artifacts, k=0.001):
+    return train_mle(count_full(sentences, artifacts), k)
 
 
 def assert_rows_normalized(model, tol=1e-9):
     for name, row in model.rows():
         total = sum(row.values())
         assert abs(total - 1.0) <= tol, f"row {name} sums to {total!r}"
+
+
+def counted(model, concept, ctx, sym):
+    """Whether the add-k model (k > 0) was estimated from a count of
+    ``sym`` after ``ctx`` in ``concept``: every column that had count 0
+    shares the smallest value of the row, and a counted column has more.
+    Holds for a row with a column of count 0."""
+    row = model.bigram_row(concept, ctx)
+    return row.prob(sym) > min(row.prob(w) for w in model.vocab)
 
 
 def per_word_accuracy(pairs):
@@ -85,6 +100,14 @@ def tie_heavy_model(rng):
 def random_trained_model(rng: random.Random, n_concepts=3, n_words=6,
                          k=0.001, n_sentences=5) -> ConceptHmm:
     """Train a model from a small random corpus (sparse when k=0)."""
+    corpus = random_corpus(rng, n_concepts, n_words, n_sentences)
+    return train_mle(count_events(*corpus), k)
+
+
+def random_corpus(rng: random.Random, n_concepts=3, n_words=6,
+                  n_sentences=5):
+    """(sentences, dictionary, vocabulary) of the small random corpus that
+    ``random_trained_model`` trains on."""
     names = [f"c{i}" for i in range(n_concepts)]
     dictionary = synthetic_dictionary(names)
     vocab = [f"w{i}" for i in range(n_words)]
@@ -94,7 +117,7 @@ def random_trained_model(rng: random.Random, n_concepts=3, n_words=6,
         words = tuple(Superword(rng.choice(vocab)) for _ in range(length))
         labels = tuple(rng.choice(dictionary.names) for _ in range(length))
         corpus.append(SegmentedSentence(words, labels))
-    return train_mle(corpus, dictionary, vocab, k)
+    return corpus, dictionary, vocab
 
 
 def random_lattice(rng: random.Random, model: ConceptHmm,
@@ -131,7 +154,7 @@ def unigram_baseline(corpus, dictionary, vocabulary, k: float) -> ConceptHmm:
     """Context-free emission baseline: the same trained transition
     structure, but every bigram context row is the concept's unigram
     word distribution."""
-    model = train_mle(corpus, dictionary, vocabulary, k)
+    model = train_mle(count_events(corpus, dictionary, vocabulary), k)
     unigram_counts = {}
     for sent in corpus:
         for word, label in zip(sent.words, sent.labels):

@@ -9,14 +9,15 @@ from hypothesis import given, settings, strategies as st
 from chronus import cli, pipeline
 from chronus.cli import main
 from chronus.errors import ChronusError
-from chronus.model import load_model, model_to_text, render_segments
+from chronus.model import (load_model, model_to_text, render_segments,
+                           train_mle)
 from chronus.pipeline import (TurnResult, answer, data_path, evaluate_corpus,
                               run_turn)
 from chronus.query import Answer, PlanError
 from chronus.template import Template
 from chronus.training import FeedbackCorpus, FeedbackEntry
 
-from helpers import TESTS_DATA, train_full
+from helpers import TESTS_DATA, count_full
 
 
 def run_cli(argv):
@@ -34,10 +35,10 @@ def test_train_writes_model_and_reports_sizes(tmp_path, artifacts):
                         "--out", str(out)])
     assert rc == 0
     corpus = FeedbackCorpus.load(data_path("semi_corpus.txt"))
-    seed = corpus.seed_segmentations()
-    expected = train_full(seed, artifacts)
-    rows, nonzero = expected.parameter_counts()
-    assert text == f"rows\t{rows}\nnonzero\t{nonzero}\n"
+    counts = count_full(corpus.seed_segmentations(), artifacts)
+    expected = train_mle(counts, 0.001)
+    assert text == (f"rows\t{expected.row_count()}\n"
+                    f"nonzero\t{counts.nonzero_bigrams()}\n")
     assert model_to_text(load_model(out)) == model_to_text(expected)
 
 

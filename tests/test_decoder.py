@@ -8,8 +8,8 @@ from chronus.decoder import (DecodeSizeError, brute_force_decode, path_score,
                              viterbi_decode, viterbi_decode_lattice)
 from chronus.errors import ChronusError
 from chronus.lexicon import Arc, Lattice, Superword, lex_parse
-from chronus.model import (NEG_INF, model_from_text, model_to_text, round12,
-                           train_mle)
+from chronus.model import (NEG_INF, count_events, model_from_text,
+                           model_to_text, round12, train_mle)
 
 from helpers import (make_sentence, random_lattice, random_trained_model,
                      tie_heavy_model, uniform_rows_model)
@@ -23,7 +23,8 @@ def test_recovers_training_labels_exactly(artifacts):
                             ["question", "question", "subject",
                              "destin", "destin"])]
     vocab = ["SHOW", "ME", "FLIGHT(S)", "TO", "((city))"]
-    model = train_mle(corpus, artifacts.dictionary, vocab, k=0.0)
+    model = train_mle(count_events(corpus, artifacts.dictionary, vocab),
+                      k=0.0)
     result = viterbi_decode(model, ["SHOW", "ME", "FLIGHT(S)", "TO", "((city))"])
     assert result.labels == ("question", "question", "subject",
                              "destin", "destin")
@@ -243,7 +244,8 @@ def test_rounding_splits_decoder_and_oracle_on_two_known_instances():
 
 def test_degenerate_flag_when_nothing_has_probability(artifacts):
     corpus = [make_sentence(["SHOW", "ME"], ["question", "question"])]
-    model = train_mle(corpus, artifacts.dictionary, ["SHOW", "ME"], k=0.0)
+    model = train_mle(
+        count_events(corpus, artifacts.dictionary, ["SHOW", "ME"]), k=0.0)
     # reversed word order was never observed; every labeling scores -inf
     result = viterbi_decode(model, ["ME", "SHOW"])
     assert result.degenerate
@@ -285,7 +287,8 @@ def test_lattice_avoids_zero_probability_path():
         [Concept("c0", "restriction", rank=2),
          Concept("dummy", "special"), Concept("and", "special")])
     corpus = [make_sentence(["a", "b"], ["c0", "c0"])]
-    model = train_mle(corpus, dictionary, ["a", "b", "x"], k=0.0)
+    model = train_mle(count_events(corpus, dictionary, ["a", "b", "x"]),
+                      k=0.0)
     # two paths: the trained bigram a b, and a single arc x with no counts
     lattice = Lattice(2, [Arc(0, 1, "a"), Arc(1, 2, "b"), Arc(0, 2, "x")])
     result = viterbi_decode_lattice(model, lattice)
@@ -361,7 +364,7 @@ def test_brute_force_guard_on_concept_count():
     dictionary = ConceptDictionary(
         names + [Concept("dummy", "special"), Concept("and", "special")])
     corpus = [make_sentence(["a"], ["c0"])]
-    model = train_mle(corpus, dictionary, ["a"], k=0.001)
+    model = train_mle(count_events(corpus, dictionary, ["a"]), k=0.001)
     with pytest.raises(DecodeSizeError):
         brute_force_decode(model, Lattice(1, [Arc(0, 1, "a")]))
 

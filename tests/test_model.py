@@ -6,21 +6,18 @@ import pytest
 from chronus.concepts import Concept, ConceptDictionary
 from chronus.errors import ChronusError
 from chronus.gen import sample_sentence
-from chronus.model import (BEGIN, NEG_INF, ConceptHmm, SegmentedSentence,
-                           TrainingError, UnknownLabelError, UnknownWordError,
-                           apply_synonym_smoothing,
-                           canonical_row, load_model, load_synonyms,
-                           model_from_text, model_to_text, path_score,
-                           round12, save_model, train_mle)
-from chronus.pipeline import data_path
+from chronus.model import (BEGIN, NEG_INF, SegmentedSentence, TrainingError,
+                           UnknownLabelError, UnknownWordError,
+                           apply_synonym_smoothing, canonical_row,
+                           count_events, model_from_text, model_to_text,
+                           path_score, round12, train_mle)
 
-from helpers import (TESTS_DATA, assert_rows_normalized, make_sentence,
-                     random_trained_model)
+from helpers import assert_rows_normalized, make_sentence, random_corpus
 
 
 def _mk(corpus_specs, dictionary, vocab, k):
     corpus = [make_sentence(words, labels) for words, labels in corpus_specs]
-    return train_mle(corpus, dictionary, vocab, k)
+    return train_mle(count_events(corpus, dictionary, vocab), k)
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +107,18 @@ def test_smoothed_zero_count_context_row_is_uniform(artifacts):
     assert model.bigram_row("origin", BEGIN) == {"SHOW": 0.5, "ME": 0.5}
 
 
-def _elision_models(demo_model):
+def _elision_models(demo_counts):
+    """(counts, model estimated from them) pairs: the demo model and
+    random models."""
     rng = random.Random(7)
-    return [demo_model] + [random_trained_model(rng, 3, 6, k)
-                           for k in (0.0, 0.001) for _ in range(20)]
+    counted = [(demo_counts, 0.001)] + [
+        (count_events(*random_corpus(rng, 3, 6)), k)
+        for k in (0.0, 0.001) for _ in range(20)]
+    return [(counts, train_mle(counts, k)) for counts, k in counted]
 
 
-def test_no_stored_bigram_row_equals_the_unseen_row(demo_model):
-    for model in _elision_models(demo_model):
+def test_no_stored_bigram_row_equals_the_unseen_row(demo_counts, demo_model):
+    for _, model in _elision_models(demo_counts):
         unseen = (model.unseen.exc, model.unseen.default)
         for table in model.bigram.values():
             assert all((row.exc, row.default) != unseen
@@ -126,12 +127,12 @@ def test_no_stored_bigram_row_equals_the_unseen_row(demo_model):
     assert sum(map(len, demo_model.bigram.values())) == 52
 
 
-def test_emissions_are_the_add_k_estimates_of_the_counts(demo_model):
-    for model in _elision_models(demo_model):
+def test_emissions_are_the_add_k_estimates_of_the_counts(demo_counts):
+    for counts, model in _elision_models(demo_counts):
         k, vocab = model.k, model.vocab
         for c, name in enumerate(model.dictionary.names):
             for ctx in (BEGIN, *vocab):
-                row = model.counts.bigram.get(name, {}).get(ctx, {})
+                row = counts.bigram.get(name, {}).get(ctx, {})
                 total = sum(row.values()) + k * len(vocab)
                 for sym in vocab:
                     p = round12((row.get(sym, 0) + k) / total) if total else 0.0
@@ -165,7 +166,7 @@ def test_train_rejects_word_outside_vocabulary(artifacts):
 
 def test_train_rejects_empty_corpus(artifacts):
     with pytest.raises(Exception):
-        train_mle([], artifacts.dictionary, ["SHOW"], 0.001)
+        count_events([], artifacts.dictionary, ["SHOW"])
 
 
 @pytest.mark.parametrize("k", [-0.001, -1.0, math.inf, math.nan])
@@ -200,6 +201,7 @@ def test_model_text_round_trip(demo_model):
     assert model_to_text(again) == text
     assert again.k == demo_model.k
     assert again.vocab == demo_model.vocab
+    assert again.row_count() == demo_model.row_count()
     sent = SegmentedSentence.parse(
         "SHOW:question\tME:question\tFLIGHT(S):subject")
     assert (path_score(again, sent.words, sent.labels)
@@ -221,22 +223,23 @@ def test_canonical_probabilities_are_12_digit_stable(demo_model):
 # ---------------------------------------------------------------------------
 # Synonym smoothing
 
-def _synonym_model(artifacts, k=0.001):
+def _synonym_counts(artifacts):
     vocab = ["DEPART(S)", "LEAVE(S)", "FROM", "((city))"]
     corpus = [
         make_sentence(["DEPART(S)", "FROM", "((city))"],
                       ["origin", "origin", "origin"]),
         make_sentence(["LEAVE(S)", "((city))"], ["origin", "origin"]),
     ]
-    return train_mle(corpus, artifacts.dictionary, vocab, k)
+    return count_events(corpus, artifacts.dictionary, vocab)
 
 
 def test_synonym_rows_become_identical(artifacts):
-    model = _synonym_model(artifacts)
+    counts = _synonym_counts(artifacts)
+    model = train_mle(counts, 0.001)
     groups = {"origin": [["DEPART(S)", "LEAVE(S)"]]}
     before = model.bigram["origin"]
     assert before["DEPART(S)"] != before["LEAVE(S)"]
-    smoothed = apply_synonym_smoothing(model, groups)
+    smoothed = apply_synonym_smoothing(model, groups, counts)
     table = smoothed.bigram["origin"]
     assert table["DEPART(S)"] == table["LEAVE(S)"]
     # member columns share their mass in every row of the concept table
@@ -246,55 +249,43 @@ def test_synonym_rows_become_identical(artifacts):
 
 
 def test_synonym_smoothing_is_idempotent(artifacts):
-    model = _synonym_model(artifacts)
+    counts = _synonym_counts(artifacts)
     groups = {"origin": [["DEPART(S)", "LEAVE(S)"]]}
-    once = apply_synonym_smoothing(model, groups)
-    twice = apply_synonym_smoothing(once, groups)
+    once = apply_synonym_smoothing(train_mle(counts, 0.001), groups, counts)
+    twice = apply_synonym_smoothing(once, groups, counts)
     assert model_to_text(twice) == model_to_text(once)
 
 
 def test_synonym_smoothing_leaves_other_tables_alone(artifacts):
-    model = _synonym_model(artifacts)
+    counts = _synonym_counts(artifacts)
+    model = train_mle(counts, 0.001)
     smoothed = apply_synonym_smoothing(
-        model, {"origin": [["DEPART(S)", "LEAVE(S)"]]})
+        model, {"origin": [["DEPART(S)", "LEAVE(S)"]]}, counts)
     assert smoothed.transition == model.transition
     assert smoothed.initial == model.initial
     assert smoothed.bigram["destin"] == model.bigram["destin"]
 
 
 def test_empty_and_singleton_groups_are_identity(artifacts):
-    model = _synonym_model(artifacts)
-    assert apply_synonym_smoothing(model, {}) is model
-    same = apply_synonym_smoothing(model, {"origin": [["DEPART(S)"]]})
+    counts = _synonym_counts(artifacts)
+    model = train_mle(counts, 0.001)
+    assert apply_synonym_smoothing(model, {}, counts) is model
+    same = apply_synonym_smoothing(model, {"origin": [["DEPART(S)"]]}, counts)
     assert model_to_text(same) == model_to_text(model)
 
 
 def test_synonym_smoothing_input_validation(artifacts):
-    model = _synonym_model(artifacts)
+    counts = _synonym_counts(artifacts)
+    model = train_mle(counts, 0.001)
     with pytest.raises(UnknownLabelError):
-        apply_synonym_smoothing(model, {"bogus": [["FROM", "((city))"]]})
+        apply_synonym_smoothing(model, {"bogus": [["FROM", "((city))"]]},
+                                counts)
     with pytest.raises(UnknownWordError):
-        apply_synonym_smoothing(model, {"origin": [["FROM", "NOPE"]]})
+        apply_synonym_smoothing(model, {"origin": [["FROM", "NOPE"]]}, counts)
     with pytest.raises(Exception):
         apply_synonym_smoothing(
-            model, {"origin": [["FROM", "((city))"], ["FROM", "DEPART(S)"]]})
-
-
-def test_a_loaded_model_is_smoothed_with_equal_weights(demo_model,
-                                                       tmp_path):
-    # the file holds no counts, so the member rows weigh the same
-    groups = load_synonyms(data_path("synonyms.txt"), demo_model.dictionary,
-                           demo_model.vocab)
-    save_model(demo_model, tmp_path / "model.txt")
-    reloaded = load_model(tmp_path / "model.txt")
-    assert reloaded.counts is None
-    uncounted = ConceptHmm(demo_model.dictionary, demo_model.vocab,
-                           demo_model.k, demo_model.initial,
-                           demo_model.transition, demo_model.bigram)
-    smoothed = model_to_text(apply_synonym_smoothing(reloaded, groups))
-    assert smoothed == model_to_text(apply_synonym_smoothing(uncounted, groups))
-    # the demo counts give the rows unequal weights
-    assert smoothed != model_to_text(apply_synonym_smoothing(demo_model, groups))
+            model, {"origin": [["FROM", "((city))"], ["FROM", "DEPART(S)"]]},
+            counts)
 
 
 def test_canonical_row_default_is_the_most_common_value():
@@ -311,47 +302,11 @@ def test_canonical_row_default_is_the_most_common_value():
         == ({"a": 0.3, "b": 0.3}, 0.2)
 
 
-# ---------------------------------------------------------------------------
-# Model files written in the v1 format
-
-def test_v1_model_collapses_to_the_trained_v2_model(artifacts):
-    # model_v1_small.txt is _synonym_model(k=0.001) as the v1 writer wrote
-    # it: every column of every row, and no counts
-    v1 = load_model(TESTS_DATA / "model_v1_small.txt")
-    assert model_to_text(v1) == model_to_text(_synonym_model(artifacts))
-
-
-def test_v2_model_reads_as_the_trained_model(artifacts):
-    # model_v2_small.txt is the same model as the v2 writer wrote it: every
-    # context row, the unseen ones included, and the counts
-    v2 = load_model(TESTS_DATA / "model_v2_small.txt")
-    assert v2.counts is None
-    assert model_to_text(v2) == model_to_text(_synonym_model(artifacts))
-
-
-def test_parameter_counts_of_a_loaded_model_is_a_training_error(artifacts):
-    trained = _synonym_model(artifacts)
-    assert trained.parameter_counts()[1] > 0
-    loaded = model_from_text(model_to_text(trained))
-    with pytest.raises(TrainingError, match="a loaded model has no training "
-                                            "counts"):
-        loaded.parameter_counts()
-
-
-def test_v3_model_with_counts_reads_as_the_trained_model(artifacts):
-    # earlier v3 writers put the training counts after the probabilities,
-    # in the sections the v2 writer used
-    v2_text = (TESTS_DATA / "model_v2_small.txt").read_text(encoding="utf-8")
-    text = model_to_text(_synonym_model(artifacts))
-    with_counts = model_from_text(
-        text + v2_text[v2_text.index("[counts initial]"):])
-    assert with_counts.counts is None
-    assert model_to_text(with_counts) == text
-
-
 def test_v3_model_text_is_a_fixed_point(artifacts):
-    smoothed = apply_synonym_smoothing(_synonym_model(artifacts),
-                                       {"origin": [["DEPART(S)", "LEAVE(S)"]]})
+    counts = _synonym_counts(artifacts)
+    smoothed = apply_synonym_smoothing(train_mle(counts, 0.001),
+                                       {"origin": [["DEPART(S)", "LEAVE(S)"]]},
+                                       counts)
     text = model_to_text(smoothed)
     assert text.startswith("chronus-model v3\n")
     assert model_to_text(model_from_text(text)) == text

@@ -10,14 +10,16 @@ from hypothesis import given, settings, strategies as st
 from chronus.cli import main
 from chronus.errors import DataFormatError
 from chronus.gen import make_recovery_model
-from chronus.model import (SegmentedSentence, load_model, model_from_text,
-                           model_to_text)
+from chronus.decoder import viterbi_decode
+from chronus.model import (SegmentedSentence, apply_synonym_smoothing,
+                           count_events, load_model, model_from_text,
+                           model_to_text, train_mle)
 from chronus.pipeline import data_path
 from chronus.query import Answer
 from chronus.textfile import records
 from chronus.training import FeedbackCorpus, FeedbackEntry
 
-from helpers import TESTS_DATA, random_trained_model
+from helpers import random_corpus
 
 
 def test_records_skips_comments_and_numbers_lines():
@@ -119,10 +121,18 @@ MALFORMED = [
     ("model-repeated-exception", "--model",
      _repeated(RECOVERY_TEXT, "[initial]", 2),
      "row '<s>' repeats column '</s>'"),
-    ("model-repeated-count", "--model",
-     _repeated((TESTS_DATA / "model_v2_small.txt").read_text(encoding="utf-8"),
-               "[counts initial]", 1),
-     "row '<s>' repeats column 'origin'"),
+    ("model-v1-header", "--model",
+     (RECOVERY_TEXT.replace("chronus-model v3", "chronus-model v1", 1), 1),
+     "chronus-model v1 is no longer read; retrain with chronus train"),
+    ("model-v2-header", "--model",
+     (RECOVERY_TEXT.replace("chronus-model v3", "chronus-model v2", 1), 1),
+     "chronus-model v2 is no longer read; retrain with chronus train"),
+    ("model-counts-section", "--model",
+     _at(RECOVERY_TEXT + "[counts initial]\n<s>\tc0\t3\n", "[counts initial]"),
+     "unknown section [counts initial]"),
+    ("model-missing-k", "--model",
+     _without(RECOVERY_TEXT, RECOVERY_TEXT.split("\n")[1], "chronus-model v3"),
+     "model has no k line"),
     ("model-repeated-vocab", "--model",
      _repeated(RECOVERY_TEXT, "[vocab]", 1), "repeated [vocab] symbol 'w00'"),
     ("model-repeated-k", "--model",
@@ -149,9 +159,8 @@ MALFORMED = [
     ("model-concept-counterpart", "--model",
      _model("[concepts]", "a_x\tattribute\t2\tzzz"),
      "attribute concept a_x has no valid counterpart"),
-    ("model-v1-probability", "--model",
-     _with_line((TESTS_DATA / "model_v1_small.txt").read_text(encoding="utf-8"),
-                "[initial]", "<s>\tsubject\t1.5"),
+    ("model-probability-range", "--model",
+     _model("[initial]", "<s>\tc0\t1.5"),
      "probability 1.5 is not in [0.0, 1.0]"),
     ("db-cell", "--db",
      _bundled("db.txt", "[table flight]",
@@ -407,35 +416,27 @@ def test_model_comment_with_a_line_break_character_is_skipped_whole(
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), k=st.sampled_from([0.0, 0.001]),
-       n_concepts=st.integers(1, 5), n_words=st.integers(1, 8))
-def test_model_text_is_a_fixed_point(seed, k, n_concepts, n_words):
-    model = random_trained_model(random.Random(seed), n_concepts, n_words, k)
+       n_concepts=st.integers(1, 5), n_words=st.integers(1, 8),
+       data=st.data())
+def test_model_text_is_a_fixed_point(seed, k, n_concepts, n_words, data):
+    # a model and the model its text reads as are the same model, smoothed
+    # with synonyms by its own counts or not
+    corpus, dictionary, vocab = random_corpus(random.Random(seed),
+                                              n_concepts, n_words)
+    counts = count_events(corpus, dictionary, vocab)
+    model = train_mle(counts, k)
+    group = data.draw(st.none() | st.lists(st.sampled_from(model.vocab),
+                                           min_size=1, unique=True))
+    if group is not None:
+        concept = data.draw(st.sampled_from(sorted(counts.bigram)))
+        model = apply_synonym_smoothing(model, {concept: [group]}, counts)
     text = model_to_text(model)
-    assert model_to_text(model_from_text(text)) == text
-
-
-def _v1_text(model):
-    """The model as the v1 writer wrote it: a ``floor`` header and every
-    nonzero column of every row, without counts."""
-    lines = ["chronus-model v1", f"k\t{model.k!r}", "floor\t0", "[concepts]",
-             *model.dictionary.to_lines(), "[vocab]", *model.vocab]
-    tables = [("initial", {"<s>": model.initial}),
-              ("transition", model.transition)]
-    tables += [(f"bigram {c}", t) for c, t in model.bigram.items()]
-    for header, table in tables:
-        lines.append(f"[{header}]")
-        lines.extend(f"{r}\t{c}\t{p:.11e}" for r in sorted(table)
-                     for c, p in sorted(table[r].items()))
-    return "\n".join(lines) + "\n"
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10**6), k=st.sampled_from([0.0, 0.001]),
-       n_concepts=st.integers(1, 5), n_words=st.integers(1, 8))
-def test_v1_text_reads_as_the_same_model(seed, k, n_concepts, n_words):
-    model = random_trained_model(random.Random(seed), n_concepts, n_words, k)
-    assert model_to_text(model_from_text(_v1_text(model))) \
-        == model_to_text(model)
+    loaded = model_from_text(text)
+    assert model_to_text(loaded) == text
+    for sentence in corpus:
+        ours = viterbi_decode(model, sentence.words)
+        theirs = viterbi_decode(loaded, sentence.words)
+        assert (ours.labels, ours.log_prob) == (theirs.labels, theirs.log_prob)
 
 
 _FIELD = st.text(st.characters(whitelist_categories=("Lu", "Nd"),

@@ -11,16 +11,17 @@ from chronus.errors import ChronusError
 from chronus.gen import (alignment_corpus, make_recovery_model,
                          synthetic_dictionary)
 from chronus.lexicon import Arc, Lattice, parse_superword
-from chronus.model import (BEGIN, SegmentedSentence, model_from_text,
-                           model_to_text, path_score, train_mle)
+from chronus.model import (BEGIN, SegmentedSentence, count_events,
+                           model_from_text, model_to_text, path_score,
+                           train_mle)
 from chronus.query import Answer
 from chronus.training import (AlignmentInfeasibleError, FeedbackCorpus,
                               FeedbackEntry, _snapshot_id, align_win,
                               brute_force_align, required_concepts,
                               run_training_loop)
 
-from helpers import (random_trained_model, tie_heavy_model, train_full,
-                     uniform_rows_model)
+from helpers import (counted, random_trained_model, tie_heavy_model,
+                     train_full, uniform_rows_model)
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +107,8 @@ def test_loop_improves_and_converges_on_bundled_corpus(artifacts, semi_corpus):
     assert report.rows[-1].correct >= report.rows[0].correct
     assert report.rows[-1].correct >= 5
     # retraining folded the feedback segmentations into the counts
-    assert seed_model.counts.bigram["depart-time"].get("IN", {}) \
-        .get("MORNING", 0) == 0
-    assert model.counts.bigram["depart-time"]["IN"]["MORNING"] > 0
+    assert not counted(seed_model, "depart-time", "IN", "MORNING")
+    assert counted(model, "depart-time", "IN", "MORNING")
     # the seed knowledge is not forgotten
     for gold in semi_corpus.seed_segmentations():
         assert path_score(model, gold.words, gold.labels) > float("-inf")
@@ -131,7 +131,6 @@ def test_snapshot_id_hashes_the_model_text():
     trained = random_trained_model(random.Random(5))
     built = uniform_rows_model(1, ["a"], ["c0"], {"c0": ["c0", "</s>"]},
                                {"c0": {"<s>": ["a"], "a": ["a"]}})
-    assert trained.counts is not None and built.counts is None
     for model in (trained, built):
         assert _snapshot_id(model) == hashlib.sha256(
             model_to_text(model).encode()).hexdigest()[:12]
@@ -335,7 +334,8 @@ def test_infeasible_constraint_raises():
 
 def test_infeasible_under_sparse_model(artifacts):
     corpus = [SegmentedSentence.parse("SHOW:question\tME:question")]
-    model = train_mle(corpus, artifacts.dictionary, ["SHOW", "ME"], k=0.0)
+    model = train_mle(
+        count_events(corpus, artifacts.dictionary, ["SHOW", "ME"]), k=0.0)
     words = corpus[0].words
     # origin was never seen: no finite-probability labeling emits it
     with pytest.raises(AlignmentInfeasibleError):
@@ -428,7 +428,7 @@ def _sparse_model(rng, dictionary, vocab):
         tuple(parse_superword(rng.choice(vocab)) for _ in range(n)),
         tuple(rng.choice(dictionary.names[:3]) for _ in range(n)))
         for n in [rng.randint(1, 6) for _ in range(6)]]
-    return train_mle(corpus, dictionary, vocab, 0.0)
+    return train_mle(count_events(corpus, dictionary, vocab), 0.0)
 
 
 def test_models_of_one_dictionary_keep_their_own_plans():
