@@ -21,8 +21,6 @@ from .query import (Answer, Conventions, MiniDb, QueryPlan, execute,
                     plan_query, score_answer)
 from .template import (Template, ValueTable, generate_template,
                        matched_fraction, should_reject)
-from .training import (FeedbackCorpus, FeedbackEntry, LoopReport, align_win,
-                       brute_force_align, run_training_loop)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,6 +1,8 @@
 """Command-line surface: train, decode, eval, repl, loop, gen.
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error.  A command imports
+``training`` or ``gen`` in its own body if it runs them, so ``decode`` and
+``repl`` load neither.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from itertools import zip_longest
 from .concepts import ConceptDictionary
 from .dialog import merge_context
 from .errors import ChronusError, DataFormatError
-from . import gen as genmod
 from .lexicon import SuperwordLexicon
 from .model import (ConceptHmm, apply_synonym_smoothing, count_events,
                     full_vocabulary, load_model, load_synonyms,
@@ -24,7 +25,6 @@ from .pipeline import (Artifacts, answer, data_path, evaluate_corpus,
 from .query import plan_query
 from .template import Template, matched_fraction
 from .textfile import number, read_text
-from .training import FeedbackCorpus, run_training_loop
 
 
 class UsageError(Exception):
@@ -90,6 +90,8 @@ def _load_model(path, artifacts: Artifacts) -> ConceptHmm:
 # train
 
 def cmd_train(args, out) -> int:
+    from .training import FeedbackCorpus
+
     dictionary = ConceptDictionary.load(
         args.concepts if args.concepts else data_path("concepts.txt"))
     lexicon = SuperwordLexicon.load(
@@ -146,6 +148,8 @@ def cmd_decode(args, out) -> int:
 # eval
 
 def cmd_eval(args, out) -> int:
+    from .training import FeedbackCorpus
+
     artifacts = _load_artifacts(args)
     model = _load_model(args.model, artifacts)
     corpus = FeedbackCorpus.load(args.corpus)
@@ -198,6 +202,8 @@ def cmd_repl(args, out) -> int:
 # loop
 
 def cmd_loop(args, out) -> int:
+    from .training import FeedbackCorpus, run_training_loop
+
     artifacts = _load_artifacts(args)
     corpus = FeedbackCorpus.load(args.corpus)
     if args.model:
@@ -219,6 +225,8 @@ def cmd_loop(args, out) -> int:
 
 def cmd_gen(args, out) -> int:
     import os
+
+    from . import gen as genmod
 
     rng = random.Random(args.seed)
     os.makedirs(args.out, exist_ok=True)

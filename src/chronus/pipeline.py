@@ -12,7 +12,7 @@ one home, the conventions' ``reject_threshold``, which the CLI's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
 from .concepts import ConceptDictionary
 from .decoder import DecodeResult, viterbi_decode_lattice
@@ -24,9 +24,12 @@ from .query import (Answer, Conventions, MiniDb, execute, plan_query,
 from .template import Template, ValueTable, generate_template, should_reject
 
 
-def data_path(name: str):
+_DATA = Path(__file__).parent / "data"
+
+
+def data_path(name: str) -> Path:
     """Path of a bundled data file."""
-    return resources.files("chronus.data") / name
+    return _DATA / name
 
 
 @dataclass

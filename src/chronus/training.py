@@ -17,7 +17,6 @@ lattice.
 
 from __future__ import annotations
 
-import hashlib
 import weakref
 from collections import Counter
 from collections.abc import Iterable
@@ -197,6 +196,7 @@ class LoopReport:
 
 def _snapshot_id(model: ConceptHmm) -> str:
     """Hash of the model's text, which holds its probabilities only."""
+    import hashlib   # OpenSSL costs ~3.5 MB resident; only the loop needs it
     return hashlib.sha256(model_to_text(model).encode()).hexdigest()[:12]
 
 

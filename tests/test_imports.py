@@ -1,9 +1,20 @@
 """Package modules use one another only through public names, and so do
 the tools and the benchmark; each function the benchmark wraps is defined
-or called by name in the module where it is wrapped."""
+or called by name in the module where it is wrapped; each command imports
+only the stages it runs."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
+from importlib import resources
 from pathlib import Path
+
+import chronus
+from chronus.pipeline import data_path
+
+from helpers import TESTS_DATA
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "chronus"
 
@@ -90,3 +101,56 @@ def test_every_benchmark_wrap_point_is_defined_or_called_there():
         if not (defined or called):
             missing.append(f"{module}.{name}")
     assert missing == []
+
+
+# A child that records the modules it has before importing the CLI, runs
+# one command and prints the modules that command added, so modules that
+# the environment's ``site`` preloads never count.
+_FOOTPRINT = """
+import io, json, sys
+before = set(sys.modules)
+from chronus.cli import main
+rc = main(sys.argv[1:], out=io.StringIO())
+print(json.dumps({"rc": rc, "hashlib_before": "hashlib" in before,
+                  "new": sorted(set(sys.modules) - before)}))
+"""
+
+
+def _footprint(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(chronus.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["rc"] == 0, (argv, proc.stderr)
+    return result
+
+
+def test_each_command_imports_only_the_stages_it_runs(tmp_path):
+    model = str(tmp_path / "model.txt")
+    demo, semi = str(data_path("demo_corpus.txt")), str(data_path("semi_corpus.txt"))
+    runs = {
+        "train": ["train", "--corpus", demo, "--out", model],
+        "decode": ["decode", "--model", model, "SHOW ME FLIGHTS TO BOSTON"],
+        "repl": ["repl", "--model", model,
+                 "--script", str(TESTS_DATA / "repl_script1.txt")],
+        "eval": ["eval", "--model", model, "--corpus", demo],
+        "loop": ["loop", "--model", model, "--corpus", semi],
+    }
+    loaded = {name: _footprint(argv) for name, argv in runs.items()}
+    for name in ("decode", "repl"):
+        assert {"chronus.training", "chronus.gen", "hashlib"}.isdisjoint(
+            loaded[name]["new"]), name
+    for name in ("eval", "train"):
+        assert "hashlib" not in loaded[name]["new"], name
+    if not loaded["loop"]["hashlib_before"]:
+        assert "hashlib" in loaded["loop"]["new"]
+
+
+def test_data_path_names_the_bundled_file_that_resources_names():
+    folder = Path(chronus.__file__).parent / "data"
+    names = sorted(path.name for path in folder.iterdir() if path.is_file())
+    assert names
+    for name in names:
+        assert os.path.samefile(data_path(name),
+                                resources.files("chronus.data") / name), name
