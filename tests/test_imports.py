@@ -128,7 +128,8 @@ def _footprint(argv):
 
 def test_each_command_imports_only_the_stages_it_runs(tmp_path):
     model = str(tmp_path / "model.txt")
-    demo, semi = str(data_path("demo_corpus.txt")), str(data_path("semi_corpus.txt"))
+    demo = str(data_path("demo_corpus.txt"))
+    semi = str(data_path("semi_corpus.txt"))
     runs = {
         "train": ["train", "--corpus", demo, "--out", model],
         "decode": ["decode", "--model", model, "SHOW ME FLIGHTS TO BOSTON"],
