@@ -41,22 +41,20 @@ best, the one first in order of (concept index, incoming-arc key) wins,
 as if every candidate were examined in that order and only strictly
 better scores replaced the incumbent.  Passes run in arc-key order, so a
 tie replaces the incumbent exactly when its previous concept is smaller.
-The brute-force oracle reproduces the same rule globally.  On a
-degenerate input, where every labeling scores -inf, the decoder returns
-the oracle's first labeling: every arc gets the dictionary's first
-concept, on the path that starts from the first live arc into the end
-position, in arc-key order, and steps back each time to the first live
-arc into the current arc's start.  The two decoders can still differ
-where rounding splits them: two prefixes that meet in one cell an ulp
-apart may add up to one total, and the decoder keeps the strictly better
-prefix where the oracle takes its global first.  Constrained alignment
-shows this, and so do 2 of 2,000 random k = 0 instances from
-``random.Random(4242)``, pinned in the tests.  The oracle's enumerator,
-``exhaustive_search``, also backs the alignment oracle
-``training.brute_force_align``; constrained alignment itself
-(``training.align_win``) reads the same transition and emission vectors
-with the same first-maximum rule, over dense integer (concept, count
-code) states.
+The final sweep takes the first maximum in the same (concept, arc key)
+order.  So when two prefixes that meet in one cell an ulp apart reach one
+total, the larger prefix wins, as the cell kept it.  The brute-force
+oracle states this rule as a key over whole labelings and agrees with the
+decoder on labels, path and score, with no exception.  On a degenerate
+input, where every labeling scores -inf, the decoder returns the oracle's
+first labeling: every arc gets the dictionary's first concept, on the
+path that starts from the first live arc into the end position, in
+arc-key order, and steps back each time to the first live arc into the
+current arc's start.  The oracle's enumerator, ``exhaustive_search``,
+also backs the alignment oracle ``training.brute_force_align``;
+constrained alignment itself (``training.align_win``) reads the same
+transition and emission vectors with the same first-maximum rule, over
+dense integer (concept, count code) states.
 """
 
 from __future__ import annotations
@@ -66,7 +64,8 @@ from dataclasses import dataclass
 
 from .errors import ChronusError
 from .lexicon import Arc, Lattice, Superword, enumerate_path_arcs
-from .model import BEGIN, NEG_INF, ConceptHmm, SegmentedSentence, path_score
+from .model import BEGIN, NEG_INF, ConceptHmm, SegmentedSentence, prefix_scores
+from .model import path_score  # noqa: F401  (callers import it from here)
 
 
 class DecodeSizeError(ChronusError):
@@ -194,10 +193,14 @@ def exhaustive_search(model: ConceptHmm, lattice: Lattice, admit=None):
 
     Guarded against blowup: at most 6 concepts and path length 8.  Only
     labelings for which ``admit(labels)`` holds compete (all when
-    ``admit`` is None); returns None when none does.  Tie-breaking matches
-    viterbi_decode_lattice exactly: among equal scores, the candidate
-    minimizing the back-to-front sequence of (concept index, arc key)
-    pairs wins.
+    ``admit`` is None); returns None when none does.  Tie-breaking states
+    viterbi_decode_lattice's rule exactly: the candidate minimizing a
+    back-to-front key wins.  The last step is keyed (-total, concept
+    index, arc key), each earlier step (-prefix score through the later
+    cell, concept index, arc key), as the final sweep and then each
+    cell's back pointer choose.  When the total is -inf every step is
+    keyed by -inf, leaving the (concept, arc key) order of the decoder's
+    degenerate path.
     """
     names = model.dictionary.names
     if len(names) > MAX_ORACLE_CONCEPTS:
@@ -212,12 +215,15 @@ def exhaustive_search(model: ConceptHmm, lattice: Lattice, admit=None):
         for labels in itertools.product(names, repeat=len(path)):
             if admit is not None and not admit(labels):
                 continue
-            score = path_score(model, path, labels)
+            scores = prefix_scores(model, path, labels)
+            score = scores[-1]
             if best is not None and score < best[0]:
                 continue
-            key = tuple((model.dictionary.index(c), a.key())
-                        for a, c in zip(reversed(path), reversed(labels)))
-            if best is None or score > best[0] or key < best_key:
+            later = scores[1:] if score > NEG_INF else scores[-1:] * len(path)
+            key = tuple((-s, model.dictionary.index(c), a.key())
+                        for s, c, a in zip(reversed(later), reversed(labels),
+                                           reversed(path)))
+            if best is None or key < best_key:
                 best, best_key = (score, path, labels), key
     return best
 

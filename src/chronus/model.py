@@ -455,10 +455,13 @@ def _share_columns(table, members):
                                    row.default, row.columns)
 
 
-def path_score(model: ConceptHmm, arcs_or_superwords, labels) -> float:
-    """log P(W, C) of one symbol sequence (arcs or superwords) under one
-    labeling; -inf for impossible events."""
-    logp = 0.0
+def prefix_scores(model: ConceptHmm, arcs_or_superwords, labels) -> list:
+    """The running log P(W, C) of one symbol sequence (arcs or superwords)
+    under one labeling: after each step, its init or transition term and
+    then its emission, and last after the final transition, so the last
+    entry is the total (the only one, -inf, for an empty sequence); -inf
+    once an event is impossible."""
+    scores, logp = [], 0.0
     prev = None
     prev_sym = BEGIN
     for word, label in zip(arcs_or_superwords, labels):
@@ -470,8 +473,16 @@ def path_score(model: ConceptHmm, arcs_or_superwords, labels) -> float:
         else:
             logp += model.trans_into[c][prev]
         logp += model.emissions(prev_sym if c == prev else BEGIN, word.sym)[c]
+        scores.append(logp)
         prev, prev_sym = c, word.sym
-    return logp + (NEG_INF if prev is None else model.final_vec[prev])
+    scores.append(NEG_INF if prev is None else logp + model.final_vec[prev])
+    return scores
+
+
+def path_score(model: ConceptHmm, arcs_or_superwords, labels) -> float:
+    """log P(W, C) of one symbol sequence (arcs or superwords) under one
+    labeling; -inf for impossible events."""
+    return prefix_scores(model, arcs_or_superwords, labels)[-1]
 
 
 # ---------------------------------------------------------------------------

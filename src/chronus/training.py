@@ -12,7 +12,7 @@ begun, held in flat lists.  It reads the model's concept-indexed tables,
 like the lattice decoder, and keeps its first-maximum tie rule.  Its
 search plan is built once per model and win multiset.  Its brute-force
 oracle runs the decoder oracle's enumerator on the sentence's chain
-lattice.
+lattice, whose tie key states that rule, so the two return one labeling.
 """
 
 from __future__ import annotations
@@ -346,12 +346,9 @@ def align_win(sentence, win_tokens: Iterable[str],
     of 100 generated instances against the recovery model take about
     70 KiB.
 
-    The result is the labeling brute_force_align returns unless rounding
-    creates a tie: two prefixes that meet in one state can differ by an
-    ulp and still reach one total once the later terms, at the latest the
-    final transition, are added.  This search then keeps the strictly
-    better prefix, while the oracle takes the first labeling in its
-    global order.
+    The result is the labeling brute_force_align returns, also when two
+    prefixes that meet in one state an ulp apart reach one total: this
+    search keeps the larger prefix, and the oracle's tie key prefers it.
     """
     dictionary = model.dictionary
     words = tuple(sentence)

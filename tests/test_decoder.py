@@ -219,27 +219,23 @@ def test_degenerate_lattices_give_the_oracles_first_labeling():
     assert degenerate >= 50
 
 
-def test_rounding_splits_decoder_and_oracle_on_two_known_instances():
-    # the one licensed difference: two prefixes that meet in one cell an
-    # ulp apart reach one total; the decoder keeps the strictly better
-    # prefix, the oracle the first labeling in its global order
+def test_rounding_ties_go_to_the_larger_prefix_in_decoder_and_oracle():
+    # two prefixes that meet in one cell an ulp apart reach one total; the
+    # decoder keeps the strictly larger prefix, and so does the oracle's key
     rng = random.Random(4242)
-    split = {}
+    labels = {}
     for n in range(1564):
         model = random_trained_model(rng, k=0.0)
         lattice = random_lattice(rng, model)
         if n in (1241, 1563):
             fast = viterbi_decode_lattice(model, lattice)
             slow = brute_force_decode(model, lattice)
-            assert repr(fast.log_prob) == repr(slow.log_prob)
-            assert fast.words == slow.words and not fast.degenerate
-            split[n] = (" ".join(w.sym for w in fast.words),
-                        fast.labels, slow.labels)
-    assert split == {
-        1241: ("w0 w0 w3", ("c2", "dummy", "c0"), ("dummy", "c2", "c0")),
-        1563: ("w1 w1 w5 w5", ("c2", "and", "c2", "c0"),
-               ("and", "dummy", "c2", "c0")),
-    }
+            assert (fast.labels, fast.words, repr(fast.log_prob)) == (
+                slow.labels, slow.words, repr(slow.log_prob))
+            assert not fast.degenerate
+            labels[n] = fast.labels
+    assert labels == {1241: ("c2", "dummy", "c0"),
+                      1563: ("c2", "and", "c2", "c0")}
 
 
 def test_degenerate_flag_when_nothing_has_probability(artifacts):

@@ -2,7 +2,6 @@ import gc
 import hashlib
 import random
 import weakref
-from collections import Counter
 
 import pytest
 
@@ -11,7 +10,7 @@ from chronus.errors import ChronusError
 from chronus.gen import (alignment_corpus, make_recovery_model,
                          synthetic_dictionary)
 from chronus.lexicon import Arc, Lattice, parse_superword
-from chronus.model import (BEGIN, SegmentedSentence, count_events,
+from chronus.model import (SegmentedSentence, count_events,
                            model_from_text, model_to_text, path_score,
                            train_mle)
 from chronus.query import Answer
@@ -255,30 +254,11 @@ def test_alignment_infeasibility_matches_brute_force():
     assert 0 < infeasible < 100
 
 
-def _prefix_states(model, words, labels):
-    """Per word of one labeling, its alignment state (concept, folded counts
-    of the segments begun so far) and its prefix score, summed as
-    path_score sums it."""
-    dictionary = model.dictionary
-    counts, states, score = Counter(), [], 0.0
-    prev, prev_sym = None, BEGIN
-    for word, label in zip(words, labels):
-        c = dictionary.index(label)
-        score += model.init_vec[c] if prev is None else model.trans_into[c][prev]
-        score += model.emissions(prev_sym if c == prev else BEGIN, word.sym)[c]
-        if c != prev and (keyword := dictionary[label].keyword) is not None:
-            counts[keyword] += 1
-        states.append(((c, tuple(sorted(counts.items()))), score))
-        prev, prev_sym = c, word.sym
-    return states
-
-
 def test_align_win_matches_brute_force_exactly_under_heavy_ties():
-    # the one licensed difference: two prefixes that meet in one state an
-    # ulp apart can round to one total; align_win keeps the strictly
-    # better prefix, the oracle the first labeling in its global order
+    # the seed's draw 30 is a rounding tie: two prefixes that meet in one
+    # state an ulp apart reach one total, and both keep the larger prefix
     rng = random.Random(8080)
-    compared = rounding_ties = 0
+    compared = 0
     for _ in range(300):
         model = tie_heavy_model(rng)
         concepts = [c.name for c in model.dictionary
@@ -293,17 +273,11 @@ def test_align_win_matches_brute_force_exactly_under_heavy_ties():
                 align_win(words, win, model)
             continue
         fast = align_win(words, win, model)
+        assert fast.labels == slow.labels
         assert repr(path_score(model, fast.words, fast.labels)) == repr(
             path_score(model, slow.words, slow.labels))
         compared += 1
-        if fast.labels != slow.labels:
-            rounding_ties += 1
-            assert any(f_state == s_state and f_score > s_score
-                       for (f_state, f_score), (s_state, s_score) in zip(
-                           _prefix_states(model, words, fast.labels),
-                           _prefix_states(model, words, slow.labels)))
     assert compared >= 60
-    assert rounding_ties <= 2
 
 
 def test_alignment_oracle_breaks_ties_like_decode_oracle():
