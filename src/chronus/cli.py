@@ -24,7 +24,7 @@ from .pipeline import (Artifacts, answer, data_path, evaluate_corpus,
                        run_turn, understand)
 from .query import plan_query
 from .template import Template, matched_fraction
-from .textfile import number, read_text
+from .textfile import number, read_lines
 
 
 class UsageError(Exception):
@@ -47,22 +47,29 @@ def _number(kind, lo, hi=math.inf):
     return parse
 
 
+# the artifact file options, in the order Artifacts.load takes them
+_ARTIFACTS = ("lexicon", "concepts", "values", "db", "conventions")
+
+
 def _add_artifact_args(p):
-    for name in ("lexicon", "concepts", "values", "db", "conventions"):
+    for name in _ARTIFACTS:
         p.add_argument(f"--{name}", default=None,
                        help=f"{name} file (default: bundled demo {name})")
     p.add_argument("--threshold", type=_number(float, 0.0, 1.0), default=None,
                    help="rejection threshold (default: the conventions')")
 
 
+def _given(path, name):
+    """A path option's value, or the bundled ``name`` file when the option
+    is absent; a given path is always opened, even an empty one."""
+    return path if path is not None else data_path(f"{name}.txt")
+
+
 def _load_artifacts(args) -> Artifacts:
     """The artifacts the arguments name; a given ``--threshold`` replaces
     the conventions' rejection threshold."""
-    def pick(name):
-        given = getattr(args, name)
-        return given if given is not None else data_path(f"{name}.txt")
-    artifacts = Artifacts.load(pick("lexicon"), pick("concepts"),
-                               pick("values"), pick("db"), pick("conventions"))
+    artifacts = Artifacts.load(*(_given(getattr(args, name), name)
+                                 for name in _ARTIFACTS))
     if args.threshold is not None:
         artifacts.db.conventions.reject_threshold = args.threshold
     return artifacts
@@ -92,10 +99,8 @@ def _load_model(path, artifacts: Artifacts) -> ConceptHmm:
 def cmd_train(args, out) -> int:
     from .training import FeedbackCorpus
 
-    dictionary = ConceptDictionary.load(
-        args.concepts if args.concepts else data_path("concepts.txt"))
-    lexicon = SuperwordLexicon.load(
-        args.lexicon if args.lexicon else data_path("lexicon.txt"))
+    dictionary = ConceptDictionary.load(_given(args.concepts, "concepts"))
+    lexicon = SuperwordLexicon.load(_given(args.lexicon, "lexicon"))
     corpus = []
     for path in args.corpus:
         corpus.extend(FeedbackCorpus.load(path).seed_segmentations())
@@ -103,14 +108,14 @@ def cmd_train(args, out) -> int:
         raise ChronusError("training corpus has no gold segmentations")
     counts = count_events(corpus, dictionary, full_vocabulary(lexicon, corpus))
     model = train_mle(counts, args.k)
-    if args.synonyms:
+    if args.synonyms is not None:
         model = apply_synonym_smoothing(model, load_synonyms(
             args.synonyms, model.dictionary, model.vocab), counts)
         for name, row in model.rows():
             if not row.normalized():
                 raise ChronusError(f"row {name} is no longer normalized")
     save_model(model, args.out)   # before any output: a failed save prints none
-    if args.synonyms:
+    if args.synonyms is not None:
         print("synonyms applied; all rows normalized", file=out)
     print(f"rows\t{model.row_count()}", file=out)
     print(f"nonzero\t{counts.nonzero_bigrams()}", file=out)
@@ -165,8 +170,8 @@ def cmd_repl(args, out) -> int:
     artifacts = _load_artifacts(args)
     model = _load_model(args.model, artifacts)
     context = Template()
-    if args.script:
-        lines = read_text(args.script).split("\n")
+    if args.script is not None:
+        lines = read_lines(args.script)
         echo = True
     else:
         lines = (line.rstrip("\n") for line in sys.stdin)
@@ -206,7 +211,7 @@ def cmd_loop(args, out) -> int:
 
     artifacts = _load_artifacts(args)
     corpus = FeedbackCorpus.load(args.corpus)
-    if args.model:
+    if args.model is not None:
         model = _load_model(args.model, artifacts)
     else:
         seed = corpus.seed_segmentations()
@@ -215,7 +220,7 @@ def cmd_loop(args, out) -> int:
                           args.k)
     model, report = run_training_loop(corpus, model, artifacts, args.max_iters)
     print(report.to_text(), end="", file=out)
-    if args.out:
+    if args.out is not None:
         save_model(model, args.out)
     return 0
 

@@ -7,7 +7,7 @@ from itertools import groupby
 from dataclasses import dataclass, field
 
 from .errors import DataFormatError
-from .textfile import number, read_text, records
+from .textfile import number, read_lines, records
 
 ROLES = ("question", "subject", "restriction", "attribute", "special")
 
@@ -127,4 +127,4 @@ class ConceptDictionary:
 
     @classmethod
     def load(cls, path):
-        return cls.from_lines(read_text(path).split("\n"), path=str(path))
+        return cls.from_lines(read_lines(path), path=str(path))

@@ -219,6 +219,7 @@ def exhaustive_search(model: ConceptHmm, lattice: Lattice, admit=None):
             score = scores[-1]
             if best is not None and score < best[0]:
                 continue
+            # per step, the score through the next cell (the total last)
             later = scores[1:] if score > NEG_INF else scores[-1:] * len(path)
             key = tuple((-s, model.dictionary.index(c), a.key())
                         for s, c, a in zip(reversed(later), reversed(labels),

@@ -14,7 +14,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ChronusError, DataFormatError
-from .textfile import read_text, records
+from .textfile import read_lines, records
 
 UNKNOWN = "<UNK>"
 
@@ -318,7 +318,7 @@ class SuperwordLexicon:
 
     @classmethod
     def load(cls, path):
-        return cls.from_lines(read_text(path).split("\n"), path=str(path))
+        return cls.from_lines(read_lines(path), path=str(path))
 
     @classmethod
     def from_lines(cls, lines, path=None):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .concepts import ConceptDictionary, parse_concept
 from .errors import ChronusError, DataFormatError
 from .lexicon import parse_superword
-from .textfile import number, read_text, records
+from .textfile import number, read_lines, read_text, records
 
 BEGIN = "<s>"    # begin-of-segment marker / initial-state row
 FINAL = "</s>"   # final-state column
@@ -400,7 +400,7 @@ def load_synonyms(path, dictionary: ConceptDictionary, vocab):
     its line."""
     vocab = set(vocab)
     groups, seen = {}, {}   # concept -> word groups; -> words so far
-    for ln, section, line in records(read_text(path).split("\n"), path):
+    for ln, section, line in records(read_lines(path), path):
         if line is None:
             raise DataFormatError(f"unknown section [{section}]", path, ln)
         fields = line.split("\t")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import ChronusError, DataFormatError
 from .template import Template
-from .textfile import number, read_text, records, section_name
+from .textfile import number, read_lines, records, section_name
 
 SCHEMAS = {
     "flight": ("flight_id", "airline", "number", "from_city", "to_city",
@@ -47,7 +47,7 @@ class Conventions:
     @classmethod
     def load(cls, path):
         time_ranges, defaults = {}, {}   # unset defaults: the constructor's
-        for ln, section, line in records(read_text(path).split("\n"), path):
+        for ln, section, line in records(read_lines(path), path):
             if line is None:
                 continue
             parts = line.split("\t")
@@ -104,8 +104,8 @@ class MiniDb:
         tables = {name: [] for name in SCHEMAS}
         keys = {name: {} for name in SCHEMAS}   # per table: key -> its line
         table = None
-        lines = read_text(path).split("\n")
-        for ln, section, line in records(lines, path, "chronus-db v1"):
+        for ln, section, line in records(read_lines(path), path,
+                                         "chronus-db v1"):
             if line is None:
                 table = section_name(section, "table", path, ln)
                 if table not in SCHEMAS:

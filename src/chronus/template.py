@@ -21,7 +21,7 @@ from .concepts import ConceptDictionary
 from .errors import ChronusError, DataFormatError
 from .lexicon import is_grammar_sym, parse_superword
 from .model import SegmentedSentence
-from .textfile import read_text, records, section_name
+from .textfile import read_lines, records, section_name
 
 CATEGORIES = ("item", "attribute", "logic", "operator")
 TAKE_VALUE = "*"
@@ -133,8 +133,7 @@ class ValueTable:
 
     @classmethod
     def load(cls, path, dictionary: ConceptDictionary):
-        return cls.from_lines(read_text(path).split("\n"), dictionary,
-                              path=str(path))
+        return cls.from_lines(read_lines(path), dictionary, path=str(path))
 
     @classmethod
     def from_lines(cls, lines, dictionary: ConceptDictionary, path=None):

@@ -14,16 +14,21 @@ from .errors import DataFormatError
 
 def read_text(path):
     """The text of the UTF-8 file at ``path``; bytes that are not UTF-8
-    are a DataFormatError naming the file.  ``split("\\n")`` gives its
-    lines as iterating the open file does, so ``records`` numbers them
-    alike; ``splitlines()`` would also split at form feeds and Unicode
-    line breaks."""
+    are a DataFormatError naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"not UTF-8 text ({exc.reason})",
                               str(path)) from None
+
+
+def read_lines(path):
+    """The lines of the UTF-8 file at ``path``, split at newlines only, as
+    iterating the open file splits them, so ``records`` numbers them
+    alike; ``splitlines()`` would also split at form feeds and Unicode
+    line breaks, inside a field."""
+    return read_text(path).split("\n")
 
 
 def records(lines, path=None, magic=None):

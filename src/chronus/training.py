@@ -29,7 +29,7 @@ from .model import (BEGIN, NEG_INF, ConceptHmm, SegmentedSentence,
                     count_events, model_to_text, train_mle)
 from .pipeline import Artifacts, run_turn, verdict
 from .query import Answer
-from .textfile import read_text, records, section_name
+from .textfile import read_lines, records, section_name
 
 
 class AlignmentInfeasibleError(ChronusError):
@@ -86,7 +86,7 @@ class FeedbackCorpus:
 
     @classmethod
     def load(cls, path):
-        return cls.from_lines(read_text(path).split("\n"), path=str(path))
+        return cls.from_lines(read_lines(path), path=str(path))
 
     @classmethod
     def from_lines(cls, lines, path=None):

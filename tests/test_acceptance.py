@@ -8,8 +8,6 @@ import io
 import random
 import time
 
-import pytest
-
 from chronus.cli import main
 from chronus.decoder import brute_force_decode, viterbi_decode, \
     viterbi_decode_lattice
@@ -40,7 +38,7 @@ def test_criterion_1_decoder_matches_exhaustive_search():
         fast = viterbi_decode_lattice(model, lattice)
         slow = brute_force_decode(model, lattice)
         same = (fast.labels == slow.labels and fast.words == slow.words
-                and fast.log_prob == pytest.approx(slow.log_prob, abs=1e-9))
+                and repr(fast.log_prob) == repr(slow.log_prob))
         mismatches += 0 if same else 1
     elapsed = time.monotonic() - started
     _verdict(1, "decoder oracle equivalence",
@@ -165,9 +163,9 @@ def test_criterion_6_win_alignment():
         for words, win, _gold in alignment_corpus(small, rng, 2, max_len=6):
             fast = align_win(words, win, small)
             slow = brute_force_align(words, win, small)
-            oracle_ok = oracle_ok and abs(
-                path_score(small, fast.words, fast.labels)
-                - path_score(small, slow.words, slow.labels)) <= 1e-9
+            oracle_ok = oracle_ok and fast.labels == slow.labels and repr(
+                path_score(small, fast.words, fast.labels)) == repr(
+                path_score(small, slow.words, slow.labels))
             checked += 1
     _verdict(6, "constrained alignment",
              exact / len(triples) >= 0.90 and oracle_ok)

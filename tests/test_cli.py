@@ -295,6 +295,25 @@ def test_file_that_is_not_utf8_is_a_data_error_naming_it(
         f"data error: {bad}: not UTF-8 text (invalid start byte)\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--corpus", DEMO_CORPUS, "--concepts", "", "--out", "{dir}/m"],
+    ["train", "--corpus", DEMO_CORPUS, "--lexicon", "", "--out", "{dir}/m"],
+    ["train", "--corpus", DEMO_CORPUS, "--synonyms", "", "--out", "{dir}/m"],
+    ["loop", "--corpus", SEMI_CORPUS, "--model", ""],
+    ["loop", "--corpus", SEMI_CORPUS, "--out", ""],
+    ["repl", "--model", "{model}", "--script", ""],
+], ids=["train-concepts", "train-lexicon", "train-synonyms", "loop-model",
+        "loop-out", "repl-script"])
+def test_an_empty_path_option_is_opened_not_ignored(
+        argv, tmp_path, capsys, demo_model_path):
+    names = {"model": demo_model_path, "dir": str(tmp_path)}
+    rc, _ = run_cli([arg.format(**names) for arg in argv])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "data error: [Errno 2] No such file or directory: ''\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_calls_in_one_process_share_one_parser_and_no_state(
         demo_model_path, tmp_path, monkeypatch, capsys):
     model = ["--model", demo_model_path]

@@ -92,7 +92,7 @@ def test_viterbi_matches_brute_force_on_random_instances():
         slow = brute_force_decode(model, lattice)
         assert fast.labels == slow.labels
         assert fast.words == slow.words
-        assert fast.log_prob == pytest.approx(slow.log_prob, abs=1e-9)
+        assert repr(fast.log_prob) == repr(slow.log_prob)
         assert fast.degenerate == slow.degenerate
 
 

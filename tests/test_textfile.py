@@ -98,6 +98,17 @@ def _at(text, line):
     return text, text.splitlines().index(line) + 1
 
 
+def _break_in_field(name, line, new):
+    """Bundled file ``name`` with its line ``line`` replaced by ``new``,
+    which holds a line-break character other than newline inside a field,
+    and its line number: a reader that split ``new`` there would report
+    another line or message."""
+    lines = data_path(name).read_text(encoding="utf-8").split("\n")
+    at = lines.index(line)
+    lines[at] = new
+    return "\n".join(lines), at + 1
+
+
 FIRST_BIGRAM = f"[bigram {make_recovery_model().dictionary.names[0]}]"
 CORPUS = "[sentence x01]\ntext\tSHOW\ngold\tSHOW:question\n"
 
@@ -187,6 +198,9 @@ MALFORMED = [
      _bundled("db.txt", "chronus-db v1",
               "f99\tAA\t999\tBBOS\tDDFW\t480\t720\tDC10\tNONE"),
      "row before any [table] header"),
+    ("db-line-break-in-a-field", "--db",
+     _break_in_field("db.txt", "[table fare]", "[table fa\x0cre]"),
+     "unknown table 'fa\\x0cre'"),
     ("db-column-count", "--db",
      _bundled("db.txt", "[table flight]", "f99\tAA\t999"),
      "expected 9 columns in flight"),
@@ -230,6 +244,10 @@ MALFORMED = [
      _bundled("values.txt", "CONTINENTAL\tCO\titem", "AMERICAN\t*\titem"),
      "airline: pattern AMERICAN takes its slot's value (*) but has no "
      "grammar slot"),
+    ("values-line-break-in-a-field", "--values",
+     _break_in_field("values.txt", "CONTINENTAL\tCO\titem",
+                     "CONTINENTAL\tCO\tit\x0cem"),
+     "unknown category 'it\\x0cem'"),
     ("values-field-count", "--values",
      _bundled("values.txt", "[concept question]", "HOW MUCH\tdisplay"),
      "expected PATTERN<TAB>value<TAB>category"),
@@ -251,6 +269,10 @@ MALFORMED = [
     ("conventions-repeated-default", "--conventions",
      _bundled("conventions.txt", "reject-threshold\t0.75", "subject\tfare"),
      "repeated default 'subject'"),
+    ("conventions-line-break-in-a-field", "--conventions",
+     _break_in_field("conventions.txt", "subject\tflight",
+                     "subject\tfl\u2028ight"),
+     "no table rule for subject 'fl\\u2028ight'"),
     ("conventions-line", "--conventions",
      _bundled("conventions.txt", "[time]", "noon\t720"),
      "bad conventions line"),
@@ -297,6 +319,10 @@ MALFORMED = [
     ("concepts-field-count", "--concepts",
      _bundled("concepts.txt", "subject\tsubject\t1", "extra\tsubject"),
      "expected name<TAB>role<TAB>rank[<TAB>counterpart]"),
+    ("concepts-line-break-in-a-field", "--concepts",
+     _break_in_field("concepts.txt", "subject\tsubject\t1",
+                     "subject\tsub\x0cject\t1"),
+     "unknown role 'sub\\x0cject' for concept subject"),
     ("concepts-section", "--concepts",
      _bundled("concepts.txt", "subject\tsubject\t1", "[x]"),
      "unknown section [x]"),
@@ -333,6 +359,9 @@ MALFORMED = [
      _at(data_path("lexicon.txt").read_text(encoding="utf-8").replace(
          "normalize\tjoin", "normalize\tnope"), "normalize\tnope"),
      "grammar city: unknown normalizer 'nope'"),
+    ("lexicon-line-break-in-a-field", "--lexicon",
+     _break_in_field("lexicon.txt", "normalize\tjoin", "normalize\tjo\u2028in"),
+     "grammar city: unknown normalizer 'jo\\u2028in'"),
     ("lexicon-normalize-twice", "--lexicon",
      _bundled("lexicon.txt", "normalize\tjoin", "normalize\tdigits"),
      "grammar city: normalize given twice"),
@@ -355,6 +384,9 @@ MALFORMED = [
     ("synonyms-unknown-concept", "--synonyms",
      ("origin\tDEPART(S)\tLEAVE(S)\nnosuch\tDEPART(S)\tLEAVE(S)\n", 2),
      "unknown concept 'nosuch'"),
+    ("synonyms-line-break-in-a-field", "--synonyms",
+     ("origin\tDEPART(S)\tLEA\u2028VE(S)\n", 1),
+     "word not in vocabulary: 'LEA\\u2028VE(S)'"),
     ("synonyms-section", "--synonyms",
      ("origin\tDEPART(S)\tLEAVE(S)\n[groups]\n", 2),
      "unknown section [groups]"),
