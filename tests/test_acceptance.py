@@ -148,7 +148,6 @@ def test_criterion_6_win_alignment():
     model = make_recovery_model()
     triples = alignment_corpus(model, random.Random(1), 200, max_len=8)
     from chronus.training import align_win, brute_force_align
-    from chronus.model import path_score
 
     exact = 0
     for words, win, gold in triples:
@@ -163,9 +162,7 @@ def test_criterion_6_win_alignment():
         for words, win, _gold in alignment_corpus(small, rng, 2, max_len=6):
             fast = align_win(words, win, small)
             slow = brute_force_align(words, win, small)
-            oracle_ok = oracle_ok and fast.labels == slow.labels and repr(
-                path_score(small, fast.words, fast.labels)) == repr(
-                path_score(small, slow.words, slow.labels))
+            oracle_ok = oracle_ok and fast.labels == slow.labels
             checked += 1
     _verdict(6, "constrained alignment",
              exact / len(triples) >= 0.90 and oracle_ok)
