@@ -219,9 +219,9 @@ def cmd_loop(args, out) -> int:
         model = train_mle(count_events(seed, artifacts.dictionary, vocab),
                           args.k)
     model, report = run_training_loop(corpus, model, artifacts, args.max_iters)
-    print(report.to_text(), end="", file=out)
     if args.out is not None:
         save_model(model, args.out)
+    print(report.to_text(), end="", file=out)
     return 0
 
 
@@ -305,9 +305,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("loop", help="semi-supervised training from answers")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--model", default=None,
-                   help="seed model (default: train from corpus golds)")
-    p.add_argument("--k", type=_number(float, 0.0), default=0.001)
+    seed = p.add_mutually_exclusive_group()   # a seed model has its own k
+    seed.add_argument("--model", default=None,
+                      help="seed model (default: train from corpus golds)")
+    seed.add_argument("--k", type=_number(float, 0.0), default=0.001)
     p.add_argument("--max-iters", dest="max_iters", type=_number(int, 1),
                    default=20)
     p.add_argument("--out", default=None)

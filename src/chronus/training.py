@@ -195,9 +195,23 @@ class LoopReport:
 
 
 def _snapshot_id(model: ConceptHmm) -> str:
-    """Hash of the model's text, which holds its probabilities only."""
-    import hashlib   # OpenSSL costs ~3.5 MB resident; only the loop needs it
-    return hashlib.sha256(model_to_text(model).encode()).hexdigest()[:12]
+    """Hash of the model's text, which holds its probabilities only: the
+    first 12 hex digits of its SHA-256.
+
+    The digest comes from CPython's built-in SHA-256 module (``_sha2``
+    from 3.12, ``_sha256`` before), not from ``hashlib``, which loads
+    OpenSSL, about 3.5 MB resident, for two hashes per loop iteration.
+    SHA-256 is one function, so the ids are those ``hashlib`` gives;
+    ``hashlib`` remains the fallback for an interpreter built without
+    either module."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(model_to_text(model).encode()).hexdigest()[:12]
 
 
 def run_training_loop(corpus: FeedbackCorpus, seed_model: ConceptHmm,

@@ -235,6 +235,9 @@ BAD_INVOCATIONS = [
      1, "usage error: argument --k: value -0.5 is not in [0.0, inf]"),
     ("loop-k-nan", ["loop", "--corpus", SEMI_CORPUS, "--k", "nan"],
      1, "usage error: argument --k: value nan is not in [0.0, inf]"),
+    ("loop-model-and-k",
+     ["loop", "--corpus", SEMI_CORPUS, "--model", "{file}", "--k", "0.5"],
+     1, "usage error: argument --k: not allowed with argument --model"),
     ("loop-max-iters-zero",
      ["loop", "--corpus", SEMI_CORPUS, "--max-iters", "0"],
      1, "usage error: argument --max-iters: value 0 is not in [1, inf]"),
@@ -252,6 +255,10 @@ BAD_INVOCATIONS = [
      2, "data error: [Errno 21] Is a directory: '{dir}'"),
     ("decode-model-directory", ["decode", "--model", "{dir}", "SHOW"],
      2, "data error: [Errno 21] Is a directory: '{dir}'"),
+    ("loop-out-in-missing-directory",
+     ["loop", "--corpus", SEMI_CORPUS, "--out", "{dir}/missing/m.txt"],
+     2, "data error: [Errno 2] No such file or directory: "
+        "'{dir}/missing/m.txt'"),
     ("gen-out-existing-file", ["gen", "recovery", "--out", "{file}"],
      2, "data error: [Errno 17] File exists: '{file}'"),
 ]
