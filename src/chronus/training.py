@@ -200,7 +200,7 @@ def _snapshot_id(model: ConceptHmm) -> str:
 
     The digest comes from CPython's built-in SHA-256 module (``_sha2``
     from 3.12, ``_sha256`` before), not from ``hashlib``, which loads
-    OpenSSL, about 3.5 MB resident, for two hashes per loop iteration.
+    OpenSSL, about 3.5 MB resident, for one hash per loop iteration.
     SHA-256 is one function, so the ids are those ``hashlib`` gives;
     ``hashlib`` remains the fallback for an interpreter built without
     either module."""
