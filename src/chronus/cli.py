@@ -93,17 +93,31 @@ def _load_model(path, artifacts: Artifacts) -> ConceptHmm:
     return model
 
 
+def _load_corpus(path, dictionary: ConceptDictionary):
+    """The feedback corpus at ``path``, each of whose gold labels must be a
+    concept of ``dictionary``; an entry with another is a data error at
+    its ``[sentence]`` line."""
+    from .training import FeedbackCorpus
+
+    corpus = FeedbackCorpus.load(path)
+    for entry in corpus.entries:
+        for label in entry.gold.labels if entry.gold is not None else ():
+            if label not in dictionary:
+                raise DataFormatError(
+                    f"sentence {entry.ident}: segmentation label not in "
+                    f"concept dictionary: {label!r}", path, entry.line)
+    return corpus
+
+
 # ---------------------------------------------------------------------------
 # train
 
 def cmd_train(args, out) -> int:
-    from .training import FeedbackCorpus
-
     dictionary = ConceptDictionary.load(_given(args.concepts, "concepts"))
     lexicon = SuperwordLexicon.load(_given(args.lexicon, "lexicon"))
     corpus = []
     for path in args.corpus:
-        corpus.extend(FeedbackCorpus.load(path).seed_segmentations())
+        corpus.extend(_load_corpus(path, dictionary).seed_segmentations())
     if not corpus:
         raise ChronusError("training corpus has no gold segmentations")
     counts = count_events(corpus, dictionary, full_vocabulary(lexicon, corpus))
@@ -153,11 +167,9 @@ def cmd_decode(args, out) -> int:
 # eval
 
 def cmd_eval(args, out) -> int:
-    from .training import FeedbackCorpus
-
     artifacts = _load_artifacts(args)
     model = _load_model(args.model, artifacts)
-    corpus = FeedbackCorpus.load(args.corpus)
+    corpus = _load_corpus(args.corpus, artifacts.dictionary)
     report = evaluate_corpus(corpus, model, artifacts)
     print(report.render(), file=out)
     return 0
@@ -207,10 +219,10 @@ def cmd_repl(args, out) -> int:
 # loop
 
 def cmd_loop(args, out) -> int:
-    from .training import FeedbackCorpus, run_training_loop
+    from .training import run_training_loop
 
     artifacts = _load_artifacts(args)
-    corpus = FeedbackCorpus.load(args.corpus)
+    corpus = _load_corpus(args.corpus, artifacts.dictionary)
     if args.model is not None:
         model = _load_model(args.model, artifacts)
     else:

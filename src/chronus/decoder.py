@@ -68,10 +68,6 @@ from .model import BEGIN, NEG_INF, ConceptHmm, SegmentedSentence, prefix_scores
 from .model import path_score  # noqa: F401  (callers import it from here)
 
 
-class DecodeSizeError(ChronusError):
-    """Brute-force oracle guard tripped."""
-
-
 @dataclass
 class DecodeResult:
     labels: tuple
@@ -204,11 +200,11 @@ def exhaustive_search(model: ConceptHmm, lattice: Lattice, admit=None):
     """
     names = model.dictionary.names
     if len(names) > MAX_ORACLE_CONCEPTS:
-        raise DecodeSizeError(f"more than {MAX_ORACLE_CONCEPTS} concepts")
+        raise ChronusError(f"more than {MAX_ORACLE_CONCEPTS} concepts")
     paths = enumerate_path_arcs(lattice)
     for p in paths:
         if len(p) > MAX_ORACLE_PATH_LEN:
-            raise DecodeSizeError(f"path longer than {MAX_ORACLE_PATH_LEN}")
+            raise ChronusError(f"path longer than {MAX_ORACLE_PATH_LEN}")
 
     best = best_key = None
     for path in paths:

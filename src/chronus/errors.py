@@ -15,5 +15,3 @@ class DataFormatError(ChronusError):
         if line is not None:
             loc = f"{loc}{line}:"
         super().__init__(f"{loc} {message}" if loc else message)
-        self.path = path
-        self.line = line

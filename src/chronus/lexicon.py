@@ -22,22 +22,6 @@ _TOKEN_RE = re.compile(r"[A-Z0-9']+")
 _SUPERWORD_RE = re.compile(r"^\(\((\w[\w-]*)\)(.*)\)$")
 
 
-class LexiconError(ChronusError):
-    pass
-
-
-class LexiconDataError(DataFormatError, LexiconError):
-    """Lexicon records that contradict each other."""
-
-
-class EmptyAfterDeletionError(LexiconError):
-    """All tokens of the sentence were stop words."""
-
-
-class LatticeError(ChronusError):
-    pass
-
-
 def tokenize(sentence: str):
     """Uppercase and split on whitespace, stripping punctuation except apostrophes."""
     return _TOKEN_RE.findall(sentence.upper())
@@ -112,20 +96,20 @@ class Lattice:
     def __init__(self, n_positions: int, arcs):
         arcs = tuple(sorted(arcs, key=_SPAN_SYM))
         if n_positions < 1:
-            raise LatticeError("lattice needs at least one token position")
+            raise ChronusError("lattice needs at least one token position")
         last = None   # sorted, so a repeated triple follows its first
         incoming = {}
         for i, a in enumerate(arcs):  # start-major: a single pass suffices
             start, end, sym, _ = a
             if not (0 <= start < end <= n_positions):
-                raise LatticeError(f"arc {a} out of bounds for n={n_positions}")
+                raise ChronusError(f"arc {a} out of bounds for n={n_positions}")
             if (start, end, sym) == last:
-                raise LatticeError(f"duplicate arc {last}")
+                raise ChronusError(f"duplicate arc {last}")
             last = start, end, sym
             if start == 0 or start in incoming:
                 incoming.setdefault(end, []).append(i)
         if n_positions not in incoming:
-            raise LatticeError("no complete path from position 0 to the end")
+            raise ChronusError("no complete path from position 0 to the end")
         self.n_positions = n_positions
         self.arcs = arcs
         self.incoming = incoming
@@ -217,7 +201,7 @@ class FsaGrammar:
 
     def __init__(self, gid, transitions, accepting, normalizer="identity", line=None):
         if normalizer not in NORMALIZERS:
-            raise LexiconError(f"grammar {gid}: unknown normalizer {normalizer!r}")
+            raise ChronusError(f"grammar {gid}: unknown normalizer {normalizer!r}")
         self.gid = gid
         self.line = line   # of the [grammar] header it was read from
         self.normalizer = normalizer
@@ -292,11 +276,11 @@ class SuperwordLexicon:
         gids = set()
         for g in self.grammars:
             if g.gid in gids:
-                raise LexiconDataError(f"duplicate grammar id {g.gid}", path, g.line)
+                raise DataFormatError(f"duplicate grammar id {g.gid}", path, g.line)
             gids.add(g.gid)
             overlap = g.words & self.stop
             if overlap:
-                raise LexiconDataError(
+                raise DataFormatError(
                     f"stop words {sorted(overlap)} appear in grammar {g.gid}",
                     path, g.line)
 
@@ -334,8 +318,8 @@ class SuperwordLexicon:
                 if len(parts) != 2:
                     raise DataFormatError("expected [grammar <id>]", path, ln)
                 if any(g["gid"] == parts[1] for g in grammars):
-                    raise LexiconDataError(f"duplicate grammar id {parts[1]}",
-                                           path, ln)
+                    raise DataFormatError(f"duplicate grammar id {parts[1]}",
+                                          path, ln)
                 grammars.append({"gid": parts[1], "transitions": {},
                                  "accepting": set(), "line": ln})
             elif section == "words":
@@ -362,7 +346,7 @@ class SuperwordLexicon:
                         raise DataFormatError(f"grammar {grammar['gid']}: "
                                               "normalize given twice", path, ln)
                     if parts[1] not in NORMALIZERS:
-                        raise LexiconDataError(
+                        raise DataFormatError(
                             f"grammar {grammar['gid']}: unknown normalizer "
                             f"{parts[1]!r}", path, ln)
                     grammar["normalizer"] = parts[1]
@@ -381,10 +365,10 @@ def _check_surface(surface, other_kind, path, ln=None):
     """``surface`` is not the unknown marker, nor in ``other_kind``, the
     surface words of the other kind (plain or inflected)."""
     if surface == UNKNOWN:
-        raise LexiconDataError("unknown marker must not be a surface word",
-                               path, ln)
+        raise DataFormatError("unknown marker must not be a surface word",
+                              path, ln)
     if surface in other_kind:
-        raise LexiconDataError(
+        raise DataFormatError(
             f"{surface} is both a plain word and an inflection-group member",
             path, ln)
 
@@ -399,10 +383,10 @@ def lex_parse(sentence: str, lexicon: SuperwordLexicon) -> Lattice:
     """
     tokens = tokenize(sentence)
     if not tokens:
-        raise LexiconError("sentence is empty after tokenization")
+        raise ChronusError("sentence is empty after tokenization")
     kept = [t for t in tokens if t not in lexicon.stop]
     if not kept:
-        raise EmptyAfterDeletionError("all tokens are stop words")
+        raise ChronusError("all tokens are stop words")
 
     arcs = [Arc(i, i + 1, lexicon.word_sym(tok)) for i, tok in enumerate(kept)]
     for grammar in lexicon.grammars:

@@ -35,22 +35,6 @@ FINAL = "</s>"   # final-state column
 NEG_INF = float("-inf")
 
 
-class TrainingError(ChronusError):
-    pass
-
-
-class UnknownLabelError(TrainingError):
-    def __init__(self, label):
-        super().__init__(f"segmentation label not in concept dictionary: {label!r}")
-        self.label = label
-
-
-class UnknownWordError(TrainingError):
-    def __init__(self, word):
-        super().__init__(f"word not in vocabulary: {word!r}")
-        self.word = word
-
-
 def round12(p: float) -> float:
     """Canonical 12-significant-digit value, the model file's rounding;
     keeps serialization lossless."""
@@ -304,7 +288,7 @@ def count_events(corpus, dictionary: ConceptDictionary,
     marker) x vocabulary of a non-empty corpus of segmented sentences."""
     corpus = list(corpus)
     if not corpus:
-        raise TrainingError("training corpus is empty")
+        raise ChronusError("training corpus is empty")
     vocab = tuple(sorted(set(vocabulary)))
     vocab_set = frozenset(vocab)
     trans_counts = {r: {} for r in [BEGIN] + dictionary.names}
@@ -314,9 +298,10 @@ def count_events(corpus, dictionary: ConceptDictionary,
         prev_sym = BEGIN
         for word, label in zip(sent.words, sent.labels):
             if label not in dictionary:
-                raise UnknownLabelError(label)
+                raise ChronusError(
+                    f"segmentation label not in concept dictionary: {label!r}")
             if word.sym not in vocab_set:
-                raise UnknownWordError(word.sym)
+                raise ChronusError(f"word not in vocabulary: {word.sym!r}")
             row = trans_counts[prev_label]
             row[label] = row.get(label, 0) + 1
             ctx = BEGIN if label != prev_label else prev_sym
@@ -334,7 +319,7 @@ def train_mle(counts: TrainingCounts, k: float) -> ConceptHmm:
     must be finite and >= 0.
     """
     if not 0.0 <= k < math.inf:
-        raise TrainingError(f"k {k!r} is not a finite number >= 0")
+        raise ChronusError(f"k {k!r} is not a finite number >= 0")
     names = counts.dictionary.names
     trans_cols = dict.fromkeys(names + [FINAL])
     vocab_cols = dict.fromkeys(counts.vocab)
@@ -368,14 +353,15 @@ def apply_synonym_smoothing(model: ConceptHmm, groups,
     bigram = {g: dict(table) for g, table in model.bigram.items()}
     for concept, concept_groups in groups.items():
         if concept not in model.dictionary:
-            raise UnknownLabelError(concept)
+            raise ChronusError(
+                f"segmentation label not in concept dictionary: {concept!r}")
         seen = set()
         for group in concept_groups:
             for w in group:
                 if w not in columns:
-                    raise UnknownWordError(w)
+                    raise ChronusError(f"word not in vocabulary: {w!r}")
                 if w in seen:
-                    raise TrainingError(
+                    raise ChronusError(
                         f"word {w!r} in two synonym groups under {concept}")
                 seen.add(w)
         table = bigram.setdefault(concept, {})
@@ -466,7 +452,8 @@ def prefix_scores(model: ConceptHmm, arcs_or_superwords, labels) -> list:
     prev_sym = BEGIN
     for word, label in zip(arcs_or_superwords, labels):
         if label not in model.dictionary:
-            raise UnknownLabelError(label)
+            raise ChronusError(
+                f"segmentation label not in concept dictionary: {label!r}")
         c = model.dictionary.index(label)
         if prev is None:
             logp += model.init_vec[c]

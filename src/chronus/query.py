@@ -27,10 +27,6 @@ PRIMARY_KEYS = {"flight": "flight_id", "fare": "fare_id",
                 "city": "city_code", "airport": "airport_code"}
 
 
-class PlanError(ChronusError):
-    """Template token with no compilation rule (translator-class error)."""
-
-
 _DEFAULTS = {"subject": "default_subject",   # [defaults] key -> argument
              "reject-threshold": "reject_threshold"}
 
@@ -97,7 +93,7 @@ class MiniDb:
             return value
         if value in self._city_by_name:
             return self._city_by_name[value]
-        raise PlanError(f"unknown city {value!r}")
+        raise ChronusError(f"unknown city {value!r}")
 
     @classmethod
     def load(cls, path, conventions: Conventions):
@@ -230,7 +226,7 @@ def plan_query(template: Template, db: MiniDb) -> QueryPlan:
     subject_token = template.get("subject")
     subject = subject_token.value if subject_token else db.conventions.default_subject
     if subject not in _SUBJECTS:
-        raise PlanError(f"no table rule for subject {subject!r}")
+        raise ChronusError(f"no table rule for subject {subject!r}")
     join_fare, extra_preds, proj_key = _SUBJECTS[subject]
 
     plan = QueryPlan(join_fare=join_fare, projection=_PROJECTIONS[proj_key])
@@ -245,7 +241,7 @@ def plan_query(template: Template, db: MiniDb) -> QueryPlan:
             if value == "yes-no":
                 plan.existence = True
             elif value != "display":
-                raise PlanError(f"no rule for question value {value!r}")
+                raise ChronusError(f"no rule for question value {value!r}")
         elif kw in _EQUALS:
             if kw in ("origin", "destin"):
                 value = db.resolve_city(value)
@@ -254,16 +250,16 @@ def plan_query(template: Template, db: MiniDb) -> QueryPlan:
             plan.predicates.append((_EQUALS[kw], "=", value))
         elif kw == "depart-time":
             if value not in db.conventions.time_ranges:
-                raise PlanError(f"no time convention for {value!r}")
+                raise ChronusError(f"no time convention for {value!r}")
             lo, hi = db.conventions.time_ranges[value]
             plan.predicates.append(("depart_min", ">=", lo))
             plan.predicates.append(("depart_min", "<", hi))
         elif kw == "operator":
             if value not in ("minimum", "maximum"):
-                raise PlanError(f"no rule for operator value {value!r}")
+                raise ChronusError(f"no rule for operator value {value!r}")
             operator = value
         else:
-            raise PlanError(f"no compilation rule for keyword {kw!r}")
+            raise ChronusError(f"no compilation rule for keyword {kw!r}")
 
     if operator is not None:
         column = "one_way_cost" if plan.join_fare else "depart_min"
@@ -293,7 +289,7 @@ def execute(plan: QueryPlan, db: MiniDb) -> Answer:
         elif op == "<":
             rows = [r for r in rows if r[column] < value]
         else:
-            raise PlanError(f"unknown comparator {op!r}")
+            raise ChronusError(f"unknown comparator {op!r}")
 
     if plan.existence:
         return Answer(kind="boolean", value=bool(rows))

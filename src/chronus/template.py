@@ -27,20 +27,10 @@ CATEGORIES = ("item", "attribute", "logic", "operator")
 TAKE_VALUE = "*"
 
 
-class TemplateError(ChronusError):
-    pass
-
-
-class ValueTableDataError(DataFormatError, TemplateError):
-    """A value pattern that is empty, that takes its slot's value without a
-    grammar slot, or that a shorter one listed before it shadows."""
-
-
 @dataclass(frozen=True)
 class Pattern:
     tokens: tuple       # Superword tokens; grammar slots have value None ("any")
     value: str          # token value, or TAKE_VALUE to copy the matched slot's
-    category: str
 
     def matches_at(self, segment, i) -> str | None:
         """Value produced if the pattern matches segment words at offset i.
@@ -65,8 +55,6 @@ class Pattern:
 class TemplateToken:
     keyword: str
     value: str
-    category: str
-    segment_index: int = -1
 
 
 @dataclass
@@ -77,9 +65,6 @@ class Template:
     @property
     def matched(self) -> int:
         return len(self.tokens)
-
-    def keywords(self):
-        return [t.keyword for t in self.tokens]
 
     def get(self, keyword) -> TemplateToken | None:
         for t in self.tokens:
@@ -111,21 +96,21 @@ class ValueTable:
         would always win over it; such a pattern has the same first
         symbol."""
         if not p.tokens:
-            raise ValueTableDataError(f"empty pattern under {concept}", path, ln)
+            raise DataFormatError(f"empty pattern under {concept}", path, ln)
         if p.value == TAKE_VALUE and not any(
                 is_grammar_sym(t.sym) for t in p.tokens):
-            raise ValueTableDataError(
+            raise DataFormatError(
                 f"{concept}: pattern {_render_tokens(p.tokens)} takes its "
                 "slot's value (*) but has no grammar slot", path, ln)
         same_first = self.by_first.setdefault(concept, {}).setdefault(
             p.tokens[0].sym, [])
         for _, q in same_first:
             if p.tokens == q.tokens:
-                raise ValueTableDataError(
+                raise DataFormatError(
                     f"{concept}: pattern {_render_tokens(p.tokens)} listed "
                     "twice", path, ln)
             if p.tokens[:len(q.tokens)] == q.tokens:
-                raise ValueTableDataError(
+                raise DataFormatError(
                     f"{concept}: pattern {_render_tokens(q.tokens)} listed "
                     f"before the longer {_render_tokens(p.tokens)}", path, ln)
         same_first.append((self._added[concept], p))
@@ -162,7 +147,7 @@ class ValueTable:
             if category not in CATEGORIES:
                 raise DataFormatError(f"unknown category {category!r}", path, ln)
             tokens = tuple(parse_superword(w) for w in words.split())
-            table._add(concept, Pattern(tokens, value, category), path, ln)
+            table._add(concept, Pattern(tokens, value), path, ln)
         return table
 
 
@@ -174,17 +159,17 @@ def generate_template(segmentation: SegmentedSentence, tables: ValueTable,
                       dictionary: ConceptDictionary) -> Template:
     """One token per matched segment, in segment order; dummy/and skipped."""
     template = Template()
-    for seg_idx, (label, start, end) in enumerate(segmentation.segments()):
+    for label, start, end in segmentation.segments():
         try:
             concept = dictionary[label]
         except KeyError:
-            raise TemplateError(
+            raise ChronusError(
                 f"segment label {label!r} not in dictionary") from None
         keyword = concept.keyword
         if keyword is None:
             continue
         words = segmentation.words[start:end]
-        token = _match_segment(keyword, words, tables, seg_idx)
+        token = _match_segment(keyword, words, tables)
         if token is None:
             template.unmatched += 1
         else:
@@ -192,7 +177,7 @@ def generate_template(segmentation: SegmentedSentence, tables: ValueTable,
     return template
 
 
-def _match_segment(keyword, words, tables, seg_idx):
+def _match_segment(keyword, words, tables):
     """The first pattern in file order that matches anywhere in ``words``,
     at its leftmost offset.  One walk over the offsets tries, at each, the
     patterns indexed under its word's symbol that come before the best
@@ -205,11 +190,11 @@ def _match_segment(keyword, words, tables, seg_idx):
                 break
             value = pattern.matches_at(words, i)
             if value is not None:
-                best = order, value, pattern.category
+                best = order, value
                 break
     if best is None:
         return None
-    return TemplateToken(keyword, best[1], best[2], seg_idx)
+    return TemplateToken(keyword, best[1])
 
 
 def should_reject(template: Template, threshold: float) -> bool:

@@ -49,6 +49,7 @@ class FeedbackEntry:
     gold: SegmentedSentence | None = None
     refmin: Answer | None = None
     refmax: Answer | None = None
+    line: int | None = field(default=None, compare=False)  # of its header
 
     @property
     def has_references(self) -> bool:
@@ -62,15 +63,21 @@ def _check_entry(entry, path=None, ln=None):
     if entry.gold is None and not entry.has_references:
         raise DataFormatError(f"sentence {entry.ident}: needs references "
                               "or a gold segmentation", path, ln)
+    if entry.has_references and entry.refmin.kind != "rows" and None in (
+            entry.refmin.value, entry.refmax.value):
+        raise DataFormatError(f"sentence {entry.ident}: refs "
+                              f"{entry.refmin.kind} needs a refvalue line",
+                              path, ln)
 
 
 @dataclass
 class FeedbackCorpus:
-    """Feedback entries, each with a gold segmentation or references.  The
-    reader checks an entry when it ends, naming its header line, and a
-    sentence id at its header.  It also needs a ``text`` line in every
-    entry, and names at its line a repeated ``text``, ``gold``, ``refs`` or
-    ``refvalue`` line."""
+    """Feedback entries, each with a gold segmentation or references, and a
+    ``refvalue`` for ``number`` and ``boolean`` references.  The reader
+    checks an entry when it ends, naming its header line, and a sentence id
+    at its header.  It also needs a ``text`` line in every entry, and names
+    at its line a repeated ``text``, ``gold``, ``refs`` or ``refvalue``
+    line."""
 
     entries: list = field(default_factory=list)
 
@@ -90,15 +97,16 @@ class FeedbackCorpus:
 
     @classmethod
     def from_lines(cls, lines, path=None):
-        entries, idents, start = [], set(), None   # start: the header's line
+        entries, idents = [], set()
         given = set()   # the keys of _ONCE the current entry has given
 
         def finish():
+            entry = entries[-1]
             if "text" not in given:
                 raise DataFormatError(
-                    f"sentence {entries[-1].ident}: needs a text line",
-                    path, start)
-            _check_entry(entries[-1], path, start)
+                    f"sentence {entry.ident}: needs a text line",
+                    path, entry.line)
+            _check_entry(entry, path, entry.line)
 
         for ln, section, line in records(lines, path):
             if line is None:
@@ -108,8 +116,7 @@ class FeedbackCorpus:
                 if ident in idents:
                     raise DataFormatError(f"repeated sentence id {ident!r}", path, ln)
                 idents.add(ident)
-                entries.append(FeedbackEntry(ident, text=""))
-                start = ln
+                entries.append(FeedbackEntry(ident, text="", line=ln))
                 given.clear()
                 continue
             if not entries:

@@ -187,19 +187,18 @@ def template_by_definition(segmentation, tables, dictionary) -> Template:
     in file order), and for each pattern every offset; the first match
     gives the token."""
     template = Template()
-    for seg_idx, (label, start, end) in enumerate(segmentation.segments()):
+    for label, start, end in segmentation.segments():
         keyword = dictionary[label].keyword
         if keyword is None:
             continue
         words = segmentation.words[start:end]
-        found = next(((p, v) for p in tables.get(keyword, ())
+        found = next((v for p in tables.get(keyword, ())
                       for i in range(len(words))
                       if (v := p.matches_at(words, i)) is not None), None)
         if found is None:
             template.unmatched += 1
         else:
-            template.tokens.append(TemplateToken(keyword, found[1],
-                                                 found[0].category, seg_idx))
+            template.tokens.append(TemplateToken(keyword, found))
     return template
 
 

@@ -2,6 +2,7 @@ import io
 import re
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from chronus.model import (load_model, model_to_text, render_segments,
                            train_mle)
 from chronus.pipeline import (TurnResult, answer, data_path, evaluate_corpus,
                               run_turn)
-from chronus.query import Answer, PlanError
+from chronus.query import Answer
 from chronus.template import Template
 from chronus.training import FeedbackCorpus, FeedbackEntry
 
@@ -175,7 +176,7 @@ def test_model_with_other_concepts_is_data_error(
         command, demo_model_path, tmp_path, capsys):
     # the model calls destin "dest"; without the check, decode fails on a
     # template label and eval silently rejects every trip to a destination
-    text = open(demo_model_path, encoding="utf-8").read()
+    text = Path(demo_model_path).read_text(encoding="utf-8")
     model = tmp_path / "model.txt"
     model.write_text(re.sub(r"\bdestin\b", "dest", text), encoding="utf-8")
     argv = command[:1] + ["--model", str(model)] + command[1:]
@@ -275,6 +276,25 @@ def test_bad_invocation_exits_with_one_error_line_and_no_output(
     assert (rc, out) == (code, "")
     assert capsys.readouterr().err == err.format(**names) + "\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--corpus", "{corpus}", "--out", "{dir}/m.txt"],
+    ["loop", "--corpus", "{corpus}", "--out", "{dir}/m.txt"],
+], ids=["train", "loop"])
+def test_gold_label_that_is_not_a_concept_is_a_data_error_at_its_entry(
+        argv, tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("[sentence x01]\ntext\tSHOW\ngold\tSHOW:question\n"
+                      "[sentence x02]\ntext\tSHOW\ngold\tSHOW:bogus\n",
+                      encoding="utf-8")
+    names = {"corpus": str(corpus), "dir": str(tmp_path)}
+    rc, out = run_cli([arg.format(**names) for arg in argv])
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"data error: {corpus}:4: sentence x02: segmentation label not in "
+        "concept dictionary: 'bogus'\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.txt"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -516,7 +536,7 @@ def test_repl_reports_plan_error_after_merged_template(demo_model_path,
 
     def fails_once(template, db):
         if failures:
-            raise PlanError(failures.pop())
+            raise ChronusError(failures.pop())
         return plan(template, db)
 
     monkeypatch.setattr(pipeline, "plan_query", fails_once)

@@ -7,8 +7,7 @@ from chronus.template import Template, TemplateToken
 
 
 def _t(*pairs):
-    return Template(tokens=[TemplateToken(k, v, "item", i)
-                            for i, (k, v) in enumerate(pairs)])
+    return Template(tokens=[TemplateToken(k, v) for k, v in pairs])
 
 
 def _merge(context, pairs, artifacts):
@@ -76,7 +75,7 @@ def test_new_keyword_never_triggers_deletion(artifacts):
 def test_repeated_keyword_in_one_template_is_deduplicated(artifacts):
     merged = _merge(Template(), [("question", "display"),
                                  ("question", "yes-no")], artifacts)
-    assert merged.keywords() == ["question"]
+    assert [t.keyword for t in merged.tokens] == ["question"]
     # the overlay keeps the template's last mention
     assert merged.get("question").value == "yes-no"
 
@@ -86,7 +85,7 @@ def test_repeated_keyword_keeps_its_first_place(artifacts):
                                  ("fare", "ECONOMY"),
                                  ("question", "display"),
                                  ("origin", "SSFO")], artifacts)
-    assert merged.keywords() == ["question", "fare", "origin"]
+    assert [t.keyword for t in merged.tokens] == ["question", "fare", "origin"]
 
 
 def test_merge_is_deterministic(artifacts):
@@ -110,8 +109,7 @@ def _context_and_template(draw):
                                   st.sampled_from(VALUES), min_size=1,
                                   max_size=6))
     keywords = draw(st.lists(st.sampled_from(sorted(values)), max_size=10))
-    return (Template([TemplateToken(k, v, "item")
-                      for k, v in context.items()]),
+    return (Template([TemplateToken(k, v) for k, v in context.items()]),
             _t(*[(k, values[k]) for k in keywords]))
 
 

@@ -151,6 +151,16 @@ def test_each_command_imports_only_the_stages_it_runs(tmp_path):
             assert {"hashlib", "_hashlib"}.isdisjoint(result["new"]), name
 
 
+def test_importing_the_package_loads_none_of_its_modules():
+    env = dict(os.environ, PYTHONPATH=str(Path(chronus.__file__).parents[1]))
+    code = ("import sys; import chronus; "
+            "print(sorted(m for m in sys.modules if m.startswith('chronus.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_data_path_names_the_bundled_file_that_resources_names():
     folder = Path(chronus.__file__).parent / "data"
     names = sorted(path.name for path in folder.iterdir() if path.is_file())

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from chronus.lexicon import (Arc, EmptyAfterDeletionError, FsaGrammar, Lattice,
-                             LatticeError, LexiconError, Superword,
+from chronus.errors import ChronusError, DataFormatError
+from chronus.lexicon import (Arc, FsaGrammar, Lattice, Superword,
                              SuperwordLexicon, compound_number_value,
                              enumerate_path_arcs, is_grammar_sym, lex_parse,
                              parse_superword, tokenize)
@@ -78,12 +78,13 @@ def test_unknown_words_map_to_marker(artifacts):
 
 
 def test_all_stop_words_is_an_error(artifacts):
-    with pytest.raises(EmptyAfterDeletionError):
+    with pytest.raises(ChronusError, match="^all tokens are stop words$"):
         lex_parse("THE A AN", artifacts.lexicon)
 
 
 def test_empty_sentence_is_an_error(artifacts):
-    with pytest.raises(LexiconError):
+    with pytest.raises(ChronusError,
+                       match="^sentence is empty after tokenization$"):
         lex_parse("...", artifacts.lexicon)
 
 
@@ -183,12 +184,13 @@ def test_lexer_tries_grammars_only_at_their_start_words(monkeypatch):
 # Lattice invariants
 
 def test_lattice_rejects_out_of_bounds_arc():
-    with pytest.raises(LatticeError):
+    with pytest.raises(ChronusError, match=r"^arc Arc\(start=1, end=3, "
+                       r"sym='B', value=None\) out of bounds for n=2$"):
         Lattice(2, [Arc(0, 1, "A"), Arc(1, 3, "B")])
 
 
 def test_lattice_rejects_duplicate_arc():
-    with pytest.raises(LatticeError):
+    with pytest.raises(ChronusError, match=r"^duplicate arc \(0, 1, 'A'\)$"):
         Lattice(1, [Arc(0, 1, "A"), Arc(0, 1, "A", "x")])
 
 
@@ -196,18 +198,19 @@ def test_lattice_rejects_duplicate_arc():
 def test_lattice_rejects_arcs_that_differ_only_in_value(first, second):
     # the lattice sorts on (start, end, sym) alone, so the values of a
     # repeat are never compared
-    with pytest.raises(LatticeError) as info:
+    with pytest.raises(ChronusError, match=r"^duplicate arc \(0, 1, 'A'\)$"):
         Lattice(1, [Arc(0, 1, "A", first), Arc(0, 1, "A", second)])
-    assert str(info.value) == "duplicate arc (0, 1, 'A')"
 
 
 def test_lattice_requires_complete_path():
-    with pytest.raises(LatticeError):
+    with pytest.raises(ChronusError, match="^no complete path from position 0 "
+                       "to the end$"):
         Lattice(3, [Arc(0, 1, "A"), Arc(2, 3, "B")])
 
 
 def test_lattice_requires_positions():
-    with pytest.raises(LatticeError):
+    with pytest.raises(ChronusError,
+                       match="^lattice needs at least one token position$"):
         Lattice(0, [])
 
 
@@ -238,7 +241,8 @@ def test_lattice_incoming_holds_the_reachable_arcs(case):
     n, arcs = case
     reach = _reached(arcs)
     if n not in reach:
-        with pytest.raises(LatticeError):
+        with pytest.raises(ChronusError, match="^no complete path from "
+                           "position 0 to the end$"):
             Lattice(n, arcs)
         return
     lattice = Lattice(n, arcs)
@@ -337,7 +341,8 @@ def test_nondeterministic_grammar_is_determinized():
 
 
 def test_grammar_rejects_unknown_normalizer():
-    with pytest.raises(LexiconError):
+    with pytest.raises(ChronusError,
+                       match="^grammar g: unknown normalizer 'nope'$"):
         FsaGrammar("g", {("0", "A"): {"acc"}}, {"acc"}, normalizer="nope")
 
 
@@ -345,25 +350,28 @@ def test_grammar_rejects_unknown_normalizer():
 # Lexicon validation
 
 def test_word_cannot_be_both_plain_and_inflected():
-    with pytest.raises(LexiconError):
+    with pytest.raises(DataFormatError, match="^FLIGHT is both a plain word "
+                       "and an inflection-group member$"):
         SuperwordLexicon({"FLIGHT"}, {"FLIGHT": "FLIGHT(S)"}, set(), [])
 
 
 def test_unknown_marker_cannot_be_a_surface_word():
-    with pytest.raises(LexiconError):
+    with pytest.raises(DataFormatError,
+                       match="^unknown marker must not be a surface word$"):
         SuperwordLexicon({"<UNK>"}, {}, set(), [])
 
 
 def test_stop_words_may_not_appear_in_grammars():
     g = FsaGrammar("g", {("0", "THE"): {"acc"}}, {"acc"})
-    with pytest.raises(LexiconError):
+    with pytest.raises(DataFormatError, match=r"^stop words \['THE'\] appear "
+                       "in grammar g$"):
         SuperwordLexicon(set(), {}, {"THE"}, [g])
 
 
 def test_duplicate_grammar_ids_rejected():
     g1 = FsaGrammar("g", {("0", "A"): {"acc"}}, {"acc"})
     g2 = FsaGrammar("g", {("0", "B"): {"acc"}}, {"acc"})
-    with pytest.raises(LexiconError):
+    with pytest.raises(DataFormatError, match="^duplicate grammar id g$"):
         SuperwordLexicon(set(), {}, set(), [g1, g2])
 
 

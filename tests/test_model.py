@@ -6,8 +6,7 @@ import pytest
 from chronus.concepts import Concept, ConceptDictionary
 from chronus.errors import ChronusError
 from chronus.gen import sample_sentence
-from chronus.model import (BEGIN, NEG_INF, SegmentedSentence, TrainingError,
-                           UnknownLabelError, UnknownWordError,
+from chronus.model import (BEGIN, NEG_INF, SegmentedSentence,
                            apply_synonym_smoothing, canonical_row,
                            count_events, model_from_text, model_to_text,
                            path_score, round12, train_mle)
@@ -155,12 +154,14 @@ def test_emission_vectors_hold_the_table_values_bit_for_bit(demo_model):
 
 
 def test_train_rejects_unknown_label(artifacts):
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(ChronusError, match="^segmentation label not in "
+                       "concept dictionary: 'bogus'$"):
         _mk([ (["SHOW"], ["bogus"]) ], artifacts.dictionary, ["SHOW"], 0.001)
 
 
 def test_train_rejects_word_outside_vocabulary(artifacts):
-    with pytest.raises(UnknownWordError):
+    with pytest.raises(ChronusError,
+                       match="^word not in vocabulary: 'SHOW'$"):
         _mk([ (["SHOW"], ["question"]) ], artifacts.dictionary, ["ME"], 0.001)
 
 
@@ -171,7 +172,7 @@ def test_train_rejects_empty_corpus(artifacts):
 
 @pytest.mark.parametrize("k", [-0.001, -1.0, math.inf, math.nan])
 def test_train_rejects_a_negative_or_non_finite_k(artifacts, k):
-    with pytest.raises(TrainingError, match="is not a finite number >= 0"):
+    with pytest.raises(ChronusError, match="is not a finite number >= 0"):
         _mk([(["SHOW"], ["question"])], artifacts.dictionary, ["SHOW"], k)
 
 
@@ -277,10 +278,12 @@ def test_empty_and_singleton_groups_are_identity(artifacts):
 def test_synonym_smoothing_input_validation(artifacts):
     counts = _synonym_counts(artifacts)
     model = train_mle(counts, 0.001)
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(ChronusError, match="^segmentation label not in "
+                       "concept dictionary: 'bogus'$"):
         apply_synonym_smoothing(model, {"bogus": [["FROM", "((city))"]]},
                                 counts)
-    with pytest.raises(UnknownWordError):
+    with pytest.raises(ChronusError,
+                       match="^word not in vocabulary: 'NOPE'$"):
         apply_synonym_smoothing(model, {"origin": [["FROM", "NOPE"]]}, counts)
     with pytest.raises(Exception):
         apply_synonym_smoothing(

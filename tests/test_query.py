@@ -1,14 +1,13 @@
 import pytest
 
 from chronus.errors import ChronusError, DataFormatError
-from chronus.query import (Answer, Conventions, MiniDb, PlanError, execute,
-                           plan_query, score_answer)
+from chronus.query import (Answer, Conventions, MiniDb, execute, plan_query,
+                           score_answer)
 from chronus.template import Template, TemplateToken
 
 
 def _t(*pairs):
-    return Template(tokens=[TemplateToken(k, v, "item", i)
-                            for i, (k, v) in enumerate(pairs)])
+    return Template(tokens=[TemplateToken(k, v) for k, v in pairs])
 
 
 def _run(db, *pairs):
@@ -25,7 +24,7 @@ def test_bundled_db_contents(artifacts):
     assert db.resolve_city("BBOS") == "BBOS"
     assert db.resolve_city("BOSTON") == "BBOS"
     assert db.resolve_city("WASHINGTON") == "WWAS"
-    with pytest.raises(PlanError):
+    with pytest.raises(ChronusError, match="^unknown city 'NARNIA'$"):
         db.resolve_city("NARNIA")
 
 
@@ -119,15 +118,15 @@ def test_operator_aggregates_departure_otherwise(artifacts):
 
 
 def test_plan_errors_are_typed(artifacts):
-    for template in [_t(("subject", "party")),
-                     _t(("question", "why")),
-                     _t(("operator", "median")),
-                     _t(("depart-time", "dusk")),
-                     _t(("origin", "NARNIA")),
-                     Template(tokens=[TemplateToken("frobnicate", "x",
-                                                    "item", 0)])]:
-        with pytest.raises(PlanError):
-            plan_query(template, artifacts.db)
+    for pair, message in [
+            (("subject", "party"), "no table rule for subject 'party'"),
+            (("question", "why"), "no rule for question value 'why'"),
+            (("operator", "median"), "no rule for operator value 'median'"),
+            (("depart-time", "dusk"), "no time convention for 'dusk'"),
+            (("origin", "NARNIA"), "unknown city 'NARNIA'"),
+            (("frobnicate", "x"), "no compilation rule for keyword 'frobnicate'")]:
+        with pytest.raises(ChronusError, match=f"^{message}$"):
+            plan_query(_t(pair), artifacts.db)
 
 
 def test_render_sql_is_debug_only(artifacts):

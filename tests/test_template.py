@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 from chronus.gen import synthetic_dictionary
 from chronus.lexicon import Superword, is_grammar_sym, parse_superword
 from chronus.model import SegmentedSentence
-from chronus.template import (CATEGORIES, TAKE_VALUE, Pattern, Template,
-                              TemplateError, TemplateToken, ValueTable,
-                              generate_template, matched_fraction,
+from chronus.errors import ChronusError, DataFormatError
+from chronus.template import (TAKE_VALUE, Pattern, Template, TemplateToken,
+                              ValueTable, generate_template, matched_fraction,
                               should_reject)
 
 from helpers import make_sentence, template_by_definition
@@ -64,7 +64,8 @@ def test_pattern_can_match_anywhere_inside_segment(artifacts):
 
 def test_unknown_segment_label_rejected(artifacts):
     seg = make_sentence(["SHOW"], ["bogus"])
-    with pytest.raises(TemplateError):
+    with pytest.raises(ChronusError,
+                       match="^segment label 'bogus' not in dictionary$"):
         generate_template(seg, artifacts.tables, artifacts.dictionary)
 
 
@@ -80,32 +81,22 @@ def test_grammar_slot_copies_matched_value(artifacts):
     assert template.render() == "(aircraft,DC10)"
 
 
-def test_token_records_segment_index(artifacts):
-    seg = _segmentation("SHOW:question ME:dummy FLIGHT(S):subject "
-                        "TO:destin ((city)BOSTON):destin")
-    template = generate_template(seg, artifacts.tables, artifacts.dictionary)
-    # dummy segments are skipped but still occupy a segment index
-    assert [(t.keyword, t.segment_index) for t in template.tokens] == \
-        [("question", 0), ("subject", 2), ("destin", 3)]
-
-
 # ---------------------------------------------------------------------------
 # Patterns and value tables
 
 def test_pattern_value_slot_matching():
-    p = Pattern((Superword("((city))", "BOSTON"),), "BBOS", "item")
+    p = Pattern((Superword("((city))", "BOSTON"),), "BBOS")
     assert p.matches_at([Superword("((city))", "BOSTON")], 0) == "BBOS"
     assert p.matches_at([Superword("((city))", "DALLAS")], 0) is None
 
 
 def test_pattern_take_value():
-    p = Pattern((Superword("((number))"),), "*", "item")
+    p = Pattern((Superword("((number))"),), "*")
     assert p.matches_at([Superword("((number))", "37")], 0) == "37"
 
 
 def test_pattern_multiword():
-    p = Pattern((Superword("MOST"), Superword("EXPENSIVE")), "maximum",
-                "operator")
+    p = Pattern((Superword("MOST"), Superword("EXPENSIVE")), "maximum")
     seg = [Superword("MOST"), Superword("EXPENSIVE")]
     assert p.matches_at(seg, 0) == "maximum"
     assert p.matches_at(seg[:1], 0) is None
@@ -113,8 +104,8 @@ def test_pattern_multiword():
 
 def test_first_match_wins_within_concept():
     table = ValueTable({"airline": [
-        Pattern((Superword("AMERICAN"), Superword("AIRLINES")), "AA", "item"),
-        Pattern((Superword("AMERICAN"),), "AA-short", "item"),
+        Pattern((Superword("AMERICAN"), Superword("AIRLINES")), "AA"),
+        Pattern((Superword("AMERICAN"),), "AA-short"),
     ]})
     seg = make_sentence(["AMERICAN", "AIRLINES"], ["airline"] * 2)
     template = generate_template(seg, table, synthetic_dictionary(["airline"]))
@@ -124,16 +115,15 @@ def test_first_match_wins_within_concept():
 def test_file_order_beats_a_match_further_left():
     # patterns [B, A] on segment A B: B is listed first, so it wins
     # although A matches at an earlier offset
-    table = ValueTable({"x": [Pattern((Superword("B"),), "b", "item"),
-                              Pattern((Superword("A"),), "a", "item")]})
+    table = ValueTable({"x": [Pattern((Superword("B"),), "b"),
+                              Pattern((Superword("A"),), "a")]})
     seg = make_sentence(["A", "B"], ["x", "x"])
     template = generate_template(seg, table, synthetic_dictionary(["x"]))
     assert template.render() == "(x,b)"
 
 
 def test_winning_pattern_takes_its_leftmost_match():
-    table = ValueTable({"x": [Pattern((Superword("((city))"),), TAKE_VALUE,
-                                      "item")]})
+    table = ValueTable({"x": [Pattern((Superword("((city))"),), TAKE_VALUE)]})
     seg = _segmentation("((city)BOSTON):x ((city)DALLAS):x")
     template = generate_template(seg, table, synthetic_dictionary(["x"]))
     assert template.render() == "(x,BOSTON)"
@@ -163,8 +153,7 @@ def _pattern_list(draw):
         value = f"p{order}"
         if any(is_grammar_sym(t.sym) for t in tokens):   # it has a slot
             value = draw(st.sampled_from([value, TAKE_VALUE]))
-        patterns.append(Pattern(tokens, value,
-                                draw(st.sampled_from(CATEGORIES))))
+        patterns.append(Pattern(tokens, value))
     return patterns
 
 
@@ -183,16 +172,17 @@ def test_indexed_template_equals_pattern_major_definition(tables, pairs):
 
 
 def test_prefix_pattern_must_come_after_longer_one():
-    with pytest.raises(TemplateError):
+    with pytest.raises(DataFormatError, match="^airline: pattern AMERICAN "
+                       "listed before the longer AMERICAN AIRLINES$"):
         ValueTable({"airline": [
-            Pattern((Superword("AMERICAN"),), "AA", "item"),
-            Pattern((Superword("AMERICAN"), Superword("AIRLINES")), "AA", "item"),
+            Pattern((Superword("AMERICAN"),), "AA"),
+            Pattern((Superword("AMERICAN"), Superword("AIRLINES")), "AA"),
         ]})
 
 
 def test_empty_pattern_rejected():
-    with pytest.raises(TemplateError):
-        ValueTable({"airline": [Pattern((), "AA", "item")]})
+    with pytest.raises(DataFormatError, match="^empty pattern under airline$"):
+        ValueTable({"airline": [Pattern((), "AA")]})
 
 
 def test_from_lines_validates_category(artifacts):
@@ -210,8 +200,7 @@ def test_from_lines_requires_concept_header(artifacts):
 # Rejection
 
 def _template(matched, unmatched):
-    tokens = [TemplateToken("origin", "BBOS", "item", i)
-              for i in range(matched)]
+    tokens = [TemplateToken("origin", "BBOS") for _ in range(matched)]
     return Template(tokens=tokens, unmatched=unmatched)
 
 
@@ -237,6 +226,5 @@ def test_threshold_validation():
 def test_template_accessors():
     t = _template(2, 0)
     assert t.matched == 2
-    assert t.keywords() == ["origin", "origin"]
     assert t.get("origin") is t.tokens[0]
     assert t.get("destin") is None

@@ -306,6 +306,12 @@ MALFORMED = [
     ("corpus-missing-text", "--corpus",
      (CORPUS + "[sentence x02]\ngold\tSHOW:question\n", 4),
      "sentence x02: needs a text line"),
+    ("corpus-refs-without-refvalue", "--corpus",
+     (CORPUS + "[sentence x02]\ntext\tIS IT\nrefs\tboolean\n", 4),
+     "sentence x02: refs boolean needs a refvalue line"),
+    ("corpus-gold-label-not-a-concept", "--corpus",
+     (CORPUS + "[sentence x02]\ntext\tSHOW\ngold\tSHOW:bogus\n", 4),
+     "sentence x02: segmentation label not in concept dictionary: 'bogus'"),
     ("concepts-rank", "--concepts",
      _bundled("concepts.txt", "subject\tsubject\t1", "extra\tsubject\tmany"),
      "rank 'many' is not a number"),

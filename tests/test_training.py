@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from chronus.decoder import brute_force_decode
-from chronus.errors import ChronusError
+from chronus.errors import ChronusError, DataFormatError
 from chronus.gen import (alignment_corpus, make_recovery_model,
                          synthetic_dictionary)
 from chronus.lexicon import Arc, Lattice, parse_superword
@@ -37,6 +37,15 @@ def test_corpus_round_trip(semi_corpus):
 def test_entry_needs_gold_or_references():
     with pytest.raises(ChronusError):
         FeedbackCorpus([FeedbackEntry(ident="x", text="SHOW ME")])
+
+
+@pytest.mark.parametrize("kind", ["number", "boolean"])
+def test_scalar_references_need_their_value(kind):
+    with pytest.raises(DataFormatError,
+                       match=f"^sentence x: refs {kind} needs a refvalue line$"):
+        FeedbackCorpus([FeedbackEntry(ident="x", text="SHOW ME",
+                                      refmin=Answer(kind=kind),
+                                      refmax=Answer(kind=kind))])
 
 
 def test_entry_with_references_only_is_valid():
