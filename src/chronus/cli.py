@@ -100,12 +100,7 @@ def _load_corpus(path, dictionary: ConceptDictionary):
     from .training import FeedbackCorpus
 
     corpus = FeedbackCorpus.load(path)
-    for entry in corpus.entries:
-        for label in entry.gold.labels if entry.gold is not None else ():
-            if label not in dictionary:
-                raise DataFormatError(
-                    f"sentence {entry.ident}: segmentation label not in "
-                    f"concept dictionary: {label!r}", path, entry.line)
+    corpus.check_labels(dictionary, path)
     return corpus
 
 

@@ -21,20 +21,26 @@ predecessor).
 Each cell maximizes over the candidates (previous concept, live incoming
 arc), each scored as ``cell + transition + emission``, without scoring
 them all.  The search makes one pass per live incoming arc, in arc-key
-order, and every pass carries each cell's best score and winner over
-from the passes before.  A pass ranks the predecessor's cells, highest
-first (a stable sort, so equal cells keep concept order).  Per target
-concept it scores the candidate that stays in the concept, then walks the
-ranking, skipping the concept itself, and stops at the first previous
-concept whose bound ``cell + enter_max + begin emission`` is strictly
-below the best score so far; ``enter_max`` is the model's largest
-transition into the concept from another concept, so the self-loop,
-scored as the stay candidate, does not loosen it.  The result is exact:
-every walked candidate changes concept, so its transition is at most the
-bound's, and IEEE round-to-nearest addition is monotone in each operand,
-so no candidate after the stop can reach or tie the best score, whichever
-pass set it.  While the best score is -inf the bound never fires, so a
-degenerate cell scores every candidate.
+order.  The first pass starts each cell from its stay candidate, with no
+incumbent to test; most arcs have one live predecessor, so this is the
+only pass they make.  Each carried pass after it compares against the
+best score and winner the passes before it left in the cell.  The back
+pointers are two per-concept lists per arc: the winning predecessor arc,
+the first pass's arc until a carried pass wins the cell, and the winning
+previous concept; the backtrack stops at an arc that leaves position 0.
+A pass ranks the predecessor's cells, highest first (a stable sort, so
+equal cells keep concept order).  Per target concept it scores the
+candidate that stays in the concept, then walks the ranking, skipping the
+concept itself, and stops at the first previous concept whose bound
+``cell + enter_max + begin emission`` is strictly below the best score
+so far; ``enter_max`` is the model's largest transition into the concept
+from another concept, so the self-loop, scored as the stay candidate,
+does not loosen it.  The result is exact: every walked candidate changes
+concept, so its transition is at most the bound's, and IEEE
+round-to-nearest addition is monotone in each operand, so no candidate
+after the stop can reach or tie the best score, whichever pass set it.
+While the best score is -inf the bound never fires, so a degenerate cell
+scores every candidate.
 
 Tie-breaking is fully deterministic: among the candidates that score the
 best, the one first in order of (concept index, incoming-arc key) wins,
@@ -105,9 +111,14 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
     incoming = lattice.incoming  # position -> ids of the live arcs ending there
 
     delta = [None] * len(arcs)  # arc id -> score per concept; None: unreachable
-    back = [None] * len(arcs)   # arc id -> (prev arc id, prev concept) per concept
+    # arc id -> per concept, the winning predecessor arc and its concept;
+    # None for the arcs leaving 0, where the backtrack stops
+    back_arc = [None] * len(arcs)
+    back_concept = [None] * len(arcs)
     relax = 0
-    trans_into, enter_max = model.trans_into, model.enter_max
+    # per target concept: its transitions in and its walk bound; built
+    # once, as unpacking a fresh zip per pass measured slower
+    targets = list(enumerate(zip(model.trans_into, model.enter_max)))
     emissions = model.emissions
 
     for i, (start, _, sym, _) in enumerate(arcs):
@@ -115,33 +126,54 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
         if start == 0:
             relax += n_concepts
             delta[i] = [s + e for s, e in zip(model.init_vec, begin)]
-            back[i] = [(None, None)] * n_concepts
             continue
         live = incoming.get(start)
         if not live:
             continue
         relax += n_concepts * n_concepts * len(live)
-        cells = [NEG_INF] * n_concepts
-        # each cell's winning previous concept; n_concepts before any pass,
-        # so the first candidate replaces it even at -inf
-        prev = [n_concepts] * n_concepts
-        bps = [None] * n_concepts
-        for j in live:
+        # The first pass (the only one on most arcs) starts each cell at
+        # its stay candidate, which beats the empty -inf cell whatever it
+        # scores; the carried passes compare against the cells so far.  A
+        # helper per cell costs more than it saves, so the ranked walk is
+        # written out in both.
+        j = live[0]
+        row = delta[j]
+        # previous concepts by cell, highest first, ties in index order
+        ranked = sorted(concepts, key=row.__getitem__, reverse=True)
+        # staying in concept c continues the segment, so the bigram
+        # context is the predecessor's symbol instead of the begin marker
+        stay = emissions(arcs[j].sym, sym)
+        # every target sets its entry of both
+        cells, prev = [NEG_INF] * n_concepts, [0] * n_concepts
+        for c, (trans, bound) in targets:
+            best = row[c] + trans[c] + stay[c]
+            d = c
+            # changing concept: once the bound is strictly below best,
+            # no later candidate in the ranking can reach or tie it
+            emit = begin[c]
+            for cp in ranked:
+                if cp == c:
+                    continue
+                cell = row[cp]
+                if cell + bound + emit < best:
+                    break
+                s = cell + trans[cp] + emit
+                if s > best or (s == best and cp < d):
+                    best, d = s, cp
+            cells[c] = best
+            prev[c] = d
+        src = [j] * n_concepts
+        for j in live[1:]:
             row = delta[j]
-            # previous concepts by cell, highest first, ties in index order
             ranked = sorted(concepts, key=row.__getitem__, reverse=True)
-            # staying in concept c continues the segment, so the bigram
-            # context is the predecessor's symbol instead of the begin marker
             stay = emissions(arcs[j].sym, sym)
-            for c, trans in enumerate(trans_into):
+            for c, (trans, bound) in targets:
                 best = old = cells[c]
                 d = prev[c]
                 s = row[c] + trans[c] + stay[c]
                 if s > best or (s == best and c < d):
                     best, d = s, c
-                # changing concept: once the bound is strictly below best,
-                # no later candidate in the ranking can reach or tie it
-                emit, bound = begin[c], enter_max[c]
+                emit = begin[c]
                 for cp in ranked:
                     if cp == c:
                         continue
@@ -152,8 +184,8 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
                     if s > best or (s == best and cp < d):
                         best, d = s, cp
                 if best != old or d != prev[c]:
-                    cells[c], prev[c], bps[c] = best, d, (j, d)
-        delta[i], back[i] = cells, bps
+                    cells[c], prev[c], src[c] = best, d, j
+        delta[i], back_arc[i], back_concept[i] = cells, src, prev
 
     ends = incoming[lattice.n_positions]
     relax += n_concepts * len(ends)
@@ -167,13 +199,13 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
     degenerate = log_prob == NEG_INF
 
     names = model.dictionary.names
-    path = []
-    while j is not None:
-        path.append((arcs[j].superword, names[c]))
+    path = [(arcs[j].superword, names[c])]
+    while arcs[j].start:
         if degenerate:   # the first live arc in, concept 0 throughout
-            j = incoming[arcs[j].start][0] if arcs[j].start else None
+            j = incoming[arcs[j].start][0]
         else:
-            j, c = back[j][c]
+            j, c = back_arc[j][c], back_concept[j][c]
+        path.append((arcs[j].superword, names[c]))
     words, labels = zip(*reversed(path))
     return DecodeResult(labels=labels, words=words, log_prob=log_prob,
                         degenerate=degenerate, relaxations=relax)

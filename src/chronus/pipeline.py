@@ -139,7 +139,9 @@ def evaluate_corpus(corpus, model: ConceptHmm,
                     artifacts: Artifacts) -> EvalReport:
     """Score a feedback corpus: segment accuracy against its golds, answer
     accuracy against its references, and wrong answers by first divergent
-    stage.  A sentence that cannot be understood at all counts as rejected."""
+    stage.  A sentence that cannot be understood at all counts as rejected;
+    a gold label that is not a concept raises ChronusError."""
+    corpus.check_labels(artifacts.dictionary)
     gold_segments = hyp_segments = 0
     gold_sentences = correct_sentences = 0
     tally = dict.fromkeys(("correct", "wrong", "rejected"), 0)

@@ -88,6 +88,19 @@ class FeedbackCorpus:
     def seed_segmentations(self):
         return [e.gold for e in self.entries if e.gold is not None]
 
+    def check_labels(self, dictionary: ConceptDictionary, path=None):
+        """Raise ChronusError unless every gold label is a concept of
+        ``dictionary``; given the corpus file's ``path``, a data error at
+        the entry's ``[sentence]`` line."""
+        for entry in self.entries:
+            for label in entry.gold.labels if entry.gold is not None else ():
+                if label not in dictionary:
+                    message = (f"sentence {entry.ident}: segmentation label "
+                               f"not in concept dictionary: {label!r}")
+                    if path is None:
+                        raise ChronusError(message)
+                    raise DataFormatError(message, path, entry.line)
+
     def feedback_entries(self):
         return [e for e in self.entries if e.has_references]
 

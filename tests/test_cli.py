@@ -281,14 +281,16 @@ def test_bad_invocation_exits_with_one_error_line_and_no_output(
 @pytest.mark.parametrize("argv", [
     ["train", "--corpus", "{corpus}", "--out", "{dir}/m.txt"],
     ["loop", "--corpus", "{corpus}", "--out", "{dir}/m.txt"],
-], ids=["train", "loop"])
+    ["eval", "--model", "{model}", "--corpus", "{corpus}"],
+], ids=["train", "loop", "eval"])
 def test_gold_label_that_is_not_a_concept_is_a_data_error_at_its_entry(
-        argv, tmp_path, capsys):
+        argv, tmp_path, capsys, demo_model_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("[sentence x01]\ntext\tSHOW\ngold\tSHOW:question\n"
                       "[sentence x02]\ntext\tSHOW\ngold\tSHOW:bogus\n",
                       encoding="utf-8")
-    names = {"corpus": str(corpus), "dir": str(tmp_path)}
+    names = {"corpus": str(corpus), "dir": str(tmp_path),
+             "model": demo_model_path}
     rc, out = run_cli([arg.format(**names) for arg in argv])
     assert (rc, out) == (2, "")
     assert capsys.readouterr().err == (
@@ -434,6 +436,19 @@ def test_eval_counts_stop_word_only_sentence_as_rejected(demo_model,
     assert report.answers_rejected == 50.0
     assert report.answers_wrong == 50.0
     assert report.answers_correct == 0.0
+
+
+def test_eval_refuses_a_gold_label_that_is_not_a_concept(
+        demo_model, demo_corpus, artifacts):
+    # the check eval, train and loop make when they read a corpus file,
+    # without the file's path and line
+    first, *rest = demo_corpus.entries
+    assert first.ident == "d01"
+    gold = replace(first.gold, labels=("bogus", *first.gold.labels[1:]))
+    corpus = FeedbackCorpus([replace(first, gold=gold), *rest])
+    with pytest.raises(ChronusError, match="^sentence d01: segmentation label "
+                       "not in concept dictionary: 'bogus'$"):
+        evaluate_corpus(corpus, demo_model, artifacts)
 
 
 def test_eval_accuracy_arithmetic_for_one_flipped_label(demo_model, artifacts):

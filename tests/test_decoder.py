@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import random
 
@@ -11,8 +12,9 @@ from chronus.lexicon import Arc, Lattice, Superword, lex_parse
 from chronus.model import (NEG_INF, count_events, model_from_text,
                            model_to_text, round12, train_mle)
 
-from helpers import (make_sentence, random_lattice, random_trained_model,
-                     tie_heavy_model, uniform_rows_model)
+from helpers import (TESTS_DATA, make_sentence, random_lattice,
+                     random_trained_model, tie_heavy_model,
+                     uniform_rows_model)
 
 
 # ---------------------------------------------------------------------------
@@ -80,11 +82,24 @@ def test_log_prob_is_exactly_path_score_on_long_demo_sentences(
                                              result.labels)
 
 
+def test_demo_decodes_match_the_pinned_digest(demo_model, artifacts):
+    # tools/decode_digest.py wrote the file with an earlier decoder, on
+    # sentences longer than the oracle reaches: any rewrite of the search
+    # must reproduce every path, label and score bit for bit
+    tool = TESTS_DATA.parent.parent / "tools" / "decode_digest.py"
+    spec = importlib.util.spec_from_file_location("decode_digest", tool)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    pinned = (TESTS_DATA / "decode_digest.txt").read_text(encoding="utf-8")
+    assert digest.digest_lines(demo_model, artifacts) == pinned.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # Oracle agreement
 
 def test_viterbi_matches_brute_force_on_random_instances():
     rng = random.Random(4242)
+    carried = 0   # lattices with an arc of two or more live predecessors
     for _ in range(100):
         model = random_trained_model(rng)
         lattice = random_lattice(rng, model)
@@ -94,6 +109,34 @@ def test_viterbi_matches_brute_force_on_random_instances():
         assert fast.words == slow.words
         assert repr(fast.log_prob) == repr(slow.log_prob)
         assert fast.degenerate == slow.degenerate
+        carried += any(len(lattice.incoming.get(p, ())) > 1
+                       for p in range(1, lattice.n_positions))
+    # both the first pass and the carried passes are exercised
+    assert carried > 0
+
+
+def test_carried_pass_wins_some_cells_and_keeps_others():
+    # arcs a, b into position 1, in key order, then c; into (c, c0) only
+    # the first pass, from a, scores (c0 never emits b), and into (c, c1)
+    # the carried pass from b beats it (c1 emits only c after b, and one
+    # word of three after a).  Ending only in c0, then only in c1, reads
+    # one cell each.
+    lattice = Lattice(2, [Arc(0, 1, "a"), Arc(0, 1, "b"), Arc(1, 2, "c")])
+    emit = {"c0": {"<s>": ["a"], "a": ["c"], "b": ["c"]},
+            "c1": {"<s>": ["a", "b"], "a": ["a", "b", "c"], "b": ["c"]}}
+    for ending, labels, first in (("c0", ("c0", "c0"), "a"),
+                                  ("c1", ("c1", "c1"), "b")):
+        transition = {c: [c, "</s>"] if c == ending else [c]
+                      for c in ("c0", "c1")}
+        model = uniform_rows_model(2, ["a", "b", "c"], ["c0", "c1"],
+                                   transition, emit)
+        fast = viterbi_decode_lattice(model, lattice)
+        slow = brute_force_decode(model, lattice)
+        assert fast.labels == slow.labels == labels
+        assert fast.words == slow.words
+        assert [w.sym for w in fast.words] == [first, "c"]
+        assert repr(fast.log_prob) == repr(slow.log_prob)
+        assert fast.log_prob > NEG_INF
 
 
 def test_viterbi_matches_brute_force_exactly_under_heavy_ties():

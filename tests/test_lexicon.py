@@ -377,7 +377,8 @@ def test_duplicate_grammar_ids_rejected():
 
 def test_from_lines_rejects_conflicting_inflection():
     lines = ["[inflect]", "FLIGHTS\tFLIGHT(S)", "FLIGHTS\tFARE(S)"]
-    with pytest.raises(Exception):
+    with pytest.raises(DataFormatError,
+                       match="^3: FLIGHTS in two inflection groups$"):
         SuperwordLexicon.from_lines(lines)
 
 

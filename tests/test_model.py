@@ -4,7 +4,7 @@ import random
 import pytest
 
 from chronus.concepts import Concept, ConceptDictionary
-from chronus.errors import ChronusError
+from chronus.errors import ChronusError, DataFormatError
 from chronus.gen import sample_sentence
 from chronus.model import (BEGIN, NEG_INF, SegmentedSentence,
                            apply_synonym_smoothing, canonical_row,
@@ -30,7 +30,8 @@ def test_sentence_render_parse_round_trip():
 
 
 def test_sentence_length_mismatch_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(ChronusError,
+                       match="^words and labels must have equal length$"):
         make_sentence(["A", "B"], ["question"])
 
 
@@ -166,7 +167,7 @@ def test_train_rejects_word_outside_vocabulary(artifacts):
 
 
 def test_train_rejects_empty_corpus(artifacts):
-    with pytest.raises(Exception):
+    with pytest.raises(ChronusError, match="^training corpus is empty$"):
         count_events([], artifacts.dictionary, ["SHOW"])
 
 
@@ -210,7 +211,8 @@ def test_model_text_round_trip(demo_model):
 
 
 def test_model_text_header_required():
-    with pytest.raises(Exception):
+    with pytest.raises(DataFormatError,
+                       match="^1: missing chronus-model v3 header$"):
         model_from_text("not a model\n")
 
 
@@ -285,7 +287,8 @@ def test_synonym_smoothing_input_validation(artifacts):
     with pytest.raises(ChronusError,
                        match="^word not in vocabulary: 'NOPE'$"):
         apply_synonym_smoothing(model, {"origin": [["FROM", "NOPE"]]}, counts)
-    with pytest.raises(Exception):
+    with pytest.raises(ChronusError, match="^word 'FROM' in two synonym "
+                       "groups under origin$"):
         apply_synonym_smoothing(
             model, {"origin": [["FROM", "((city))"], ["FROM", "DEPART(S)"]]},
             counts)

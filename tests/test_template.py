@@ -186,13 +186,14 @@ def test_empty_pattern_rejected():
 
 
 def test_from_lines_validates_category(artifacts):
-    with pytest.raises(Exception):
+    with pytest.raises(DataFormatError, match="^2: unknown category 'bogus'$"):
         ValueTable.from_lines(["[concept origin]", "WORD\tvalue\tbogus"],
                               artifacts.dictionary)
 
 
 def test_from_lines_requires_concept_header(artifacts):
-    with pytest.raises(Exception):
+    with pytest.raises(DataFormatError,
+                       match=r"^1: pattern before any \[concept\] header$"):
         ValueTable.from_lines(["WORD\tvalue\titem"], artifacts.dictionary)
 
 
