@@ -82,16 +82,31 @@ def test_log_prob_is_exactly_path_score_on_long_demo_sentences(
                                              result.labels)
 
 
-def test_demo_decodes_match_the_pinned_digest(demo_model, artifacts):
+@pytest.fixture(scope="module")
+def digest():
+    """tools/decode_digest.py, imported as a module."""
+    tool = TESTS_DATA.parent.parent / "tools" / "decode_digest.py"
+    spec = importlib.util.spec_from_file_location("decode_digest", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_demo_decodes_match_the_pinned_digest(demo_model, artifacts, digest):
     # tools/decode_digest.py wrote the file with an earlier decoder, on
     # sentences longer than the oracle reaches: any rewrite of the search
     # must reproduce every path, label and score bit for bit
-    tool = TESTS_DATA.parent.parent / "tools" / "decode_digest.py"
-    spec = importlib.util.spec_from_file_location("decode_digest", tool)
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
     pinned = (TESTS_DATA / "decode_digest.txt").read_text(encoding="utf-8")
     assert digest.digest_lines(demo_model, artifacts) == pinned.splitlines()
+
+
+def test_demo_turns_match_the_pinned_digest(demo_model, artifacts, digest):
+    # the same sentences through run_turn: any rewrite of the lexer,
+    # template, planner or database must give every template, rejection
+    # and answer the file holds
+    pinned = (TESTS_DATA / "turn_digest.txt").read_text(encoding="utf-8")
+    assert digest.turn_digest_lines(demo_model, artifacts) \
+        == pinned.splitlines()
 
 
 # ---------------------------------------------------------------------------

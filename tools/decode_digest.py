@@ -1,18 +1,25 @@
 #!/usr/bin/env python3
-"""Write the decoder's pinned digest, tests/data/decode_digest.txt.
+"""Write the pinned digests tests/data/decode_digest.txt and turn_digest.txt.
 
-One line per sentence: its id, the decoded path as word:label pairs and
-``repr(log_prob)``, tab-separated.  The model is the demo model (the demo
+The decode digest has one line per sentence: its id, the decoded path as
+word:label pairs and ``repr(log_prob)``, tab-separated.  The turn digest
+has one line per sentence too: its id, whether the turn was accepted or
+rejected, the template's ``render()`` and the answer's ``render_lines()``
+(as a Python list) or the planning error, tab-separated; a sentence the
+lexer refuses reads ``error: <message>`` in either.  The model is the
+demo model (the demo
 and seed golds over the lexicon's full vocabulary, k = 0.001).  The
 sentences are the 62 distinct texts of the demo and semi corpora, under
 the id of their first entry, then 40 sentences j01..j40 joined from 3-15
 of those texts with a fixed seed, some with AND between them and some
 with an out-of-lexicon word.  These reach lengths the brute-force oracle
 cannot (it stops at 6 concepts and 8 positions), so the test that reads
-the file pins every later decoder rewrite bit for bit to this one.
+the files pin every later decoder rewrite bit for bit to this one, and
+every rewrite of the lexer, template, planner or database to the answers
+they give.
 
-Regenerate only when the decoder's output is meant to change: run from
-the repository root, python tools/decode_digest.py
+Regenerate only when the decoder's or a turn's output is meant to change:
+run from the repository root, python tools/decode_digest.py
 """
 
 import os
@@ -25,11 +32,12 @@ from chronus.decoder import viterbi_decode_lattice
 from chronus.errors import ChronusError
 from chronus.lexicon import lex_parse
 from chronus.model import count_events, full_vocabulary, train_mle
-from chronus.pipeline import Artifacts, data_path
+from chronus.pipeline import Artifacts, data_path, run_turn
 from chronus.training import FeedbackCorpus
 
-DIGEST = os.path.join(os.path.dirname(__file__), "..", "tests", "data",
-                      "decode_digest.txt")
+DATA = os.path.join(os.path.dirname(__file__), "..", "tests", "data")
+DIGEST = os.path.join(DATA, "decode_digest.txt")
+TURN_DIGEST = os.path.join(DATA, "turn_digest.txt")
 SEED = 2718
 JOINED = 40
 JOINS = range(3, 16)     # corpus texts per joined sentence
@@ -83,12 +91,33 @@ def digest_lines(model, artifacts):
     return lines
 
 
+def turn_digest_lines(model, artifacts):
+    lines = []
+    for ident, text in sentences():
+        try:
+            turn = run_turn(text, model, artifacts)
+        except ChronusError as exc:
+            lines.append(f"{ident}\terror: {exc}")
+            continue
+        if turn.rejected:
+            outcome = "-"
+        elif turn.error is not None:
+            outcome = f"error: {turn.error}"
+        else:
+            outcome = repr(turn.answer.render_lines())
+        lines.append(f"{ident}\t{'rejected' if turn.rejected else 'accepted'}"
+                     f"\t{turn.template.render()}\t{outcome}")
+    return lines
+
+
 def main():
     artifacts = Artifacts.load_bundled()
-    lines = digest_lines(demo_model(artifacts), artifacts)
-    with open(DIGEST, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"{len(lines)} sentences -> {os.path.normpath(DIGEST)}")
+    model = demo_model(artifacts)
+    for path, lines in ((DIGEST, digest_lines(model, artifacts)),
+                        (TURN_DIGEST, turn_digest_lines(model, artifacts))):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        print(f"{len(lines)} sentences -> {os.path.normpath(path)}")
 
 
 if __name__ == "__main__":
