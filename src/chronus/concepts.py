@@ -81,6 +81,8 @@ class ConceptDictionary:
             if special not in self._index or self[special].role != "special":
                 raise DataFormatError(
                     f"dictionary must define special concept {special!r}", path)
+        # name -> Concept.keyword, for the per-segment lookups of templates
+        self.keyword_of = {c.name: c.keyword for c in self.concepts}
 
     @property
     def names(self):

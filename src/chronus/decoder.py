@@ -12,7 +12,8 @@ per arc.  Its predecessors come from the lattice's own index,
 position 0 reaches (the live arcs), built once with the lattice, so the
 decoder derives no reachability of its own.  Emissions come as
 per-concept vectors that the model takes from its bigram rows and
-memoises (``ConceptHmm.emissions``): a new segment's first word is
+memoises, read by subscripting the memo
+(``ConceptHmm.emission_vectors``): a new segment's first word is
 emitted from the begin-marker row whatever the previous concept was, so
 that vector is read once per arc; only staying in the same concept reads
 the vector of the predecessor's symbol as context, once per (arc, live
@@ -69,7 +70,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ChronusError
-from .lexicon import Arc, Lattice, Superword, enumerate_path_arcs
+from .lexicon import (Arc, Lattice, Superword, enumerate_path_arcs,
+                      superword_of)
 from .model import BEGIN, NEG_INF, ConceptHmm, SegmentedSentence, prefix_scores
 from .model import path_score  # noqa: F401  (callers import it from here)
 
@@ -119,10 +121,10 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
     # per target concept: its transitions in and its walk bound; built
     # once, as unpacking a fresh zip per pass measured slower
     targets = list(enumerate(zip(model.trans_into, model.enter_max)))
-    emissions = model.emissions
+    emissions = model.emission_vectors   # (ctx, sym) -> vector, memoised
 
     for i, (start, _, sym, _) in enumerate(arcs):
-        begin = emissions(BEGIN, sym)
+        begin = emissions[BEGIN, sym]
         if start == 0:
             relax += n_concepts
             delta[i] = [s + e for s, e in zip(model.init_vec, begin)]
@@ -142,7 +144,7 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
         ranked = sorted(concepts, key=row.__getitem__, reverse=True)
         # staying in concept c continues the segment, so the bigram
         # context is the predecessor's symbol instead of the begin marker
-        stay = emissions(arcs[j].sym, sym)
+        stay = emissions[arcs[j][2], sym]
         # every target sets its entry of both
         cells, prev = [NEG_INF] * n_concepts, [0] * n_concepts
         for c, (trans, bound) in targets:
@@ -166,7 +168,7 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
         for j in live[1:]:
             row = delta[j]
             ranked = sorted(concepts, key=row.__getitem__, reverse=True)
-            stay = emissions(arcs[j].sym, sym)
+            stay = emissions[arcs[j][2], sym]
             for c, (trans, bound) in targets:
                 best = old = cells[c]
                 d = prev[c]
@@ -199,13 +201,15 @@ def viterbi_decode_lattice(model: ConceptHmm, lattice: Lattice) -> DecodeResult:
     degenerate = log_prob == NEG_INF
 
     names = model.dictionary.names
-    path = [(arcs[j].superword, names[c])]
-    while arcs[j].start:
+    arc = arcs[j]
+    path = [(superword_of(arc[2:]), names[c])]
+    while arc[0]:
         if degenerate:   # the first live arc in, concept 0 throughout
-            j = incoming[arcs[j].start][0]
+            j = incoming[arc[0]][0]
         else:
             j, c = back_arc[j][c], back_concept[j][c]
-        path.append((arcs[j].superword, names[c]))
+        arc = arcs[j]
+        path.append((superword_of(arc[2:]), names[c]))
     words, labels = zip(*reversed(path))
     return DecodeResult(labels=labels, words=words, log_prob=log_prob,
                         degenerate=degenerate, relaxations=relax)

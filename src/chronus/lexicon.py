@@ -10,6 +10,8 @@ reserved unknown marker instead of failing.
 from __future__ import annotations
 
 import re
+from functools import partial
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -76,6 +78,12 @@ class Arc(NamedTuple):
 
     def key(self):
         return (self.start, self.end, self.sym, self.value or "")
+
+
+# Build a Superword or an Arc from a tuple of its fields, in C: the named
+# tuple's own constructor runs Python code per call.
+superword_of = partial(tuple.__new__, Superword)
+arc_of = partial(tuple.__new__, Arc)
 
 
 _SPAN_SYM = itemgetter(0, 1, 2)   # an arc's (start, end, sym)
@@ -188,6 +196,9 @@ NORMALIZERS = {
 # ---------------------------------------------------------------------------
 # FSA grammars
 
+_NO_STATES = frozenset()
+
+
 class FsaGrammar:
     """Finite-state acceptor over surface words plus a value normalizer.
 
@@ -203,6 +214,7 @@ class FsaGrammar:
         if normalizer not in NORMALIZERS:
             raise ChronusError(f"grammar {gid}: unknown normalizer {normalizer!r}")
         self.gid = gid
+        self.sym = f"(({gid}))"   # the symbol of the superwords it makes
         self.line = line   # of the [grammar] header it was read from
         self.normalizer = normalizer
         self.words = {w for (_, w) in transitions}
@@ -220,13 +232,11 @@ class FsaGrammar:
             cur = stack.pop()
             if cur & accepting:
                 self._accept.add(cur)
-            row = {}
-            words_here = set()
+            row = {}   # word -> the union of its targets from cur
             for s in cur:
-                words_here.update(nfa.get(s, ()))
-            for w in words_here:
-                nxt = frozenset(t for s in cur for t in nfa.get(s, {}).get(w, ()))
-                row[w] = nxt
+                for w, targets in nfa.get(s, {}).items():
+                    row[w] = row.get(w, _NO_STATES).union(targets)
+            for nxt in row.values():
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
@@ -259,7 +269,10 @@ class SuperwordLexicon:
     The reader checks each surface word and each grammar id at its line.
     The checks across grammars run here too, since ``lex_parse`` relies on
     them (``[stop]`` may follow the grammars); errors name ``path`` and the
-    grammar's ``line``."""
+    grammar's ``line``.  Two indexes serve ``lex_parse``: ``symbols`` maps
+    each known surface word to its symbol, and ``starts`` maps each word
+    that can begin a grammar match to ``(grammar index, grammar)`` pairs,
+    in grammar order."""
 
     def __init__(self, words, inflect, stop, grammars, path=None):
         self.words = frozenset(words)
@@ -267,6 +280,12 @@ class SuperwordLexicon:
         self.stop = frozenset(stop)
         self.grammars = list(grammars)
         self._validate(path)
+        self.symbols = dict(zip(self.words, self.words))
+        self.symbols.update(self.inflect)
+        self.starts = starts = {}
+        for entry in enumerate(self.grammars):
+            for word in entry[1].start_words:
+                starts[word] = starts.get(word, ()) + (entry,)
 
     def _validate(self, path):
         for surface in self.inflect:
@@ -284,19 +303,12 @@ class SuperwordLexicon:
                     f"stop words {sorted(overlap)} appear in grammar {g.gid}",
                     path, g.line)
 
-    def word_sym(self, token: str) -> str:
-        if token in self.inflect:
-            return self.inflect[token]
-        if token in self.words:
-            return token
-        return UNKNOWN
-
     @property
     def superwords(self):
         """All model-visible symbols this lexicon can emit (incl. unknown)."""
         syms = set(self.words)
         syms.update(self.inflect.values())
-        syms.update(f"(({g.gid}))" for g in self.grammars)
+        syms.update(g.sym for g in self.grammars)
         syms.add(UNKNOWN)
         return syms
 
@@ -379,33 +391,38 @@ def lex_parse(sentence: str, lexicon: SuperwordLexicon) -> Lattice:
     Stop words are deleted, inflection groups collapse to their canonical
     superword, every maximal grammar match becomes a parallel arc carrying
     its normalized value, and anything left over becomes a plain-word or
-    unknown-marker arc.
+    unknown-marker arc.  Each kept token is looked up once in the
+    lexicon's ``symbols`` and once in its ``starts``, so a grammar is
+    tried only at its start words.
     """
     tokens = tokenize(sentence)
     if not tokens:
         raise ChronusError("sentence is empty after tokenization")
-    kept = [t for t in tokens if t not in lexicon.stop]
+    stop = lexicon.stop
+    kept = [t for t in tokens if t not in stop]
     if not kept:
         raise ChronusError("all tokens are stop words")
 
-    arcs = [Arc(i, i + 1, lexicon.word_sym(tok)) for i, tok in enumerate(kept)]
-    for grammar in lexicon.grammars:
-        # keep only maximal matches (not strictly contained in another match
-        # of the same grammar).  In (start, -end) order a match is contained
-        # exactly when an earlier one reaches at least its end; match_ends
-        # ascends, so at each start only the longest match can be maximal.
-        # A match can only start at one of the grammar's start words.
-        reach = 0
-        start_words = grammar.start_words
-        for s, tok in enumerate(kept):
-            if tok not in start_words:
-                continue
+    n = len(kept)
+    symbols = lexicon.symbols
+    arcs = list(map(arc_of, zip(range(n), range(1, n + 1),
+                                map(symbols.get, kept, repeat(UNKNOWN)),
+                                repeat(None))))
+    # keep only maximal matches (not strictly contained in another match of
+    # the same grammar).  Starts ascend, so a match is contained exactly
+    # when an earlier one of its grammar reaches at least its end;
+    # match_ends ascends, so at each start only the longest match can be
+    # maximal.
+    reach = [0] * len(lexicon.grammars)   # per grammar
+    starts = lexicon.starts
+    for s, tok in enumerate(kept):
+        for g, grammar in starts.get(tok, ()):
             ends = grammar.match_ends(kept, s)
-            if ends and ends[-1] > reach:
-                e = reach = ends[-1]
-                arcs.append(Arc(s, e, f"(({grammar.gid}))",
-                                grammar.normalize(kept[s:e])))
-    return Lattice(len(kept), arcs)
+            if ends and ends[-1] > reach[g]:
+                e = reach[g] = ends[-1]
+                arcs.append(arc_of((s, e, grammar.sym,
+                                    grammar.normalize(kept[s:e]))))
+    return Lattice(n, arcs)
 
 
 def enumerate_path_arcs(lattice: Lattice):

@@ -174,13 +174,14 @@ class ConceptHmm:
     mass in any row.
 
     Every scorer reads emissions as per-concept vectors from
-    ``emissions(ctx, sym)``: the begin-marker emissions of ``sym`` (``ctx``
-    = ``BEGIN``) and its stay emissions after ``ctx``.  They are the logs
-    of the bigram rows' values, taken on first use, never at
-    construction, and memoised on the instance for a context in ``BEGIN``
-    + vocabulary and a symbol in the vocabulary, so the memo holds at most
-    (|V| + 1) * |V| vectors; any other symbol reads one shared all -inf
-    vector.
+    ``emissions(ctx, sym)``, or by subscripting its memo,
+    ``emission_vectors[ctx, sym]``, as the decoder does: the begin-marker
+    emissions of ``sym`` (``ctx`` = ``BEGIN``) and its stay emissions after
+    ``ctx``.  They are the logs of the bigram rows' values, taken on first
+    use, never at construction.  The memo is a dict that computes a
+    missing vector and keeps it for a context in ``BEGIN`` + vocabulary and
+    a symbol in the vocabulary, so it holds at most (|V| + 1) * |V|
+    vectors; any other symbol reads one shared all -inf vector.
     """
 
     def __init__(self, dictionary: ConceptDictionary, vocab, k: float,
@@ -215,8 +216,10 @@ class ConceptHmm:
         self.enter_max = [max(col[:c] + col[c + 1:], default=NEG_INF)
                           for c, col in enumerate(self.trans_into)]
         self.final_vec = [_safe_log(row.prob(FINAL)) for row in rows]
-        self._emissions = {}   # (ctx, sym) -> per-concept vector, on use
-        self._no_mass = (NEG_INF,) * len(names)
+        # (ctx, sym) -> per-concept vector, on use
+        self.emission_vectors = _EmissionMemo(
+            self.vocab_set, list(self.bigram.values()), self.unseen,
+            (NEG_INF,) * len(names))
 
     def bigram_row(self, concept, ctx) -> Row:
         """The bigram row of a concept name after context ``ctx``, stored
@@ -226,15 +229,7 @@ class ConceptHmm:
     def emissions(self, ctx, sym) -> tuple:
         """log P(sym | concept id c, bigram context ctx) for every c, as
         one read-only vector."""
-        vec = self._emissions.get((ctx, sym))
-        if vec is None:
-            if sym not in self.vocab_set:
-                return self._no_mass
-            vec = tuple([_safe_log(table.get(ctx, self.unseen).prob(sym))
-                         for table in self.bigram.values()])
-            if ctx == BEGIN or ctx in self.vocab_set:
-                self._emissions[ctx, sym] = vec
-        return vec
+        return self.emission_vectors[ctx, sym]
 
     def rows(self):
         """All stored (name, row) probability rows, for normalization
@@ -253,6 +248,31 @@ class ConceptHmm:
         contexts = {BEGIN, *self.vocab} if self.unseen.default else set()
         return 1 + len(self.transition) + sum(
             len(table.keys() | contexts) for table in self.bigram.values())
+
+
+class _EmissionMemo(dict):
+    """``ConceptHmm``'s emission memo: ``(ctx, sym)`` -> per-concept log
+    vector.  A missing vector is computed from the bigram tables and kept
+    when ``sym`` is in the vocabulary and ``ctx`` is ``BEGIN`` or in it; a
+    symbol outside the vocabulary reads ``no_mass`` and is not kept."""
+
+    __slots__ = ("vocab_set", "tables", "unseen", "no_mass")
+
+    def __init__(self, vocab_set, tables, unseen, no_mass):
+        super().__init__()
+        self.vocab_set, self.tables = vocab_set, tables
+        self.unseen, self.no_mass = unseen, no_mass
+
+    def __missing__(self, key):
+        ctx, sym = key
+        if sym not in self.vocab_set:
+            return self.no_mass
+        unseen = self.unseen
+        vec = tuple([_safe_log(table.get(ctx, unseen).prob(sym))
+                     for table in self.tables])
+        if ctx == BEGIN or ctx in self.vocab_set:
+            self[key] = vec
+        return vec
 
 
 def _safe_log(p):

@@ -10,6 +10,7 @@ definition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import ChronusError, DataFormatError
 from .template import Template
@@ -78,11 +79,21 @@ class Conventions:
 
 class MiniDb:
     """Typed in-memory tables.  ``load`` checks them: each row as it reads
-    it, and the references between rows once the file is read."""
+    it, and the references between rows once the file is read.  The two
+    row lists a query starts from are built here, once: ``flights``,
+    sorted by flight id, and ``fare_flights``, each fare joined with its
+    flight, sorted by (flight id, fare id)."""
 
     def __init__(self, tables, conventions: Conventions):
         self.tables = tables
         self.conventions = conventions
+        flights = tables.get("flight", [])
+        self.flights = sorted(flights, key=itemgetter("flight_id"))
+        by_id = {f["flight_id"]: f for f in flights}   # ids are unique
+        self.fare_flights = sorted(
+            [by_id[fare["flight_id"]] | fare for fare in tables.get("fare", [])
+             if fare["flight_id"] in by_id],
+            key=itemgetter("flight_id", "fare_id"))
         self._city_by_name = {r["city_name"]: r["city_code"]
                               for r in tables.get("city", [])}
         self._city_codes = {r["city_code"] for r in tables.get("city", [])}
@@ -271,16 +282,7 @@ def plan_query(template: Template, db: MiniDb) -> QueryPlan:
 
 def execute(plan: QueryPlan, db: MiniDb) -> Answer:
     """Deterministic evaluation; rows sorted by primary key, ties kept."""
-    if plan.join_fare:
-        rows = []
-        for fare in db.tables["fare"]:
-            for flight in db.tables["flight"]:
-                if flight["flight_id"] == fare["flight_id"]:
-                    rows.append({**flight, **fare})
-        rows.sort(key=lambda r: (r["flight_id"], r["fare_id"]))
-    else:
-        rows = sorted(db.tables["flight"], key=lambda r: r["flight_id"])
-
+    rows = db.fare_flights if plan.join_fare else db.flights
     for column, op, value in plan.predicates:
         if op == "=":
             rows = [r for r in rows if r[column] == value]

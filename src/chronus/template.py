@@ -4,8 +4,9 @@ Each concept has an ordered list of phrase patterns; the first pattern,
 in file order, found anywhere inside a segment supplies the token value,
 taken at its leftmost match.  So a pattern listed first wins even where a
 later one matches further left.  The value table indexes each concept's
-patterns by their first symbol, and matching walks the segment's words
-once, trying at each word only the patterns that begin with its symbol.
+patterns by the words their first token can match, keyed by a word's
+exact (symbol, value), and matching walks the segment's words once,
+looking each word up and trying only the patterns listed under it.
 Grammar-typed slots (e.g. ((city))) either match a specific normalized
 value or take the value of whatever grammar arc they matched.  Attribute
 concepts fold into their restriction counterpart, so ECONOMY under a_fare
@@ -77,14 +78,21 @@ class Template:
 
 
 class ValueTable:
-    """Per-concept ordered pattern lists, held as ``by_first``: per concept,
-    each first symbol maps to the ``(file order, pattern)`` pairs of the
-    patterns that begin with it, in file order.  Each pattern is checked as
-    it is added, so the reader names the first bad line."""
+    """Per-concept ordered pattern lists, held as ``by_word``: per concept,
+    each word ``(sym, value)`` that a pattern's first token can match maps
+    to the ``(file order, pattern)`` pairs of those patterns, in file order.
+    A first token without a value (a wildcard) matches every word of its
+    symbol: it is listed under ``(sym, None)`` and under each ``(sym,
+    value)`` key of its concept, interleaved with the valued patterns.  A
+    valued word with no key of its own reads its symbol's wildcard list.
+    Each pattern is checked and indexed as it is added, so the reader
+    names the first bad line and the index is built in one pass."""
 
     def __init__(self, tables):
-        self.by_first = {}
+        self.by_word = {}
         self._added = Counter()   # concept -> patterns added so far
+        # (concept, grammar symbol) -> the by_word lists of its valued keys
+        self._valued = {}
         for concept, pats in tables.items():
             for p in pats:
                 self._add(concept, p)
@@ -93,8 +101,8 @@ class ValueTable:
         """Index ``p`` after the patterns of ``concept`` added so far.  It
         must not be empty, must have a grammar slot if it takes its slot's
         value, and must not repeat or extend an earlier pattern, which
-        would always win over it; such a pattern has the same first
-        symbol."""
+        would always win over it; such a pattern has the same first token,
+        so it is listed under the same key."""
         if not p.tokens:
             raise DataFormatError(f"empty pattern under {concept}", path, ln)
         if p.value == TAKE_VALUE and not any(
@@ -102,8 +110,15 @@ class ValueTable:
             raise DataFormatError(
                 f"{concept}: pattern {_render_tokens(p.tokens)} takes its "
                 "slot's value (*) but has no grammar slot", path, ln)
-        same_first = self.by_first.setdefault(concept, {}).setdefault(
-            p.tokens[0].sym, [])
+        index = self.by_word.setdefault(concept, {})
+        first = p.tokens[0]
+        same_first = index.get(first)
+        if same_first is None:
+            same_first = index[first] = []
+            if first.value is not None:   # after its symbol's wildcards
+                same_first += index.get((first.sym, None), ())
+                self._valued.setdefault((concept, first.sym), []).append(
+                    same_first)
         for _, q in same_first:
             if p.tokens == q.tokens:
                 raise DataFormatError(
@@ -113,7 +128,11 @@ class ValueTable:
                 raise DataFormatError(
                     f"{concept}: pattern {_render_tokens(q.tokens)} listed "
                     f"before the longer {_render_tokens(p.tokens)}", path, ln)
-        same_first.append((self._added[concept], p))
+        entry = (self._added[concept], p)
+        same_first.append(entry)
+        if first.value is None:   # every word of the symbol can start it
+            for pats in self._valued.get((concept, first.sym), ()):
+                pats.append(entry)
         self._added[concept] += 1
 
     @classmethod
@@ -159,17 +178,19 @@ def generate_template(segmentation: SegmentedSentence, tables: ValueTable,
                       dictionary: ConceptDictionary) -> Template:
     """One token per matched segment, in segment order; dummy/and skipped."""
     template = Template()
+    keywords = dictionary.keyword_of
+    by_word = tables.by_word
+    words = segmentation.words
     for label, start, end in segmentation.segments():
         try:
-            concept = dictionary[label]
+            keyword = keywords[label]
         except KeyError:
             raise ChronusError(
                 f"segment label {label!r} not in dictionary") from None
-        keyword = concept.keyword
         if keyword is None:
             continue
-        words = segmentation.words[start:end]
-        token = _match_segment(keyword, words, tables)
+        token = _match_segment(keyword, words[start:end],
+                               by_word.get(keyword, _NO_PATTERNS))
         if token is None:
             template.unmatched += 1
         else:
@@ -177,15 +198,24 @@ def generate_template(segmentation: SegmentedSentence, tables: ValueTable,
     return template
 
 
-def _match_segment(keyword, words, tables):
+_NO_PATTERNS = {}
+
+
+def _match_segment(keyword, words, index):
     """The first pattern in file order that matches anywhere in ``words``,
     at its leftmost offset.  One walk over the offsets tries, at each, the
-    patterns indexed under its word's symbol that come before the best
-    match so far; the first of them to match is the best at that offset."""
-    index = tables.by_first.get(keyword, {})
+    patterns ``index`` (a concept's ``ValueTable.by_word``) lists under its
+    word that come before the best match so far; the first of them to
+    match is the best at that offset."""
     best = None
     for i, w in enumerate(words):
-        for order, pattern in index.get(w.sym, ()):
+        pats = index.get(w)
+        if pats is None:   # w[0], w[1]: sym, value, read cheaper by index
+            if w[1] is None:
+                continue
+            # a value no pattern names: its symbol's wildcards
+            pats = index.get((w[0], None), ())
+        for order, pattern in pats:
             if best is not None and order >= best[0]:
                 break
             value = pattern.matches_at(words, i)

@@ -314,10 +314,10 @@ def test_decoding_an_unknown_symbol_leaves_the_emission_memo_alone(
                           Arc(1, 2, "GIZMO"), Arc(2, 3, "FLIGHT(S)"),
                           Arc(1, 3, "GIZMO")])
     first = viterbi_decode_lattice(model, lattice)
-    size = len(model._emissions)
+    size = len(model.emission_vectors)
     again = viterbi_decode_lattice(model, lattice)
-    assert len(model._emissions) == size
-    assert not any("GIZMO" in key for key in model._emissions)
+    assert len(model.emission_vectors) == size
+    assert not any("GIZMO" in key for key in model.emission_vectors)
     assert (first.labels, first.words, repr(first.log_prob),
             first.degenerate, first.relaxations) == (
         again.labels, again.words, repr(again.log_prob),

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from chronus.errors import ChronusError, DataFormatError
-from chronus.lexicon import (Arc, FsaGrammar, Lattice, Superword,
+from chronus.lexicon import (UNKNOWN, Arc, FsaGrammar, Lattice, Superword,
                              SuperwordLexicon, compound_number_value,
                              enumerate_path_arcs, is_grammar_sym, lex_parse,
                              parse_superword, tokenize)
@@ -133,7 +133,9 @@ def test_overlapping_grammars_contribute_independent_arcs(artifacts):
 def _arcs_by_all_pairs(kept, lexicon):
     """Word arcs plus every grammar match not strictly contained in another
     match of the same grammar, by comparing all pairs of matches."""
-    arcs = [Arc(i, i + 1, lexicon.word_sym(t)) for i, t in enumerate(kept)]
+    arcs = [Arc(i, i + 1, lexicon.inflect.get(
+                t, t if t in lexicon.words else UNKNOWN))
+            for i, t in enumerate(kept)]
     for g in lexicon.grammars:
         matches = [(s, e) for s in range(len(kept))
                    for e in g.match_ends(kept, s)]

@@ -151,7 +151,22 @@ def test_emission_vectors_hold_the_table_values_bit_for_bit(demo_model):
                 p = model.bigram_row(name, ctx).prob(sym)
                 assert vec[c].hex() == (
                     math.log(p) if p > 0.0 else NEG_INF).hex()
-    assert len(model._emissions) == (len(vocab) + 1) * len(vocab)
+    assert len(model.emission_vectors) == (len(vocab) + 1) * len(vocab)
+
+
+def test_a_memo_subscript_returns_the_vector_emissions_returns(demo_model):
+    model = model_from_text(model_to_text(demo_model))   # an empty memo
+    memo = model.emission_vectors
+    ctx, sym = "SHOW", "ME"
+    vec = model.emissions(ctx, sym)   # computed and stored
+    assert memo[ctx, sym] is vec
+    assert model.emissions(ctx, sym) is vec
+    missing = memo[BEGIN, "FLIGHT(S)"]   # computed by the subscript
+    assert model.emissions(BEGIN, "FLIGHT(S)") is missing
+    # a symbol outside the vocabulary reads one shared vector, not stored
+    assert memo[BEGIN, "GIZMO"] is model.emissions(BEGIN, "GIZMO")
+    assert (BEGIN, "GIZMO") not in memo
+    assert len(memo) == 2
 
 
 def test_train_rejects_unknown_label(artifacts):

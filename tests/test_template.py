@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chronus.gen import synthetic_dictionary
 from chronus.lexicon import Superword, is_grammar_sym, parse_superword
@@ -157,18 +157,67 @@ def _pattern_list(draw):
     return patterns
 
 
+_CITY = Superword("((city))")
+_BOSTON = Superword("((city))", "BOSTON")
+_DALLAS = Superword("((city))", "DALLAS")
+# valued and wildcard first tokens of one symbol, interleaved in file order
+_INTERLEAVED = [Pattern((_DALLAS,), "p0"),
+                Pattern((_CITY, Superword("A")), "p1"),
+                Pattern((_BOSTON, Superword("B")), "p2"),
+                Pattern((_CITY, Superword("C")), "p3"),
+                Pattern((_BOSTON,), "p4"),
+                Pattern((_CITY,), TAKE_VALUE)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(tables=st.fixed_dictionaries({"x": _pattern_list(),
                                      "y": _pattern_list()}),
        pairs=st.lists(st.tuples(st.sampled_from(_SEGMENT_WORDS),
                                 st.sampled_from(["x", "y", "dummy"])),
                       min_size=1, max_size=10))
+@example(tables={"x": _INTERLEAVED,
+                 "y": [_INTERLEAVED[i] for i in (4, 3, 0, 5)]},
+         pairs=[(_BOSTON, "x"), (Superword("A"), "x"), (_BOSTON, "x"),
+                (Superword("B"), "x"), (_DALLAS, "y"),
+                (Superword("((city))", "DENVER"), "y"), (Superword("C"), "y")])
+@example(tables={"x": _INTERLEAVED, "y": []},
+         pairs=[(_BOSTON, "x"), (Superword("C"), "x")])
 def test_indexed_template_equals_pattern_major_definition(tables, pairs):
     dictionary = synthetic_dictionary(["x", "y"])
     seg = SegmentedSentence(tuple(w for w, _ in pairs),
                             tuple(c for _, c in pairs))
     assert generate_template(seg, ValueTable(tables), dictionary) \
         == template_by_definition(seg, tables, dictionary)
+
+
+def test_valued_words_list_their_symbols_wildcards_in_file_order():
+    index = ValueTable({"x": _INTERLEAVED}).by_word["x"]
+    assert [order for order, _ in index[_BOSTON]] == [1, 2, 3, 4, 5]
+    assert [order for order, _ in index[_DALLAS]] == [0, 1, 3, 5]
+    assert [order for order, _ in index[_CITY]] == [1, 3, 5]
+    # a value no pattern names reads the wildcard list
+    seg = SegmentedSentence((Superword("((city))", "DENVER"),), ("x",))
+    template = generate_template(seg, ValueTable({"x": _INTERLEAVED}),
+                                 synthetic_dictionary(["x"]))
+    assert template.render() == "(x,DENVER)"
+
+
+def test_template_tries_only_patterns_listed_under_the_word(
+        artifacts, monkeypatch):
+    # origin lists eleven ((city)) patterns; the exact (symbol, value)
+    # index tries only the one that names WASHINGTON
+    calls = []
+    real = Pattern.matches_at
+
+    def counted(self, segment, i):
+        calls.append(i)
+        return real(self, segment, i)
+
+    monkeypatch.setattr(Pattern, "matches_at", counted)
+    seg = _segmentation("FROM:origin ((city)WASHINGTON):origin")
+    template = generate_template(seg, artifacts.tables, artifacts.dictionary)
+    assert template.render() == "(origin,WWAS)"
+    assert calls == [1]
 
 
 def test_prefix_pattern_must_come_after_longer_one():
