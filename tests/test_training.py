@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib.util
 import random
 import weakref
 
@@ -19,8 +20,8 @@ from chronus.training import (AlignmentInfeasibleError, FeedbackCorpus,
                               brute_force_align, required_concepts,
                               run_training_loop)
 
-from helpers import (counted, random_trained_model, tie_heavy_model,
-                     train_full, uniform_rows_model)
+from helpers import (TESTS_DATA, counted, random_trained_model,
+                     tie_heavy_model, train_full, uniform_rows_model)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +165,19 @@ def test_loop_input_validation(artifacts, semi_corpus):
                                             refmin=refs, refmax=refs)])
     with pytest.raises(ChronusError):
         run_training_loop(no_seed, seed_model, artifacts, max_iters=5)
+
+
+def test_training_cycle_matches_the_pinned_digest():
+    # tools/cycle_digest.py wrote the file before the cycle's fixed costs
+    # were cut: train (with and without synonyms), the loop's report, its
+    # snapshot ids and --out model, and align_win's labels must stay
+    # bit for bit
+    tool = TESTS_DATA.parent.parent / "tools" / "cycle_digest.py"
+    spec = importlib.util.spec_from_file_location("cycle_digest", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    pinned = (TESTS_DATA / "cycle_digest.txt").read_text(encoding="utf-8")
+    assert module.digest_lines() == pinned.splitlines()
 
 
 # ---------------------------------------------------------------------------
