@@ -49,7 +49,11 @@ class Superword(NamedTuple):
 
 
 def parse_superword(text: str) -> Superword:
-    """Inverse of Superword.render: ((city)BOSTON) -> sym ((city)), value BOSTON."""
+    """Inverse of Superword.render: ((city)BOSTON) -> sym ((city)), value
+    BOSTON.  Only a text that starts with ``((`` can be a grammar match, so
+    any other is a plain word without a trip through the regex."""
+    if not text.startswith("(("):
+        return superword_of((text, None))
     m = _SUPERWORD_RE.match(text)
     if m:
         gid, value = m.group(1), m.group(2)

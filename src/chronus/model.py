@@ -170,18 +170,19 @@ class ConceptHmm:
     out because it stays in ``c`` rather than entering it.  It bounds the
     decoder's concept-changing candidates and tells constrained alignment
     which concepts no labeling can enter.  The tables are read from each
-    row's default and exceptions.  A symbol outside ``vocab_set`` has no
-    mass in any row.
+    row's default and exceptions, each log taken inline, with no call per
+    probability.  A symbol outside ``vocab_set`` has no mass in any row.
 
     Every scorer reads emissions as per-concept vectors from
     ``emissions(ctx, sym)``, or by subscripting its memo,
-    ``emission_vectors[ctx, sym]``, as the decoder does: the begin-marker
-    emissions of ``sym`` (``ctx`` = ``BEGIN``) and its stay emissions after
-    ``ctx``.  They are the logs of the bigram rows' values, taken on first
-    use, never at construction.  The memo is a dict that computes a
-    missing vector and keeps it for a context in ``BEGIN`` + vocabulary and
-    a symbol in the vocabulary, so it holds at most (|V| + 1) * |V|
-    vectors; any other symbol reads one shared all -inf vector.
+    ``emission_vectors[ctx, sym]``, as the decoder and ``align_win`` do:
+    the begin-marker emissions of ``sym`` (``ctx`` = ``BEGIN``) and its
+    stay emissions after ``ctx``.  They are the logs of the bigram rows'
+    values, taken on first use, never at construction.  The memo is a dict
+    that computes a missing vector and keeps it for a context in ``BEGIN``
+    + vocabulary and a symbol in the vocabulary, so it holds at most
+    (|V| + 1) * |V| vectors; any other symbol reads one shared all -inf
+    vector.
     """
 
     def __init__(self, dictionary: ConceptDictionary, vocab, k: float,
@@ -202,20 +203,28 @@ class ConceptHmm:
                            if row.exc or row.default != self.unseen.default}
                        for c in names}
         rows = [transition.get(r, EMPTY_ROW) for r in names]
-        self.init_vec = [_safe_log(initial.prob(c)) for c in names]
+        log = math.log
+        exc, default = initial.exc, initial.default
+        init_vec = self.init_vec = []
+        for c in names:
+            p = exc.get(c, default)
+            init_vec.append(log(p) if p > 0.0 else NEG_INF)
         index = {c: i for i, c in enumerate(names)}
         out_of = []   # previous concept -> next -> log p
+        final_vec = self.final_vec = []
         for row in rows:
-            logs = [_safe_log(row.default)] * len(names)
+            p = row.default
+            logs = [log(p) if p > 0.0 else NEG_INF] * len(names)
             for col, p in row.exc.items():
                 if col in index:
-                    logs[index[col]] = _safe_log(p)
+                    logs[index[col]] = log(p) if p > 0.0 else NEG_INF
             out_of.append(logs)
+            p = row.exc.get(FINAL, row.default)
+            final_vec.append(log(p) if p > 0.0 else NEG_INF)
         # next concept -> previous -> log p
         self.trans_into = [list(col) for col in zip(*out_of)]
         self.enter_max = [max(col[:c] + col[c + 1:], default=NEG_INF)
                           for c, col in enumerate(self.trans_into)]
-        self.final_vec = [_safe_log(row.prob(FINAL)) for row in rows]
         # (ctx, sym) -> per-concept vector, on use
         self.emission_vectors = _EmissionMemo(
             self.vocab_set, list(self.bigram.values()), self.unseen,
@@ -252,9 +261,11 @@ class ConceptHmm:
 
 class _EmissionMemo(dict):
     """``ConceptHmm``'s emission memo: ``(ctx, sym)`` -> per-concept log
-    vector.  A missing vector is computed from the bigram tables and kept
-    when ``sym`` is in the vocabulary and ``ctx`` is ``BEGIN`` or in it; a
-    symbol outside the vocabulary reads ``no_mass`` and is not kept."""
+    vector.  A missing vector is computed from the bigram tables, each
+    concept's value read from its row's exceptions or default and its log
+    taken inline, and kept when ``sym`` is in the vocabulary and ``ctx`` is
+    ``BEGIN`` or in it; a symbol outside the vocabulary reads ``no_mass``
+    and is not kept."""
 
     __slots__ = ("vocab_set", "tables", "unseen", "no_mass")
 
@@ -267,16 +278,15 @@ class _EmissionMemo(dict):
         ctx, sym = key
         if sym not in self.vocab_set:
             return self.no_mass
-        unseen = self.unseen
-        vec = tuple([_safe_log(table.get(ctx, unseen).prob(sym))
-                     for table in self.tables])
+        unseen, log, vec = self.unseen, math.log, []
+        for table in self.tables:
+            row = table.get(ctx, unseen)
+            p = row.exc.get(sym, row.default)
+            vec.append(log(p) if p > 0.0 else NEG_INF)
+        vec = tuple(vec)
         if ctx == BEGIN or ctx in self.vocab_set:
             self[key] = vec
         return vec
-
-
-def _safe_log(p):
-    return math.log(p) if p > 0.0 else NEG_INF
 
 
 def _smooth_row(counts_row, columns, k):
@@ -310,14 +320,14 @@ def count_events(corpus, dictionary: ConceptDictionary,
     if not corpus:
         raise ChronusError("training corpus is empty")
     vocab = tuple(sorted(set(vocabulary)))
-    vocab_set = frozenset(vocab)
+    vocab_set, names = frozenset(vocab), frozenset(dictionary.names)
     trans_counts = {r: {} for r in [BEGIN] + dictionary.names}
     bigram_counts = {}
     for sent in corpus:
         prev_label = BEGIN
         prev_sym = BEGIN
         for word, label in zip(sent.words, sent.labels):
-            if label not in dictionary:
+            if label not in names:
                 raise ChronusError(
                     f"segmentation label not in concept dictionary: {label!r}")
             if word.sym not in vocab_set:

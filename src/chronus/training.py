@@ -92,9 +92,10 @@ class FeedbackCorpus:
         """Raise ChronusError unless every gold label is a concept of
         ``dictionary``; given the corpus file's ``path``, a data error at
         the entry's ``[sentence]`` line."""
+        names = set(dictionary.names)
         for entry in self.entries:
             for label in entry.gold.labels if entry.gold is not None else ():
-                if label not in dictionary:
+                if label not in names:
                     message = (f"sentence {entry.ident}: segmentation label "
                                f"not in concept dictionary: {label!r}")
                     if path is None:
@@ -214,24 +215,26 @@ class LoopReport:
         return "\n".join(out) + "\n"
 
 
+# The snapshot ids' SHA-256 constructor, resolved once per process: CPython's
+# built-in module (``_sha2`` from 3.12, ``_sha256`` before), not ``hashlib``,
+# which loads OpenSSL, about 3.5 MB resident, for one hash per loop
+# iteration.  SHA-256 is one function, so the ids are those ``hashlib``
+# gives; ``hashlib`` remains the fallback for an interpreter built without
+# either module.
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+
 def _snapshot_id(model: ConceptHmm) -> str:
     """Hash of the model's text, which holds its probabilities only: the
-    first 12 hex digits of its SHA-256.
-
-    The digest comes from CPython's built-in SHA-256 module (``_sha2``
-    from 3.12, ``_sha256`` before), not from ``hashlib``, which loads
-    OpenSSL, about 3.5 MB resident, for one hash per loop iteration.
-    SHA-256 is one function, so the ids are those ``hashlib`` gives;
-    ``hashlib`` remains the fallback for an interpreter built without
-    either module."""
-    try:
-        from _sha2 import sha256
-    except ImportError:
-        try:
-            from _sha256 import sha256
-        except ImportError:
-            from hashlib import sha256
-    return sha256(model_to_text(model).encode()).hexdigest()[:12]
+    first 12 hex digits of its SHA-256, from the constructor the module
+    resolved when it was imported."""
+    return _sha256(model_to_text(model).encode()).hexdigest()[:12]
 
 
 def run_training_loop(corpus: FeedbackCorpus, seed_model: ConceptHmm,
@@ -360,8 +363,9 @@ def align_win(sentence, win_tokens: Iterable[str],
     (concept id, counts) order.  Concepts that no labeling can enter (-inf
     initial log probability and ``enter_max``, the largest transition in
     from another concept) are left out.  Scores come from the same
-    concept-indexed tables and memoised emission vectors
-    (``model.emissions``) as the lattice decoder, each candidate summed as
+    concept-indexed tables and memoised emission vectors as the lattice
+    decoder, and like it the search subscripts ``model.emission_vectors``
+    instead of calling ``model.emissions``; each candidate is summed as
     ``cell + transition + emission``.  A state's candidates are examined
     in predecessor state order and the first strict maximum wins, also in
     the final sweep over the states whose counts are complete.
@@ -395,8 +399,9 @@ def align_win(sentence, win_tokens: Iterable[str],
     n_states = len(allowed) * n_codes
     full = n_codes - 1   # the largest code: every keyword complete
 
+    emissions = model.emission_vectors   # (ctx, sym) -> vector, memoised
     sym = words[0].sym
-    begin = model.emissions(BEGIN, sym)
+    begin = emissions[BEGIN, sym]
     cells = [NEG_INF] * n_states   # best score of a prefix ending there
     for a, c in enumerate(allowed):
         _, state = enter[a][0]   # code 0: no segment begun yet
@@ -407,8 +412,8 @@ def align_win(sentence, win_tokens: Iterable[str],
         nxt, bp = [NEG_INF] * n_states, [0] * n_states
         back.append(bp)
         # per concept id: emissions that begin a segment or continue one
-        begin = model.emissions(BEGIN, sym)
-        stay = model.emissions(prev_sym, sym)
+        begin = emissions[BEGIN, sym]
+        stay = emissions[prev_sym, sym]
         # a state gets at most one candidate per predecessor concept, so
         # predecessor concept order is predecessor state order
         for a_p, to in enumerate(moves):

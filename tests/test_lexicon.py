@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chronus.errors import ChronusError, DataFormatError
 from chronus.lexicon import (UNKNOWN, Arc, FsaGrammar, Lattice, Superword,
@@ -47,6 +49,33 @@ def test_is_grammar_sym_accepts_only_a_bare_grammar_symbol():
     assert is_grammar_sym(parse_superword("((number)37)").sym)
     for sym in ["BOSTON", "FLIGHT(S)", "((city)BOSTON)", "((city)"]:
         assert not is_grammar_sym(sym)
+
+
+_GRAMMAR_MATCH = re.compile(r"^\(\((\w[\w-]*)\)(.*)\)$")
+
+
+def _parse_superword_by_regex(text):
+    """parse_superword as the grammar-match regex alone states it."""
+    m = _GRAMMAR_MATCH.match(text)
+    if m:
+        return Superword(f"(({m.group(1)}))", m.group(2) or None)
+    return Superword(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(str.__add__, st.sampled_from(["", "(", "((", "((("]),
+                 st.text(alphabet="ABCxyz019()-_", max_size=16)))
+@example("((city)")
+@example("((city))")
+@example("((city)BOSTON)")
+@example("(X)")
+@example("(((city)X))")
+def test_parse_superword_equals_the_regex_reference(text):
+    parsed = parse_superword(text)
+    assert parsed == _parse_superword_by_regex(text)
+    assert type(parsed) is Superword
+    if _GRAMMAR_MATCH.match(text):   # a grammar match renders back
+        assert parsed.render() == text
 
 
 def test_superword_render_parse_round_trip():

@@ -11,7 +11,8 @@ from chronus.model import (BEGIN, NEG_INF, SegmentedSentence,
                            count_events, model_from_text, model_to_text,
                            path_score, round12, train_mle)
 
-from helpers import assert_rows_normalized, make_sentence, random_corpus
+from helpers import (assert_rows_normalized, make_sentence, random_corpus,
+                     random_trained_model)
 
 
 def _mk(corpus_specs, dictionary, vocab, k):
@@ -152,6 +153,27 @@ def test_emission_vectors_hold_the_table_values_bit_for_bit(demo_model):
                 assert vec[c].hex() == (
                     math.log(p) if p > 0.0 else NEG_INF).hex()
     assert len(model.emission_vectors) == (len(vocab) + 1) * len(vocab)
+
+
+def test_compiled_transition_tables_hold_the_row_values_bit_for_bit(
+        demo_model):
+    def log_hex(row, col):   # no row: no mass
+        p = row.prob(col) if row is not None else 0.0
+        return (math.log(p) if p > 0.0 else NEG_INF).hex()
+
+    rng = random.Random(29)
+    models = [demo_model] + [random_trained_model(rng, n_concepts=4, k=k)
+                             for k in (0.001, 0.0, 0.5) for _ in range(3)]
+    for model in models:
+        names = model.dictionary.names
+        rows = [model.transition.get(name) for name in names]
+        for c, name in enumerate(names):
+            assert model.init_vec[c].hex() == log_hex(model.initial, name)
+            assert model.final_vec[c].hex() == log_hex(rows[c], "</s>")
+            for cp, row in enumerate(rows):
+                assert model.trans_into[c][cp].hex() == log_hex(row, name)
+    # the sparse models hold impossible events as well as possible ones
+    assert any(NEG_INF in row for model in models for row in model.trans_into)
 
 
 def test_a_memo_subscript_returns_the_vector_emissions_returns(demo_model):

@@ -7,7 +7,9 @@ untimed and its counters at zero."""
 import importlib.util
 from pathlib import Path
 
-from chronus import pipeline
+from chronus import pipeline, training
+
+from helpers import train_full
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -53,3 +55,23 @@ def test_tracer_times_and_counts_every_layer_of_one_turn(demo_model,
     }
     assert traced.template.render() == plain.template.render()
     assert traced.answer.render_lines() == plain.answer.render_lines()
+
+
+def test_tracer_counts_each_loop_snapshot_as_one_model_text(artifacts,
+                                                            semi_corpus):
+    # _snapshot_id reaches model_to_text through the training module's
+    # attribute, so each iteration's snapshot id is one traced model text
+    spans = _spans_module()
+    seed_model = train_full(semi_corpus.seed_segmentations(), artifacts)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        tracer.begin_root("cycle")
+        _, report = training.run_training_loop(semi_corpus, seed_model,
+                                               artifacts, 20)
+        tracer.end_root()
+    iterations = len(report.rows)
+    assert iterations == 2
+    assert tracer.counts["training.loop_iterations"] == iterations
+    assert tracer.counts["model.to_text_calls"] == iterations
+    assert [s[3] for s in tracer.spans].count("model.model_to_text") \
+        == iterations

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import importlib.util
 import random
+import sys
 import weakref
 
 import pytest
@@ -143,6 +144,33 @@ def test_snapshot_id_hashes_the_model_text():
     for model in (trained, built):
         assert _snapshot_id(model) == hashlib.sha256(
             model_to_text(model).encode()).hexdigest()[:12]
+
+
+class _RecordingFinder:
+    """A ``sys.meta_path`` finder that records every module name it is
+    asked for and finds none."""
+
+    def __init__(self):
+        self.asked = []
+
+    def find_spec(self, name, path=None, target=None):
+        self.asked.append(name)
+        return None
+
+
+def test_snapshot_id_looks_up_no_hash_module_per_call():
+    # the SHA-256 constructor is resolved when training is imported; a
+    # per-call import would ask the finders again (on 3.11, where _sha2
+    # is missing, a failed import walks sys.path every time)
+    model = random_trained_model(random.Random(5))
+    finder = _RecordingFinder()
+    sys.meta_path.insert(0, finder)
+    try:
+        _snapshot_id(model)
+        _snapshot_id(model)
+    finally:
+        sys.meta_path.remove(finder)
+    assert not {"_sha2", "_sha256", "hashlib"} & set(finder.asked)
 
 
 def test_loop_report_rendering(artifacts, semi_corpus):
