@@ -161,8 +161,13 @@ class _RecordingFinder:
 def test_snapshot_id_looks_up_no_hash_module_per_call():
     # the SHA-256 constructor is resolved when training is imported; a
     # per-call import would ask the finders again (on 3.11, where _sha2
-    # is missing, a failed import walks sys.path every time)
+    # is missing, a failed import walks sys.path every time).  The hash
+    # modules leave sys.modules for the calls, so that an import of one
+    # that loaded before would ask too.
     model = random_trained_model(random.Random(5))
+    hashing = {"_sha2", "_sha256", "hashlib"}
+    loaded = {name: sys.modules.pop(name) for name in hashing
+              if name in sys.modules}
     finder = _RecordingFinder()
     sys.meta_path.insert(0, finder)
     try:
@@ -170,7 +175,8 @@ def test_snapshot_id_looks_up_no_hash_module_per_call():
         _snapshot_id(model)
     finally:
         sys.meta_path.remove(finder)
-    assert not {"_sha2", "_sha256", "hashlib"} & set(finder.asked)
+        sys.modules.update(loaded)
+    assert not hashing & set(finder.asked)
 
 
 def test_loop_report_rendering(artifacts, semi_corpus):
