@@ -13,7 +13,15 @@ One tab-separated line per result, in this order:
 * ``align``, an instance number and the labels ``align_win`` returns (or
   ``infeasible``) for alignment instances drawn by ``gen.alignment_corpus``
   from the recovery model with a fixed seed: 100 of at most 8 words, then
-  20 of at most 14.
+  20 of at most 14;
+* ``loop-model`` and the report of ``chronus loop --model`` on the semi
+  corpus, starting from the model ``train`` writes from the demo and seed
+  corpora with ``--synonyms`` (the train-cycle benchmark's set-up, where
+  one decode of the second iteration changes), then ``loop-model-out`` and
+  the SHA-256 of its ``--out`` model;
+* ``loop-demo`` and the report of ``chronus loop --corpus demo_corpus.txt``
+  (50 feedback sentences), then ``loop-demo-out`` and the SHA-256 of its
+  ``--out`` model.
 
 So the test that reads the file pins every rewrite of training, synonym
 smoothing, the model's text and reader, the feedback loop and constrained
@@ -73,12 +81,21 @@ def train_lines(workdir):
     return lines
 
 
-def loop_lines(workdir):
+def loop_lines(workdir, tag="loop", corpus="semi", options=()):
     path = os.path.join(workdir, "loop-model.txt")
-    report = _run(["loop", "--corpus", str(data_path("semi_corpus.txt")),
-                   "--out", path])
-    return ([f"loop\t{line}" for line in report.splitlines()]
-            + [f"loop-out\t{_sha256(path)}"])
+    report = _run(["loop", "--corpus", str(data_path(f"{corpus}_corpus.txt")),
+                   "--out", path, *options])
+    return ([f"{tag}\t{line}" for line in report.splitlines()]
+            + [f"{tag}-out\t{_sha256(path)}"])
+
+
+def loop_from_model_lines(workdir):
+    path = os.path.join(workdir, "start-model.txt")
+    argv = ["train", "--out", path, "--synonyms", str(data_path("synonyms.txt"))]
+    for name in ("demo", "seed"):
+        argv += ["--corpus", str(data_path(f"{name}_corpus.txt"))]
+    _run(argv)
+    return loop_lines(workdir, "loop-model", options=("--model", path))
 
 
 def align_lines():
@@ -97,7 +114,9 @@ def align_lines():
 
 def digest_lines():
     with tempfile.TemporaryDirectory() as workdir:
-        return train_lines(workdir) + loop_lines(workdir) + align_lines()
+        return (train_lines(workdir) + loop_lines(workdir) + align_lines()
+                + loop_from_model_lines(workdir)
+                + loop_lines(workdir, "loop-demo", "demo"))
 
 
 def main():
