@@ -82,6 +82,7 @@ class ConceptDictionary:
                 raise DataFormatError(
                     f"dictionary must define special concept {special!r}", path)
         # name -> Concept.keyword, for the per-segment lookups of templates
+        # and the win keyword checks of constrained alignment
         self.keyword_of = {c.name: c.keyword for c in self.concepts}
 
     @property

@@ -178,11 +178,13 @@ class ConceptHmm:
     ``emission_vectors[ctx, sym]``, as the decoder and ``align_win`` do:
     the begin-marker emissions of ``sym`` (``ctx`` = ``BEGIN``) and its
     stay emissions after ``ctx``.  They are the logs of the bigram rows'
-    values, taken on first use, never at construction.  The memo is a dict
-    that computes a missing vector and keeps it for a context in ``BEGIN``
-    + vocabulary and a symbol in the vocabulary, so it holds at most
-    (|V| + 1) * |V| vectors; any other symbol reads one shared all -inf
-    vector.
+    values, taken on first use, never at construction; construction only
+    indexes the stored bigram rows by context, so a vector reads the unseen
+    row once and then only the rows stored after its context.  The memo is
+    a dict that computes a missing vector and keeps it for a context in
+    ``BEGIN`` + vocabulary and a symbol in the vocabulary, so it holds at
+    most (|V| + 1) * |V| vectors; any other symbol reads one shared all
+    -inf vector.
     """
 
     def __init__(self, dictionary: ConceptDictionary, vocab, k: float,
@@ -225,10 +227,14 @@ class ConceptHmm:
         self.trans_into = [list(col) for col in zip(*out_of)]
         self.enter_max = [max(col[:c] + col[c + 1:], default=NEG_INF)
                           for c, col in enumerate(self.trans_into)]
+        # ctx -> (concept id, row) of every stored row after ctx
+        stored = {}
+        for c, table in enumerate(self.bigram.values()):
+            for ctx, row in table.items():
+                stored.setdefault(ctx, []).append((c, row))
         # (ctx, sym) -> per-concept vector, on use
         self.emission_vectors = _EmissionMemo(
-            self.vocab_set, list(self.bigram.values()), self.unseen,
-            (NEG_INF,) * len(names))
+            self.vocab_set, stored, self.unseen, (NEG_INF,) * len(names))
 
     def bigram_row(self, concept, ctx) -> Row:
         """The bigram row of a concept name after context ``ctx``, stored
@@ -261,28 +267,32 @@ class ConceptHmm:
 
 class _EmissionMemo(dict):
     """``ConceptHmm``'s emission memo: ``(ctx, sym)`` -> per-concept log
-    vector.  A missing vector is computed from the bigram tables, each
-    concept's value read from its row's exceptions or default and its log
-    taken inline, and kept when ``sym`` is in the vocabulary and ``ctx`` is
-    ``BEGIN`` or in it; a symbol outside the vocabulary reads ``no_mass``
-    and is not kept."""
+    vector.  ``stored`` maps a context to the ``(concept id, row)`` pairs of
+    the bigram rows stored after it; every other concept reads the unseen
+    row there.  A missing vector starts as the unseen row's log value for
+    ``sym`` in every concept, and only the stored rows' concepts are
+    overwritten, each value read from the row's exceptions or default and
+    its log taken inline.  It is kept when ``sym`` is in the vocabulary and
+    ``ctx`` is ``BEGIN`` or in it; a symbol outside the vocabulary reads
+    ``no_mass`` and is not kept."""
 
-    __slots__ = ("vocab_set", "tables", "unseen", "no_mass")
+    __slots__ = ("vocab_set", "stored", "unseen", "no_mass")
 
-    def __init__(self, vocab_set, tables, unseen, no_mass):
+    def __init__(self, vocab_set, stored, unseen, no_mass):
         super().__init__()
-        self.vocab_set, self.tables = vocab_set, tables
+        self.vocab_set, self.stored = vocab_set, stored
         self.unseen, self.no_mass = unseen, no_mass
 
     def __missing__(self, key):
         ctx, sym = key
         if sym not in self.vocab_set:
             return self.no_mass
-        unseen, log, vec = self.unseen, math.log, []
-        for table in self.tables:
-            row = table.get(ctx, unseen)
+        log, unseen = math.log, self.unseen
+        p = unseen.exc.get(sym, unseen.default)
+        vec = [log(p) if p > 0.0 else NEG_INF] * len(self.no_mass)
+        for c, row in self.stored.get(ctx, ()):
             p = row.exc.get(sym, row.default)
-            vec.append(log(p) if p > 0.0 else NEG_INF)
+            vec[c] = log(p) if p > 0.0 else NEG_INF
         vec = tuple(vec)
         if ctx == BEGIN or ctx in self.vocab_set:
             self[key] = vec

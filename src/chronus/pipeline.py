@@ -3,8 +3,10 @@
 ``understand`` lexes, decodes, templates and rejects one sentence, and
 ``answer`` plans and executes a template.  ``run_turn`` chains the two for
 the CLI, the evaluation harness and the training loop; the REPL merges the
-dialog context in between.  ``verdict`` judges a turn's answer against a
-corpus entry's references for all of them.  The rejection threshold has
+dialog context in between.  Given a sentence's earlier turn, ``run_turn``
+decodes its lattice again and re-answers only a decode that changed.
+``verdict`` judges a turn's answer against a corpus entry's references for
+all of them.  The rejection threshold has
 one home, the conventions' ``reject_threshold``, which the CLI's
 ``--threshold`` overwrites when it loads the artifacts.
 """
@@ -17,7 +19,7 @@ from pathlib import Path
 from .concepts import ConceptDictionary
 from .decoder import DecodeResult, viterbi_decode_lattice
 from .errors import ChronusError
-from .lexicon import SuperwordLexicon, lex_parse
+from .lexicon import Lattice, SuperwordLexicon, lex_parse
 from .model import ConceptHmm
 from .query import (Answer, Conventions, MiniDb, execute, plan_query,
                     score_answer)
@@ -63,6 +65,12 @@ class Artifacts:
 
 @dataclass
 class TurnResult:
+    """One sentence's turn: the lattice it was decoded on, the decode, its
+    template and rejection, and, once answered, the answer or the planning
+    error.  Passed back to ``run_turn`` as ``previous``, it lets a later
+    model decode the same lattice and reuse what the decode decides."""
+
+    lattice: Lattice
     decode: DecodeResult
     template: Template
     rejected: bool
@@ -70,17 +78,24 @@ class TurnResult:
     error: str | None = None   # query planning failure, if any
 
 
+def _interpret(lattice: Lattice, decode: DecodeResult,
+               artifacts: Artifacts) -> TurnResult:
+    """Template a decode and decide whether to reject it by the
+    conventions' threshold; the result carries no answer yet."""
+    template = generate_template(decode.segmentation(), artifacts.tables,
+                                 artifacts.dictionary)
+    threshold = artifacts.db.conventions.reject_threshold
+    rejected = should_reject(template, threshold) or decode.degenerate
+    return TurnResult(lattice, decode, template, rejected)
+
+
 def understand(text: str, model: ConceptHmm,
                artifacts: Artifacts) -> TurnResult:
     """Lex, decode and template one sentence, and decide whether to reject
     it by the conventions' threshold; the result carries no answer yet."""
     lattice = lex_parse(text, artifacts.lexicon)
-    decode = viterbi_decode_lattice(model, lattice)
-    template = generate_template(decode.segmentation(), artifacts.tables,
-                                 artifacts.dictionary)
-    threshold = artifacts.db.conventions.reject_threshold
-    rejected = should_reject(template, threshold) or decode.degenerate
-    return TurnResult(decode=decode, template=template, rejected=rejected)
+    return _interpret(lattice, viterbi_decode_lattice(model, lattice),
+                      artifacts)
 
 
 def answer(template: Template, artifacts: Artifacts) -> Answer:
@@ -89,10 +104,29 @@ def answer(template: Template, artifacts: Artifacts) -> Answer:
     return execute(plan_query(template, artifacts.db), artifacts.db)
 
 
-def run_turn(text: str, model: ConceptHmm, artifacts: Artifacts) -> TurnResult:
+def run_turn(text: str, model: ConceptHmm, artifacts: Artifacts,
+             previous: TurnResult | None = None) -> TurnResult:
     """Understand one sentence and, unless rejected, answer it on its own
-    (no dialog context); a planning error is stored in ``error``."""
-    turn = understand(text, model, artifacts)
+    (no dialog context); a planning error is stored in ``error``.
+
+    ``previous``, when given, is this text's turn under an earlier model
+    with the same artifacts.  The text is then not lexed again: the new
+    model decodes ``previous.lattice``.  A decode with the same words,
+    labels and ``degenerate`` flag as ``previous.decode`` gets the earlier
+    template, rejection, answer and error, the same objects, since the
+    template, rejection and plan read nothing else of a decode; any other
+    decode is templated and answered as a new one."""
+    if previous is None:
+        turn = understand(text, model, artifacts)
+    else:
+        lattice, old = previous.lattice, previous.decode
+        decode = viterbi_decode_lattice(model, lattice)
+        if (decode.labels == old.labels and decode.words == old.words
+                and decode.degenerate == old.degenerate):
+            return TurnResult(lattice, decode, previous.template,
+                              previous.rejected, previous.answer,
+                              previous.error)
+        turn = _interpret(lattice, decode, artifacts)
     if not turn.rejected:
         try:
             turn.answer = answer(turn.template, artifacts)

@@ -1,10 +1,12 @@
 """Semi-supervised training from answer feedback, and constrained
 alignment of unordered meaning annotations to sentences.
 
-The training loop decodes every feedback sentence end to end, keeps the
-segmentations of the sentences whose answers score correct against their
-min/max references, retrains from the hand-labeled seed plus the kept
-segmentations, and repeats until the correct set stops changing.
+The training loop decodes every feedback sentence, keeps the segmentations
+of the sentences whose answers score correct against their min/max
+references, retrains from the hand-labeled seed plus the kept
+segmentations, and repeats until the correct set stops changing.  From the
+second iteration on, a sentence's last turn gives its lattice, and its
+answer too unless the decode changed.
 
 Constrained alignment is a Viterbi search over dense integer states, a
 concept and a code for how many segments of each required keyword have
@@ -111,7 +113,10 @@ class FeedbackCorpus:
 
     @classmethod
     def from_lines(cls, lines, path=None):
-        entries, idents = [], set()
+        # the corpus starts empty, so its own check runs on no entry: the
+        # reader checks each entry once, as it ends, naming its line
+        corpus = cls()
+        entries, idents = corpus.entries, set()
         given = set()   # the keys of _ONCE the current entry has given
 
         def finish():
@@ -167,7 +172,7 @@ class FeedbackCorpus:
                 raise DataFormatError(f"unknown record key {key!r}", path, ln)
         if entries:
             finish()
-        return cls(entries)
+        return corpus
 
     def to_text(self) -> str:
         out = []
@@ -239,7 +244,13 @@ def _snapshot_id(model: ConceptHmm) -> str:
 
 def run_training_loop(corpus: FeedbackCorpus, seed_model: ConceptHmm,
                       artifacts: Artifacts, max_iters: int):
-    """Answer-feedback self-training; returns (final model, LoopReport)."""
+    """Answer-feedback self-training; returns (final model, LoopReport).
+
+    Each feedback sentence's last turn is kept and passed back to
+    ``run_turn``, so from the second iteration on a sentence is not lexed
+    again, only decoded with the new model, and only a decode that changed
+    is templated and answered again.  A sentence that could not be
+    understood is tried from its text in every iteration."""
     if max_iters < 1:
         raise ChronusError("max_iters must be >= 1")
     seed = corpus.seed_segmentations()
@@ -250,12 +261,14 @@ def run_training_loop(corpus: FeedbackCorpus, seed_model: ConceptHmm,
     model = seed_model
     report = LoopReport()
     prev_correct_ids = None
+    turns = [None] * len(feedback)   # each sentence's last turn
     for iteration in range(1, max_iters + 1):
         correct_ids = set()
         kept = {}
-        for entry in feedback:
+        for i, entry in enumerate(feedback):
             try:
-                turn = run_turn(entry.text, model, artifacts)
+                turn = turns[i] = run_turn(entry.text, model, artifacts,
+                                           turns[i])
             except ChronusError:
                 turn = None  # unparseable sentence: problem sentence
             if verdict(turn, entry) == "correct":
@@ -286,12 +299,15 @@ def required_concepts(win_tokens: Iterable[str], dictionary: ConceptDictionary):
     keyword is not its own name, could never be realized and is refused
     up front."""
     keywords = list(win_tokens)
+    keyword_of = dictionary.keyword_of
     for k in keywords:
-        if k not in dictionary:
-            raise ChronusError(f"win keyword {k!r} is not a concept")
-        if (concept := dictionary[k]).keyword != k:
+        try:
+            keyword = keyword_of[k]
+        except KeyError:
+            raise ChronusError(f"win keyword {k!r} is not a concept") from None
+        if keyword != k:
             raise ChronusError(f"win keyword {k!r} names a concept of role "
-                               f"{concept.role}; a win lists folded, "
+                               f"{dictionary[k].role}; a win lists folded, "
                                "non-special concepts")
     return Counter(keywords)
 

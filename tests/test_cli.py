@@ -1,4 +1,5 @@
 import io
+import random
 import re
 import sys
 from dataclasses import replace
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from chronus import cli, pipeline
 from chronus.cli import main
 from chronus.errors import ChronusError
-from chronus.model import (load_model, model_to_text, render_segments,
+from chronus.model import (apply_synonym_smoothing, load_model,
+                           load_synonyms, model_to_text, render_segments,
                            train_mle)
 from chronus.pipeline import (TurnResult, answer, data_path, evaluate_corpus,
                               run_turn)
@@ -18,7 +20,7 @@ from chronus.query import Answer
 from chronus.template import Template
 from chronus.training import FeedbackCorpus, FeedbackEntry
 
-from helpers import TESTS_DATA, count_full
+from helpers import TESTS_DATA, count_full, train_full
 
 
 def run_cli(argv):
@@ -751,6 +753,76 @@ def test_any_text_gives_a_turn_or_a_chronus_error(demo_model, artifacts,
     except ChronusError:
         return
     assert isinstance(turn, TurnResult)
+
+
+# ---------------------------------------------------------------------------
+# a turn after an earlier model's turn of the same text
+
+def _turn_fields(turn):
+    answer = turn.answer.render_lines() if turn.answer is not None else None
+    return (turn.decode.labels, turn.decode.words, repr(turn.decode.log_prob),
+            turn.decode.degenerate, turn.template.render(), turn.rejected,
+            answer, turn.error)
+
+
+def test_a_turn_from_an_earlier_turn_equals_a_turn_from_the_text(artifacts):
+    # every ordered pair of twelve models: the demo, seed and semi golds,
+    # plain and with synonyms, at k 0.001 and 0.1
+    synonyms = data_path("synonyms.txt")
+    models = []
+    for name in ("demo", "seed", "semi"):
+        corpus = FeedbackCorpus.load(data_path(f"{name}_corpus.txt"))
+        counts = count_full(corpus.seed_segmentations(), artifacts)
+        for k in (0.001, 0.1):
+            model = train_mle(counts, k)
+            models += [model, apply_synonym_smoothing(model, load_synonyms(
+                synonyms, model.dictionary, model.vocab), counts)]
+    texts = list(dict.fromkeys(   # the distinct corpus texts
+        e.text for name in ("demo", "semi") for e in
+        FeedbackCorpus.load(data_path(f"{name}_corpus.txt")).entries))
+    assert len(texts) == 62
+    rng = random.Random(30)
+    texts += [" AND ".join(rng.sample(texts[:62], rng.randint(2, 4)))
+              for _ in range(8)]
+    fresh = [{t: run_turn(t, m, artifacts) for t in texts} for m in models]
+    changed = same = 0
+    for i, earlier in enumerate(fresh):
+        for j, model in enumerate(models):
+            if i == j:
+                continue
+            for text, previous in earlier.items():
+                turn = run_turn(text, model, artifacts, previous=previous)
+                assert turn.lattice is previous.lattice
+                assert _turn_fields(turn) == _turn_fields(fresh[j][text])
+                moved = (turn.decode.labels, turn.decode.words) != (
+                    previous.decode.labels, previous.decode.words)
+                changed += moved
+                same += not moved
+    assert changed > 0 and same > 0
+
+
+def test_a_turn_from_an_earlier_turn_re_answers_only_a_changed_decode(
+        demo_model, artifacts, monkeypatch):
+    text = "SHOW ME THE MORNING FLIGHTS FROM BOSTON"
+    seed_corpus = FeedbackCorpus.load(data_path("seed_corpus.txt"))
+    seed_model = train_full(seed_corpus.seed_segmentations(), artifacts)
+    previous = run_turn(text, seed_model, artifacts)
+    calls = []
+    for name in ("lex_parse", "viterbi_decode_lattice", "generate_template",
+                 "should_reject", "plan_query", "execute"):
+        monkeypatch.setattr(pipeline, name, lambda *args, _f=getattr(
+            pipeline, name), _n=name: calls.append(_n) or _f(*args))
+    turn = run_turn(text, seed_model, artifacts, previous=previous)
+    assert calls == ["viterbi_decode_lattice"]   # the same decode
+    assert turn.template is previous.template
+    assert turn.answer is previous.answer
+    calls.clear()
+    turn = run_turn(text, demo_model, artifacts, previous=previous)
+    assert turn.decode.labels != previous.decode.labels
+    assert calls == ["viterbi_decode_lattice", "generate_template",
+                     "should_reject", "plan_query", "execute"]
+    assert _turn_fields(turn) == _turn_fields(
+        run_turn(text, demo_model, artifacts))
 
 
 # ---------------------------------------------------------------------------

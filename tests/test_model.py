@@ -142,17 +142,27 @@ def test_emissions_are_the_add_k_estimates_of_the_counts(demo_counts):
 
 
 def test_emission_vectors_hold_the_table_values_bit_for_bit(demo_model):
-    model = model_from_text(model_to_text(demo_model))   # an empty memo
-    vocab = model.vocab
-    for ctx in (BEGIN, *vocab):
-        for sym in vocab:
-            vec = model.emissions(ctx, sym)
-            assert len(vec) == len(model.dictionary)
-            for c, name in enumerate(model.dictionary.names):
-                p = model.bigram_row(name, ctx).prob(sym)
-                assert vec[c].hex() == (
-                    math.log(p) if p > 0.0 else NEG_INF).hex()
-    assert len(model.emission_vectors) == (len(vocab) + 1) * len(vocab)
+    # a vector starts from the unseen row and overwrites the concepts with
+    # a stored row after its context; at k = 0 the unseen row has no mass,
+    # so the concepts without one read -inf
+    rng = random.Random(30)
+    models = [model_from_text(model_to_text(demo_model))]   # an empty memo
+    models += [random_trained_model(rng, n_concepts=4, k=k)
+               for k in (0.001, 0.0, 0.5) for _ in range(3)]
+    for model in models:
+        vocab = model.vocab
+        for ctx in (BEGIN, *vocab, "NOT-A-WORD"):   # the last is unseen
+            for sym in vocab:
+                vec = model.emissions(ctx, sym)
+                assert len(vec) == len(model.dictionary)
+                for c, name in enumerate(model.dictionary.names):
+                    p = model.bigram_row(name, ctx).prob(sym)
+                    assert vec[c].hex() == (
+                        math.log(p) if p > 0.0 else NEG_INF).hex()
+        # the vectors after a context outside the vocabulary are not kept
+        assert len(model.emission_vectors) == (len(vocab) + 1) * len(vocab)
+    assert any(NEG_INF in vec for model in models[4:7]
+               for vec in model.emission_vectors.values())
 
 
 def test_compiled_transition_tables_hold_the_row_values_bit_for_bit(

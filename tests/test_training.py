@@ -7,21 +7,23 @@ import weakref
 
 import pytest
 
+from chronus import pipeline, training
 from chronus.decoder import brute_force_decode
 from chronus.errors import ChronusError, DataFormatError
 from chronus.gen import (alignment_corpus, make_recovery_model,
                          synthetic_dictionary)
 from chronus.lexicon import Arc, Lattice, parse_superword
-from chronus.model import (SegmentedSentence, count_events,
-                           model_from_text, model_to_text, path_score,
-                           train_mle)
+from chronus.model import (SegmentedSentence, apply_synonym_smoothing,
+                           count_events, load_synonyms, model_from_text,
+                           model_to_text, path_score, train_mle)
+from chronus.pipeline import data_path
 from chronus.query import Answer
 from chronus.training import (AlignmentInfeasibleError, FeedbackCorpus,
                               FeedbackEntry, _snapshot_id, align_win,
                               brute_force_align, required_concepts,
                               run_training_loop)
 
-from helpers import (TESTS_DATA, counted, random_trained_model,
+from helpers import (TESTS_DATA, count_full, counted, random_trained_model,
                      tie_heavy_model, train_full, uniform_rows_model)
 
 
@@ -48,6 +50,19 @@ def test_scalar_references_need_their_value(kind):
         FeedbackCorpus([FeedbackEntry(ident="x", text="SHOW ME",
                                       refmin=Answer(kind=kind),
                                       refmax=Answer(kind=kind))])
+
+
+def test_reader_checks_each_entry_once(monkeypatch):
+    calls = []
+    check = training._check_entry
+    monkeypatch.setattr(training, "_check_entry",
+                        lambda *args: calls.append(args[0].ident) or
+                        check(*args))
+    entries = 0
+    for name in ("demo", "seed", "semi"):
+        entries += len(FeedbackCorpus.load(
+            data_path(f"{name}_corpus.txt")).entries)
+    assert len(calls) == len(set(calls)) == entries
 
 
 def test_entry_with_references_only_is_valid():
@@ -137,6 +152,33 @@ def test_loop_counts_an_unparseable_sentence_as_a_problem(artifacts,
     assert report.termination == "converged"
 
 
+def test_loop_lexes_each_sentence_once_and_re_templates_changed_decodes(
+        artifacts, demo_corpus, seed_corpus, semi_corpus, monkeypatch):
+    # the train-cycle benchmark's loop: from the demo and seed golds with
+    # synonyms, the semi corpus converges in two iterations
+    counts = count_full(demo_corpus.seed_segmentations()
+                        + seed_corpus.seed_segmentations(), artifacts)
+    model = train_mle(counts, 0.001)
+    model = apply_synonym_smoothing(model, load_synonyms(
+        data_path("synonyms.txt"), model.dictionary, model.vocab), counts)
+    calls, decodes = [], []
+    for name in ("lex_parse", "viterbi_decode_lattice", "generate_template"):
+        def traced(*args, _f=getattr(pipeline, name), _n=name):
+            result = _f(*args)
+            calls.append(_n)
+            if _n == "viterbi_decode_lattice":
+                decodes.append((result.labels, result.words))
+            return result
+        monkeypatch.setattr(pipeline, name, traced)
+    _, report = run_training_loop(semi_corpus, model, artifacts, max_iters=2)
+    n = len(semi_corpus.feedback_entries())
+    assert len(report.rows) == 2 and len(decodes) == 2 * n
+    changed = sum(a != b for a, b in zip(decodes[:n], decodes[n:]))
+    assert changed >= 1
+    assert calls.count("lex_parse") == n
+    assert calls.count("generate_template") == n + changed
+
+
 def test_snapshot_id_hashes_the_model_text():
     trained = random_trained_model(random.Random(5))
     built = uniform_rows_model(1, ["a"], ["c0"], {"c0": ["c0", "</s>"]},
@@ -224,7 +266,8 @@ def test_required_concepts_accepts_keywords(artifacts):
 
 
 def test_required_concepts_rejects_unknown_keyword(artifacts):
-    with pytest.raises(ChronusError):
+    with pytest.raises(ChronusError,
+                       match="^win keyword 'frobnicate' is not a concept$"):
         required_concepts(["frobnicate"], artifacts.dictionary)
 
 
