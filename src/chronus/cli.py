@@ -107,22 +107,28 @@ def _load_corpus(path, dictionary: ConceptDictionary):
 # ---------------------------------------------------------------------------
 # train
 
-def cmd_train(args, out) -> int:
-    dictionary = ConceptDictionary.load(_given(args.concepts, "concepts"))
-    lexicon = SuperwordLexicon.load(_given(args.lexicon, "lexicon"))
-    corpus = []
-    for path in args.corpus:
-        corpus.extend(_load_corpus(path, dictionary).seed_segmentations())
-    if not corpus:
-        raise ChronusError("training corpus has no gold segmentations")
-    counts = count_events(corpus, dictionary, full_vocabulary(lexicon, corpus))
-    model = train_mle(counts, args.k)
-    if args.synonyms is not None:
+def _fit(golds, dictionary, lexicon, k, synonyms):
+    """The training step of ``train`` and ``loop``: (model, counts), add-k
+    from the golds over the lexicon's vocabulary, then, given a ``synonyms``
+    path, synonym-smoothed and checked normalized.  In ``cli`` since the
+    benchmark wraps ``train_mle`` and ``apply_synonym_smoothing`` here."""
+    counts = count_events(golds, dictionary, full_vocabulary(lexicon, golds))
+    model = train_mle(counts, k)
+    if synonyms is not None:
         model = apply_synonym_smoothing(model, load_synonyms(
-            args.synonyms, model.dictionary, model.vocab), counts)
+            synonyms, model.dictionary, model.vocab), counts)
         for name, row in model.rows():
             if not row.normalized():
                 raise ChronusError(f"row {name} is no longer normalized")
+    return model, counts
+
+
+def cmd_train(args, out) -> int:
+    dictionary = ConceptDictionary.load(_given(args.concepts, "concepts"))
+    lexicon = SuperwordLexicon.load(_given(args.lexicon, "lexicon"))
+    golds = [gold for path in args.corpus
+             for gold in _load_corpus(path, dictionary).seed_segmentations()]
+    model, counts = _fit(golds, dictionary, lexicon, args.k, args.synonyms)
     save_model(model, args.out)   # before any output: a failed save prints none
     if args.synonyms is not None:
         print("synonyms applied; all rows normalized", file=out)
@@ -221,10 +227,8 @@ def cmd_loop(args, out) -> int:
     if args.model is not None:
         model = _load_model(args.model, artifacts)
     else:
-        seed = corpus.seed_segmentations()
-        vocab = full_vocabulary(artifacts.lexicon, seed)
-        model = train_mle(count_events(seed, artifacts.dictionary, vocab),
-                          args.k)
+        model, _ = _fit(corpus.seed_segmentations(), artifacts.dictionary,
+                        artifacts.lexicon, args.k, None)
     model, report = run_training_loop(corpus, model, artifacts, args.max_iters)
     if args.out is not None:
         save_model(model, args.out)

@@ -173,18 +173,17 @@ class ConceptHmm:
     row's default and exceptions, each log taken inline, with no call per
     probability.  A symbol outside ``vocab_set`` has no mass in any row.
 
-    Every scorer reads emissions as per-concept vectors from
-    ``emissions(ctx, sym)``, or by subscripting its memo,
-    ``emission_vectors[ctx, sym]``, as the decoder and ``align_win`` do:
-    the begin-marker emissions of ``sym`` (``ctx`` = ``BEGIN``) and its
-    stay emissions after ``ctx``.  They are the logs of the bigram rows'
-    values, taken on first use, never at construction; construction only
-    indexes the stored bigram rows by context, so a vector reads the unseen
-    row once and then only the rows stored after its context.  The memo is
-    a dict that computes a missing vector and keeps it for a context in
-    ``BEGIN`` + vocabulary and a symbol in the vocabulary, so it holds at
-    most (|V| + 1) * |V| vectors; any other symbol reads one shared all
-    -inf vector.
+    Every scorer reads emissions as per-concept vectors, log P(sym |
+    concept c, bigram context ctx) for every c, by subscripting the memo
+    ``emission_vectors[ctx, sym]``: the begin-marker emissions of ``sym``
+    (``ctx`` = ``BEGIN``) and its stay emissions after ``ctx``.  They are
+    the logs of the bigram rows' values, taken on first use, never at
+    construction; construction only indexes the stored bigram rows by
+    context, so a vector reads the unseen row once and then only the rows
+    stored after its context.  The memo is a dict that computes a missing
+    vector and keeps it for a context in ``BEGIN`` + vocabulary and a
+    symbol in the vocabulary, so it holds at most (|V| + 1) * |V| vectors;
+    any other symbol reads one shared all -inf vector.
     """
 
     def __init__(self, dictionary: ConceptDictionary, vocab, k: float,
@@ -240,11 +239,6 @@ class ConceptHmm:
         """The bigram row of a concept name after context ``ctx``, stored
         or unseen."""
         return self.bigram[concept].get(ctx, self.unseen)
-
-    def emissions(self, ctx, sym) -> tuple:
-        """log P(sym | concept id c, bigram context ctx) for every c, as
-        one read-only vector."""
-        return self.emission_vectors[ctx, sym]
 
     def rows(self):
         """All stored (name, row) probability rows, for normalization
@@ -328,7 +322,7 @@ def count_events(corpus, dictionary: ConceptDictionary,
     marker) x vocabulary of a non-empty corpus of segmented sentences."""
     corpus = list(corpus)
     if not corpus:
-        raise ChronusError("training corpus is empty")
+        raise ChronusError("training corpus has no gold segmentations")
     vocab = tuple(sorted(set(vocabulary)))
     vocab_set, names = frozenset(vocab), frozenset(dictionary.names)
     trans_counts = {r: {} for r in [BEGIN] + dictionary.names}
@@ -499,7 +493,8 @@ def prefix_scores(model: ConceptHmm, arcs_or_superwords, labels) -> list:
             logp += model.init_vec[c]
         else:
             logp += model.trans_into[c][prev]
-        logp += model.emissions(prev_sym if c == prev else BEGIN, word.sym)[c]
+        logp += model.emission_vectors[prev_sym if c == prev else BEGIN,
+                                       word.sym][c]
         scores.append(logp)
         prev, prev_sym = c, word.sym
     scores.append(NEG_INF if prev is None else logp + model.final_vec[prev])

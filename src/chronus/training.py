@@ -250,12 +250,13 @@ def run_training_loop(corpus: FeedbackCorpus, seed_model: ConceptHmm,
     ``run_turn``, so from the second iteration on a sentence is not lexed
     again, only decoded with the new model, and only a decode that changed
     is templated and answered again.  A sentence that could not be
-    understood is tried from its text in every iteration."""
+    understood is tried from its text in every iteration.  A corpus with
+    no gold segmentation is refused before any decoding."""
     if max_iters < 1:
         raise ChronusError("max_iters must be >= 1")
     seed = corpus.seed_segmentations()
     if not seed:
-        raise ChronusError("corpus has no seed segmentations")
+        raise ChronusError("training corpus has no gold segmentations")
     feedback = corpus.feedback_entries()
 
     model = seed_model
@@ -380,11 +381,11 @@ def align_win(sentence, win_tokens: Iterable[str],
     initial log probability and ``enter_max``, the largest transition in
     from another concept) are left out.  Scores come from the same
     concept-indexed tables and memoised emission vectors as the lattice
-    decoder, and like it the search subscripts ``model.emission_vectors``
-    instead of calling ``model.emissions``; each candidate is summed as
-    ``cell + transition + emission``.  A state's candidates are examined
-    in predecessor state order and the first strict maximum wins, also in
-    the final sweep over the states whose counts are complete.
+    decoder, and like it the search subscripts ``model.emission_vectors``;
+    each candidate is summed as ``cell + transition + emission``.  A
+    state's candidates are examined in predecessor state order and the
+    first strict maximum wins, also in the final sweep over the states
+    whose counts are complete.
 
     The search plan (digit weights, allowed concepts and their names, the
     moves that begin or continue a segment, the per-predecessor move

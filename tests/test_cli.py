@@ -73,12 +73,16 @@ def test_train_applies_synonyms_and_checks_normalization(tmp_path):
     assert table["DEPART(S)"] == table["LEAVE(S)"]
 
 
-def test_train_needs_gold_segmentations(tmp_path):
+def test_train_needs_gold_segmentations(tmp_path, demo_model_path, capsys):
+    # train, loop and loop --model refuse a corpus without gold one way
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("[sentence x]\ntext\tSHOW ME\nrefs\trows\n")
-    rc, _ = run_cli(["train", "--corpus", str(corpus),
-                     "--out", str(tmp_path / "m.txt")])
-    assert rc == 2
+    for argv in (["train", "--out", str(tmp_path / "m.txt")], ["loop"],
+                 ["loop", "--model", demo_model_path]):
+        rc, text = run_cli(argv + ["--corpus", str(corpus)])
+        assert (rc, text) == (2, "")
+        assert capsys.readouterr().err == (
+            "data error: training corpus has no gold segmentations\n")
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +677,20 @@ def test_loop_command_reports_and_saves(tmp_path):
     correct = [int(l.split("\t")[1]) for l in lines[1:-1]]
     assert correct[-1] >= correct[0]
     assert load_model(out) is not None
+
+
+@pytest.mark.parametrize("k", ["0.001", "0.1"])
+def test_loop_starts_from_the_model_train_writes(tmp_path, k):
+    corpus = str(data_path("semi_corpus.txt"))
+    a, m, b = (str(tmp_path / name) for name in ("a.txt", "m.txt", "b.txt"))
+    rc, direct = run_cli(["loop", "--corpus", corpus, "--k", k, "--out", a])
+    assert rc == 0
+    assert run_cli(["train", "--corpus", corpus, "--k", k, "--out", m])[0] == 0
+    rc, seeded = run_cli(["loop", "--model", m, "--corpus", corpus,
+                          "--out", b])
+    assert rc == 0
+    assert seeded == direct
+    assert Path(b).read_bytes() == Path(a).read_bytes()
 
 
 # ---------------------------------------------------------------------------

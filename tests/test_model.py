@@ -137,7 +137,7 @@ def test_emissions_are_the_add_k_estimates_of_the_counts(demo_counts):
                 total = sum(row.values()) + k * len(vocab)
                 for sym in vocab:
                     p = round12((row.get(sym, 0) + k) / total) if total else 0.0
-                    assert model.emissions(ctx, sym)[c] == (
+                    assert model.emission_vectors[ctx, sym][c] == (
                         math.log(p) if p > 0.0 else NEG_INF)
 
 
@@ -153,7 +153,7 @@ def test_emission_vectors_hold_the_table_values_bit_for_bit(demo_model):
         vocab = model.vocab
         for ctx in (BEGIN, *vocab, "NOT-A-WORD"):   # the last is unseen
             for sym in vocab:
-                vec = model.emissions(ctx, sym)
+                vec = model.emission_vectors[ctx, sym]
                 assert len(vec) == len(model.dictionary)
                 for c, name in enumerate(model.dictionary.names):
                     p = model.bigram_row(name, ctx).prob(sym)
@@ -190,13 +190,13 @@ def test_a_memo_subscript_returns_the_vector_emissions_returns(demo_model):
     model = model_from_text(model_to_text(demo_model))   # an empty memo
     memo = model.emission_vectors
     ctx, sym = "SHOW", "ME"
-    vec = model.emissions(ctx, sym)   # computed and stored
+    vec = memo[ctx, sym]   # computed and stored
+    assert (ctx, sym) in memo
     assert memo[ctx, sym] is vec
-    assert model.emissions(ctx, sym) is vec
     missing = memo[BEGIN, "FLIGHT(S)"]   # computed by the subscript
-    assert model.emissions(BEGIN, "FLIGHT(S)") is missing
+    assert memo[BEGIN, "FLIGHT(S)"] is missing
     # a symbol outside the vocabulary reads one shared vector, not stored
-    assert memo[BEGIN, "GIZMO"] is model.emissions(BEGIN, "GIZMO")
+    assert memo[BEGIN, "GIZMO"] is memo[BEGIN, "SPROCKET"]
     assert (BEGIN, "GIZMO") not in memo
     assert len(memo) == 2
 
@@ -214,7 +214,8 @@ def test_train_rejects_word_outside_vocabulary(artifacts):
 
 
 def test_train_rejects_empty_corpus(artifacts):
-    with pytest.raises(ChronusError, match="^training corpus is empty$"):
+    with pytest.raises(ChronusError,
+                       match="^training corpus has no gold segmentations$"):
         count_events([], artifacts.dictionary, ["SHOW"])
 
 

@@ -239,7 +239,8 @@ def test_loop_input_validation(artifacts, semi_corpus):
     refs = Answer(kind="rows", rows=[])
     no_seed = FeedbackCorpus([FeedbackEntry(ident="x", text="SHOW ME",
                                             refmin=refs, refmax=refs)])
-    with pytest.raises(ChronusError):
+    with pytest.raises(ChronusError, match="^training corpus has no gold "
+                       "segmentations$"):
         run_training_loop(no_seed, seed_model, artifacts, max_iters=5)
 
 

@@ -21,7 +21,10 @@ One tab-separated line per result, in this order:
   the SHA-256 of its ``--out`` model;
 * ``loop-demo`` and the report of ``chronus loop --corpus demo_corpus.txt``
   (50 feedback sentences), then ``loop-demo-out`` and the SHA-256 of its
-  ``--out`` model.
+  ``--out`` model;
+* ``loop-k`` and the report of ``chronus loop --corpus semi_corpus.txt
+  --k 0.1``, then ``loop-k-out`` and the SHA-256 of its ``--out`` model,
+  so the loop's start model is pinned at a ``k`` other than the default.
 
 So the test that reads the file pins every rewrite of training, synonym
 smoothing, the model's text and reader, the feedback loop and constrained
@@ -116,7 +119,8 @@ def digest_lines():
     with tempfile.TemporaryDirectory() as workdir:
         return (train_lines(workdir) + loop_lines(workdir) + align_lines()
                 + loop_from_model_lines(workdir)
-                + loop_lines(workdir, "loop-demo", "demo"))
+                + loop_lines(workdir, "loop-demo", "demo")
+                + loop_lines(workdir, "loop-k", options=("--k", "0.1")))
 
 
 def main():
