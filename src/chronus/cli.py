@@ -100,7 +100,7 @@ def _load_corpus(path, dictionary: ConceptDictionary):
     from .training import FeedbackCorpus
 
     corpus = FeedbackCorpus.load(path)
-    corpus.check_labels(dictionary, path)
+    corpus.check_labels(dictionary)
     return corpus
 
 
@@ -168,9 +168,11 @@ def cmd_decode(args, out) -> int:
 # eval
 
 def cmd_eval(args, out) -> int:
+    from .training import FeedbackCorpus
+
     artifacts = _load_artifacts(args)
     model = _load_model(args.model, artifacts)
-    corpus = _load_corpus(args.corpus, artifacts.dictionary)
+    corpus = FeedbackCorpus.load(args.corpus)   # evaluate_corpus checks it
     report = evaluate_corpus(corpus, model, artifacts)
     print(report.render(), file=out)
     return 0
@@ -255,8 +257,8 @@ def cmd_gen(args, out) -> int:
     if args.kind == "recovery":
         model = genmod.make_recovery_model()
         save_model(model, os.path.join(args.out, "model.txt"))
-        train = genmod.sample_corpus(model, args.train, rng)
-        test = genmod.sample_corpus(model, args.test, rng)
+        train = [genmod.sample_sentence(model, rng) for _ in range(args.train)]
+        test = [genmod.sample_sentence(model, rng) for _ in range(args.test)]
         write("train.txt", [s.render() for s in train])
         write("test.txt", [s.render() for s in test])
         print(f"wrote {len(train)} train and {len(test)} test sentences",

@@ -58,10 +58,6 @@ def sample_sentence(model: ConceptHmm, rng: random.Random,
     return SegmentedSentence(tuple(words), tuple(labels))
 
 
-def sample_corpus(model, n, rng, max_len=24):
-    return [sample_sentence(model, rng, max_len) for _ in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # Known-model recovery (held-out labeling accuracy)
 

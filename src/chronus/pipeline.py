@@ -6,9 +6,9 @@ the CLI, the evaluation harness and the training loop; the REPL merges the
 dialog context in between.  Given a sentence's earlier turn, ``run_turn``
 decodes its lattice again and re-answers only a decode that changed.
 ``verdict`` judges a turn's answer against a corpus entry's references for
-all of them.  The rejection threshold has
-one home, the conventions' ``reject_threshold``, which the CLI's
-``--threshold`` overwrites when it loads the artifacts.
+all of them.  The rejection threshold has one home, the conventions'
+``reject_threshold``, which the CLI's ``--threshold`` overwrites when it
+loads the artifacts.
 """
 
 from __future__ import annotations
@@ -173,8 +173,9 @@ def evaluate_corpus(corpus, model: ConceptHmm,
                     artifacts: Artifacts) -> EvalReport:
     """Score a feedback corpus: segment accuracy against its golds, answer
     accuracy against its references, and wrong answers by first divergent
-    stage.  A sentence that cannot be understood at all counts as rejected;
-    a gold label that is not a concept raises ChronusError."""
+    stage.  A sentence that cannot be understood at all counts as rejected.
+    First, as ``eval``'s one label check, a gold label that is not a
+    concept raises DataFormatError, at its line of a corpus file."""
     corpus.check_labels(artifacts.dictionary)
     gold_segments = hyp_segments = 0
     gold_sentences = correct_sentences = 0

@@ -177,17 +177,19 @@ class QueryPlan:
 
 @dataclass
 class Answer:
-    kind: str                 # "rows" | "number" | "boolean"
+    """An answer or a reference: ``rows``, or a yes-no question's boolean."""
+
+    kind: str                 # "rows" | "boolean"
     rows: list = field(default_factory=list)
-    value: object = None      # payload for number/boolean answers
+    value: object = None      # payload for boolean answers
 
     def __post_init__(self):
         if self.kind == "rows":
             if self.value is not None:
                 raise ChronusError("rows answer must not carry a scalar")
-        elif self.kind in ("number", "boolean"):
+        elif self.kind == "boolean":
             if self.rows:
-                raise ChronusError(f"{self.kind} answer must not carry rows")
+                raise ChronusError("boolean answer must not carry rows")
         else:
             raise ChronusError(f"unknown answer kind {self.kind!r}")
 
@@ -201,9 +203,7 @@ class Answer:
     def render_lines(self):
         if self.kind == "rows":
             return ["\t".join(str(v) for v in row) for row in self.rows]
-        if self.kind == "boolean":
-            return ["YES" if self.value else "NO"]
-        return [str(self.value)]
+        return ["YES" if self.value else "NO"]
 
 
 _PROJECTIONS = {

@@ -65,7 +65,7 @@ def _check_entry(entry, path=None, ln=None):
     if entry.gold is None and not entry.has_references:
         raise DataFormatError(f"sentence {entry.ident}: needs references "
                               "or a gold segmentation", path, ln)
-    if entry.has_references and entry.refmin.kind != "rows" and None in (
+    if entry.has_references and entry.refmin.kind == "boolean" and None in (
             entry.refmin.value, entry.refmax.value):
         raise DataFormatError(f"sentence {entry.ident}: refs "
                               f"{entry.refmin.kind} needs a refvalue line",
@@ -75,13 +75,14 @@ def _check_entry(entry, path=None, ln=None):
 @dataclass
 class FeedbackCorpus:
     """Feedback entries, each with a gold segmentation or references, and a
-    ``refvalue`` for ``number`` and ``boolean`` references.  The reader
-    checks an entry when it ends, naming its header line, and a sentence id
-    at its header.  It also needs a ``text`` line in every entry, and names
-    at its line a repeated ``text``, ``gold``, ``refs`` or ``refvalue``
-    line."""
+    ``refvalue`` of ``YES`` or ``NO`` for ``boolean`` references.  The
+    reader checks an entry when it ends, naming its header line, and a
+    sentence id at its header.  It also needs a ``text`` line in every
+    entry, and names at its line a repeated ``text``, ``gold``, ``refs`` or
+    ``refvalue`` line.  ``path`` is the file it was read from, or None."""
 
     entries: list = field(default_factory=list)
+    path: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         for e in self.entries:
@@ -90,19 +91,19 @@ class FeedbackCorpus:
     def seed_segmentations(self):
         return [e.gold for e in self.entries if e.gold is not None]
 
-    def check_labels(self, dictionary: ConceptDictionary, path=None):
-        """Raise ChronusError unless every gold label is a concept of
-        ``dictionary``; given the corpus file's ``path``, a data error at
-        the entry's ``[sentence]`` line."""
+    def check_labels(self, dictionary: ConceptDictionary):
+        """Raise DataFormatError unless every gold label is a concept of
+        ``dictionary``, at the entry's ``[sentence]`` line of ``path`` for
+        a corpus read from a file."""
         names = set(dictionary.names)
         for entry in self.entries:
             for label in entry.gold.labels if entry.gold is not None else ():
                 if label not in names:
-                    message = (f"sentence {entry.ident}: segmentation label "
-                               f"not in concept dictionary: {label!r}")
-                    if path is None:
-                        raise ChronusError(message)
-                    raise DataFormatError(message, path, entry.line)
+                    # an entry built in memory may keep a line of another file
+                    line = entry.line if self.path is not None else None
+                    raise DataFormatError(
+                        f"sentence {entry.ident}: segmentation label not in "
+                        f"concept dictionary: {label!r}", self.path, line)
 
     def feedback_entries(self):
         return [e for e in self.entries if e.has_references]
@@ -115,7 +116,7 @@ class FeedbackCorpus:
     def from_lines(cls, lines, path=None):
         # the corpus starts empty, so its own check runs on no entry: the
         # reader checks each entry once, as it ends, naming its line
-        corpus = cls()
+        corpus = cls(path=path)
         entries, idents = corpus.entries, set()
         given = set()   # the keys of _ONCE the current entry has given
 
@@ -156,15 +157,17 @@ class FeedbackCorpus:
                 except ChronusError as exc:
                     raise DataFormatError(str(exc), path, ln) from None
             elif key == "refs":
-                if rest not in ("rows", "number", "boolean"):
+                if rest not in ("rows", "boolean"):
                     raise DataFormatError(f"unknown reference kind {rest!r}",
                                           path, ln)
                 entry.refmin, entry.refmax = Answer(kind=rest), Answer(kind=rest)
             elif key in ("refmin", "refmax") and kind == "rows":
                 getattr(entry, key).rows.append(tuple(rest.split("\t")))
-            elif key == "refvalue" and kind in ("number", "boolean"):
-                value = rest if kind == "number" else rest == "YES"
-                entry.refmin.value = entry.refmax.value = value
+            elif key == "refvalue" and kind == "boolean":
+                if rest not in ("YES", "NO"):
+                    raise DataFormatError(
+                        f"refvalue {rest!r} is not YES or NO", path, ln)
+                entry.refmin.value = entry.refmax.value = rest == "YES"
             elif key in ("refmin", "refmax", "refvalue"):
                 raise DataFormatError(f"{key} needs a matching refs line before it",
                                       path, ln)
@@ -189,10 +192,7 @@ class FeedbackCorpus:
                     for row in e.refmax.rows:
                         out.append("refmax\t" + "\t".join(str(v) for v in row))
                 else:
-                    value = e.refmin.value
-                    if e.refmin.kind == "boolean":
-                        value = "YES" if value else "NO"
-                    out.append(f"refvalue\t{value}")
+                    out.append("refvalue\t" + ("YES" if e.refmin.value else "NO"))
         return "\n".join(out) + "\n"
 
 

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from chronus import cli, pipeline
 from chronus.cli import main
-from chronus.errors import ChronusError
-from chronus.model import (apply_synonym_smoothing, load_model,
-                           load_synonyms, model_to_text, render_segments,
-                           train_mle)
+from chronus.errors import ChronusError, DataFormatError
+from chronus.model import (ConceptHmm, apply_synonym_smoothing, canonical_row,
+                           load_model, load_synonyms, model_to_text,
+                           render_segments, train_mle)
 from chronus.pipeline import (TurnResult, answer, data_path, evaluate_corpus,
                               run_turn)
 from chronus.query import Answer
@@ -71,6 +71,26 @@ def test_train_applies_synonyms_and_checks_normalization(tmp_path):
     model = load_model(out)
     table = model.bigram["origin"]
     assert table["DEPART(S)"] == table["LEAVE(S)"]
+
+
+def test_train_refuses_a_smoothed_row_that_is_not_normalized(
+        tmp_path, capsys, monkeypatch):
+    # a fault injected into the smoothing: the initial row loses half its mass
+    def halve_initial(model, groups, counts):
+        initial = canonical_row({c: p / 2 for c, p in model.initial.items()},
+                                0.0, model.initial.columns)
+        return ConceptHmm(model.dictionary, model.vocab, model.k, initial,
+                          model.transition, model.bigram)
+
+    monkeypatch.setattr(cli, "apply_synonym_smoothing", halve_initial)
+    out = tmp_path / "model.txt"
+    rc, text = run_cli(["train", "--corpus", DEMO_CORPUS,
+                        "--synonyms", str(data_path("synonyms.txt")),
+                        "--out", str(out)])
+    assert (rc, text) == (2, "")
+    assert capsys.readouterr().err == \
+        "data error: row initial is no longer normalized\n"
+    assert not out.exists()
 
 
 def test_train_needs_gold_segmentations(tmp_path, demo_model_path, capsys):
@@ -303,6 +323,52 @@ def test_gold_label_that_is_not_a_concept_is_a_data_error_at_its_entry(
         f"data error: {corpus}:4: sentence x02: segmentation label not in "
         "concept dictionary: 'bogus'\n")
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.txt"]
+
+
+@pytest.mark.parametrize("refs,line,message", [
+    ("refs\tnumber\nrefvalue\t3\n", 6, "unknown reference kind 'number'"),
+    ("refs\tboolean\nrefvalue\tyes\n", 7,
+     "refvalue 'yes' is not YES or NO"),
+], ids=["refs-number", "refvalue-yes"])
+@pytest.mark.parametrize("command", ["train", "loop"])
+def test_a_reference_no_answer_can_meet_is_a_data_error_at_its_line(
+        command, refs, line, message, tmp_path, capsys):
+    # eval's refusals are MALFORMED cases in test_textfile.py
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("[sentence x01]\ntext\tSHOW\ngold\tSHOW:question\n"
+                      "[sentence x02]\ntext\tIS BREAKFAST SERVED\n" + refs,
+                      encoding="utf-8")
+    rc, out = run_cli([command, "--corpus", str(corpus),
+                       "--out", str(tmp_path / "m.txt")])
+    assert (rc, out) == (2, "")
+    assert capsys.readouterr().err == \
+        f"data error: {corpus}:{line}: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.txt"]
+
+
+def test_eval_checks_each_gold_label_once(monkeypatch, demo_model_path):
+    calls = []
+    check = FeedbackCorpus.check_labels
+    monkeypatch.setattr(FeedbackCorpus, "check_labels",
+                        lambda self, dictionary: calls.append(self.path) or
+                        check(self, dictionary))
+    rc, _ = run_cli(["eval", "--model", demo_model_path, "--corpus", DEMO_CORPUS])
+    assert rc == 0
+    assert calls == [DEMO_CORPUS]
+
+
+def test_evaluate_corpus_names_the_file_and_line_of_a_bad_gold_label(
+        tmp_path, demo_model, artifacts):
+    path = tmp_path / "corpus.txt"
+    path.write_text("[sentence x01]\ntext\tSHOW\ngold\tSHOW:question\n"
+                    "[sentence x02]\ntext\tSHOW\ngold\tSHOW:bogus\n",
+                    encoding="utf-8")
+    corpus = FeedbackCorpus.load(path)
+    assert corpus.path == str(path)
+    with pytest.raises(DataFormatError) as info:
+        evaluate_corpus(corpus, demo_model, artifacts)
+    assert str(info.value) == (f"{path}:4: sentence x02: segmentation label "
+                               "not in concept dictionary: 'bogus'")
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,14 +5,14 @@ import pytest
 
 from chronus.concepts import Concept, ConceptDictionary
 from chronus.errors import ChronusError, DataFormatError
-from chronus.gen import sample_sentence
+from chronus.gen import sample_from, sample_sentence
 from chronus.model import (BEGIN, NEG_INF, SegmentedSentence,
                            apply_synonym_smoothing, canonical_row,
                            count_events, model_from_text, model_to_text,
                            path_score, round12, train_mle)
 
 from helpers import (assert_rows_normalized, make_sentence, random_corpus,
-                     random_trained_model)
+                     random_trained_model, uniform_rows_model)
 
 
 def _mk(corpus_specs, dictionary, vocab, k):
@@ -34,6 +34,12 @@ def test_sentence_length_mismatch_rejected():
     with pytest.raises(ChronusError,
                        match="^words and labels must have equal length$"):
         make_sentence(["A", "B"], ["question"])
+
+
+def test_empty_sentence_rejected():
+    with pytest.raises(ChronusError,
+                       match="^segmented sentence must be non-empty$"):
+        SegmentedSentence((), ())
 
 
 def test_segments_group_adjacent_equal_labels():
@@ -356,6 +362,41 @@ def test_canonical_row_default_is_the_most_common_value():
         == ({"a": 0.3, "b": 0.3}, 0.2)
 
 
+def test_a_zero_column_is_no_key_of_its_row():
+    row = canonical_row({"a": 1.0}, 0.0, dict.fromkeys("abc"))
+    assert row["a"] == 1.0 and row.prob("b") == 0.0
+    with pytest.raises(KeyError):
+        row["b"]
+    with pytest.raises(KeyError):
+        row["z"]
+
+
+def test_synonym_rows_average_equally_when_no_member_was_counted(artifacts):
+    # counts in which origin never saw either member as a context, as when
+    # a model is smoothed with counts other than its own
+    model = train_mle(_synonym_counts(artifacts), 0.001)
+    other = count_events([make_sentence(["FROM"], ["origin"])],
+                         artifacts.dictionary, model.vocab)
+    before = model.bigram["origin"]
+    depart, leave = before["DEPART(S)"], before["LEAVE(S)"]
+    assert depart != leave
+    smoothed = apply_synonym_smoothing(
+        model, {"origin": [["DEPART(S)", "LEAVE(S)"]]}, other)
+    row = smoothed.bigram["origin"]["DEPART(S)"]
+    assert row is smoothed.bigram["origin"]["LEAVE(S)"]
+    for col in ("FROM", "((city))", "SHOW"):
+        assert row.prob(col) == round12((depart.prob(col)
+                                         + leave.prob(col)) / 2)
+
+
+def test_path_score_refuses_a_label_that_is_not_a_concept(artifacts):
+    model = train_mle(_synonym_counts(artifacts), 0.001)
+    sent = make_sentence(["FROM", "((city))"], ["origin", "bogus"])
+    with pytest.raises(ChronusError, match="^segmentation label not in "
+                       "concept dictionary: 'bogus'$"):
+        path_score(model, sent.words, sent.labels)
+
+
 def test_v3_model_text_is_a_fixed_point(artifacts):
     counts = _synonym_counts(artifacts)
     smoothed = apply_synonym_smoothing(train_mle(counts, 0.001),
@@ -381,3 +422,25 @@ def test_sampling_a_row_without_mass_names_concept_and_context():
                        match="concept 'c0' has no word to emit after "
                              "context 'B'"):
         sample_sentence(model, rng)
+
+
+class _TopRng:
+    """An rng whose every draw is the top of [0, 1]."""
+
+    def random(self):
+        return 1.0
+
+
+def test_sampling_a_draw_past_every_cumulative_bound_takes_the_last_key():
+    # x = total is not below the last cumulative sum, so no key is chosen
+    # in the loop and the last key, in sorted order, is returned
+    assert sample_from({"b": 0.5, "a": 0.5}, _TopRng()) == "b"
+    assert sample_from({"a": 0.1, "c": 0.7, "b": 0.2}, _TopRng()) == "c"
+
+
+def test_sampling_from_a_model_that_can_start_no_sentence_is_refused():
+    model = uniform_rows_model(1, ["w"], ["</s>"], {"c0": ["</s>"]},
+                               {"c0": {BEGIN: ["w"]}})
+    with pytest.raises(ChronusError,
+                       match="^model cannot start any sentence$"):
+        sample_sentence(model, random.Random(0))

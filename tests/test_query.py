@@ -216,6 +216,14 @@ def test_existence_answers(artifacts):
     assert yes.render_lines() == ["YES"] and no.render_lines() == ["NO"]
 
 
+def test_execute_refuses_an_unknown_comparator(artifacts):
+    # plan_query writes only =, >= and <; a hand-built plan may hold another
+    plan = plan_query(_t(("origin", "BBOS")), artifacts.db)
+    plan.predicates.append(("depart_min", "<=", 600))
+    with pytest.raises(ChronusError, match="^unknown comparator '<='$"):
+        execute(plan, artifacts.db)
+
+
 def test_time_interval_execution(artifacts):
     answer = _run(artifacts.db, ("origin", "BBOS"), ("depart-time", "morning"))
     assert answer.rows == [("AA", 101, "BBOS", "DDFW", 480, 720)]
@@ -231,6 +239,9 @@ def test_answer_kind_validation():
         Answer(kind="boolean", rows=[("x",)])
     with pytest.raises(ChronusError):
         Answer(kind="maybe")
+    # no plan yields a number, so no answer or reference is one
+    with pytest.raises(ChronusError, match="^unknown answer kind 'number'$"):
+        Answer(kind="number", value="3")
 
 
 def test_canonical_ignores_row_order_and_types():

@@ -309,6 +309,12 @@ MALFORMED = [
     ("corpus-refs-without-refvalue", "--corpus",
      (CORPUS + "[sentence x02]\ntext\tIS IT\nrefs\tboolean\n", 4),
      "sentence x02: refs boolean needs a refvalue line"),
+    ("corpus-refs-number", "--corpus",
+     (CORPUS + "[sentence x02]\ntext\tHOW MANY\nrefs\tnumber\n", 6),
+     "unknown reference kind 'number'"),
+    ("corpus-refvalue-not-yes-or-no", "--corpus",
+     (CORPUS + "[sentence x02]\ntext\tIS IT\nrefs\tboolean\n"
+      "refvalue\tyes\n", 7), "refvalue 'yes' is not YES or NO"),
     ("corpus-gold-label-not-a-concept", "--corpus",
      (CORPUS + "[sentence x02]\ntext\tSHOW\ngold\tSHOW:bogus\n", 4),
      "sentence x02: segmentation label not in concept dictionary: 'bogus'"),
@@ -485,12 +491,11 @@ _ROW = st.lists(_FIELD, min_size=1, max_size=4).map(tuple)
 
 @st.composite
 def _references(draw):
-    kind = draw(st.sampled_from(["rows", "number", "boolean"]))
+    kind = draw(st.sampled_from(["rows", "boolean"]))
     if kind == "rows":
         return (Answer(kind="rows", rows=draw(st.lists(_ROW, max_size=3))),
                 Answer(kind="rows", rows=draw(st.lists(_ROW, max_size=3))))
-    value = (draw(st.integers(0, 999).map(str)) if kind == "number"
-             else draw(st.booleans()))
+    value = draw(st.booleans())
     return Answer(kind=kind, value=value), Answer(kind=kind, value=value)
 
 

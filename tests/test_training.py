@@ -43,7 +43,7 @@ def test_entry_needs_gold_or_references():
         FeedbackCorpus([FeedbackEntry(ident="x", text="SHOW ME")])
 
 
-@pytest.mark.parametrize("kind", ["number", "boolean"])
+@pytest.mark.parametrize("kind", ["boolean"])
 def test_scalar_references_need_their_value(kind):
     with pytest.raises(DataFormatError,
                        match=f"^sentence x: refs {kind} needs a refvalue line$"):
