@@ -47,12 +47,8 @@ def _number(kind, lo, hi=math.inf):
     return parse
 
 
-# the artifact file options, in the order Artifacts.load takes them
-_ARTIFACTS = ("lexicon", "concepts", "values", "db", "conventions")
-
-
 def _add_artifact_args(p):
-    for name in _ARTIFACTS:
+    for name in Artifacts.FILES:
         p.add_argument(f"--{name}", default=None,
                        help=f"{name} file (default: bundled demo {name})")
     p.add_argument("--threshold", type=_number(float, 0.0, 1.0), default=None,
@@ -69,7 +65,7 @@ def _load_artifacts(args) -> Artifacts:
     """The artifacts the arguments name; a given ``--threshold`` replaces
     the conventions' rejection threshold."""
     artifacts = Artifacts.load(*(_given(getattr(args, name), name)
-                                 for name in _ARTIFACTS))
+                                 for name in Artifacts.FILES))
     if args.threshold is not None:
         artifacts.db.conventions.reject_threshold = args.threshold
     return artifacts

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .concepts import Concept, ConceptDictionary
+from .concepts import AND, DUMMY, Concept, ConceptDictionary
 from .errors import ChronusError
 from .lexicon import Superword
 from .model import (BEGIN, FINAL, ConceptHmm, SegmentedSentence,
@@ -64,8 +64,8 @@ def sample_sentence(model: ConceptHmm, rng: random.Random,
 def synthetic_dictionary(names):
     """Restriction concepts ``names`` of rank 2, then ``dummy`` and ``and``."""
     concepts = [Concept(n, "restriction", rank=2) for n in names]
-    concepts.append(Concept("dummy", "special"))
-    concepts.append(Concept("and", "special"))
+    concepts.append(Concept(DUMMY, "special"))
+    concepts.append(Concept(AND, "special"))
     return ConceptDictionary(concepts)
 
 
@@ -85,7 +85,7 @@ def make_recovery_model() -> ConceptHmm:
     dictionary = synthetic_dictionary(names)
     vocab = [f"w{i:02d}" for i in range(RECOVERY_WORDS)]
 
-    trans_cols = dict.fromkeys(dictionary.names + ["</s>"])
+    trans_cols = dict.fromkeys(dictionary.names + [FINAL])
     vocab_cols = dict.fromkeys(vocab)
     initial = canonical_row({c: round12(1.0 / RECOVERY_CONCEPTS) for c in names},
                             0.0, trans_cols)
@@ -94,14 +94,14 @@ def make_recovery_model() -> ConceptHmm:
         row = {d: round12(0.15 / (RECOVERY_CONCEPTS - 1))
                for d in names if d != c}
         row[c] = round12(0.80)
-        row["</s>"] = round12(0.05)
+        row[FINAL] = round12(0.05)
         transition[c] = canonical_row(row, 0.0, trans_cols)
 
     per = RECOVERY_WORDS // RECOVERY_CONCEPTS
     bigram = {}
     for i, c in enumerate(names):
         preferred = {w: round12(0.8 / per) for w in vocab[i * per:(i + 1) * per]}
-        table = {"<s>": canonical_row(
+        table = {BEGIN: canonical_row(
             preferred, round12(0.2 / (RECOVERY_WORDS - per)), vocab_cols)}
         for j, w in enumerate(vocab):
             succ = vocab[(j + 7 * i + 1) % RECOVERY_WORDS]
@@ -153,7 +153,7 @@ def superword_effect_corpus(rng: random.Random, n: int, cities=None):
             spans.append(len(words))
 
         for w in ("SHOW", "ME"):
-            plain(w, "dummy")
+            plain(w, DUMMY)
         if rng.random() < 0.5:
             plain("FLIGHTS", "subject")
         plain("FROM", "origin")

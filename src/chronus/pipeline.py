@@ -38,6 +38,9 @@ def data_path(name: str) -> Path:
 class Artifacts:
     """Static pipeline inputs (everything except the trained model)."""
 
+    # the artifact files in ``load``'s order, each bundled as <name>.txt
+    FILES = ("lexicon", "concepts", "values", "db", "conventions")
+
     lexicon: SuperwordLexicon
     dictionary: ConceptDictionary
     tables: ValueTable
@@ -58,9 +61,7 @@ class Artifacts:
 
     @classmethod
     def load_bundled(cls):
-        return cls.load(data_path("lexicon.txt"), data_path("concepts.txt"),
-                        data_path("values.txt"), data_path("db.txt"),
-                        data_path("conventions.txt"))
+        return cls.load(*(data_path(f"{name}.txt") for name in cls.FILES))
 
 
 @dataclass

@@ -231,10 +231,9 @@ def should_reject(template: Template, threshold: float) -> bool:
     """Reject when too few decoded concepts matched a value (0/0 rejects)."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be in [0, 1]")
-    total = template.matched + template.unmatched
-    if total == 0:
+    if not (template.matched or template.unmatched):
         return True
-    return template.matched / total < threshold
+    return matched_fraction(template) < threshold
 
 
 def matched_fraction(template: Template) -> float:

@@ -261,11 +261,10 @@ def run_training_loop(corpus: FeedbackCorpus, seed_model: ConceptHmm,
 
     model = seed_model
     report = LoopReport()
-    prev_correct_ids = None
+    prev_correct = None
     turns = [None] * len(feedback)   # each sentence's last turn
     for iteration in range(1, max_iters + 1):
-        correct_ids = set()
-        kept = {}
+        kept = {}   # the correct sentences' ids -> their decodes
         for i, entry in enumerate(feedback):
             try:
                 turn = turns[i] = run_turn(entry.text, model, artifacts,
@@ -273,16 +272,15 @@ def run_training_loop(corpus: FeedbackCorpus, seed_model: ConceptHmm,
             except ChronusError:
                 turn = None  # unparseable sentence: problem sentence
             if verdict(turn, entry) == "correct":
-                correct_ids.add(entry.ident)
                 kept[entry.ident] = turn.decode.segmentation()
         report.rows.append(IterationRow(
-            iteration=iteration, correct=len(correct_ids),
-            problem=len(feedback) - len(correct_ids),
+            iteration=iteration, correct=len(kept),
+            problem=len(feedback) - len(kept),
             snapshot=_snapshot_id(model)))
-        if correct_ids == prev_correct_ids:
+        if kept.keys() == prev_correct:
             report.termination = "converged"
             return model, report
-        prev_correct_ids = correct_ids
+        prev_correct = kept.keys()
         retrain = seed + [kept[i] for i in sorted(kept)]
         model = train_mle(count_events(retrain, model.dictionary, model.vocab),
                           model.k)

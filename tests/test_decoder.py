@@ -84,16 +84,16 @@ def test_log_prob_is_exactly_path_score_on_long_demo_sentences(
 
 @pytest.fixture(scope="module")
 def digest():
-    """tools/decode_digest.py, imported as a module."""
-    tool = TESTS_DATA.parent.parent / "tools" / "decode_digest.py"
-    spec = importlib.util.spec_from_file_location("decode_digest", tool)
+    """tools/digests.py, imported as a module."""
+    tool = TESTS_DATA.parent.parent / "tools" / "digests.py"
+    spec = importlib.util.spec_from_file_location("digests", tool)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_demo_decodes_match_the_pinned_digest(demo_model, artifacts, digest):
-    # tools/decode_digest.py wrote the file with an earlier decoder, on
+    # tools/digests.py wrote the file with an earlier decoder, on
     # sentences longer than the oracle reaches: any rewrite of the search
     # must reproduce every path, label and score bit for bit
     pinned = (TESTS_DATA / "decode_digest.txt").read_text(encoding="utf-8")

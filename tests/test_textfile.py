@@ -1,6 +1,7 @@
 """The shared data-file syntax: every reader reports bad input as
 ``path:line: message``, and the writers' output reads back unchanged."""
 
+import contextlib
 import io
 import random
 
@@ -14,7 +15,7 @@ from chronus.decoder import viterbi_decode
 from chronus.model import (SegmentedSentence, apply_synonym_smoothing,
                            count_events, load_model, model_from_text,
                            model_to_text, train_mle)
-from chronus.pipeline import data_path
+from chronus.pipeline import Artifacts, data_path
 from chronus.query import Answer
 from chronus.textfile import records
 from chronus.training import FeedbackCorpus, FeedbackEntry
@@ -527,3 +528,79 @@ def test_feedback_corpus_text_round_trips(entries):
     again = FeedbackCorpus.from_lines(corpus.to_text().splitlines())
     assert again.entries == corpus.entries
     assert again.to_text() == corpus.to_text()
+
+
+# what a mutation puts in a line: a line break other than newline, a tab,
+# or a field's new value
+_INSERTED = ("\t", "\x0c", "\x85", "\u2028")
+_VALUE = st.sampled_from(["", "0", "-1", "0.5", "2", "nan", "inf", "1e400",
+                          "x", "#", "[x]", "<s>", "</s>", "dummy", "origin",
+                          "YES", "rows", "FLIGHT(S)"]) | _FIELD
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    """Copies of the files ``eval`` reads: the five bundled artifact files,
+    the seed corpus and the model ``train`` writes from it, as option ->
+    (path, text)."""
+    folder = tmp_path_factory.mktemp("eval-inputs")
+    sources = {f"--{name}": data_path(f"{name}.txt") for name in Artifacts.FILES}
+    sources["--corpus"] = data_path("seed_corpus.txt")
+    sources["--model"] = folder / "source-model.txt"
+    assert main(["train", "--corpus", str(sources["--corpus"]), "--out",
+                 str(sources["--model"])], out=io.StringIO()) == 0
+    inputs = {}
+    for option, source in sources.items():
+        text = source.read_bytes().decode("utf-8")
+        path = folder / f"{option[2:]}.txt"
+        path.write_bytes(text.encode("utf-8"))
+        inputs[option] = path, text
+    return inputs
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_eval_reads_a_mutated_input_or_refuses_it_naming_the_file(
+        eval_inputs, data):
+    # one line of one input deleted, duplicated, truncated, given a new
+    # field or a character inside: eval answers, or refuses with one data
+    # error that names the input, and never raises
+    option = data.draw(st.sampled_from(sorted(eval_inputs)))
+    path, text = eval_inputs[option]
+    lines = text.split("\n")
+    at = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[at]
+    edit = data.draw(st.sampled_from(
+        ["delete", "duplicate", "truncate", "field", "insert"]))
+    if edit == "delete":
+        lines[at:at + 1] = []
+    elif edit == "duplicate":
+        lines[at:at] = [line]
+    elif edit == "truncate":
+        lines[at] = line[:data.draw(st.integers(0, len(line)))]
+    elif edit == "field":
+        fields = line.split("\t")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(_VALUE)
+        lines[at] = "\t".join(fields)
+    else:
+        cut = data.draw(st.integers(0, len(line)))
+        lines[at] = line[:cut] + data.draw(st.sampled_from(_INSERTED)) \
+            + line[cut:]
+    argv = ["eval"]
+    for name, (other, _) in eval_inputs.items():
+        argv += [name, str(other)]
+    err = io.StringIO()
+    path.write_bytes("\n".join(lines).encode("utf-8"))
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(argv, out=io.StringIO())
+    finally:
+        path.write_bytes(text.encode("utf-8"))
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2
+        message, end = err.getvalue().split("\n")
+        assert end == ""
+        assert any(message.startswith(f"data error: {p}")
+                   for p, _ in eval_inputs.values())

@@ -8,6 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path("src") / "chronus" / "data"
 CORPORA = ("demo_corpus.txt", "seed_corpus.txt", "semi_corpus.txt")
+DIGESTS = ("decode_digest.txt", "turn_digest.txt", "cycle_digest.txt")
 
 
 def _copy(tmp_path):
@@ -70,3 +71,19 @@ def test_build_corpora_refuses_references_without_a_gold(tmp_path):
     assert proc.stderr == ("sentence z01: references but no gold, "
                            "in the corpus or in FEEDBACK_GOLDS\n")
     assert (data / "demo_corpus.txt").read_text(encoding="utf-8") == before
+
+
+def test_digests_rewrites_the_three_pinned_digests_unchanged(tmp_path):
+    _copy(tmp_path)
+    pinned = tmp_path / "tests" / "data"
+    pinned.mkdir(parents=True)
+    for name in DIGESTS:
+        shutil.copy(ROOT / "tests" / "data" / name, pinned / name)
+    proc = subprocess.run([sys.executable,
+                           str(tmp_path / "tools" / "digests.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 3
+    for name in DIGESTS:
+        assert (pinned / name).read_bytes() == \
+            (ROOT / "tests" / "data" / name).read_bytes(), name

@@ -245,16 +245,16 @@ def test_loop_input_validation(artifacts, semi_corpus):
 
 
 def test_training_cycle_matches_the_pinned_digest():
-    # tools/cycle_digest.py wrote the file before the cycle's fixed costs
+    # tools/digests.py wrote the file before the cycle's fixed costs
     # were cut: train (with and without synonyms), the loop's report, its
     # snapshot ids and --out model, and align_win's labels must stay
     # bit for bit
-    tool = TESTS_DATA.parent.parent / "tools" / "cycle_digest.py"
-    spec = importlib.util.spec_from_file_location("cycle_digest", tool)
+    tool = TESTS_DATA.parent.parent / "tools" / "digests.py"
+    spec = importlib.util.spec_from_file_location("digests", tool)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     pinned = (TESTS_DATA / "cycle_digest.txt").read_text(encoding="utf-8")
-    assert module.digest_lines() == pinned.splitlines()
+    assert module.cycle_digest_lines() == pinned.splitlines()
 
 
 # ---------------------------------------------------------------------------
