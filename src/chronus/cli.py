@@ -344,6 +344,8 @@ _COMMANDS = {
 
 
 _parser = None   # built by the first main call; parsing leaves it unchanged
+# what str.splitlines() breaks at, as Python escapes: one line per error
+_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 def main(argv=None, out=None) -> int:
@@ -354,12 +356,12 @@ def main(argv=None, out=None) -> int:
     try:
         args = _parser.parse_args(argv)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        print(f"usage error: {exc}".translate(_BREAKS), file=sys.stderr)
         return 1
     try:
         return _COMMANDS[args.command](args, out)
     except (OSError, ChronusError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        print(f"data error: {exc}".translate(_BREAKS), file=sys.stderr)
         return 2
 
 

@@ -13,6 +13,7 @@ ROLES = ("question", "subject", "restriction", "attribute", "special")
 
 DUMMY = "dummy"
 AND = "and"
+SECTIONS = {None: False}   # a concepts file has no headers
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,9 @@ def parse_concept(line, path=None, ln=None) -> Concept:
     parts = line.split("\t")
     if len(parts) not in (3, 4):
         raise DataFormatError("expected name<TAB>role<TAB>rank[<TAB>counterpart]",
+                              path, ln)
+    if parts[0].split() != [parts[0]]:   # a model's [bigram <name>] holds it
+        raise DataFormatError(f"concept name {parts[0]!r} is not one word",
                               path, ln)
     if parts[1] not in ROLES:
         raise DataFormatError(f"unknown role {parts[1]!r} for concept {parts[0]}",
@@ -121,12 +125,8 @@ class ConceptDictionary:
 
     @classmethod
     def from_lines(cls, lines, path=None):
-        def parsed():
-            for ln, section, line in records(lines, path):
-                if line is None:
-                    raise DataFormatError(f"unknown section [{section}]", path, ln)
-                yield parse_concept(line, path, ln)
-        return cls(parsed(), path)
+        return cls((parse_concept(line, path, ln) for ln, _, _, line
+                    in records(lines, SECTIONS, path)), path)
 
     @classmethod
     def load(cls, path):

@@ -201,6 +201,7 @@ NORMALIZERS = {
 # FSA grammars
 
 _NO_STATES = frozenset()
+SECTIONS = {"words": False, "inflect": False, "stop": False, "grammar": True}
 
 
 class FsaGrammar:
@@ -324,19 +325,13 @@ class SuperwordLexicon:
     def from_lines(cls, lines, path=None):
         words, inflect, stop = set(), {}, set()
         grammars = []   # FsaGrammar arguments, one dict per [grammar] section
-        for ln, section, line in records(lines, path):
+        for ln, section, gid, line in records(lines, SECTIONS, path):
             if line is None:
-                if section in ("words", "inflect", "stop"):
+                if section != "grammar":
                     continue
-                if not section.startswith("grammar"):
-                    raise DataFormatError(f"unknown section [{section}]", path, ln)
-                parts = section.split()
-                if len(parts) != 2:
-                    raise DataFormatError("expected [grammar <id>]", path, ln)
-                if any(g["gid"] == parts[1] for g in grammars):
-                    raise DataFormatError(f"duplicate grammar id {parts[1]}",
-                                          path, ln)
-                grammars.append({"gid": parts[1], "transitions": {},
+                if any(g["gid"] == gid for g in grammars):
+                    raise DataFormatError(f"duplicate grammar id {gid}", path, ln)
+                grammars.append({"gid": gid, "transitions": {},
                                  "accepting": set(), "line": ln})
             elif section == "words":
                 for word in line.split():
@@ -352,7 +347,7 @@ class SuperwordLexicon:
                 inflect[parts[0]] = parts[1]
             elif section == "stop":
                 stop.update(line.split())
-            elif section is not None:
+            else:
                 grammar = grammars[-1]
                 parts = line.split("\t")
                 if parts[0] == "accept" and len(parts) == 2:
@@ -371,8 +366,6 @@ class SuperwordLexicon:
                         (parts[0], parts[1]), set()).add(parts[2])
                 else:
                     raise DataFormatError("bad grammar line", path, ln)
-            else:
-                raise DataFormatError("content before first section header", path, ln)
         return cls(words, inflect, stop, [FsaGrammar(**g) for g in grammars],
                    path)
 

@@ -33,6 +33,7 @@ from .textfile import number, read_lines, read_text, records
 BEGIN = "<s>"    # begin-of-segment marker / initial-state row
 FINAL = "</s>"   # final-state column
 NEG_INF = float("-inf")
+SYNONYM_SECTIONS = {None: False}   # a synonyms file has no headers
 
 
 def round12(p: float) -> float:
@@ -386,18 +387,8 @@ def apply_synonym_smoothing(model: ConceptHmm, groups,
     columns = dict.fromkeys(model.vocab)
     bigram = {g: dict(table) for g, table in model.bigram.items()}
     for concept, concept_groups in groups.items():
-        if concept not in model.dictionary:
-            raise ChronusError(
-                f"segmentation label not in concept dictionary: {concept!r}")
-        seen = set()
-        for group in concept_groups:
-            for w in group:
-                if w not in columns:
-                    raise ChronusError(f"word not in vocabulary: {w!r}")
-                if w in seen:
-                    raise ChronusError(
-                        f"word {w!r} in two synonym groups under {concept}")
-                seen.add(w)
+        _check_synonyms(concept, concept_groups, model.dictionary, columns,
+                        set())
         table = bigram.setdefault(concept, {})
         counted = counts.bigram.get(concept, {})
         for group in concept_groups:
@@ -410,37 +401,43 @@ def apply_synonym_smoothing(model: ConceptHmm, groups,
                       model.initial, model.transition, bigram)
 
 
+def _check_synonyms(concept, groups, dictionary, vocab, held):
+    """Refuse the word ``groups`` of ``concept`` if the concept is unknown,
+    or a word is not in ``vocab`` or in two groups (``held`` holds the
+    words of groups checked before, and gains these)."""
+    if concept not in dictionary:
+        raise ChronusError(f"unknown concept {concept!r}")
+    for group in groups:
+        for w in group:
+            if w not in vocab:
+                raise ChronusError(f"word not in vocabulary: {w!r}")
+            if w in held:
+                raise ChronusError(
+                    f"word {w!r} in two synonym groups under {concept}")
+            held.add(w)
+
+
 def load_synonyms(path, dictionary: ConceptDictionary, vocab):
     """Synonym groups for ``apply_synonym_smoothing`` from a file of
     ``concept<TAB>word<TAB>word...`` lines, one group per line.
 
-    Lines are checked in file order against the model's ``dictionary`` and
-    ``vocab``: an unknown concept, a word outside the vocabulary, or a word
-    that an earlier group of the same concept holds is a data error at
-    its line."""
+    Each line is checked against the model's ``dictionary`` and ``vocab``
+    as ``apply_synonym_smoothing`` checks its groups, and refused at its
+    line."""
     vocab = set(vocab)
     groups, seen = {}, {}   # concept -> word groups; -> words so far
-    for ln, section, line in records(read_lines(path), path):
-        if line is None:
-            raise DataFormatError(f"unknown section [{section}]", path, ln)
+    for ln, _, _, line in records(read_lines(path), SYNONYM_SECTIONS, path):
         fields = line.split("\t")
         if len(fields) < 3:
             raise DataFormatError(
                 "synonym line needs a concept and two or more words",
                 path, ln)
         concept, words = fields[0], fields[1:]
-        if concept not in dictionary:
-            raise DataFormatError(f"unknown concept {concept!r}", path, ln)
-        held = seen.setdefault(concept, set())
-        for w in words:
-            if w not in vocab:
-                raise DataFormatError(f"word not in vocabulary: {w!r}",
-                                      path, ln)
-            if w in held:
-                raise DataFormatError(
-                    f"word {w!r} in two synonym groups under {concept}",
-                    path, ln)
-            held.add(w)
+        try:
+            _check_synonyms(concept, [words], dictionary, vocab,
+                            seen.setdefault(concept, set()))
+        except ChronusError as exc:
+            raise DataFormatError(str(exc), path, ln) from None
         groups.setdefault(concept, []).append(words)
     return groups
 
@@ -511,6 +508,8 @@ def path_score(model: ConceptHmm, arcs_or_superwords, labels) -> float:
 # Serialization: line-oriented `chronus-model v3` format
 
 MAGIC = "chronus-model v3"
+MODEL_SECTIONS = {None: False, "concepts": False, "vocab": False,
+                  "initial": False, "transition": False, "bigram": True}
 
 
 def model_to_text(model: ConceptHmm) -> str:
@@ -558,24 +557,21 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
     names, symbols = set(), {BEGIN, FINAL}
     transition, bigram = {}, {}   # rows: [values, default, ln]
     table = row_name = None    # the current table and row
-    for ln, section, line in records(lines, path, MAGIC):
+    for ln, kind, concept, line in records(lines, MODEL_SECTIONS, path, MAGIC):
         if line is None:
             table = row_name = None
-            kind, _, concept = section.partition(" ")
             if kind == "bigram":
                 if concept not in names:
                     raise DataFormatError(f"unknown concept {concept!r}", path, ln)
                 rows_ok = cols_ok = symbols
                 row_msg = col_msg = "symbol {!r} is not in [vocab]"
                 table = bigram.setdefault(concept, {})
-            elif kind in ("initial", "transition") and not concept:
+            elif kind in ("initial", "transition"):
                 rows_ok = {BEGIN} if kind == "initial" else names
                 cols_ok = names | {FINAL}
                 row_msg = f"unknown {kind} row {{!r}}"
                 col_msg = "unknown concept {!r}"
                 table = transition
-            elif section not in ("concepts", "vocab"):
-                raise DataFormatError(f"unknown section [{section}]", path, ln)
             continue
         parts = line.split("\t")
         if table is not None:   # the bulk of a model: rows come grouped
@@ -599,13 +595,13 @@ def model_from_text(text: str, path=None) -> ConceptHmm:
             else:
                 row[0][parts[1]] = number(float, parts[2], "probability",
                                           path, ln, 0.0, 1.0)
-        elif section is None:
+        elif kind is None:
             if parts[0] != "k" or len(parts) != 2:
                 raise DataFormatError("unexpected header line", path, ln)
             if k is not None:
                 raise DataFormatError("repeated k line", path, ln)
             k = number(float, parts[1], "k", path, ln, 0.0, math.inf)
-        elif section == "concepts":
+        elif kind == "concepts":
             concepts.append(parse_concept(line, path, ln))
             name = concepts[-1].name
             if name in names:

@@ -14,7 +14,7 @@ from operator import itemgetter
 
 from .errors import ChronusError, DataFormatError
 from .template import Template
-from .textfile import number, read_lines, records, section_name
+from .textfile import number, read_lines, records
 
 SCHEMAS = {
     "flight": ("flight_id", "airline", "number", "from_city", "to_city",
@@ -30,6 +30,8 @@ PRIMARY_KEYS = {"flight": "flight_id", "fare": "fare_id",
 
 _DEFAULTS = {"subject": "default_subject",   # [defaults] key -> argument
              "reject-threshold": "reject_threshold"}
+CONVENTION_SECTIONS = {"time": False, "defaults": False}
+DB_SECTIONS = {"table": True}
 
 
 class Conventions:
@@ -44,7 +46,8 @@ class Conventions:
     @classmethod
     def load(cls, path):
         time_ranges, defaults = {}, {}   # unset defaults: the constructor's
-        for ln, section, line in records(read_lines(path), path):
+        for ln, section, _, line in records(read_lines(path),
+                                            CONVENTION_SECTIONS, path):
             if line is None:
                 continue
             parts = line.split("\t")
@@ -110,16 +113,12 @@ class MiniDb:
     def load(cls, path, conventions: Conventions):
         tables = {name: [] for name in SCHEMAS}
         keys = {name: {} for name in SCHEMAS}   # per table: key -> its line
-        table = None
-        for ln, section, line in records(read_lines(path), path,
-                                         "chronus-db v1"):
+        for ln, _, table, line in records(read_lines(path), DB_SECTIONS,
+                                          path, "chronus-db v1"):
             if line is None:
-                table = section_name(section, "table", path, ln)
                 if table not in SCHEMAS:
                     raise DataFormatError(f"unknown table {table!r}", path, ln)
                 continue
-            if table is None:
-                raise DataFormatError("row before any [table] header", path, ln)
             schema = SCHEMAS[table]
             parts = line.split("\t")
             if len(parts) != len(schema):

@@ -22,10 +22,11 @@ from .concepts import ConceptDictionary
 from .errors import ChronusError, DataFormatError
 from .lexicon import is_grammar_sym, parse_superword
 from .model import SegmentedSentence
-from .textfile import read_lines, records, section_name
+from .textfile import read_lines, records
 
 CATEGORIES = ("item", "attribute", "logic", "operator")
 TAKE_VALUE = "*"
+SECTIONS = {"concept": True}   # a value file: [concept <name>] sections
 
 
 @dataclass(frozen=True)
@@ -144,10 +145,9 @@ class ValueTable:
         """Read a value file whose ``[concept c]`` headers each name a
         folded, non-special concept of ``dictionary``: the only ones
         ``generate_template`` looks patterns up under."""
-        table, concept = cls({}), None
-        for ln, section, line in records(lines, path):
+        table = cls({})
+        for ln, _, concept, line in records(lines, SECTIONS, path):
             if line is None:
-                concept = section_name(section, "concept", path, ln)
                 if concept not in dictionary:
                     raise DataFormatError(f"unknown concept {concept!r}",
                                           path, ln)
@@ -156,8 +156,6 @@ class ValueTable:
                         f"concept {concept!r} has role {c.role}; segments read "
                         "the patterns of folded, non-special concepts", path, ln)
                 continue
-            if concept is None:
-                raise DataFormatError("pattern before any [concept] header", path, ln)
             parts = line.split("\t")
             if len(parts) != 3:
                 raise DataFormatError("expected PATTERN<TAB>value<TAB>category",

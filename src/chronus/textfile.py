@@ -1,8 +1,9 @@
 """The line syntax shared by every chronus data file.
 
 Blank lines and lines whose first non-blank character is ``#`` carry
-nothing.  A line ``[header]`` opens a section; fields are tab-separated.
-Errors name the file and line as ``path:line: message``.
+nothing.  A line ``[kind]`` or ``[kind name]`` opens a section of a kind
+the format names (see ``records``); fields are tab-separated.  Errors name
+the file and line as ``path:line: message``.
 """
 
 from __future__ import annotations
@@ -31,13 +32,17 @@ def read_lines(path):
     return read_text(path).split("\n")
 
 
-def records(lines, path=None, magic=None):
-    """Yield ``(line number, section header, line)`` for each content line.
+def records(lines, sections, path=None, magic=None):
+    """Yield ``(line number, kind, name, line)`` for each content line.
 
-    A header line comes as ``(ln, header, None)``, so record-based formats
-    can start a new record there; lines before any header carry header
-    None.  With ``magic``, the first line must be exactly that text.
-    Nothing is collected: the lines stream through.
+    ``sections`` maps each header kind of the format to whether it takes
+    a name, one word without spaces: ``[kind name]``, else ``[kind]``.  The
+    key None lets lines come before the first header, with kind and name
+    None.  Any other header, a missing or extra name, and a line outside
+    a section are DataFormatErrors at their line.  A header comes as
+    ``(ln, kind, name, None)``, so record-based formats can start a new
+    record there.  With ``magic``, the first line must be exactly that
+    text.  Nothing is collected: the lines stream through.
     """
     lines = iter(lines)
     start = 1
@@ -45,7 +50,8 @@ def records(lines, path=None, magic=None):
         if next(lines, "").strip() != magic:
             raise DataFormatError(f"missing {magic} header", path, 1)
         start = 2
-    header = None
+    kind = name = None
+    before = None in sections   # lines may come before the first header
     for ln, raw in enumerate(lines, start):
         line = raw.rstrip("\n")
         text = line.lstrip()
@@ -55,9 +61,18 @@ def records(lines, path=None, magic=None):
             if not line.endswith("]"):
                 raise DataFormatError("unterminated section header", path, ln)
             header = line[1:-1].strip()
-            yield ln, header, None
+            kind, _, name = header.partition(" ")   # not at \x0c or U+2028
+            name = name.strip() or None
+            named = sections.get(kind)
+            if named is None or (name is not None and not named):
+                raise DataFormatError(f"unknown section [{header}]", path, ln)
+            if named and (name is None or " " in name):
+                raise DataFormatError(f"expected [{kind} <name>]", path, ln)
+            yield ln, kind, name, None
+        elif kind is None and not before:
+            raise DataFormatError("line before any section header", path, ln)
         else:
-            yield ln, header, line
+            yield ln, kind, name, line
 
 
 def number(kind, text, what, path, line, lo=None, hi=None):
@@ -76,10 +91,3 @@ def number(kind, text, what, path, line, lo=None, hi=None):
         raise DataFormatError(f"{what} {text} is not finite", path, line)
     return value
 
-
-def section_name(header, kind, path, line):
-    """The name in a ``[kind name]`` header, else DataFormatError."""
-    word, _, name = header.partition(" ")
-    if word != kind or not name.strip():
-        raise DataFormatError(f"expected [{kind} <name>]", path, line)
-    return name.strip()

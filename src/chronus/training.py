@@ -31,7 +31,7 @@ from .model import (BEGIN, NEG_INF, ConceptHmm, SegmentedSentence,
                     count_events, model_to_text, train_mle)
 from .pipeline import Artifacts, run_turn, verdict
 from .query import Answer
-from .textfile import read_lines, records, section_name
+from .textfile import read_lines, records
 
 
 class AlignmentInfeasibleError(ChronusError):
@@ -59,6 +59,7 @@ class FeedbackEntry:
 
 
 _ONCE = ("text", "gold", "refs", "refvalue")   # keys an entry gives once
+SECTIONS = {"sentence": True}   # a corpus: one [sentence <id>] per entry
 
 
 def _check_entry(entry, path=None, ln=None):
@@ -128,19 +129,16 @@ class FeedbackCorpus:
                     path, entry.line)
             _check_entry(entry, path, entry.line)
 
-        for ln, section, line in records(lines, path):
+        for ln, _, ident, line in records(lines, SECTIONS, path):
             if line is None:
                 if entries:
                     finish()
-                ident = section_name(section, "sentence", path, ln)
                 if ident in idents:
                     raise DataFormatError(f"repeated sentence id {ident!r}", path, ln)
                 idents.add(ident)
                 entries.append(FeedbackEntry(ident, text="", line=ln))
                 given.clear()
                 continue
-            if not entries:
-                raise DataFormatError("line before any [sentence] header", path, ln)
             entry = entries[-1]
             kind = entry.refmin.kind if entry.refmin is not None else None
             key, _, rest = line.partition("\t")

@@ -277,6 +277,10 @@ BAD_INVOCATIONS = [
     ("gen-test-negative",
      ["gen", "alignment", "--test", "-1", "--out", "{dir}/g"],
      1, "usage error: argument --test: value -1 is not in [0, inf]"),
+    ("decode-threshold-line-break",
+     ["decode", "--threshold", "\u20282", "SHOW"],
+     1, "usage error: argument --threshold: value \\u20282 is not in "
+        "[0.0, 1.0]"),
     ("train-out-directory",
      ["train", "--corpus", DEMO_CORPUS, "--out", "{dir}"],
      2, "data error: [Errno 21] Is a directory: '{dir}'"),

@@ -334,8 +334,7 @@ def test_empty_and_singleton_groups_are_identity(artifacts):
 def test_synonym_smoothing_input_validation(artifacts):
     counts = _synonym_counts(artifacts)
     model = train_mle(counts, 0.001)
-    with pytest.raises(ChronusError, match="^segmentation label not in "
-                       "concept dictionary: 'bogus'$"):
+    with pytest.raises(ChronusError, match="^unknown concept 'bogus'$"):
         apply_synonym_smoothing(model, {"bogus": [["FROM", "((city))"]]},
                                 counts)
     with pytest.raises(ChronusError,

@@ -242,7 +242,7 @@ def test_from_lines_validates_category(artifacts):
 
 def test_from_lines_requires_concept_header(artifacts):
     with pytest.raises(DataFormatError,
-                       match=r"^1: pattern before any \[concept\] header$"):
+                       match=r"^1: line before any section header$"):
         ValueTable.from_lines(["WORD\tvalue\titem"], artifacts.dictionary)
 
 

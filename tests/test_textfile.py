@@ -20,20 +20,37 @@ from chronus.query import Answer
 from chronus.textfile import records
 from chronus.training import FeedbackCorpus, FeedbackEntry
 
-from helpers import random_corpus
+from helpers import TESTS_DATA, random_corpus
 
 
 def test_records_skips_comments_and_numbers_lines():
     lines = ["# note", "", "top", "[a b]", "  # indented note", "x\ty", "[c]"]
-    assert list(records(lines)) == [
-        (3, None, "top"), (4, "a b", None), (6, "a b", "x\ty"), (7, "c", None)]
+    sections = {None: False, "a": True, "c": False}
+    assert list(records(lines, sections)) == [
+        (3, None, None, "top"), (4, "a", "b", None), (6, "a", "b", "x\ty"),
+        (7, "c", None, None)]
 
 
 def test_records_checks_the_magic_line():
-    assert list(records(["v1", "x"], magic="v1")) == [(2, None, "x")]
+    assert list(records(["v1", "x"], {None: False}, magic="v1")) == [
+        (2, None, None, "x")]
     with pytest.raises(DataFormatError) as info:
-        list(records(["v2"], "f.txt", magic="v1"))
+        list(records(["v2"], {None: False}, "f.txt", magic="v1"))
     assert str(info.value) == "f.txt:1: missing v1 header"
+
+
+@pytest.mark.parametrize("lines,message", [
+    (["[c]", "[b]"], "2: unknown section [b]"),
+    (["[c]", "[c x]"], "2: unknown section [c x]"),
+    (["[c]", "[a]"], "2: expected [a <name>]"),
+    (["[c]", "[a x y]"], "2: expected [a <name>]"),
+    (["# note", "x", "[c]"], "2: line before any section header"),
+])
+def test_records_refuses_a_header_or_line_the_format_does_not_have(
+        lines, message):
+    with pytest.raises(DataFormatError) as info:
+        list(records(lines, {"a": True, "c": False}, "f.txt"))
+    assert str(info.value) == f"f.txt:{message}"
 
 
 def _with_line(text, anchor, line):
@@ -198,7 +215,7 @@ MALFORMED = [
     ("db-row-before-table", "--db",
      _bundled("db.txt", "chronus-db v1",
               "f99\tAA\t999\tBBOS\tDDFW\t480\t720\tDC10\tNONE"),
-     "row before any [table] header"),
+     "line before any section header"),
     ("db-line-break-in-a-field", "--db",
      _break_in_field("db.txt", "[table fare]", "[table fa\x0cre]"),
      "unknown table 'fa\\x0cre'"),
@@ -254,7 +271,7 @@ MALFORMED = [
      "expected PATTERN<TAB>value<TAB>category"),
     ("values-section-kind", "--values",
      _bundled("values.txt", "[concept question]", "[question]"),
-     "expected [concept <name>]"),
+     "unknown section [question]"),
     ("values-header", "--values",
      _bundled("values.txt", "[concept subject]", "[concept origin"),
      "unterminated section header"),
@@ -277,6 +294,23 @@ MALFORMED = [
     ("conventions-line", "--conventions",
      _bundled("conventions.txt", "[time]", "noon\t720"),
      "bad conventions line"),
+    ("conventions-section", "--conventions",
+     _bundled("conventions.txt", "[time]", "[bogus]"),
+     "unknown section [bogus]"),
+    ("conventions-empty-section", "--conventions",
+     _bundled("conventions.txt", "late-evening\t1200\t1440", "[bogus]"),
+     "unknown section [bogus]"),
+    ("conventions-before-header", "--conventions",
+     _bundled("conventions.txt",
+              "# explicit data conventions used by the query planner",
+              "noon\t720\t780"),
+     "line before any section header"),
+    ("conventions-line-break-in-a-number", "--conventions",
+     _break_in_field("conventions.txt", "reject-threshold\t0.75",
+                     "reject-threshold\t\u20282"),
+     "reject-threshold \\u20282 is not in [0.0, 1.0]"),
+    ("corpus-before-header", "--corpus",
+     ("text\tSHOW\n" + CORPUS, 1), "line before any section header"),
     ("corpus-header", "--corpus",
      (CORPUS + "[sentence d01\n", 4), "unterminated section header"),
     ("corpus-gold", "--corpus",
@@ -339,6 +373,12 @@ MALFORMED = [
     ("concepts-section", "--concepts",
      _bundled("concepts.txt", "subject\tsubject\t1", "[x]"),
      "unknown section [x]"),
+    ("concepts-line-break-in-a-header", "--concepts",
+     _bundled("concepts.txt", "subject\tsubject\t1", "[x\u2028y]"),
+     "unknown section [x\\u2028y]"),
+    ("concepts-name-with-a-space", "--concepts",
+     _bundled("concepts.txt", "subject\tsubject\t1", "a b\tsubject\t1"),
+     "concept name 'a b' is not one word"),
     ("concepts-first-repeat", "--concepts",
      _two_faults("concepts.txt", ("subject\tsubject\t1", "subject\tsubject\t1"),
                  ("and\tspecial\t9", "extra\tverb\t1")),
@@ -352,7 +392,7 @@ MALFORMED = [
      "duplicate grammar id city"),
     ("lexicon-grammar-header", "--lexicon",
      _bundled("lexicon.txt", "accept\tw0", "[grammar a b]"),
-     "expected [grammar <id>]"),
+     "expected [grammar <name>]"),
     ("lexicon-inflect-line", "--lexicon",
      _bundled("lexicon.txt", "[inflect]", "FLIGHTZ"),
      "expected SURFACE<TAB>SUPERWORD"),
@@ -362,7 +402,7 @@ MALFORMED = [
     ("lexicon-before-header", "--lexicon",
      _bundled("lexicon.txt", "# finite-state grammars (city names, compound "
               "numerals, aircraft codes)", "SHOW"),
-     "content before first section header"),
+     "line before any section header"),
     ("lexicon-section", "--lexicon",
      _bundled("lexicon.txt", "[stop]", "[wrods]"), "unknown section [wrods]"),
     ("lexicon-stop-word-in-grammar", "--lexicon",
@@ -538,6 +578,41 @@ _VALUE = st.sampled_from(["", "0", "-1", "0.5", "2", "nan", "inf", "1e400",
                           "YES", "rows", "FLIGHT(S)"]) | _FIELD
 
 
+# the words of a long line: the bundled files' own, and random ones
+_WORD = st.sampled_from(["SHOW", "ME", "THE", "FLIGHTS", "FROM", "BOSTON",
+                         "TO", "DALLAS", "ON", "DELTA", "AND", "DEPART(S)",
+                         "LEAVE(S)", "origin", ":reset", "<UNK>"]) | _FIELD
+_EDITS = ("delete", "duplicate", "truncate", "field", "insert")
+
+
+def _mutated(data, text, edits=_EDITS):
+    """``text`` with one line deleted, duplicated, truncated, given a new
+    field or a character inside, or, with the edit ``long``, a line of up
+    to 200 words inserted."""
+    lines = text.split("\n")
+    at = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[at]
+    edit = data.draw(st.sampled_from(edits))
+    if edit == "delete":
+        lines[at:at + 1] = []
+    elif edit == "duplicate":
+        lines[at:at] = [line]
+    elif edit == "truncate":
+        lines[at] = line[:data.draw(st.integers(0, len(line)))]
+    elif edit == "field":
+        fields = line.split("\t")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(_VALUE)
+        lines[at] = "\t".join(fields)
+    elif edit == "insert":
+        cut = data.draw(st.integers(0, len(line)))
+        lines[at] = line[:cut] + data.draw(st.sampled_from(_INSERTED)) \
+            + line[cut:]
+    else:
+        words = data.draw(st.lists(_WORD, min_size=1, max_size=200))
+        lines[at:at] = [data.draw(st.sampled_from([" ", "\t"])).join(words)]
+    return "\n".join(lines)
+
+
 @pytest.fixture(scope="module")
 def eval_inputs(tmp_path_factory):
     """Copies of the files ``eval`` reads: the five bundled artifact files,
@@ -567,30 +642,11 @@ def test_eval_reads_a_mutated_input_or_refuses_it_naming_the_file(
     # error that names the input, and never raises
     option = data.draw(st.sampled_from(sorted(eval_inputs)))
     path, text = eval_inputs[option]
-    lines = text.split("\n")
-    at = data.draw(st.integers(0, len(lines) - 1))
-    line = lines[at]
-    edit = data.draw(st.sampled_from(
-        ["delete", "duplicate", "truncate", "field", "insert"]))
-    if edit == "delete":
-        lines[at:at + 1] = []
-    elif edit == "duplicate":
-        lines[at:at] = [line]
-    elif edit == "truncate":
-        lines[at] = line[:data.draw(st.integers(0, len(line)))]
-    elif edit == "field":
-        fields = line.split("\t")
-        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(_VALUE)
-        lines[at] = "\t".join(fields)
-    else:
-        cut = data.draw(st.integers(0, len(line)))
-        lines[at] = line[:cut] + data.draw(st.sampled_from(_INSERTED)) \
-            + line[cut:]
     argv = ["eval"]
     for name, (other, _) in eval_inputs.items():
         argv += [name, str(other)]
     err = io.StringIO()
-    path.write_bytes("\n".join(lines).encode("utf-8"))
+    path.write_bytes(_mutated(data, text).encode("utf-8"))
     try:
         with contextlib.redirect_stderr(err):
             code = main(argv, out=io.StringIO())
@@ -600,7 +656,41 @@ def test_eval_reads_a_mutated_input_or_refuses_it_naming_the_file(
         assert err.getvalue() == ""
     else:
         assert code == 2
-        message, end = err.getvalue().split("\n")
-        assert end == ""
+        [message] = err.getvalue().splitlines()
         assert any(message.startswith(f"data error: {p}")
                    for p, _ in eval_inputs.values())
+
+
+@pytest.fixture(scope="module")
+def mutated_folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_synonyms_and_repl_scripts_read_a_mutated_input(
+        mutated_folder, demo_model_path, data):
+    # train --synonyms answers or refuses with one data error naming the
+    # synonyms file; repl --script answers every turn, a bad one with an
+    # ERROR line, and never fails
+    source = data.draw(st.sampled_from(
+        [data_path("synonyms.txt"), TESTS_DATA / "repl_script1.txt",
+         TESTS_DATA / "repl_script2.txt"]))
+    path = mutated_folder / "input.txt"
+    path.write_bytes(_mutated(data, source.read_bytes().decode("utf-8"),
+                              _EDITS + ("long",)).encode("utf-8"))
+    if source.name == "synonyms.txt":
+        argv = ["train", "--corpus", str(data_path("demo_corpus.txt")),
+                "--synonyms", str(path),
+                "--out", str(mutated_folder / "model.txt")]
+    else:
+        argv = ["repl", "--model", demo_model_path, "--script", str(path)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv, out=io.StringIO())
+    if code == 0 or argv[0] == "repl":
+        assert (code, err.getvalue()) == (0, "")
+    else:
+        assert code == 2
+        [message] = err.getvalue().splitlines()
+        assert message.startswith(f"data error: {path}")
